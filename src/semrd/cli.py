@@ -64,7 +64,7 @@ def _sweep_rows(cfg: SweepConfig):
     )
     from .errors import RegionError
     from .gaussian import gaussian_rate, nats_to_bits
-    from .solver import RDQuery, solve_rd_point, sweep_surface
+    from .solver import RDQuery, solve_cells
 
     cells = list(itertools.product(cfg.grid["d1"], cfg.grid["d2"], cfg.grid["ds"]))
 
@@ -138,18 +138,16 @@ def _sweep_rows(cfg: SweepConfig):
                 use_ba = True
         if use_ba:
             row["method"] = "ba"
-            ba_cells.append((len(rows), RDQuery(d1, d2, ds)))
+            ba_cells.append(((len(rows),), RDQuery(d1, d2, ds)))
         rows.append(row)
 
-    if ba_cells:
-        for pos, query in ba_cells:
-            try:
-                point = solve_rd_point(problem, query, cfg.solver_options)
-                rows[pos].update(
-                    rate=point.rate, converged=point.converged, cs_residual=point.cs_residual
-                )
-            except SemrdError as exc:
-                rows[pos].update(converged=False, error=f"{type(exc).__name__}: {exc}")
+    for cell in solve_cells(problem, ba_cells, cfg.solver_options, cfg.workers):
+        row = rows[cell.index[0]]
+        if cell.point is None:
+            row.update(converged=False, error=cell.error)
+        else:
+            point = cell.point
+            row.update(rate=point.rate, converged=point.converged, cs_residual=point.cs_residual)
     yield from rows
 
 

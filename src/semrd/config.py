@@ -13,7 +13,7 @@ explicit list of values or {"linspace": [start, stop, num]}; optional
 ``method`` ("auto" routes in-region points to the closed form and the rest to
 the solver; "closed_form" errors outside regions; "ba" always solves);
 optional ``solver`` overrides (SolverOptions field names); optional
-``workers``; optional ``base`` ("bits"/"nats", gaussian only).
+``workers`` (processes for the cells that use the solver); optional ``base`` ("bits"/"nats", gaussian only).
 
 ``custom`` params: {"alphabets": {name: [labels...]}, "source": {"axes":
 [names], "probs": nested}, "repro_axes": [names], "d1"/"d2"/"ds_mod":

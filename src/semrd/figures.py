@@ -16,9 +16,8 @@ The presets cover the toolkit's standard study plots:
 * ``fig9``  -- fig8's surface plus the equal-rate locus separating the
   observation-pinned and semantic-pinned regimes.
 
-Figures are emitted as data only; see ``docs/plot_figures.py`` for a
-rendering example. CSVs carry 9 significant digits, enough to round-trip the
-stated tolerances.
+Figures are emitted as data only. CSVs carry 9 significant digits, enough to
+round-trip the stated tolerances.
 """
 
 from __future__ import annotations

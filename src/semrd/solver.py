@@ -32,15 +32,19 @@ Two numerical details matter:
   below ``cert_tol``. Plain decrease-based stopping can freeze a warm-started
   run far from the new fixed point.
 
-* The multiplier search is a per-coordinate bisection inside a small
-  Gauss-Seidel loop. A constraint whose target is reachable at zero rate cost
-  (given the other constraints) is detected by re-attaching its reproduction
-  coordinate as a deterministic function of the remaining reproductions and
-  y; such coordinates keep multiplier 0 and the attachment is applied to the
-  returned channel. If a bisection bracket collapses onto a jump of the
-  distortion-vs-multiplier map (a linear segment of the rate surface), the
-  two endpoint channels are mixed; the mixture is optimal for the common
-  multiplier and meets the target exactly.
+* The multiplier search is a per-coordinate root-find inside a small
+  Gauss-Seidel loop. Each coordinate's multiplier is bracketed, then refined
+  by the Illinois method (Dowell & Jarratt, "A modified regula falsi method
+  for computing the root of an equation", BIT 1971) on the decreasing map from
+  the multiplier to its distortion, with a bisection step whenever the
+  bracket fails to halve over three steps. A constraint whose target is
+  reachable at zero rate cost (given the other constraints) is detected by
+  re-attaching its reproduction coordinate as a deterministic function of the
+  remaining reproductions and y; such coordinates keep multiplier 0 and the
+  attachment is applied to the returned channel. If a bracket collapses onto
+  a jump of the distortion-vs-multiplier map (a linear segment of the rate
+  surface), the two endpoint channels are mixed; the mixture is optimal for
+  the common multiplier and meets the target exactly.
 
 Exponent underflow is handled by shifting each cost row by its maximum before
 exponentiation. Rates are returned in ``problem.log_base`` units; multipliers
@@ -51,9 +55,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +66,7 @@ from .errors import (
     BracketingError,
     InfeasibleDistortionError,
     ProbabilityError,
+    SemrdError,
     SolverError,
 )
 from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base
@@ -75,15 +81,17 @@ class SolverOptions:
     ``tol`` is the per-iteration Lagrangian-decrease threshold (nats);
     ``cert_tol`` the optimality-certificate threshold that must hold as well.
     ``constraint_tol`` is the distortion-matching tolerance of the multiplier
-    bisection, ``rate_tol`` the acceptable complementary-slackness residual
+    root-find, ``rate_tol`` the acceptable complementary-slackness residual
     (same units as the returned rate). ``init_seed`` adds a deterministic
     multiplicative jitter to the uniform initialization; None means exactly
     uniform.
 
     The iteration cap leaves headroom for the slow regime where a
     reproduction atom sits near its support threshold: the certificate then
-    decays sublinearly and a warm-started run can legitimately need a few
-    tens of thousands of iterations.
+    decays sublinearly and a warm-started run can legitimately need tens of
+    thousands of iterations (about 17,000 at the correlated example's query
+    (0.05, 0.23, 0.45)). Multipliers still closer to the threshold can
+    exhaust the cap, and the point is then reported with converged=False.
     """
 
     max_iters: int = 50000
@@ -173,14 +181,16 @@ class RDQuery:
 class RDPoint:
     """A solved point: rate (log_base units/symbol), exact achieved
     distortions under ``channel``, the multipliers used (natural-log based),
-    and solver diagnostics. ``cs_residual`` bounds |rate - optimum| via
-    complementary slackness."""
+    and solver diagnostics: ``iterations`` counts BA iterations summed over
+    the ``ba_calls`` fixed-multiplier runs behind the point. ``cs_residual``
+    bounds |rate - optimum| via complementary slackness."""
 
     rate: float
     achieved: tuple[float, float, float]
     multipliers: tuple[float, float, float]
     channel: JointPMF
     iterations: int
+    ba_calls: int
     converged: bool
     cs_residual: float = 0.0
 
@@ -222,12 +232,14 @@ class _Workspace:
         flat = np.moveaxis(src, 2, 0).reshape(self.ny, self.nx)[self.y_idx]
         self.P = flat / self.p_y[:, None]
         self.Pw = self.p_y[:, None] * self.P
+        self.p_x = self.Pw.sum(axis=0)
 
         shape5 = (self.nx1, self.nx2, self.nh1, self.nh2, self.nhs)
         c1 = np.broadcast_to(problem.d1.values[:, None, :, None, None], shape5)
         c2 = np.broadcast_to(problem.d2.values[None, :, None, :, None], shape5)
         cs = np.broadcast_to(problem.ds_mod.values[:, None, None, None, :], shape5)
-        self.costs = tuple(np.ascontiguousarray(c.reshape(self.nx, self.nh)) for c in (c1, c2, cs))
+        # stacked cost tables, costs[i] = c_i[x, h]
+        self.costs = np.stack([c.reshape(self.nx, self.nh) for c in (c1, c2, cs)])
         # per-coordinate small tables indexed by composite x, used by attachments
         d1x = np.broadcast_to(problem.d1.values[:, None, :], (self.nx1, self.nx2, self.nh1))
         d2x = np.broadcast_to(problem.d2.values[None, :, :], (self.nx1, self.nx2, self.nh2))
@@ -263,8 +275,10 @@ class _Workspace:
         shift = e.max(axis=1)
         W = np.exp(e - shift[:, None])
         Wt = W.T.copy()
-        P, p_y = self.P, self.p_y
-        Q = self.initial_marginal(opts.init_seed) if Q0 is None else Q0
+        P, Pw, p_y = self.P, self.Pw, self.p_y
+        # F = -sum_{y,x} p(y) P(x|y) (log Z + shift(x)); the shift part is fixed per call
+        F_shift = float(np.dot(self.p_x, shift))
+        Q = self.initial_marginal(opts.init_seed) if Q0 is None else Q0.copy()
         F_prev = math.inf
         it = 0
         converged = False
@@ -272,33 +286,34 @@ class _Workspace:
         while it < opts.max_iters:
             it += 1
             Z = Q @ Wt  # (ny, nx)
-            G = P / Z
-            c = G @ W  # (ny, nh)
-            F = -float(np.dot(p_y, (P * (np.log(Z) + shift[None, :])).sum(axis=1)))
+            c = (P / Z) @ W  # (ny, nh)
+            F = -(float(np.vdot(Pw, np.log(Z))) + F_shift)
             if F > F_prev + 1e-11 * (1.0 + abs(F)):
                 raise SolverError(
                     f"Lagrangian increased from {F_prev!r} to {F!r} at iteration {it}"
                 )
-            cert = float(np.dot(p_y, np.maximum(c.max(axis=1) - 1.0, 0.0)))
             small_step = F_prev - F < opts.tol
-            Q = Q * c
+            Q *= c
             Q /= Q.sum(axis=1, keepdims=True)
-            if small_step and cert < opts.cert_tol:
-                converged = True
-                break
-            if small_step and cert < opts.stall_cert and it % 500 == 0:
-                # sublinear regime: an atom at its support threshold regrows at a
-                # vanishing rate. The certificate already bounds the remaining
-                # Lagrangian gap; accept once the distortion readings are still.
-                Zc = Q @ Wt
-                Tc = Q[:, None, :] * W[None, :, :] / Zc[:, :, None]
-                d_now = self.distortions(Tc)
-                if d_checkpoint is not None and all(
-                    abs(a - b) < opts.stall_drift_tol for a, b in zip(d_now, d_checkpoint)
-                ):
+            if small_step:
+                # the certificate is read only once the Lagrangian has stopped moving
+                cert = float(np.dot(p_y, np.maximum(c.max(axis=1) - 1.0, 0.0)))
+                if cert < opts.cert_tol:
                     converged = True
                     break
-                d_checkpoint = d_now
+                if cert < opts.stall_cert and it % 500 == 0:
+                    # sublinear regime: an atom at its support threshold regrows at a
+                    # vanishing rate. The certificate already bounds the remaining
+                    # Lagrangian gap; accept once the distortion readings are still.
+                    Zc = Q @ Wt
+                    Tc = Q[:, None, :] * W[None, :, :] / Zc[:, :, None]
+                    d_now = self.distortions(Tc)
+                    if d_checkpoint is not None and all(
+                        abs(a - b) < opts.stall_drift_tol for a, b in zip(d_now, d_checkpoint)
+                    ):
+                        converged = True
+                        break
+                    d_checkpoint = d_now
             F_prev = F
         Z = Q @ Wt
         T = Q[:, None, :] * W[None, :, :] / Z[:, :, None]
@@ -307,7 +322,8 @@ class _Workspace:
     # ---- per-channel statistics ----------------------------------------
 
     def distortions(self, T: np.ndarray) -> tuple[float, float, float]:
-        return tuple(float(np.einsum("yx,yxh,xh->", self.Pw, T, c)) for c in self.costs)
+        J = np.einsum("yx,yxh->xh", self.Pw, T)  # joint of composite (x, h)
+        return tuple(float(v) for v in self.costs.reshape(3, -1) @ J.ravel())
 
     def rate_nats(self, T: np.ndarray) -> float:
         Q = np.einsum("yx,yxh->yh", self.P, T)
@@ -350,8 +366,7 @@ class _Workspace:
 
     def absolute_floor(self, coord: int) -> float:
         """Distortion floor with full observation knowledge (max-rate limit)."""
-        p_x = self.Pw.sum(axis=0)
-        return float((p_x * self.coord_costs[coord].min(axis=1)).sum())
+        return float((self.p_x * self.coord_costs[coord].min(axis=1)).sum())
 
     def zero_rate_floor(self, coord: int) -> float:
         """Best distortion with reproductions depending on y alone."""
@@ -379,6 +394,7 @@ def _point_from_channel(
     T: np.ndarray,
     lam: Sequence[float],
     iterations: int,
+    ba_calls: int,
     converged: bool,
     targets: Sequence[float] | None = None,
 ) -> RDPoint:
@@ -403,6 +419,7 @@ def _point_from_channel(
         multipliers=tuple(float(l) for l in lam),
         channel=joint,
         iterations=iterations,
+        ba_calls=ba_calls,
         converged=converged,
         cs_residual=cs,
     )
@@ -426,11 +443,11 @@ def ba_fixed_multipliers(
         raise ProbabilityError(f"multipliers must be finite and >= 0, got {lam}")
     ws = _Workspace(problem)
     T, _Q, it, converged = ws.ba(lam, opts)
-    return _point_from_channel(ws, T, lam, it, converged)
+    return _point_from_channel(ws, T, lam, it, 1, converged)
 
 
 class _MultiplierSearch:
-    """Gauss-Seidel bisection over the three multipliers for one query."""
+    """Gauss-Seidel root-find over the three multipliers for one query."""
 
     def __init__(self, ws: _Workspace, query: RDQuery, opts: SolverOptions):
         self.ws = ws
@@ -441,6 +458,7 @@ class _MultiplierSearch:
         self.T: np.ndarray | None = None
         self.dist: tuple[float, float, float] | None = None
         self.iterations = 0
+        self.ba_calls = 0
         self.all_converged = True
         self._reroute_tried: set[int] = set()
 
@@ -452,6 +470,7 @@ class _MultiplierSearch:
         T, Q, it, conv = self.ws.ba(self.lam, self.opts, Q0=Q0)
         self.T, self.Q = T, Q
         self.iterations += it
+        self.ba_calls += 1
         self.all_converged &= conv
         self.dist = self.ws.distortions(T)
         return self.dist
@@ -520,12 +539,14 @@ class _MultiplierSearch:
         target = self.targets[coord]
         lam_prev = self.lam[coord]
         lo = hi = None
+        f_lo = None  # d[coord] - target at lo, once a solve there is known
         if lam_prev > 0.0:
             d = self._solve()
             if abs(d[coord] - target) <= ctol:
                 return True
             if d[coord] > target:  # need a larger multiplier; expand upward
                 lo, hi = lam_prev, lam_prev * 2.0
+                f_lo = d[coord] - target
             else:
                 # over-satisfied at a positive multiplier: usually another
                 # multiplier now covers this constraint for free, so try the
@@ -542,7 +563,7 @@ class _MultiplierSearch:
                     if abs(d[coord] - target) <= ctol:
                         return True
                     if d[coord] > target:
-                        lo = probe
+                        lo, f_lo = probe, d[coord] - target
                         break
                     hi = probe
                     probe /= 4.0
@@ -557,7 +578,7 @@ class _MultiplierSearch:
             d = self._solve()
             if d[coord] <= target + ctol:
                 break
-            lo = hi
+            lo, f_lo = hi, d[coord] - target
             hi *= 4.0
             if hi > self.opts.lambda_cap:
                 raise BracketingError(
@@ -567,19 +588,37 @@ class _MultiplierSearch:
                 )
         if d[coord] >= target - ctol:
             return True
+        f_hi = d[coord] - target
+        # Illinois (modified regula falsi) on the decreasing map lam -> d[coord],
+        # with a bisection step whenever f_lo is unknown or the bracket has not
+        # halved over the last three steps
+        widths = [hi - lo]
+        kept = 0  # +1 / -1 when the last step kept hi / lo as the bracket end
         for _ in range(200):
             if hi - lo <= 1e-12 * max(1.0, hi):
                 self._mix_endpoints(coord, lo, hi, target)
                 return True
             mid = 0.5 * (lo + hi)
+            if f_lo is not None and (len(widths) < 4 or hi - lo <= 0.5 * widths[-4]):
+                secant = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+                if lo < secant < hi:
+                    mid = secant
             self.lam[coord] = mid
             d = self._solve()
-            if abs(d[coord] - target) <= ctol:
+            f = d[coord] - target
+            if abs(f) <= ctol:
                 return True
-            if d[coord] > target:
-                lo = mid
+            if f > 0.0:
+                lo, f_lo = mid, f
+                if kept > 0:
+                    f_hi *= 0.5
+                kept = 1
             else:
-                hi = mid
+                hi, f_hi = mid, f
+                if kept < 0 and f_lo is not None:
+                    f_lo *= 0.5
+                kept = -1
+            widths.append(hi - lo)
         raise BracketingError(f"bisection failed to converge for constraint {coord}")
 
     def run(self) -> tuple[list[bool], float]:
@@ -629,7 +668,7 @@ def solve_rd_point(
         T = np.full((len(ws.p_y), ws.nx, ws.nh), 1.0 / ws.nh)
         for coord in _COORDS:
             T = ws.attach(T, coord)
-        return _point_from_channel(ws, T, (0.0, 0.0, 0.0), 0, True, targets)
+        return _point_from_channel(ws, T, (0.0, 0.0, 0.0), 0, 0, True, targets)
 
     search = _MultiplierSearch(ws, query, opts)
     active, violation = search.run()
@@ -638,7 +677,7 @@ def solve_rd_point(
         if not active[coord]:
             T = ws.attach(T, coord)
     point = _point_from_channel(
-        ws, T, search.lam, search.iterations, search.all_converged, targets
+        ws, T, search.lam, search.iterations, search.ba_calls, search.all_converged, targets
     )
     ok = (
         search.all_converged
@@ -708,8 +747,32 @@ def _solve_cell(args) -> SurfaceCell:
     problem, idx, query, opts = args
     try:
         return SurfaceCell(idx, query, solve_rd_point(problem, query, opts))
-    except (ProbabilityError, InfeasibleDistortionError, SolverError) as exc:
+    except SemrdError as exc:
         return SurfaceCell(idx, query, None, error=f"{type(exc).__name__}: {exc}")
+
+
+def solve_cells(
+    problem: RDProblem,
+    cells: Sequence[tuple[tuple[int, ...], RDQuery]],
+    opts: SolverOptions = DEFAULT_OPTIONS,
+    workers: int | None = None,
+) -> Iterator[SurfaceCell]:
+    """Solve each ``(index, query)`` cell and yield the results in order.
+    Per-cell failures are yielded as flagged cells, not raised.
+
+    Results are yielded one at a time so that a caller keeping only a few
+    numbers per cell does not hold every channel at once. Cells are
+    independent; ``workers`` > 1 evaluates them in that many separate
+    processes with identical per-cell results to a serial run.
+    """
+    args = [(problem, idx, q, opts) for idx, q in cells]
+    if workers is not None and workers > 1 and len(args) > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            yield from pool.map(_solve_cell, args, chunksize=max(1, len(args) // (4 * workers)))
+    else:
+        for a in args:
+            yield _solve_cell(a)
 
 
 def sweep_surface(
@@ -721,14 +784,8 @@ def sweep_surface(
     """Solve one point per grid cell (Cartesian product of the three target
     lists). Per-cell failures are returned as flagged cells, not raised.
 
-    Cells are independent; ``workers`` > 1 evaluates them in separate
-    processes with identical per-cell results to a serial run.
+    ``workers`` > 1 evaluates cells in separate processes (see
+    :func:`solve_cells`).
     """
     axes, cells = _grid_queries(grid)
-    args = [(problem, idx, q, opts) for idx, q in cells]
-    if workers is not None and workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(_solve_cell, args, chunksize=max(1, len(args) // (4 * workers))))
-    else:
-        out = [_solve_cell(a) for a in args]
-    return RDSurface(grid_axes=axes, points=tuple(out))
+    return RDSurface(grid_axes=axes, points=tuple(solve_cells(problem, cells, opts, workers)))

@@ -138,6 +138,37 @@ class TestCli:
         expect = binary_entropy(0.25) - binary_entropy(0.03)
         assert float(row["rate"]) == pytest.approx(expect, abs=1e-3)
 
+    def test_sweep_workers_csv_identical(self, tmp_path, monkeypatch):
+        import semrd.solver
+
+        doc = {
+            "kind": "binary_correlated",
+            "method": "ba",
+            "params": {"p": 0.25, "p1": 0.25, "p2": 0.25},
+            "grid": {"d1": [0.03, 0.05], "d2": [0.5], "ds": [0.1, 0.4]},
+        }
+        seen = []
+        original = semrd.solver.solve_cells
+
+        def recording(problem, cells, opts, workers):
+            seen.append(workers)
+            return original(problem, cells, opts, workers)
+
+        monkeypatch.setattr(semrd.solver, "solve_cells", recording)
+        outputs = []
+        for name, extra in (("serial", {}), ("pool", {"workers": 2})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**doc, **extra}))
+            out = tmp_path / f"{name}.csv"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert seen == [None, 2]
+        assert outputs[0] == outputs[1]
+        rows = read_csv(tmp_path / "pool.csv")
+        assert [r["error"].split(":")[0] for r in rows] == [
+            "InfeasibleDistortionError", "", "InfeasibleDistortionError", ""
+        ]
+
     def test_sweep_gaussian_infeasible_flagged(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

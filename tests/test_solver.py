@@ -12,9 +12,15 @@ import math
 import numpy as np
 import pytest
 
+import semrd.solver as solver_mod
 import semrd.sources as sources
 from semrd.closed_form import rate_conditionally_independent, rate_correlated
-from semrd.errors import BracketingError, InfeasibleDistortionError, ProbabilityError
+from semrd.errors import (
+    BracketingError,
+    InfeasibleDistortionError,
+    ProbabilityError,
+    SolverError,
+)
 from semrd.prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, binary_entropy
 from semrd.solver import (
     RDProblem,
@@ -28,6 +34,16 @@ from semrd.solver import (
 
 SPEC_IND = BinarySourceSpec.conditionally_independent(0.25, 0.25, 0.25)
 SPEC_COR = BinarySourceSpec.correlated(0.25, 0.25, 0.25)
+
+# The sweep_independent benchmark's reference cell, and the number of BA runs
+# the bisection-based multiplier search spent on it (counted by wrapping
+# _Workspace.ba around solve_rd_point).
+REFERENCE_CELL = RDQuery(
+    float(np.linspace(0.02, 0.23, 5)[2]),
+    float(np.linspace(0.02, 0.23, 5)[2]),
+    float(np.linspace(0.26, 0.49, 4)[1]),
+)
+BISECTION_BA_CALLS = 58
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +100,82 @@ class TestFixedMultipliers:
         joint = pt.channel
         d1 = joint.expected_distortion(prob_cor.d1, "x1", "x1_hat")
         assert d1 == pytest.approx(pt.achieved[0], abs=1e-12)
+
+
+def reference_ba(ws, lam, opts, Q0=None):
+    """The straightforward BA loop: Lagrangian and certificate recomputed in
+    full every iteration, a fresh Q array per update. ``_Workspace.ba`` must
+    reproduce it."""
+    e = -(lam[0] * ws.costs[0] + lam[1] * ws.costs[1] + lam[2] * ws.costs[2])
+    shift = e.max(axis=1)
+    W = np.exp(e - shift[:, None])
+    Wt = W.T.copy()
+    P, p_y = ws.P, ws.p_y
+    Q = ws.initial_marginal(opts.init_seed) if Q0 is None else Q0
+    F_prev = math.inf
+    it = 0
+    converged = False
+    d_checkpoint = None
+    while it < opts.max_iters:
+        it += 1
+        Z = Q @ Wt
+        G = P / Z
+        c = G @ W
+        F = -float(np.dot(p_y, (P * (np.log(Z) + shift[None, :])).sum(axis=1)))
+        if F > F_prev + 1e-11 * (1.0 + abs(F)):
+            raise SolverError(f"Lagrangian increased from {F_prev!r} to {F!r} at iteration {it}")
+        cert = float(np.dot(p_y, np.maximum(c.max(axis=1) - 1.0, 0.0)))
+        small_step = F_prev - F < opts.tol
+        Q = Q * c
+        Q /= Q.sum(axis=1, keepdims=True)
+        if small_step and cert < opts.cert_tol:
+            converged = True
+            break
+        if small_step and cert < opts.stall_cert and it % 500 == 0:
+            Zc = Q @ Wt
+            Tc = Q[:, None, :] * W[None, :, :] / Zc[:, :, None]
+            d_now = reference_distortions(ws, Tc)
+            if d_checkpoint is not None and all(
+                abs(a - b) < opts.stall_drift_tol for a, b in zip(d_now, d_checkpoint)
+            ):
+                converged = True
+                break
+            d_checkpoint = d_now
+        F_prev = F
+    Z = Q @ Wt
+    T = Q[:, None, :] * W[None, :, :] / Z[:, :, None]
+    return T, Q, it, converged
+
+
+def reference_distortions(ws, T):
+    return tuple(float(np.einsum("yx,yxh,xh->", ws.Pw, T, c)) for c in ws.costs)
+
+
+class TestBaAgainstReference:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sources.conditionally_independent_problem(SPEC_IND),
+            lambda: sources.correlated_problem(SPEC_COR),
+            lambda: sources.classification_problem(0.25, 0.25, 64),
+        ],
+        ids=["independent", "correlated", "classification64"],
+    )
+    def test_matches_reference_loop(self, build):
+        ws = solver_mod._Workspace(build())
+        lam = (2.0, 1.0, 0.5)
+        opts = solver_mod.DEFAULT_OPTIONS
+        Q0 = ws.initial_marginal(3)
+        Q0_before = Q0.copy()
+        for start in (None, Q0):
+            T, Q, it, conv = ws.ba(lam, opts, Q0=start)
+            T_ref, Q_ref, it_ref, conv_ref = reference_ba(ws, lam, opts, Q0=start)
+            assert it == it_ref
+            assert conv == conv_ref
+            assert np.max(np.abs(Q - Q_ref)) <= 1e-12
+            assert np.max(np.abs(T - T_ref)) <= 1e-12
+            assert np.allclose(ws.distortions(T), reference_distortions(ws, T), rtol=0, atol=1e-12)
+        assert np.array_equal(Q0, Q0_before)
 
 
 class TestSolveRdPoint:
@@ -150,6 +242,31 @@ class TestSolveRdPoint:
         pt = solve_rd_point(prob_cor, RDQuery(0.05, 0.23, 0.45))
         assert pt.rate == pytest.approx(0.5626384, abs=2e-5)
         assert pt.converged
+
+    def test_named_failure_converges(self, prob_cor):
+        # a query on the correlated model's documented region where the
+        # closed form is only a lower bound (negative q-vector)
+        q = RDQuery(0.06, 0.22, 0.48)
+        pt = solve_rd_point(prob_cor, q)
+        assert pt.converged
+        assert all(a <= t + 1e-8 for a, t in zip(pt.achieved, q.as_tuple()))
+        assert pt.rate >= rate_correlated(SPEC_COR, *q.as_tuple()) - 2e-3
+
+    def test_ba_calls_reported(self, prob_ind, monkeypatch):
+        calls = []
+        original = solver_mod._Workspace.ba
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod._Workspace, "ba", counting)
+        pt = solve_rd_point(prob_ind, REFERENCE_CELL)
+        assert pt.converged
+        assert pt.ba_calls == len(calls)
+        assert pt.ba_calls < BISECTION_BA_CALLS / 2
+        assert ba_fixed_multipliers(prob_ind, 1.0, 1.0, 1.0).ba_calls == 1
+        assert solve_rd_point(prob_ind, RDQuery(0.6, 0.6, 0.55)).ba_calls == 0
 
     def test_rate_nonnegative_and_multipliers_nonnegative(self, prob_ind):
         pt = solve_rd_point(prob_ind, RDQuery(0.3, 0.4, 0.45))
