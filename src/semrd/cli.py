@@ -62,7 +62,6 @@ def _sweep_rows(cfg: SweepConfig):
         rate_conditionally_independent,
         rate_correlated,
     )
-    from .errors import RegionError
     from .gaussian import gaussian_rate, nats_to_bits
     from .solver import RDQuery, solve_cells
 

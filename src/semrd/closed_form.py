@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InfeasibleDistortionError, ProbabilityError, RegionError
+from .errors import ProbabilityError, RegionError
 from .prob import BinarySourceSpec, binary_entropy
 from .semantic import ds0
 

@@ -38,4 +38,8 @@ class ConfigError(SemrdError, ValueError):
 
 
 class BracketingError(SolverError):
-    """Multiplier search could not bracket the target distortion."""
+    """Multiplier search could not bracket the target distortion.
+
+    The solver no longer raises it: target solves find their multipliers
+    inside one constrained BA run, and a target they cannot meet is reported
+    with converged=False. The class is kept for API compatibility."""

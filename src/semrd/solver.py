@@ -32,19 +32,36 @@ Two numerical details matter:
   below ``cert_tol``. Plain decrease-based stopping can freeze a warm-started
   run far from the new fixed point.
 
-* The multiplier search is a per-coordinate root-find inside a small
-  Gauss-Seidel loop. Each coordinate's multiplier is bracketed, then refined
-  by the Illinois method (Dowell & Jarratt, "A modified regula falsi method
-  for computing the root of an equation", BIT 1971) on the decreasing map from
-  the multiplier to its distortion, with a bisection step whenever the
-  bracket fails to halve over three steps. A constraint whose target is
-  reachable at zero rate cost (given the other constraints) is detected by
-  re-attaching its reproduction coordinate as a deterministic function of the
-  remaining reproductions and y; such coordinates keep multiplier 0 and the
-  attachment is applied to the returned channel. If a bracket collapses onto
-  a jump of the distortion-vs-multiplier map (a linear segment of the rate
-  surface), the two endpoint channels are mixed; the mixture is optimal for
-  the common multiplier and meets the target exactly.
+* The multipliers are not searched for from outside. A target solve is one
+  constrained BA run (Chen et al., "A Constrained BA Algorithm for
+  Rate-Distortion and Distortion-Rate Functions", 2023, with three
+  multipliers in place of one). Each step holds the marginals q fixed and
+  solves exactly for the multipliers that meet the targets: it maximises the
+  concave dual g_q(l) = -sum p(x, y) log Z_l(x, y) - l.D over l >= 0, whose
+  gradient is E_l[d] - D and whose Hessian is minus the (y, x)-averaged 3x3
+  covariance of the costs. The solve is a projected Newton iteration with
+  Armijo backtracking, warm-started at the previous multipliers, run to a
+  KKT residual of 1e-12 and then polished, because multipliers left anywhere
+  inside the ``constraint_tol`` band make the certificate stall. The step
+  then takes the BA marginal update at those multipliers. Its value
+  F(q) = max_l g_q(l) never increases from step to step; an increase beyond
+  rounding raises :class:`SolverError`. The certificate above, read at the
+  solved multipliers, bounds F(q) minus the optimal rate.
+
+  The marginal sequence converges linearly, slowly where an atom sits at its
+  support threshold or a multiplier tends to zero. SQUAREM (Varadhan &
+  Roland, "Simple and globally convergent methods for accelerating the
+  convergence of any EM algorithm", Scand. J. Statist. 2008) extrapolates
+  over each pair of steps q0 -> q1 -> q2: with r = q1 - q0,
+  v = q2 - 2 q1 + q0 and a = min(-|r|/|v|, -1) it proposes
+  q0 - 2 a r + a^2 v, kept only if it is strictly positive and
+  F does not exceed F(q2); otherwise the run continues from q2.
+
+  Coordinates whose final multiplier is 0 are re-attached as a deterministic
+  function of the remaining reproductions and y, which meets their target at
+  no rate cost. A linear segment of the rate surface needs no time-sharing:
+  at fixed q the map from multipliers to distortions is smooth, and q
+  converges to the mixture.
 
 Exponent underflow is handled by shifting each cost row by its maximum before
 exponentiation. Rates are returned in ``problem.log_base`` units; multipliers
@@ -57,18 +74,12 @@ import itertools
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    BracketingError,
-    InfeasibleDistortionError,
-    ProbabilityError,
-    SemrdError,
-    SolverError,
-)
+from .errors import InfeasibleDistortionError, ProbabilityError, SemrdError, SolverError
 from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base
 
 _COORDS = (0, 1, 2)
@@ -76,22 +87,26 @@ _COORDS = (0, 1, 2)
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunables for the alternating minimization and the multiplier search.
+    """Tunables for the fixed-multiplier and the constrained alternating
+    minimization.
 
-    ``tol`` is the per-iteration Lagrangian-decrease threshold (nats);
-    ``cert_tol`` the optimality-certificate threshold that must hold as well.
-    ``constraint_tol`` is the distortion-matching tolerance of the multiplier
-    root-find, ``rate_tol`` the acceptable complementary-slackness residual
-    (same units as the returned rate). ``init_seed`` adds a deterministic
-    multiplicative jitter to the uniform initialization; None means exactly
-    uniform.
+    ``tol`` is the per-iteration Lagrangian-decrease threshold (nats) of the
+    fixed-multiplier run; ``cert_tol`` the optimality-certificate threshold
+    that stops both runs. ``stall_cert`` and ``stall_drift_tol`` let a
+    fixed-multiplier run stop in the sublinear regime once its distortions
+    are still. ``constraint_tol`` is the distortion-matching tolerance a
+    target solve must meet, ``rate_tol`` the acceptable complementary-slackness
+    residual (same units as the returned rate), ``lambda_cap`` the largest
+    multiplier. ``init_seed`` adds a deterministic multiplicative jitter to
+    the uniform initialization; None means exactly uniform.
 
-    The iteration cap leaves headroom for the slow regime where a
-    reproduction atom sits near its support threshold: the certificate then
-    decays sublinearly and a warm-started run can legitimately need tens of
-    thousands of iterations (about 17,000 at the correlated example's query
-    (0.05, 0.23, 0.45)). Multipliers still closer to the threshold can
-    exhaust the cap, and the point is then reported with converged=False.
+    ``max_iters`` caps the iterations of a fixed-multiplier run and the
+    constrained steps of a target solve. It leaves headroom for the slow
+    regime where a reproduction atom sits near its support threshold: the
+    certificate then decays sublinearly. With SQUAREM a target solve there
+    takes hundreds of steps (about 300 at the correlated example's query
+    (0.05, 0.23, 0.45)). A run that exhausts the cap is reported with
+    converged=False.
     """
 
     max_iters: int = 50000
@@ -102,13 +117,12 @@ class SolverOptions:
     constraint_tol: float = 1e-9
     rate_tol: float = 1e-6
     lambda_cap: float = 1e8
-    max_rounds: int = 8
     init_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.tol <= 0 or self.cert_tol <= 0 or self.constraint_tol <= 0:
             raise ProbabilityError("solver tolerances must be positive")
-        if self.max_iters < 1 or self.max_rounds < 1:
+        if self.max_iters < 1:
             raise ProbabilityError("iteration limits must be >= 1")
 
 
@@ -181,9 +195,11 @@ class RDQuery:
 class RDPoint:
     """A solved point: rate (log_base units/symbol), exact achieved
     distortions under ``channel``, the multipliers used (natural-log based),
-    and solver diagnostics: ``iterations`` counts BA iterations summed over
-    the ``ba_calls`` fixed-multiplier runs behind the point. ``cs_residual``
-    bounds |rate - optimum| via complementary slackness."""
+    and solver diagnostics: ``iterations`` counts the BA iterations of a
+    fixed-multiplier run, or the constrained steps of a target solve (each
+    with its own multiplier solve); ``ba_calls`` is the number of such runs
+    behind the point: 1, or 0 on the zero-rate path. ``cs_residual`` bounds
+    |rate - optimum| via complementary slackness."""
 
     rate: float
     achieved: tuple[float, float, float]
@@ -334,25 +350,15 @@ class _Workspace:
 
     # ---- attachments -----------------------------------------------------
 
-    def _attachment_parts(self, T: np.ndarray, coord: int):
+    def attach(self, T: np.ndarray, coord: int) -> np.ndarray:
+        """Apply the best deterministic re-attachment of that reproduction
+        coordinate as a function of (other reproductions, y); does not change
+        the conditional mutual information."""
         ny = len(self.p_y)
         ax = 2 + coord  # h-axis position inside the (ny, nx, nh1, nh2, nhs) view
         J5 = (self.Pw[:, :, None] * T).reshape(ny, self.nx, *self.h_sizes)
         Jm = J5.sum(axis=ax)  # (ny, nx, <other two h axes>)
         ed = np.einsum("yxab,xk->yabk", Jm, self.coord_costs[coord])
-        return ax, ed
-
-    def attachment_value(self, T: np.ndarray, coord: int) -> float:
-        """Best E d_coord over deterministic re-attachments of that
-        reproduction coordinate as a function of (other reproductions, y)."""
-        _, ed = self._attachment_parts(T, coord)
-        return float(ed.min(axis=3).sum())
-
-    def attach(self, T: np.ndarray, coord: int) -> np.ndarray:
-        """Apply the best deterministic re-attachment; does not change the
-        conditional mutual information."""
-        ax, ed = self._attachment_parts(T, coord)
-        ny = len(self.p_y)
         best = ed.argmin(axis=3)  # (ny, a, b)
         nk = self.h_sizes[coord]
         onehot = np.eye(nk)[best]  # (ny, a, b, nk)
@@ -412,7 +418,7 @@ def _point_from_channel(
     cs = 0.0
     if targets is not None:
         ln_base = math.log(problem.log_base)
-        cs = sum(l * abs(t - a) for l, t, a in zip(lam, targets, achieved)) / ln_base
+        cs = float(sum(l * abs(t - a) for l, t, a in zip(lam, targets, achieved))) / ln_base
     return RDPoint(
         rate=rate,
         achieved=achieved,
@@ -446,200 +452,178 @@ def ba_fixed_multipliers(
     return _point_from_channel(ws, T, lam, it, 1, converged)
 
 
-class _MultiplierSearch:
-    """Gauss-Seidel root-find over the three multipliers for one query."""
+# Constants of the constrained BA loop (see the module docstring). The dual is
+# re-solved whenever its KKT residual exceeds _KKT_TOL: multipliers left
+# anywhere inside the constraint_tol band make the certificate stall far above
+# cert_tol.
+_KKT_TOL = 1e-12
+_NEWTON_STEPS = 100
+_ARMIJO = 1e-4
+_BACKTRACKS = 40
 
-    def __init__(self, ws: _Workspace, query: RDQuery, opts: SolverOptions):
+
+def _kkt_residual(lam: np.ndarray, grad: np.ndarray) -> float:
+    """Largest KKT violation of the dual over lam >= 0: |grad| on positive
+    multipliers, the positive part of grad on zero ones."""
+    return max(abs(g) if l > 0.0 else max(g, 0.0) for l, g in zip(lam.tolist(), grad.tolist()))
+
+
+@dataclass
+class _Dual:
+    """The dual g_Q at one multiplier vector: its value and a bound on the
+    rounding in it, the gradient E[d] - D and KKT residual, with the kernel W
+    and the normaliser Z."""
+
+    lam: np.ndarray
+    value: float
+    rounding: float
+    grad: np.ndarray
+    kkt: float
+    W: np.ndarray
+    Z: np.ndarray
+
+
+@dataclass
+class _Step:
+    """One constrained step from Q: the solved multipliers, the dual value
+    F(Q) and KKT residual there, the certificate and the BA update of Q."""
+
+    Q: np.ndarray
+    lam: np.ndarray
+    F: float
+    kkt: float
+    cert: float
+    Q_next: np.ndarray
+
+
+class _ConstrainedBA:
+    """Alternating minimization under the three distortion constraints for
+    one query: an exact multiplier solve at every step, SQUAREM over pairs of
+    steps."""
+
+    def __init__(self, ws: _Workspace, targets: Sequence[float], opts: SolverOptions):
         self.ws = ws
+        self.targets = np.asarray(targets, dtype=float)
         self.opts = opts
-        self.targets = query.as_tuple()
-        self.lam = [0.0, 0.0, 0.0]
-        self.Q: np.ndarray | None = None
-        self.T: np.ndarray | None = None
-        self.dist: tuple[float, float, float] | None = None
+        self.flat = ws.costs.reshape(3, -1)
         self.iterations = 0
-        self.ba_calls = 0
-        self.all_converged = True
-        self._reroute_tried: set[int] = set()
 
-    def _solve(self) -> tuple[float, float, float]:
-        Q0 = None
-        if self.Q is not None:
-            # re-seed dead atoms so support can be rediscovered after lambda moves
-            Q0 = (1.0 - 1e-9) * self.Q + 1e-9 / self.ws.nh
-        T, Q, it, conv = self.ws.ba(self.lam, self.opts, Q0=Q0)
-        self.T, self.Q = T, Q
-        self.iterations += it
-        self.ba_calls += 1
-        self.all_converged &= conv
-        self.dist = self.ws.distortions(T)
-        return self.dist
+    # ---- the dual at fixed Q ----------------------------------------------
 
-    def _mix_endpoints(self, coord: int, lo: float, hi: float, target: float) -> None:
-        self.lam[coord] = lo
-        d_lo = self._solve()
-        T_lo = self.T
-        self.lam[coord] = hi
-        d_hi = self._solve()
-        if d_lo[coord] <= target or d_lo[coord] - d_hi[coord] <= 0.0:
-            return  # lo side already feasible (or no jump); keep hi solution
-        theta = (d_lo[coord] - target) / (d_lo[coord] - d_hi[coord])
-        theta = min(max(theta, 0.0), 1.0)
-        self.T = theta * self.T + (1.0 - theta) * T_lo
-        self.Q = np.einsum("yx,yxh->yh", self.ws.P, self.T)
-        self.dist = self.ws.distortions(self.T)
-
-    def _slack_at_zero(self, coord: int, target: float) -> bool:
-        """With lam[coord] pinned to 0, can a free re-attachment meet the target?"""
-        self.lam[coord] = 0.0
-        self._solve()
-        return self.ws.attachment_value(self.T, coord) <= target + self.opts.constraint_tol
-
-    def _pinned_reroute(self, coord: int, target: float) -> bool:
-        """Pin lam[coord] to 0, rebalance the other multipliers, then retry
-        the attachment test.
-
-        Handles the dual ridge where two constraints share a source symbol:
-        Gauss-Seidel states with this coordinate's multiplier positive can be
-        rate-optimal yet creep toward the complementary-slack endpoint one
-        small step per round. Rebalancing the other multipliers first lets
-        the slack test see the endpoint directly. Attempted at most once per
-        coordinate; a failed attempt restores the previous state.
-        """
-        if coord in self._reroute_tried:
-            return False
-        self._reroute_tried.add(coord)
-        saved = (
-            list(self.lam),
-            None if self.T is None else self.T.copy(),
-            None if self.Q is None else self.Q.copy(),
-            self.dist,
+    def _evaluate(self, Q: np.ndarray, lam: np.ndarray) -> _Dual:
+        ws = self.ws
+        # the per-letter cost, turned into the kernel in place
+        W = (lam @ self.flat).reshape(ws.nx, ws.nh)
+        shift = W.min(axis=1)
+        np.subtract(shift[:, None], W, out=W)
+        np.exp(W, out=W)
+        Z = Q @ W.T  # (ny, nx)
+        # g = p.shift - sum p log Z - lam.D; with large multipliers the first
+        # and last terms nearly cancel, so rounding scales with their size
+        terms = (
+            float(np.dot(ws.p_x, shift)),
+            -float(np.vdot(ws.Pw, np.log(Z))),
+            -float(lam @ self.targets),
         )
-        self.lam[coord] = 0.0
-        for other in _COORDS:
-            if other != coord:
-                self._bisect_coord(other, allow_reroute=False)
-        self.lam[coord] = 0.0
-        self._solve()
-        if self.ws.attachment_value(self.T, coord) <= target + self.opts.constraint_tol:
-            return True
-        self.lam[:] = saved[0]
-        self.T, self.Q, self.dist = saved[1], saved[2], saved[3]
-        return False
+        rounding = 1e-14 * (1.0 + sum(abs(v) for v in terms))
+        grad = self.flat @ self._joint(Q, W, Z).ravel() - self.targets
+        return _Dual(lam, sum(terms), rounding, grad, _kkt_residual(lam, grad), W, Z)
 
-    def _bisect_coord(self, coord: int, allow_reroute: bool = True) -> bool:
-        """Adjust lam[coord]; returns True when the coordinate is active.
+    def _joint(self, Q: np.ndarray, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Joint of (x, h) under the channel Q W / Z."""
+        return ((self.ws.Pw / Z).T @ Q) * W
 
-        A coordinate whose constraint already reads tight at its current
-        positive multiplier is kept: tight constraints with nonnegative
-        multipliers form a KKT point of the convex problem, so the outer
-        loop's whole-round verification is the only consistency check needed.
-        """
-        ctol = self.opts.constraint_tol
-        target = self.targets[coord]
-        lam_prev = self.lam[coord]
-        lo = hi = None
-        f_lo = None  # d[coord] - target at lo, once a solve there is known
-        if lam_prev > 0.0:
-            d = self._solve()
-            if abs(d[coord] - target) <= ctol:
-                return True
-            if d[coord] > target:  # need a larger multiplier; expand upward
-                lo, hi = lam_prev, lam_prev * 2.0
-                f_lo = d[coord] - target
-            else:
-                # over-satisfied at a positive multiplier: usually another
-                # multiplier now covers this constraint for free, so try the
-                # slack route before hunting for a smaller bracket
-                if self._slack_at_zero(coord, target):
-                    return False
-                if allow_reroute and self._pinned_reroute(coord, target):
-                    return False
-                hi = lam_prev
-                probe = lam_prev / 4.0
-                while probe > 1e-12:
-                    self.lam[coord] = probe
-                    d = self._solve()
-                    if abs(d[coord] - target) <= ctol:
-                        return True
-                    if d[coord] > target:
-                        lo, f_lo = probe, d[coord] - target
-                        break
-                    hi = probe
-                    probe /= 4.0
-                if lo is None:
-                    lo = 0.0
-        else:
-            if self._slack_at_zero(coord, target):
-                return False
-            lo, hi = 0.0, 1.0
-        while True:
-            self.lam[coord] = hi
-            d = self._solve()
-            if d[coord] <= target + ctol:
+    def _covariance(self, Q: np.ndarray, d: _Dual) -> np.ndarray:
+        """The cost covariance behind d, averaged over (y, x): the negated Hessian."""
+        ws = self.ws
+        second = (self.flat * self._joint(Q, d.W, d.Z).ravel()) @ self.flat.T
+        # cost means conditional on (y, x)
+        m1 = (Q @ (ws.costs * d.W).reshape(-1, ws.nh).T).reshape(len(Q), 3, ws.nx)
+        m1 /= d.Z[:, None, :]
+        return second - np.einsum("yx,yix,yjx->ij", ws.Pw, m1, m1)
+
+    def _solve_dual(self, Q: np.ndarray, lam: np.ndarray) -> _Dual:
+        """Maximise g_Q over 0 <= lam <= lambda_cap by projected Newton,
+        warm-started at lam."""
+        cap = self.opts.lambda_cap
+        d = self._evaluate(Q, lam)
+        for _ in range(_NEWTON_STEPS):
+            if d.kkt <= _KKT_TOL:
                 break
-            lo, f_lo = hi, d[coord] - target
-            hi *= 4.0
-            if hi > self.opts.lambda_cap:
-                raise BracketingError(
-                    f"could not bracket constraint {coord}: target {target}, "
-                    f"achieved {d[coord]} at multiplier {lo}, "
-                    f"full-information floor {self.ws.absolute_floor(coord)}"
-                )
-        if d[coord] >= target - ctol:
-            return True
-        f_hi = d[coord] - target
-        # Illinois (modified regula falsi) on the decreasing map lam -> d[coord],
-        # with a bisection step whenever f_lo is unknown or the bracket has not
-        # halved over the last three steps
-        widths = [hi - lo]
-        kept = 0  # +1 / -1 when the last step kept hi / lo as the bracket end
-        for _ in range(200):
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                self._mix_endpoints(coord, lo, hi, target)
-                return True
-            mid = 0.5 * (lo + hi)
-            if f_lo is not None and (len(widths) < 4 or hi - lo <= 0.5 * widths[-4]):
-                secant = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-                if lo < secant < hi:
-                    mid = secant
-            self.lam[coord] = mid
-            d = self._solve()
-            f = d[coord] - target
-            if abs(f) <= ctol:
-                return True
-            if f > 0.0:
-                lo, f_lo = mid, f
-                if kept > 0:
-                    f_hi *= 0.5
-                kept = 1
+            # Newton direction on the free coordinates, least-norm where the
+            # covariance is singular; the other coordinates stay put
+            free = (d.lam > 0.0) | (d.grad > 0.0)
+            cov = self._covariance(Q, d) * np.outer(free, free)
+            step = np.linalg.lstsq(cov, d.grad * free, rcond=None)[0] * free
+            # no coordinate moves by more than max(1, lam_i)
+            reach = np.maximum(1.0, d.lam) / np.maximum(np.abs(step), 1e-300)
+            step *= min(1.0, float(reach.min()))
+            t = 1.0
+            for _ in range(_BACKTRACKS):
+                new = self._evaluate(Q, np.minimum(np.maximum(d.lam + t * step, 0.0), cap))
+                # Armijo, up to rounding in g once the gain is that small
+                gain = float(d.grad @ (new.lam - d.lam))
+                if new.value >= d.value + _ARMIJO * gain - d.rounding:
+                    break
+                t *= 0.5
             else:
-                hi, f_hi = mid, f
-                if kept < 0 and f_lo is not None:
-                    f_lo *= 0.5
-                kept = -1
-            widths.append(hi - lo)
-        raise BracketingError(f"bisection failed to converge for constraint {coord}")
-
-    def run(self) -> tuple[list[bool], float]:
-        active = [False, False, False]
-        violation = math.inf
-        for rnd in range(self.opts.max_rounds):
-            lam_before = list(self.lam)
-            for coord in _COORDS:
-                active[coord] = self._bisect_coord(coord)
-            violation = 0.0
-            for coord in _COORDS:
-                if active[coord]:
-                    violation = max(violation, abs(self.dist[coord] - self.targets[coord]))
-                else:
-                    att = self.ws.attachment_value(self.T, coord)
-                    violation = max(violation, max(0.0, att - self.targets[coord]))
-            moved = max(abs(a - b) for a, b in zip(lam_before, self.lam))
-            settled = rnd > 0 and moved <= 1e-7 * max(1.0, max(self.lam))
-            if violation <= 5.0 * self.opts.constraint_tol and settled:
                 break
-        return active, violation
+            d = new
+        return d
+
+    # ---- steps ---------------------------------------------------------------
+
+    def _step(self, Q: np.ndarray, lam: np.ndarray) -> _Step:
+        self.iterations += 1
+        d = self._solve_dual(Q, lam)
+        c = (self.ws.P / d.Z) @ d.W
+        cert = float(np.dot(self.ws.p_y, np.maximum(c.max(axis=1) - 1.0, 0.0)))
+        Q_next = Q * c
+        Q_next /= Q_next.sum(axis=1, keepdims=True)
+        return _Step(Q, d.lam, d.value, d.kkt, cert, Q_next)
+
+    def _plain(self, prev: _Step) -> _Step:
+        s = self._step(prev.Q_next, prev.lam)
+        if s.F > prev.F + 1e-11 * (1.0 + abs(s.F)):
+            raise SolverError(
+                f"constrained objective increased from {prev.F!r} to {s.F!r} "
+                f"at step {self.iterations}"
+            )
+        return s
+
+    def _extrapolate(self, s0: _Step, s1: _Step, s2: _Step) -> _Step:
+        """SQUAREM step from s0 through the plain steps s1 and s2; falls back
+        to s2 unless the extrapolated Q keeps every atom of s0 positive and is
+        no worse."""
+        r = s1.Q - s0.Q
+        v = s2.Q - 2.0 * s1.Q + s0.Q
+        norm_v = float(np.linalg.norm(v))
+        alpha = -float(np.linalg.norm(r)) / norm_v if norm_v > 0.0 else -1.0
+        if alpha >= -1.0:
+            return s2  # alpha = -1 reproduces Q2
+        Qx = s0.Q - 2.0 * alpha * r + alpha * alpha * v
+        # atoms that underflowed to 0 stay 0 under both maps; every other atom
+        # must stay positive
+        if not np.all((Qx > 0.0) | (s0.Q == 0.0)):
+            return s2
+        sx = self._step(Qx / Qx.sum(axis=1, keepdims=True), s2.lam)
+        return sx if sx.F <= s2.F else s2
+
+    def run(self) -> tuple[np.ndarray, _Step, bool]:
+        """Returns (T, final step, converged): T meets the targets up to the
+        final step's KKT residual."""
+        cert_tol = self.opts.cert_tol
+        cur = self._step(self.ws.initial_marginal(self.opts.init_seed), np.zeros(3))
+        while cur.cert >= cert_tol and self.iterations < self.opts.max_iters:
+            s1 = self._plain(cur)
+            if s1.cert < cert_tol:
+                cur = s1
+                break
+            s2 = self._plain(s1)
+            cur = s2 if s2.cert < cert_tol else self._extrapolate(cur, s1, s2)
+        d = self._evaluate(cur.Q, cur.lam)
+        T = cur.Q[:, None, :] * d.W[None, :, :] / d.Z[:, :, None]
+        return T, cur, cur.cert < cert_tol
 
 
 def solve_rd_point(
@@ -670,18 +654,16 @@ def solve_rd_point(
             T = ws.attach(T, coord)
         return _point_from_channel(ws, T, (0.0, 0.0, 0.0), 0, 0, True, targets)
 
-    search = _MultiplierSearch(ws, query, opts)
-    active, violation = search.run()
-    T = search.T
+    cba = _ConstrainedBA(ws, targets, opts)
+    T, final, converged = cba.run()
+    lam = tuple(float(l) for l in final.lam)
     for coord in _COORDS:
-        if not active[coord]:
+        if lam[coord] == 0.0:
             T = ws.attach(T, coord)
-    point = _point_from_channel(
-        ws, T, search.lam, search.iterations, search.ba_calls, search.all_converged, targets
-    )
+    point = _point_from_channel(ws, T, lam, cba.iterations, 1, converged, targets)
     ok = (
-        search.all_converged
-        and violation <= 5.0 * opts.constraint_tol
+        converged
+        and final.kkt <= 5.0 * opts.constraint_tol
         and point.cs_residual <= opts.rate_tol
         and all(point.achieved[c] <= targets[c] + 10.0 * opts.constraint_tol for c in _COORDS)
     )

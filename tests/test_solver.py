@@ -15,12 +15,7 @@ import pytest
 import semrd.solver as solver_mod
 import semrd.sources as sources
 from semrd.closed_form import rate_conditionally_independent, rate_correlated
-from semrd.errors import (
-    BracketingError,
-    InfeasibleDistortionError,
-    ProbabilityError,
-    SolverError,
-)
+from semrd.errors import InfeasibleDistortionError, ProbabilityError, SolverError
 from semrd.prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, binary_entropy
 from semrd.solver import (
     RDProblem,
@@ -35,15 +30,14 @@ from semrd.solver import (
 SPEC_IND = BinarySourceSpec.conditionally_independent(0.25, 0.25, 0.25)
 SPEC_COR = BinarySourceSpec.correlated(0.25, 0.25, 0.25)
 
-# The sweep_independent benchmark's reference cell, and the number of BA runs
-# the bisection-based multiplier search spent on it (counted by wrapping
-# _Workspace.ba around solve_rd_point).
+# The sweep_independent benchmark's reference cell, and the BA iterations the
+# Gauss-Seidel multiplier search (24 fixed-multiplier runs) spent on it.
 REFERENCE_CELL = RDQuery(
     float(np.linspace(0.02, 0.23, 5)[2]),
     float(np.linspace(0.02, 0.23, 5)[2]),
     float(np.linspace(0.26, 0.49, 4)[1]),
 )
-BISECTION_BA_CALLS = 58
+GAUSS_SEIDEL_ITERATIONS = 1662
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +48,11 @@ def prob_ind():
 @pytest.fixture(scope="module")
 def prob_cor():
     return sources.correlated_problem(SPEC_COR)
+
+
+@pytest.fixture(scope="module")
+def prob_cls():
+    return sources.classification_problem(0.25, 0.25, 64)
 
 
 def single_source_problem():
@@ -72,6 +71,34 @@ def single_source_problem():
         d2=DistortionMatrix.zero(bg, h2),
         ds_mod=DistortionMatrix.zero(x1, hs),
     )
+
+
+def random_table_problem(seed):
+    """Seeded random source law and distortion tables (3x2x2 source, binary
+    reproductions)."""
+    rng = np.random.default_rng(seed)
+
+    def alphabet(name, n):
+        return Alphabet(name, n, tuple(str(i) for i in range(n)))
+
+    x1, x2, y = alphabet("x1", 3), alphabet("x2", 2), alphabet("y", 2)
+    h1, h2, hs = alphabet("x1_hat", 2), alphabet("x2_hat", 2), alphabet("s_hat", 2)
+    source = JointPMF((x1, x2, y), rng.dirichlet(np.ones(12)).reshape(3, 2, 2))
+
+    def table(a, b):
+        return DistortionMatrix(a, b, rng.uniform(0.0, 1.0, (a.size, b.size)))
+
+    return RDProblem(source, (h1, h2, hs), table(x1, h1), table(x2, h2), table(x1, hs))
+
+
+def between_floors(problem, fractions):
+    """Targets at the given fractions of the way from each coordinate's
+    full-information floor to its zero-rate distortion."""
+    ws = solver_mod._Workspace(problem)
+    return RDQuery(*(
+        ws.absolute_floor(c) + f * (ws.zero_rate_floor(c) - ws.absolute_floor(c))
+        for c, f in enumerate(fractions)
+    ))
 
 
 class TestFixedMultipliers:
@@ -242,6 +269,8 @@ class TestSolveRdPoint:
         pt = solve_rd_point(prob_cor, RDQuery(0.05, 0.23, 0.45))
         assert pt.rate == pytest.approx(0.5626384, abs=2e-5)
         assert pt.converged
+        # the Gauss-Seidel search spent 192,281 BA iterations here
+        assert pt.iterations < 2000
 
     def test_named_failure_converges(self, prob_cor):
         # a query on the correlated model's documented region where the
@@ -253,6 +282,8 @@ class TestSolveRdPoint:
         assert pt.rate >= rate_correlated(SPEC_COR, *q.as_tuple()) - 2e-3
 
     def test_ba_calls_reported(self, prob_ind, monkeypatch):
+        # one constrained BA run per point; _Workspace.ba serves only
+        # ba_fixed_multipliers
         calls = []
         original = solver_mod._Workspace.ba
 
@@ -263,10 +294,60 @@ class TestSolveRdPoint:
         monkeypatch.setattr(solver_mod._Workspace, "ba", counting)
         pt = solve_rd_point(prob_ind, REFERENCE_CELL)
         assert pt.converged
-        assert pt.ba_calls == len(calls)
-        assert pt.ba_calls < BISECTION_BA_CALLS / 2
+        assert pt.ba_calls == 1
+        assert pt.iterations < GAUSS_SEIDEL_ITERATIONS
+        assert calls == []
         assert ba_fixed_multipliers(prob_ind, 1.0, 1.0, 1.0).ba_calls == 1
         assert solve_rd_point(prob_ind, RDQuery(0.6, 0.6, 0.55)).ba_calls == 0
+
+    def test_reported_numbers_are_python_floats(self, prob_cor):
+        pt = solve_rd_point(prob_cor, RDQuery(0.05, 0.1, 0.3))
+        assert all(type(l) is float for l in pt.multipliers)
+        assert type(pt.cs_residual) is float
+
+    def test_classification_cell_converges(self, prob_cls):
+        # the Gauss-Seidel search stopped here with the observation target
+        # over-met at a positive multiplier (converged=False, rate 4.054214131426323)
+        q = RDQuery(0.248, 0.1, 0.306)
+        pt = solve_rd_point(prob_cls, q)
+        assert pt.converged
+        assert all(a <= t + 1e-8 for a, t in zip(pt.achieved, q.as_tuple()))
+        assert pt.rate <= 4.054214131426323
+
+    def test_vanishing_semantic_multiplier(self, prob_cls):
+        # the semantic target is met with the semantic multiplier tending to 0
+        pt = solve_rd_point(prob_cls, RDQuery(0.4, 0.1, 0.352))
+        assert pt.converged
+        assert pt.multipliers[2] <= 1e-8
+        assert pt.rate == pytest.approx(2.980419967419392, abs=1e-6)
+
+    def test_extrapolation_survives_underflowed_atoms(self):
+        # with the background target at its floor, reproduction atoms of the
+        # marginal underflow to exactly 0; SQUAREM must keep extrapolating
+        # (128 steps), where a strict positivity test stalls past 2,000
+        problem = random_table_problem(25)
+        pt = solve_rd_point(problem, between_floors(problem, (0.5, 0.0, 0.5)),
+                            SolverOptions(max_iters=2000))
+        assert pt.converged
+
+    def test_dual_steps_accepted_at_large_multipliers(self, monkeypatch):
+        # observation target at its floor drives lam1 into the hundreds,
+        # where g_Q is a difference of terms of that size; Newton steps whose
+        # gain is below that rounding must still be taken. About 2.7 dual
+        # evaluations per step; a rounding allowance scaled by |g| alone
+        # needed 213,648 for 239 steps.
+        evaluations = []
+        original = solver_mod._ConstrainedBA._evaluate
+
+        def counting(self, *args):
+            evaluations.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "_evaluate", counting)
+        problem = random_table_problem(3)
+        pt = solve_rd_point(problem, between_floors(problem, (0.0, 0.5, 0.5)))
+        assert pt.converged
+        assert len(evaluations) < 10 * pt.iterations
 
     def test_rate_nonnegative_and_multipliers_nonnegative(self, prob_ind):
         pt = solve_rd_point(prob_ind, RDQuery(0.3, 0.4, 0.45))

@@ -123,6 +123,8 @@ class TestConfigParsing:
             (lambda d: d["grid"].update(dz=[0.1]), "grid"),
             (lambda d: d.update(method="magic"), "method"),
             (lambda d: d.update(solver={"bogus": 1}), "solver.bogus"),
+            # the Gauss-Seidel round cap no longer exists; setting it is an error
+            (lambda d: d.update(solver={"max_rounds": 3}), "solver.max_rounds"),
             (lambda d: d.update(workers=0), "workers"),
             (lambda d: d.update(base="nats"), "base"),
         ],
