@@ -33,10 +33,6 @@ NORMALIZATION_TOL = 1e-12
 NEGATIVE_DUST_TOL = -1e-15
 
 
-def _log(x: np.ndarray, log_base: float) -> np.ndarray:
-    return np.log(x) / math.log(log_base)
-
-
 def _check_log_base(log_base: float) -> None:
     if not (isinstance(log_base, (int, float)) and math.isfinite(log_base) and log_base > 1):
         raise ProbabilityError(f"log_base must be a finite real > 1, got {log_base!r}")

@@ -41,8 +41,8 @@ Two numerical details matter:
   gradient is E_l[d] - D and whose Hessian is minus the (y, x)-averaged 3x3
   covariance of the costs. The solve is a projected Newton iteration with
   Armijo backtracking, warm-started at the previous multipliers, run to a
-  KKT residual of 1e-12 and then polished, because multipliers left anywhere
-  inside the ``constraint_tol`` band make the certificate stall. The step
+  KKT residual of 1e-12, because multipliers left anywhere inside the
+  ``constraint_tol`` band make the certificate stall. The step
   then takes the BA marginal update at those multipliers. Its value
   F(q) = max_l g_q(l) never increases from step to step; an increase beyond
   rounding raises :class:`SolverError`. The certificate above, read at the
@@ -57,6 +57,21 @@ Two numerical details matter:
   q0 - 2 a r + a^2 v, kept only if it is strictly positive and
   F does not exceed F(q2); otherwise the run continues from q2.
 
+  The multiplier solve runs on cost groups, not on letters. Within one
+  source row x, reproduction letters with the same cost triple
+  (d1, d2, d's) share one kernel value w(x, k) = exp(shift - l.c), so with
+  M(y, x, k) the mass q_y puts on group k of row x,
+  Z(y, x) = sum_k M(y, x, k) w(x, k); the dual value, its gradient and the
+  covariance are sums over the same groups. The dual therefore depends on q
+  only through M, and the grouped solve is exact: only the order of
+  summation changes. Groups are formed per table (equal values within a row
+  of d1 over x1h, of d2 over x2h, of d's over sh) and combined, so each row
+  has K = K1 K2 Ks groups: 8 of 256 letters for the classification model at
+  N = 64, all 8 letters on the binary models. Each step sums q to M once,
+  table by table. The BA marginal update, the certificate, SQUAREM and the
+  final channel stay per letter, with the letter kernel gathered from w;
+  the kernel is rebuilt only when the multipliers change.
+
   Coordinates whose final multiplier is 0 are re-attached as a deterministic
   function of the remaining reproductions and y, which meets their target at
   no rate cost. A linear segment of the rate surface needs no time-sharing:
@@ -70,6 +85,7 @@ are natural-log based (they appear inside exp).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
@@ -83,6 +99,10 @@ from .errors import InfeasibleDistortionError, ProbabilityError, SemrdError, Sol
 from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base
 
 _COORDS = (0, 1, 2)
+# SolverOptions fields that must be finite and positive
+_POSITIVE_OPTIONS = (
+    "tol", "cert_tol", "stall_cert", "stall_drift_tol", "constraint_tol", "rate_tol", "lambda_cap",
+)
 
 
 @dataclass(frozen=True)
@@ -120,10 +140,20 @@ class SolverOptions:
     init_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.cert_tol <= 0 or self.constraint_tol <= 0:
-            raise ProbabilityError("solver tolerances must be positive")
-        if self.max_iters < 1:
-            raise ProbabilityError("iteration limits must be >= 1")
+        for name in _POSITIVE_OPTIONS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (
+                isinstance(v, (int, float)) and math.isfinite(v) and v > 0
+            ):
+                raise ProbabilityError(f"solver option {name} must be finite and > 0, got {v!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) or (
+            self.max_iters < 1
+        ):
+            raise ProbabilityError(f"solver option max_iters must be an int >= 1, "
+                                   f"got {self.max_iters!r}")
+        seed = self.init_seed
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ProbabilityError(f"solver option init_seed must be None or an int, got {seed!r}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -225,10 +255,39 @@ class RDSurface:
     points: tuple[SurfaceCell, ...]
 
 
+def _row_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group each row's entries by exact equality of value.
+
+    Returns (index, distinct): index[r, j] is the group of values[r, j] and
+    distinct[r, k] the value of group k, for k below the largest number of
+    groups in any row. A row with fewer groups repeats its smallest value in
+    the padding slots, which hold no letter."""
+    rows = np.arange(len(values))[:, None]
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = values[rows, order]
+    rank = np.zeros(ordered.shape, dtype=np.intp)
+    rank[:, 1:] = np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    index = np.empty_like(rank)
+    index[rows, order] = rank
+    distinct = np.repeat(ordered[:, :1], rank[:, -1].max() + 1, axis=1)
+    distinct[rows, rank] = ordered
+    return index, distinct
+
+
 class _Workspace:
     """Flattened tensors for one problem: P[y, x] conditionals over the
     composite source index x = (x1, x2), cost tables c_i[x, h] over the
-    composite reproduction index h = (x1h, x2h, sh)."""
+    composite reproduction index h = (x1h, x2h, sh).
+
+    The constrained solve also sees the letters grouped by cost. Each table
+    row is grouped by exact equality of value (d1 rows over x1h, d2 rows over
+    x2h, d's rows over sh), and a composite letter's group is the triple of
+    its table groups, so every source row x has K = K1 K2 Ks groups (Ki the
+    most groups in any row of table i; rows with fewer carry empty padding
+    groups). ``group_costs[i, x, k]`` is the cost of group k of row x,
+    ``letter_group[x, h]`` the flat (x, k) index of letter h's group, and
+    :meth:`group_masses` sums a marginal Q[y, h] over each row's groups.
+    Tables with no repeated values give K = nh."""
 
     def __init__(self, problem: RDProblem):
         self.problem = problem
@@ -250,12 +309,6 @@ class _Workspace:
         self.Pw = self.p_y[:, None] * self.P
         self.p_x = self.Pw.sum(axis=0)
 
-        shape5 = (self.nx1, self.nx2, self.nh1, self.nh2, self.nhs)
-        c1 = np.broadcast_to(problem.d1.values[:, None, :, None, None], shape5)
-        c2 = np.broadcast_to(problem.d2.values[None, :, None, :, None], shape5)
-        cs = np.broadcast_to(problem.ds_mod.values[:, None, None, None, :], shape5)
-        # stacked cost tables, costs[i] = c_i[x, h]
-        self.costs = np.stack([c.reshape(self.nx, self.nh) for c in (c1, c2, cs)])
         # per-coordinate small tables indexed by composite x, used by attachments
         d1x = np.broadcast_to(problem.d1.values[:, None, :], (self.nx1, self.nx2, self.nh1))
         d2x = np.broadcast_to(problem.d2.values[None, :, :], (self.nx1, self.nx2, self.nh2))
@@ -264,6 +317,57 @@ class _Workspace:
             np.ascontiguousarray(d.reshape(self.nx, -1)) for d in (d1x, d2x, dsx)
         )
         self.h_sizes = (self.nh1, self.nh2, self.nhs)
+
+        g1, u1 = _row_groups(problem.d1.values)
+        g2, u2 = _row_groups(problem.d2.values)
+        gs, us = _row_groups(problem.ds_mod.values)
+        self.K1, self.K2, self.Ks = u1.shape[1], u2.shape[1], us.shape[1]
+        self.K = self.K1 * self.K2 * self.Ks
+        shape_g = (self.nx1, self.nx2, self.K1, self.K2, self.Ks)
+        self.group_costs = np.stack([
+            np.broadcast_to(u, shape_g).reshape(self.nx, self.K)
+            for u in (u1[:, None, :, None, None], u2[None, :, None, :, None],
+                      us[:, None, None, None, :])
+        ])
+        # flat (x, k) index, x = x1 nx2 + x2 and k = (k1 K2 + k2) Ks + ks
+        at1 = np.arange(self.nx1)[:, None] * (self.nx2 * self.K) + g1 * (self.K2 * self.Ks)
+        at2 = np.arange(self.nx2)[:, None] * self.K + g2 * self.Ks
+        # spread each table over h = (x1h nh2 + x2h) nhs + sh, then add over x
+        per1 = np.repeat(at1, self.nh2 * self.nhs, axis=1)
+        per2 = np.tile(np.repeat(at2, self.nhs, axis=1), self.nh1)
+        pers = np.tile(gs, self.nh1 * self.nh2)
+        self.letter_group = (
+            (per1 + pers)[:, None, :] + per2[None, :, :]
+        ).reshape(self.nx, self.nh)
+        # one-hot group membership per table: (x1 k1, x1h), (x2h, x2 k2), (-, x1, -, sh, ks)
+        self._member1 = (g1[:, None, :] == np.arange(self.K1)[None, :, None]).reshape(
+            self.nx1 * self.K1, self.nh1).astype(float)
+        self._member2 = (g2.T[:, :, None] == np.arange(self.K2)).reshape(
+            self.nh2, self.nx2 * self.K2).astype(float)
+        self._members = (gs[:, :, None] == np.arange(self.Ks)).astype(float)[None, :, None]
+
+    @functools.cached_property
+    def costs(self) -> np.ndarray:
+        """Stacked cost tables, costs[i] = c_i[x, h]. Only the
+        fixed-multiplier run works per letter pair, so they are built on
+        first use."""
+        problem = self.problem
+        shape5 = (self.nx1, self.nx2, self.nh1, self.nh2, self.nhs)
+        c1 = np.broadcast_to(problem.d1.values[:, None, :, None, None], shape5)
+        c2 = np.broadcast_to(problem.d2.values[None, :, None, :, None], shape5)
+        cs = np.broadcast_to(problem.ds_mod.values[:, None, None, None, :], shape5)
+        return np.stack([c.reshape(self.nx, self.nh) for c in (c1, c2, cs)])
+
+    def group_masses(self, Q: np.ndarray) -> np.ndarray:
+        """M[y, x, k]: the mass Q[y, h] puts on group k of source row x,
+        summed one table at a time (x1h, then x2h, then sh)."""
+        ny = len(Q)
+        S = self._member1 @ Q.reshape(ny, self.nh1, self.nh2 * self.nhs)
+        S = S.reshape(ny, self.nx1, self.K1, self.nh2, self.nhs)  # (y, x1, k1, x2h, sh)
+        S = S.swapaxes(3, 4) @ self._member2  # (y, x1, k1, sh, x2 k2)
+        S = S.swapaxes(3, 4) @ self._members  # (y, x1, k1, x2 k2, ks)
+        S = S.reshape(ny, self.nx1, self.K1, self.nx2, self.K2, self.Ks)
+        return S.transpose(0, 1, 3, 2, 4, 5).reshape(ny, self.nx, self.K)
 
     # ---- alternating minimization -------------------------------------
 
@@ -340,13 +444,6 @@ class _Workspace:
     def distortions(self, T: np.ndarray) -> tuple[float, float, float]:
         J = np.einsum("yx,yxh->xh", self.Pw, T)  # joint of composite (x, h)
         return tuple(float(v) for v in self.costs.reshape(3, -1) @ J.ravel())
-
-    def rate_nats(self, T: np.ndarray) -> float:
-        Q = np.einsum("yx,yxh->yh", self.P, T)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = T / np.maximum(Q[:, None, :], 1e-300)
-            lg = np.where(T > 0.0, np.log(np.maximum(ratio, 1e-300)), 0.0)
-        return max(float(np.einsum("yx,yxh->", self.Pw, T * lg)), 0.0)
 
     # ---- attachments -----------------------------------------------------
 
@@ -469,98 +566,119 @@ def _kkt_residual(lam: np.ndarray, grad: np.ndarray) -> float:
 
 
 @dataclass
+class _Kernel:
+    """exp(shift - cost) per cost group at one multiplier vector, shift
+    being each source row's least cost: ``w[x, k]`` and ``p_shift`` =
+    p(x).shift."""
+
+    lam: np.ndarray
+    p_shift: float
+    w: np.ndarray
+
+
+@dataclass
 class _Dual:
     """The dual g_Q at one multiplier vector: its value and a bound on the
-    rounding in it, the gradient E[d] - D and KKT residual, with the kernel W
-    and the normaliser Z."""
+    rounding in it, the gradient E[d] - D and KKT residual, with the kernel,
+    the normaliser Z[y, x] and the law R[y, x, k] of the cost group given
+    (y, x)."""
 
     lam: np.ndarray
     value: float
     rounding: float
     grad: np.ndarray
     kkt: float
-    W: np.ndarray
+    kernel: _Kernel
     Z: np.ndarray
+    R: np.ndarray
 
 
 @dataclass
 class _Step:
-    """One constrained step from Q: the solved multipliers, the dual value
-    F(Q) and KKT residual there, the certificate and the BA update of Q."""
+    """One constrained step from Q: the dual solved at Q (its multipliers,
+    value F(Q) and KKT residual), the certificate and the BA update of Q."""
 
     Q: np.ndarray
-    lam: np.ndarray
-    F: float
-    kkt: float
+    dual: _Dual
     cert: float
     Q_next: np.ndarray
 
 
 class _ConstrainedBA:
     """Alternating minimization under the three distortion constraints for
-    one query: an exact multiplier solve at every step, SQUAREM over pairs of
-    steps."""
+    one query: an exact multiplier solve at every step, on the workspace's
+    cost groups, and SQUAREM over pairs of steps."""
 
     def __init__(self, ws: _Workspace, targets: Sequence[float], opts: SolverOptions):
         self.ws = ws
         self.targets = np.asarray(targets, dtype=float)
         self.opts = opts
-        self.flat = ws.costs.reshape(3, -1)
+        self.flat = ws.group_costs.reshape(3, -1)
+        # the costs over (y, x, k), and the same weighted by p(y, x)
+        shape = (3, len(ws.p_y), ws.nx, ws.K)
+        self.costs_yxk = np.broadcast_to(ws.group_costs[:, None], shape).reshape(3, -1)
+        self.weighted = (ws.Pw[None, :, :, None] * ws.group_costs[:, None]).reshape(3, -1)
         self.iterations = 0
+        self._last_kernel: _Kernel | None = None
 
     # ---- the dual at fixed Q ----------------------------------------------
 
-    def _evaluate(self, Q: np.ndarray, lam: np.ndarray) -> _Dual:
+    def _kernel(self, lam: np.ndarray) -> _Kernel:
+        """The kernel at lam; the last one built is reused while lam is
+        unchanged (a step's first evaluation, the SQUAREM proposal)."""
+        k = self._last_kernel
+        if k is None or k.lam.tolist() != lam.tolist():
+            w = (lam @ self.flat).reshape(self.ws.nx, self.ws.K)
+            shift = np.minimum.reduce(w, axis=1)
+            np.subtract(shift[:, None], w, out=w)
+            np.exp(w, out=w)
+            k = self._last_kernel = _Kernel(lam, float(np.dot(self.ws.p_x, shift)), w)
+        return k
+
+    def _letters(self, k: _Kernel) -> np.ndarray:
+        """The kernel per letter, W[x, h]."""
+        return np.take(k.w, self.ws.letter_group)
+
+    def _evaluate(self, M: np.ndarray, lam: np.ndarray) -> _Dual:
+        """g_Q at lam, from the group masses M of Q."""
         ws = self.ws
-        # the per-letter cost, turned into the kernel in place
-        W = (lam @ self.flat).reshape(ws.nx, ws.nh)
-        shift = W.min(axis=1)
-        np.subtract(shift[:, None], W, out=W)
-        np.exp(W, out=W)
-        Z = Q @ W.T  # (ny, nx)
+        k = self._kernel(lam)
+        R = M * k.w
+        Z = np.add.reduce(R, axis=2)  # (ny, nx)
+        R /= Z[:, :, None]
         # g = p.shift - sum p log Z - lam.D; with large multipliers the first
         # and last terms nearly cancel, so rounding scales with their size
-        terms = (
-            float(np.dot(ws.p_x, shift)),
-            -float(np.vdot(ws.Pw, np.log(Z))),
-            -float(lam @ self.targets),
-        )
+        terms = (k.p_shift, -float(np.vdot(ws.Pw, np.log(Z))), -float(lam @ self.targets))
         rounding = 1e-14 * (1.0 + sum(abs(v) for v in terms))
-        grad = self.flat @ self._joint(Q, W, Z).ravel() - self.targets
-        return _Dual(lam, sum(terms), rounding, grad, _kkt_residual(lam, grad), W, Z)
+        grad = self.weighted @ R.ravel() - self.targets
+        return _Dual(lam, sum(terms), rounding, grad, _kkt_residual(lam, grad), k, Z, R)
 
-    def _joint(self, Q: np.ndarray, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Joint of (x, h) under the channel Q W / Z."""
-        return ((self.ws.Pw / Z).T @ Q) * W
-
-    def _covariance(self, Q: np.ndarray, d: _Dual) -> np.ndarray:
+    def _covariance(self, d: _Dual) -> np.ndarray:
         """The cost covariance behind d, averaged over (y, x): the negated Hessian."""
-        ws = self.ws
-        second = (self.flat * self._joint(Q, d.W, d.Z).ravel()) @ self.flat.T
+        second = (self.weighted * d.R.ravel()) @ self.costs_yxk.T
         # cost means conditional on (y, x)
-        m1 = (Q @ (ws.costs * d.W).reshape(-1, ws.nh).T).reshape(len(Q), 3, ws.nx)
-        m1 /= d.Z[:, None, :]
-        return second - np.einsum("yx,yix,yjx->ij", ws.Pw, m1, m1)
+        m1 = np.einsum("yxk,ixk->yix", d.R, self.ws.group_costs)
+        return second - np.einsum("yx,yix,yjx->ij", self.ws.Pw, m1, m1)
 
-    def _solve_dual(self, Q: np.ndarray, lam: np.ndarray) -> _Dual:
+    def _solve_dual(self, M: np.ndarray, lam: np.ndarray) -> _Dual:
         """Maximise g_Q over 0 <= lam <= lambda_cap by projected Newton,
-        warm-started at lam."""
+        warm-started at lam; M holds the group masses of Q."""
         cap = self.opts.lambda_cap
-        d = self._evaluate(Q, lam)
+        d = self._evaluate(M, lam)
         for _ in range(_NEWTON_STEPS):
             if d.kkt <= _KKT_TOL:
                 break
             # Newton direction on the free coordinates, least-norm where the
             # covariance is singular; the other coordinates stay put
             free = (d.lam > 0.0) | (d.grad > 0.0)
-            cov = self._covariance(Q, d) * np.outer(free, free)
+            cov = self._covariance(d) * (free[:, None] & free)
             step = np.linalg.lstsq(cov, d.grad * free, rcond=None)[0] * free
             # no coordinate moves by more than max(1, lam_i)
             reach = np.maximum(1.0, d.lam) / np.maximum(np.abs(step), 1e-300)
             step *= min(1.0, float(reach.min()))
             t = 1.0
             for _ in range(_BACKTRACKS):
-                new = self._evaluate(Q, np.minimum(np.maximum(d.lam + t * step, 0.0), cap))
+                new = self._evaluate(M, np.minimum(np.maximum(d.lam + t * step, 0.0), cap))
                 # Armijo, up to rounding in g once the gain is that small
                 gain = float(d.grad @ (new.lam - d.lam))
                 if new.value >= d.value + _ARMIJO * gain - d.rounding:
@@ -573,20 +691,25 @@ class _ConstrainedBA:
 
     # ---- steps ---------------------------------------------------------------
 
+    def _update(self, Q: np.ndarray, d: _Dual) -> tuple[float, np.ndarray]:
+        """The certificate at d and the BA marginal update of Q, per letter."""
+        c = (self.ws.P / d.Z) @ self._letters(d.kernel)
+        cert = float(np.dot(self.ws.p_y, np.maximum(np.maximum.reduce(c, axis=1) - 1.0, 0.0)))
+        Q_next = Q * c
+        Q_next /= np.add.reduce(Q_next, axis=1, keepdims=True)
+        return cert, Q_next
+
     def _step(self, Q: np.ndarray, lam: np.ndarray) -> _Step:
         self.iterations += 1
-        d = self._solve_dual(Q, lam)
-        c = (self.ws.P / d.Z) @ d.W
-        cert = float(np.dot(self.ws.p_y, np.maximum(c.max(axis=1) - 1.0, 0.0)))
-        Q_next = Q * c
-        Q_next /= Q_next.sum(axis=1, keepdims=True)
-        return _Step(Q, d.lam, d.value, d.kkt, cert, Q_next)
+        d = self._solve_dual(self.ws.group_masses(Q), lam)
+        return _Step(Q, d, *self._update(Q, d))
 
     def _plain(self, prev: _Step) -> _Step:
-        s = self._step(prev.Q_next, prev.lam)
-        if s.F > prev.F + 1e-11 * (1.0 + abs(s.F)):
+        s = self._step(prev.Q_next, prev.dual.lam)
+        F, F_prev = s.dual.value, prev.dual.value
+        if F > F_prev + 1e-11 * (1.0 + abs(F)):
             raise SolverError(
-                f"constrained objective increased from {prev.F!r} to {s.F!r} "
+                f"constrained objective increased from {F_prev!r} to {F!r} "
                 f"at step {self.iterations}"
             )
         return s
@@ -606,8 +729,8 @@ class _ConstrainedBA:
         # must stay positive
         if not np.all((Qx > 0.0) | (s0.Q == 0.0)):
             return s2
-        sx = self._step(Qx / Qx.sum(axis=1, keepdims=True), s2.lam)
-        return sx if sx.F <= s2.F else s2
+        sx = self._step(Qx / Qx.sum(axis=1, keepdims=True), s2.dual.lam)
+        return sx if sx.dual.value <= s2.dual.value else s2
 
     def run(self) -> tuple[np.ndarray, _Step, bool]:
         """Returns (T, final step, converged): T meets the targets up to the
@@ -621,8 +744,8 @@ class _ConstrainedBA:
                 break
             s2 = self._plain(s1)
             cur = s2 if s2.cert < cert_tol else self._extrapolate(cur, s1, s2)
-        d = self._evaluate(cur.Q, cur.lam)
-        T = cur.Q[:, None, :] * d.W[None, :, :] / d.Z[:, :, None]
+        d = cur.dual
+        T = cur.Q[:, None, :] * self._letters(d.kernel)[None, :, :] / d.Z[:, :, None]
         return T, cur, cur.cert < cert_tol
 
 
@@ -656,14 +779,14 @@ def solve_rd_point(
 
     cba = _ConstrainedBA(ws, targets, opts)
     T, final, converged = cba.run()
-    lam = tuple(float(l) for l in final.lam)
+    lam = tuple(float(l) for l in final.dual.lam)
     for coord in _COORDS:
         if lam[coord] == 0.0:
             T = ws.attach(T, coord)
     point = _point_from_channel(ws, T, lam, cba.iterations, 1, converged, targets)
     ok = (
         converged
-        and final.kkt <= 5.0 * opts.constraint_tol
+        and final.dual.kkt <= 5.0 * opts.constraint_tol
         and point.cs_residual <= opts.rate_tol
         and all(point.achieved[c] <= targets[c] + 10.0 * opts.constraint_tol for c in _COORDS)
     )

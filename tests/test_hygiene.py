@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is referenced in that module.
+"""Source hygiene: every name a module imports is referenced in that module,
+and every module-level private function or class is referenced somewhere.
 
 No lint tool is part of the toolchain, so this walks each module's syntax
 tree. ``from __future__`` imports and names re-exported through ``__all__``
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "semrd"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "semrd"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -42,3 +44,35 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def referenced_names(paths) -> set[str]:
+    """Every identifier read as a name, an attribute or an imported name."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private_definitions(src: Path, roots) -> list[str]:
+    used = referenced_names(p for root in roots for p in sorted(root.rglob("*.py")))
+    return sorted(
+        f"{path.name}: {node.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    )
+
+
+def test_private_definitions_referenced():
+    roots = (ROOT / "src", ROOT / "tests", ROOT / "bench")
+    assert unreferenced_private_definitions(SRC, roots) == []

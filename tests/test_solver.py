@@ -91,6 +91,28 @@ def random_table_problem(seed):
     return RDProblem(source, (h1, h2, hs), table(x1, h1), table(x2, h2), table(x1, hs))
 
 
+def uneven_table_problem():
+    """Seeded random source law with a d1 table whose rows repeat values
+    unevenly: row 0 is constant, row 1 all distinct, row 2 has one repeat.
+    Rows 0 and 2 therefore carry empty padding groups."""
+    rng = np.random.default_rng(11)
+
+    def alphabet(name, n):
+        return Alphabet(name, n, tuple(str(i) for i in range(n)))
+
+    x1, x2, y = alphabet("x1", 3), alphabet("x2", 2), alphabet("y", 2)
+    h1, h2, hs = alphabet("x1_hat", 3), alphabet("x2_hat", 2), alphabet("s_hat", 2)
+    source = JointPMF((x1, x2, y), rng.dirichlet(np.ones(12)).reshape(3, 2, 2))
+    d1 = np.array([[0.5, 0.5, 0.5], [0.0, 0.3, 0.7], [0.2, 0.9, 0.2]])
+    return RDProblem(
+        source,
+        (h1, h2, hs),
+        DistortionMatrix(x1, h1, d1),
+        DistortionMatrix(x2, h2, rng.uniform(0.0, 1.0, (2, 2))),
+        DistortionMatrix(x1, hs, rng.uniform(0.0, 1.0, (3, 2))),
+    )
+
+
 def between_floors(problem, fractions):
     """Targets at the given fractions of the way from each coordinate's
     full-information floor to its zero-rate distortion."""
@@ -203,6 +225,116 @@ class TestBaAgainstReference:
             assert np.max(np.abs(T - T_ref)) <= 1e-12
             assert np.allclose(ws.distortions(T), reference_distortions(ws, T), rtol=0, atol=1e-12)
         assert np.array_equal(Q0, Q0_before)
+
+
+def reference_dual_step(ws, targets, Q, lam):
+    """The dense multiplier-solve formulas over every (x, h) letter pair:
+    the dual value and gradient, the cost covariance, the certificate and the
+    BA update of Q. The grouped solve in ``_ConstrainedBA`` must reproduce
+    them."""
+    flat = ws.costs.reshape(3, -1)
+    cost = (lam @ flat).reshape(ws.nx, ws.nh)
+    shift = cost.min(axis=1)
+    W = np.exp(shift[:, None] - cost)
+    Z = Q @ W.T
+    value = float(np.dot(ws.p_x, shift)) - float(np.vdot(ws.Pw, np.log(Z))) - float(lam @ targets)
+    J = ((ws.Pw / Z).T @ Q) * W
+    grad = flat @ J.ravel() - targets
+    m1 = (Q @ (ws.costs * W).reshape(-1, ws.nh).T).reshape(len(Q), 3, ws.nx) / Z[:, None, :]
+    cov = (flat * J.ravel()) @ flat.T - np.einsum("yx,yix,yjx->ij", ws.Pw, m1, m1)
+    c = (ws.P / Z) @ W
+    cert = float(np.dot(ws.p_y, np.maximum(c.max(axis=1) - 1.0, 0.0)))
+    Q_next = Q * c
+    Q_next /= Q_next.sum(axis=1, keepdims=True)
+    return value, grad, cov, cert, Q_next
+
+
+def identity_groups(values):
+    """Every letter its own cost group: the grouped solve then runs on the
+    dense arrays."""
+    return np.broadcast_to(np.arange(values.shape[1]), values.shape).copy(), values.copy()
+
+
+GROUPED_WORKSPACES = [
+    lambda: sources.conditionally_independent_problem(SPEC_IND),
+    lambda: sources.classification_problem(0.25, 0.25, 64),
+    lambda: random_table_problem(5),
+    uneven_table_problem,
+]
+GROUPED_IDS = ["independent", "classification64", "random_table", "uneven_table"]
+
+
+class TestGroupedDual:
+    @pytest.mark.parametrize("build", GROUPED_WORKSPACES, ids=GROUPED_IDS)
+    def test_matches_dense_reference(self, build):
+        problem = build()
+        ws = solver_mod._Workspace(problem)
+        targets = np.array(between_floors(problem, (0.3, 0.4, 0.5)).as_tuple())
+        cba = solver_mod._ConstrainedBA(ws, targets, solver_mod.DEFAULT_OPTIONS)
+        cold = ws.initial_marginal(None)
+        s = cba._step(cold, np.zeros(3))
+        for _ in range(6):
+            s = cba._step(s.Q_next, s.dual.lam)
+        mid = s.Q
+        for Q in (cold, mid):
+            for lam in (np.array([2.0, 1.0, 0.5]), np.array([2.0, 0.0, 0.5])):
+                value, grad, cov, cert, Q_next = reference_dual_step(ws, targets, Q, lam)
+                d = cba._evaluate(ws.group_masses(Q), lam)
+                got_cert, got_Q_next = cba._update(Q, d)
+                # relative to the size of the terms: g and the gradient are
+                # differences of O(1) sums, the certificate a deviation from 1
+                assert abs(d.value - value) <= 1e-12 * (1.0 + abs(value))
+                assert np.max(np.abs(d.grad - grad)) <= 1e-12 * (1.0 + np.max(np.abs(targets)))
+                assert np.max(np.abs(cba._covariance(d) - cov)) <= 1e-12 * np.max(np.abs(cov))
+                assert abs(got_cert - cert) <= 1e-12 * (1.0 + cert)
+                assert np.max(np.abs(got_Q_next - Q_next)) <= 1e-12 * np.max(Q_next)
+
+    @pytest.mark.parametrize("build", GROUPED_WORKSPACES, ids=GROUPED_IDS)
+    def test_groups_hold_one_cost_triple(self, build):
+        ws = solver_mod._Workspace(build())
+        # every letter's group carries exactly that letter's costs
+        assert np.array_equal(ws.group_costs.reshape(3, -1)[:, ws.letter_group], ws.costs)
+        # group masses of Q sum its mass over each row's letters
+        Q = ws.initial_marginal(4)
+        M = ws.group_masses(Q)
+        expect = [
+            np.bincount(ws.letter_group.ravel(), np.tile(Qy, ws.nx), minlength=ws.nx * ws.K)
+            for Qy in Q
+        ]
+        assert np.max(np.abs(M.reshape(len(Q), -1) - expect)) <= 1e-15
+
+    def test_classification_has_eight_groups_per_row(self, prob_cls):
+        ws = solver_mod._Workspace(prob_cls)
+        assert (ws.nx, ws.nh, ws.K) == (128, 256, 8)
+        counts = np.bincount(ws.letter_group.ravel(), minlength=ws.nx * ws.K)
+        assert np.all(counts > 0)
+        for x in range(ws.nx):
+            assert len(np.unique(ws.group_costs[:, x, :].T, axis=0)) == 8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distinct_tables_give_one_group_per_letter(self, seed):
+        ws = solver_mod._Workspace(random_table_problem(seed))
+        assert ws.K == ws.nh
+
+    def test_uneven_repeats(self, monkeypatch):
+        problem = uneven_table_problem()
+        ws = solver_mod._Workspace(problem)
+        assert (ws.K1, ws.K2, ws.Ks) == (3, 2, 2)
+        counts = np.bincount(ws.letter_group.ravel(), minlength=ws.nx * ws.K).reshape(ws.nx, ws.K)
+        # x1 = 0 (rows x = 0, 1) uses one of its three d1 groups, x1 = 2 two
+        assert np.count_nonzero(counts[:2]) == 2 * 4
+        assert np.count_nonzero(counts[4:]) == 2 * 8
+        assert np.all(counts[2:4] > 0)
+        q = between_floors(problem, (0.4, 0.5, 0.5))
+        pt = solve_rd_point(problem, q)
+        assert pt.converged
+        assert all(a <= t + 1e-8 for a, t in zip(pt.achieved, q.as_tuple()))
+        monkeypatch.setattr(solver_mod, "_row_groups", identity_groups)
+        assert solver_mod._Workspace(problem).K == ws.nh
+        dense = solve_rd_point(problem, q)
+        assert dense.converged
+        assert pt.rate == pytest.approx(dense.rate, abs=1e-9)
+        assert np.allclose(pt.achieved, dense.achieved, rtol=0, atol=1e-9)
 
 
 class TestSolveRdPoint:
@@ -364,6 +496,33 @@ class TestSolveRdPoint:
         base = solve_rd_point(prob_ind, RDQuery(0.1, 0.1, 0.5))
         jit = solve_rd_point(prob_ind, RDQuery(0.1, 0.1, 0.5), SolverOptions(init_seed=7))
         assert jit.rate == pytest.approx(base.rate, abs=1e-6)
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "field",
+        ["tol", "cert_tol", "stall_cert", "stall_drift_tol", "constraint_tol", "rate_tol",
+         "lambda_cap"],
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, "1e-9", True, None])
+    def test_positive_fields(self, field, value):
+        with pytest.raises(ProbabilityError, match=field):
+            SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 10.0, True, "100", None])
+    def test_max_iters(self, value):
+        with pytest.raises(ProbabilityError, match="max_iters"):
+            SolverOptions(max_iters=value)
+
+    @pytest.mark.parametrize("value", [1.5, "7", True])
+    def test_init_seed(self, value):
+        with pytest.raises(ProbabilityError, match="init_seed"):
+            SolverOptions(init_seed=value)
+
+    def test_valid_values_kept(self):
+        opts = SolverOptions(max_iters=1, lambda_cap=5, rate_tol=1e-3, init_seed=0)
+        assert (opts.max_iters, opts.lambda_cap, opts.init_seed) == (1, 5, 0)
+        assert SolverOptions(init_seed=None).init_seed is None
 
 
 class TestSemanticRd:

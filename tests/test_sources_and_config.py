@@ -125,6 +125,7 @@ class TestConfigParsing:
             (lambda d: d.update(solver={"bogus": 1}), "solver.bogus"),
             # the Gauss-Seidel round cap no longer exists; setting it is an error
             (lambda d: d.update(solver={"max_rounds": 3}), "solver.max_rounds"),
+            (lambda d: d.update(solver={"lambda_cap": -1}), "solver: solver option lambda_cap"),
             (lambda d: d.update(workers=0), "workers"),
             (lambda d: d.update(base="nats"), "base"),
         ],
