@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError
 from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, ProbabilityError
 from .gaussian import GaussianSpec
-from .solver import RDProblem, SolverOptions
+from .solver import RDProblem, SolverOptions, _valid_workers
 from . import sources
 
 KINDS = ("binary_independent", "binary_correlated", "classification", "gaussian", "custom")
@@ -205,7 +205,7 @@ def parse_config(doc: Any) -> SweepConfig:
         grid[key] = _grid_axis(grid_obj[key], f"grid.{key}")
     opts = _parse_solver_options(doc.get("solver"), "solver")
     workers = doc.get("workers")
-    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
+    if not _valid_workers(workers):
         _fail("workers", f"must be a positive integer, got {workers!r}")
     base = _get(doc, "", "base", required=False, default="nats" if kind == "gaussian" else "bits")
     if base not in ("bits", "nats"):

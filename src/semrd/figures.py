@@ -53,7 +53,7 @@ from .gaussian import (
 )
 from .prob import BinarySourceSpec, binary_entropy
 from .semantic import ds0
-from .solver import RDQuery, SolverOptions, sweep_surface
+from .solver import RDQuery, SolverOptions, _valid_workers, sweep_surface
 
 FIGURE_IDS = ("fig4", "fig5", "fig6a", "fig6b", "fig7", "fig8", "fig9")
 DEFAULT_SURFACE_GRID = 50
@@ -502,6 +502,8 @@ def generate_figure(
         raise ConfigError(f"grid must be >= 2, got {grid_n}")
     if base not in (None, "bits", "nats"):
         raise ConfigError(f"base must be 'bits' or 'nats', got {base!r}")
+    if not _valid_workers(workers):
+        raise ConfigError(f"workers must be an int >= 1, got {workers!r}")
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir!r} is not writable")

@@ -42,7 +42,9 @@ Two numerical details matter:
   covariance of the costs. The solve is a projected Newton iteration with
   Armijo backtracking, warm-started at the previous multipliers, run to a
   KKT residual of 1e-12, because multipliers left anywhere inside the
-  ``constraint_tol`` band make the certificate stall. The step
+  ``constraint_tol`` band make the certificate stall. Its direction solves
+  the free block of the covariance (1x1, 2x2 or 3x3) in closed form; a
+  block singular to working precision gets the least-norm solution. The step
   then takes the BA marginal update at those multipliers. Its value
   F(q) = max_l g_q(l) never increases from step to step; an increase beyond
   rounding raises :class:`SolverError`. The certificate above, read at the
@@ -214,7 +216,9 @@ class RDQuery:
     def __post_init__(self) -> None:
         for name in ("d1", "d2", "ds"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0.0:
+            if isinstance(v, bool) or not (
+                isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0
+            ):
                 raise ProbabilityError(f"query {name} must be finite and >= 0, got {v!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -557,12 +561,61 @@ _KKT_TOL = 1e-12
 _NEWTON_STEPS = 100
 _ARMIJO = 1e-4
 _BACKTRACKS = 40
+# A free block of the covariance is singular to working precision when its
+# determinant is at most this fraction of the product of its diagonal (at most
+# 1 for a PSD block, and invariant to rescaling the costs). Rounding puts the
+# determinant of an exactly singular block near 1e-16 of that product.
+_SINGULAR = 1e-12
 
 
-def _kkt_residual(lam: np.ndarray, grad: np.ndarray) -> float:
+def _kkt_residual(lam: Sequence[float], grad: Sequence[float]) -> float:
     """Largest KKT violation of the dual over lam >= 0: |grad| on positive
     multipliers, the positive part of grad on zero ones."""
-    return max(abs(g) if l > 0.0 else max(g, 0.0) for l, g in zip(lam.tolist(), grad.tolist()))
+    return max(abs(g) if l > 0.0 else max(g, 0.0) for l, g in zip(lam, grad))
+
+
+def _newton_direction(
+    cov: np.ndarray, grad: Sequence[float], free: Sequence[bool]
+) -> list[float]:
+    """The step s with cov[F, F] s[F] = grad[F] on the free coordinates F and
+    s = 0 elsewhere. The free block (1x1, 2x2 or 3x3, symmetric PSD) is solved
+    in closed form; a block that is singular to working precision gets the
+    least-norm solution instead."""
+    idx = [i for i in _COORDS if free[i]]
+    c = cov.tolist()
+    step = [0.0, 0.0, 0.0]
+    if len(idx) == 1:
+        (i,) = idx
+        a = c[i][i]
+        if a > 0.0:  # the determinant test, det and diagonal both being a
+            step[i] = grad[i] / a
+            return step
+    elif len(idx) == 2:
+        i, j = idx
+        a, b, e = c[i][i], c[i][j], c[j][j]
+        det = a * e - b * b
+        if det > _SINGULAR * a * e:
+            inv = 1.0 / det
+            step[i] = (e * grad[i] - b * grad[j]) * inv
+            step[j] = (a * grad[j] - b * grad[i]) * inv
+            return step
+    elif len(idx) == 3:
+        (a, b, e), (_, f, h), (_, _, k) = c
+        # cofactors of [[a, b, e], [b, f, h], [e, h, k]]
+        c00, c01, c02 = f * k - h * h, e * h - b * k, b * h - e * f
+        c11, c12, c22 = a * k - e * e, b * e - a * h, a * f - b * b
+        det = a * c00 + b * c01 + e * c02
+        if det > _SINGULAR * a * f * k:
+            g0, g1, g2 = grad
+            inv = 1.0 / det
+            return [
+                (c00 * g0 + c01 * g1 + c02 * g2) * inv,
+                (c01 * g0 + c11 * g1 + c12 * g2) * inv,
+                (c02 * g0 + c12 * g1 + c22 * g2) * inv,
+            ]
+    mask = np.array(free)
+    sol = np.linalg.lstsq(cov * (mask[:, None] & mask), np.array(grad) * mask, rcond=None)[0]
+    return (sol * mask).tolist()
 
 
 @dataclass
@@ -571,7 +624,7 @@ class _Kernel:
     being each source row's least cost: ``w[x, k]`` and ``p_shift`` =
     p(x).shift."""
 
-    lam: np.ndarray
+    lam: tuple[float, ...]
     p_shift: float
     w: np.ndarray
 
@@ -583,10 +636,10 @@ class _Dual:
     the normaliser Z[y, x] and the law R[y, x, k] of the cost group given
     (y, x)."""
 
-    lam: np.ndarray
+    lam: tuple[float, ...]
     value: float
     rounding: float
-    grad: np.ndarray
+    grad: tuple[float, ...]
     kkt: float
     kernel: _Kernel
     Z: np.ndarray
@@ -611,24 +664,26 @@ class _ConstrainedBA:
 
     def __init__(self, ws: _Workspace, targets: Sequence[float], opts: SolverOptions):
         self.ws = ws
-        self.targets = np.asarray(targets, dtype=float)
+        self.targets = tuple(float(t) for t in targets)
         self.opts = opts
         self.flat = ws.group_costs.reshape(3, -1)
-        # the costs over (y, x, k), and the same weighted by p(y, x)
+        # the costs over (y, x, k), the same weighted by p(y, x), and the
+        # costs as one (k, i) table per source row
         shape = (3, len(ws.p_y), ws.nx, ws.K)
         self.costs_yxk = np.broadcast_to(ws.group_costs[:, None], shape).reshape(3, -1)
         self.weighted = (ws.Pw[None, :, :, None] * ws.group_costs[:, None]).reshape(3, -1)
+        self.costs_xki = np.ascontiguousarray(ws.group_costs.transpose(1, 2, 0))
         self.iterations = 0
         self._last_kernel: _Kernel | None = None
 
     # ---- the dual at fixed Q ----------------------------------------------
 
-    def _kernel(self, lam: np.ndarray) -> _Kernel:
+    def _kernel(self, lam: tuple[float, ...]) -> _Kernel:
         """The kernel at lam; the last one built is reused while lam is
         unchanged (a step's first evaluation, the SQUAREM proposal)."""
         k = self._last_kernel
-        if k is None or k.lam.tolist() != lam.tolist():
-            w = (lam @ self.flat).reshape(self.ws.nx, self.ws.K)
+        if k is None or k.lam != lam:
+            w = np.dot(lam, self.flat).reshape(self.ws.nx, self.ws.K)
             shift = np.minimum.reduce(w, axis=1)
             np.subtract(shift[:, None], w, out=w)
             np.exp(w, out=w)
@@ -639,28 +694,35 @@ class _ConstrainedBA:
         """The kernel per letter, W[x, h]."""
         return np.take(k.w, self.ws.letter_group)
 
-    def _evaluate(self, M: np.ndarray, lam: np.ndarray) -> _Dual:
+    def _evaluate(self, M: np.ndarray, lam: Sequence[float]) -> _Dual:
         """g_Q at lam, from the group masses M of Q."""
         ws = self.ws
+        lam = tuple(map(float, lam))
         k = self._kernel(lam)
         R = M * k.w
         Z = np.add.reduce(R, axis=2)  # (ny, nx)
         R /= Z[:, :, None]
         # g = p.shift - sum p log Z - lam.D; with large multipliers the first
         # and last terms nearly cancel, so rounding scales with their size
-        terms = (k.p_shift, -float(np.vdot(ws.Pw, np.log(Z))), -float(lam @ self.targets))
+        terms = (
+            k.p_shift,
+            -float(np.vdot(ws.Pw, np.log(Z))),
+            -sum(l * t for l, t in zip(lam, self.targets)),
+        )
         rounding = 1e-14 * (1.0 + sum(abs(v) for v in terms))
-        grad = self.weighted @ R.ravel() - self.targets
+        mean = (self.weighted @ R.ravel()).tolist()
+        grad = tuple(m - t for m, t in zip(mean, self.targets))
         return _Dual(lam, sum(terms), rounding, grad, _kkt_residual(lam, grad), k, Z, R)
 
     def _covariance(self, d: _Dual) -> np.ndarray:
         """The cost covariance behind d, averaged over (y, x): the negated Hessian."""
         second = (self.weighted * d.R.ravel()) @ self.costs_yxk.T
-        # cost means conditional on (y, x)
-        m1 = np.einsum("yxk,ixk->yix", d.R, self.ws.group_costs)
-        return second - np.einsum("yx,yix,yjx->ij", self.ws.Pw, m1, m1)
+        # cost means conditional on (y, x), as (x, y, i), and the same weighted by p(y, x)
+        m1 = d.R.swapaxes(0, 1) @ self.costs_xki
+        B = self.ws.Pw.T[:, :, None] * m1
+        return second - B.reshape(-1, 3).T @ m1.reshape(-1, 3)
 
-    def _solve_dual(self, M: np.ndarray, lam: np.ndarray) -> _Dual:
+    def _solve_dual(self, M: np.ndarray, lam: Sequence[float]) -> _Dual:
         """Maximise g_Q over 0 <= lam <= lambda_cap by projected Newton,
         warm-started at lam; M holds the group masses of Q."""
         cap = self.opts.lambda_cap
@@ -668,19 +730,20 @@ class _ConstrainedBA:
         for _ in range(_NEWTON_STEPS):
             if d.kkt <= _KKT_TOL:
                 break
-            # Newton direction on the free coordinates, least-norm where the
-            # covariance is singular; the other coordinates stay put
-            free = (d.lam > 0.0) | (d.grad > 0.0)
-            cov = self._covariance(d) * (free[:, None] & free)
-            step = np.linalg.lstsq(cov, d.grad * free, rcond=None)[0] * free
+            # Newton direction on the free coordinates; the others stay put
+            free = [l > 0.0 or g > 0.0 for l, g in zip(d.lam, d.grad)]
+            step = _newton_direction(self._covariance(d), d.grad, free)
             # no coordinate moves by more than max(1, lam_i)
-            reach = np.maximum(1.0, d.lam) / np.maximum(np.abs(step), 1e-300)
-            step *= min(1.0, float(reach.min()))
+            reach = min(max(1.0, l) / max(abs(s), 1e-300) for l, s in zip(d.lam, step))
+            if reach < 1.0:
+                step = [s * reach for s in step]
             t = 1.0
             for _ in range(_BACKTRACKS):
-                new = self._evaluate(M, np.minimum(np.maximum(d.lam + t * step, 0.0), cap))
+                new = self._evaluate(
+                    M, [min(cap, max(0.0, l + t * s)) for l, s in zip(d.lam, step)]
+                )
                 # Armijo, up to rounding in g once the gain is that small
-                gain = float(d.grad @ (new.lam - d.lam))
+                gain = sum(g * (n - l) for g, n, l in zip(d.grad, new.lam, d.lam))
                 if new.value >= d.value + _ARMIJO * gain - d.rounding:
                     break
                 t *= 0.5
@@ -699,7 +762,7 @@ class _ConstrainedBA:
         Q_next /= np.add.reduce(Q_next, axis=1, keepdims=True)
         return cert, Q_next
 
-    def _step(self, Q: np.ndarray, lam: np.ndarray) -> _Step:
+    def _step(self, Q: np.ndarray, lam: Sequence[float]) -> _Step:
         self.iterations += 1
         d = self._solve_dual(self.ws.group_masses(Q), lam)
         return _Step(Q, d, *self._update(Q, d))
@@ -736,7 +799,7 @@ class _ConstrainedBA:
         """Returns (T, final step, converged): T meets the targets up to the
         final step's KKT residual."""
         cert_tol = self.opts.cert_tol
-        cur = self._step(self.ws.initial_marginal(self.opts.init_seed), np.zeros(3))
+        cur = self._step(self.ws.initial_marginal(self.opts.init_seed), (0.0, 0.0, 0.0))
         while cur.cert >= cert_tol and self.iterations < self.opts.max_iters:
             s1 = self._plain(cur)
             if s1.cert < cert_tol:
@@ -848,6 +911,13 @@ def _grid_queries(
     return axes, cells
 
 
+def _valid_workers(workers: object) -> bool:
+    """A process count is None (serial) or an int >= 1; bools are rejected."""
+    return workers is None or (
+        isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1
+    )
+
+
 def _solve_cell(args) -> SurfaceCell:
     problem, idx, query, opts = args
     try:
@@ -868,16 +938,21 @@ def solve_cells(
     Results are yielded one at a time so that a caller keeping only a few
     numbers per cell does not hold every channel at once. Cells are
     independent; ``workers`` > 1 evaluates them in that many separate
-    processes with identical per-cell results to a serial run.
+    processes with identical per-cell results to a serial run. ``workers``
+    must be None or an int >= 1, else :class:`ProbabilityError` is raised.
     """
+    if not _valid_workers(workers):
+        raise ProbabilityError(f"workers must be None or an int >= 1, got {workers!r}")
     args = [(problem, idx, q, opts) for idx, q in cells]
-    if workers is not None and workers > 1 and len(args) > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            yield from pool.map(_solve_cell, args, chunksize=max(1, len(args) // (4 * workers)))
-    else:
-        for a in args:
-            yield _solve_cell(a)
+    if workers is None or workers == 1 or len(args) <= 1:
+        return map(_solve_cell, args)
+    return _solve_in_pool(args, workers)
+
+
+def _solve_in_pool(args: list, workers: int) -> Iterator[SurfaceCell]:
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        yield from pool.map(_solve_cell, args, chunksize=max(1, len(args) // (4 * workers)))
 
 
 def sweep_surface(

@@ -30,7 +30,7 @@ from .closed_form import (
     rate_correlated,
     semantic_binary_rd,
 )
-from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, make_dsbs
+from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, binary_entropy, make_dsbs
 from .semantic import check_distortion_equivalence, ds0, modified_distortion
 from .solver import RDQuery, SolverOptions, semantic_rd, solve_rd_point
 from .errors import RegionError, SemrdError
@@ -368,7 +368,8 @@ def classification_channel_checks(n_points: int = 20) -> list[Check]:
     for d1 in d1_values:
         ch = build_classification_channel(p2, n_alpha, float(d1))
         expected = (
-            _hb(p2) + math.log2(n_alpha / 2) - _hb(float(d1)) - float(d1) * math.log2(n_alpha - 1)
+            binary_entropy(p2) + math.log2(n_alpha / 2) - binary_entropy(float(d1))
+            - float(d1) * math.log2(n_alpha - 1)
         )
         rep = verify_achievability(ch.joint, declared, expected, d1=d1_tab)
         worst["marginal"] = max(worst["marginal"], rep.marginal_residual)
@@ -380,12 +381,6 @@ def classification_channel_checks(n_points: int = 20) -> list[Check]:
         Check("classification_distortion_exact", worst["distortion"] < 1e-12, worst["distortion"], 1e-12, details=details),
         Check("classification_rate_match", worst["rate"] < 1e-9, worst["rate"], 1e-9, details=details),
     ]
-
-
-def _hb(q: float) -> float:
-    if q <= 0.0 or q >= 1.0:
-        return 0.0
-    return -(q * math.log2(q) + (1 - q) * math.log2(1 - q))
 
 
 def noise_law_check(n_points: int = 20, seed: int = 13) -> Check:

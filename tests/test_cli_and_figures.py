@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from semrd.cli import main
+from semrd.cli import USAGE_ERROR, main
 from semrd.closed_form import rate_classification, semantic_binary_rd
 from semrd.figures import generate_figure
 from semrd.prob import binary_entropy
@@ -84,6 +84,14 @@ class TestFigureGeneration:
         with pytest.raises(ConfigError):
             generate_figure("fig99", str(tmp_path))
 
+    @pytest.mark.parametrize("workers", [0, -2, True, 2.5])
+    def test_bad_workers_rejected(self, tmp_path, workers):
+        from semrd.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="workers"):
+            generate_figure("fig4", str(tmp_path), grid_n=11, workers=workers)
+        assert not (tmp_path / "fig4_manifest.json").exists()
+
     def test_base_nats_column(self, tmp_path):
         generate_figure("fig4", str(tmp_path), grid_n=11, base="nats")
         rows = read_csv(tmp_path / "fig4_rate_curves.csv")
@@ -99,6 +107,13 @@ class TestCli:
         rc = main(["figure", "fig4", "--out", str(tmp_path), "--grid", "11"])
         assert rc == 0
         assert (tmp_path / "fig4_manifest.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_figure_bad_workers_is_usage_error(self, tmp_path, workers, capsys):
+        rc = main(["figure", "fig4", "--out", str(tmp_path), "--grid", "11", "--workers", workers])
+        assert rc == USAGE_ERROR
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "fig4_manifest.json").exists()
 
     def test_sweep_closed_form(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ minimization; the two agreed to ~1e-6 on every point, including the ones the
 closed forms do not cover.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -337,6 +338,76 @@ class TestGroupedDual:
         assert np.allclose(pt.achieved, dense.achieved, rtol=0, atol=1e-9)
 
 
+def random_psd(rng, rank):
+    """A 3x3 symmetric PSD matrix of the given rank, rows scaled over four
+    decades as the cost covariances are."""
+    L = rng.normal(size=(3, rank)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(3, 1))
+    return L @ L.T
+
+
+FREE_MASKS = [m for m in itertools.product((False, True), repeat=3) if any(m)]
+
+
+class TestNewtonDirection:
+    """The closed-form solve of the free block against the least-norm solve
+    it replaces."""
+
+    @pytest.mark.parametrize("rank", [3, 2, 1, 0])
+    @pytest.mark.parametrize("free", FREE_MASKS)
+    def test_matches_lstsq(self, rank, free, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        rng = np.random.default_rng(100 * rank + int("".join("01"[f] for f in free), 2))
+        mask = np.array(free)
+        for _ in range(20):
+            cov = random_psd(rng, rank)
+            g = rng.normal(size=3)
+            expect = lstsq(cov * np.outer(mask, mask), g * mask, rcond=None)[0] * mask
+            calls.clear()
+            step = np.array(solver_mod._newton_direction(cov, tuple(g.tolist()), free))
+            if mask.sum() <= rank:
+                assert not calls
+                assert np.linalg.norm(step - expect) <= 1e-9 * np.linalg.norm(expect)
+                assert np.all(step[~mask] == 0.0)
+            else:
+                # singular free block: the least-norm solution, as computed before
+                assert len(calls) == 1
+                assert np.array_equal(step, expect)
+
+    def test_zero_covariance_of_a_deterministic_law(self):
+        # all of Q on one letter: each row's group law is a point mass, the
+        # covariance is zero and the dual is linear in lam; warm-started at
+        # its maximiser, the solve stays there
+        ws = solver_mod._Workspace(single_source_problem())
+        cba = solver_mod._ConstrainedBA(ws, (0.6, 0.0, 0.0), solver_mod.DEFAULT_OPTIONS)
+        Q = np.zeros((1, ws.nh))
+        Q[0, 0] = 1.0
+        M = ws.group_masses(Q)
+        lam = (0.0, 1.0, 1.0)
+        assert np.all(cba._covariance(cba._evaluate(M, lam)) == 0.0)
+        d = cba._solve_dual(M, lam)
+        assert d.kkt <= solver_mod._KKT_TOL
+        assert d.lam == lam
+
+    def test_zero_variance_coordinates_take_the_fallback(self):
+        # d2 and d's are zero tables: their rows of the covariance vanish while
+        # their positive multipliers keep them free, so every Newton step
+        # falls back to the least-norm solve; lam1 still reaches its optimum
+        # log 4 (E d1 = 1 / (1 + e^lam1) = 0.2 under the uniform Q)
+        ws = solver_mod._Workspace(single_source_problem())
+        cba = solver_mod._ConstrainedBA(ws, (0.2, 0.0, 0.0), solver_mod.DEFAULT_OPTIONS)
+        d = cba._solve_dual(ws.group_masses(ws.initial_marginal(None)), (0.0, 1.0, 1.0))
+        assert d.kkt <= solver_mod._KKT_TOL
+        assert d.lam[0] == pytest.approx(math.log(4.0), abs=1e-12)
+        assert d.lam[1:] == (1.0, 1.0)
+
+
 class TestSolveRdPoint:
     def test_independent_parts_example(self, prob_ind):
         pt = solve_rd_point(prob_ind, RDQuery(0.1, 0.1, 0.5))
@@ -575,6 +646,14 @@ class TestSweepSurface:
         assert "Infeasible" in by_ds[0.1].error
         assert by_ds[0.3].point is not None
 
+    @pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
+    def test_bad_workers_rejected(self, prob_cor, workers):
+        cells = [((0,), RDQuery(0.05, 0.1, 0.3))]
+        with pytest.raises(ProbabilityError, match="workers"):
+            solver_mod.solve_cells(prob_cor, cells, workers=workers)
+        with pytest.raises(ProbabilityError, match="workers"):
+            sweep_surface(prob_cor, {"d1": [0.05], "d2": [0.1], "ds": [0.3]}, workers=workers)
+
     def test_parallel_matches_serial(self, prob_cor):
         grid = {"d1": [0.02, 0.05], "d2": [0.1], "ds": [0.3, 0.45]}
         serial = sweep_surface(prob_cor, grid)
@@ -648,3 +727,8 @@ class TestProblemValidation:
             RDQuery(-0.1, 0.1, 0.1)
         with pytest.raises(ProbabilityError):
             RDQuery(0.1, math.inf, 0.1)
+        # a bool is not a distortion, even though True == 1
+        with pytest.raises(ProbabilityError, match="d1"):
+            RDQuery(True, 0.1, 0.2)
+        with pytest.raises(ProbabilityError, match="ds"):
+            RDQuery(0.1, 0.1, False)
