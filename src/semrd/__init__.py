@@ -14,7 +14,6 @@ Submodules:
 
 from .errors import (
     AlphabetMismatchError,
-    BracketingError,
     InfeasibleDistortionError,
     ProbabilityError,
     RegionError,
@@ -50,7 +49,6 @@ __all__ = [
     "Alphabet",
     "AlphabetMismatchError",
     "BinarySourceSpec",
-    "BracketingError",
     "DistortionMatrix",
     "InfeasibleDistortionError",
     "JointPMF",

@@ -24,19 +24,19 @@ from __future__ import annotations
 import math
 
 from .errors import ProbabilityError, RegionError
-from .prob import BinarySourceSpec, binary_entropy
+from .prob import BinarySourceSpec, binary_entropy, is_finite_real
 from .semantic import ds0
 
 
 def _check_distortion(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0.0:
+    if not is_finite_real(value) or value < 0.0:
         raise ProbabilityError(f"{name} must be a finite nonnegative real, got {value!r}")
     return float(value)
 
 
 def conditional_binary_rd(p0: float, D: float) -> float:
     """[h(p0) - h(D)] for 0 <= D <= p0, else 0."""
-    if not (isinstance(p0, (int, float)) and math.isfinite(p0)) or p0 < 0.0 or p0 > 0.5:
+    if not is_finite_real(p0) or p0 < 0.0 or p0 > 0.5:
         raise ProbabilityError(f"p0 must lie in [0, 0.5], got {p0!r}")
     D = _check_distortion("D", D)
     if D > p0:
@@ -110,7 +110,7 @@ def rate_correlated(spec: BinarySourceSpec, D1: float, D2: float, Ds: float) -> 
 
 def _check_classification_params(p: float, p2: float, N: int) -> None:
     for name, v in (("p", p), ("p2", p2)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0.0 or v > 0.5:
+        if not is_finite_real(v) or v < 0.0 or v > 0.5:
             raise ProbabilityError(f"{name} must lie in [0, 0.5], got {v!r}")
     if not isinstance(N, int) or N < 4 or N % 2 != 0:
         raise ProbabilityError(f"N must be an even integer >= 4, got {N!r}")

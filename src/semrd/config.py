@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from typing import Any, Mapping
 
 import numpy as np
 
 from .errors import ConfigError
-from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, ProbabilityError
+from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, ProbabilityError, is_finite_real
 from .gaussian import GaussianSpec
 from .solver import RDProblem, SolverOptions, _valid_workers
 from . import sources
@@ -55,7 +54,7 @@ def _get(obj: Mapping, path: str, key: str, required: bool = True, default: Any 
 
 
 def _real(value: Any, path: str, lo: float | None = None, hi: float | None = None) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    if not is_finite_real(value):
         _fail(path, f"must be a finite number, got {value!r}")
     if lo is not None and value < lo:
         _fail(path, f"must be >= {lo}, got {value}")

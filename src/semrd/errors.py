@@ -35,11 +35,3 @@ class ConfigError(SemrdError, ValueError):
     Messages carry the offending field path, e.g. ``params.p: must lie in
     [0, 0.5]``.
     """
-
-
-class BracketingError(SolverError):
-    """Multiplier search could not bracket the target distortion.
-
-    The solver no longer raises it: target solves find their multipliers
-    inside one constrained BA run, and a target they cannot meet is reported
-    with converged=False. The class is kept for API compatibility."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDistortionError, ProbabilityError
+from .prob import is_finite_real
 
 DEFAULT_RATE_CAP = 1e6  # nats; r_s_given_y reports +inf above this
 
@@ -39,11 +40,11 @@ class GaussianSpec:
     def __post_init__(self) -> None:
         for name in ("var_s", "var_x1", "var_x2", "var_y"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0.0:
+            if not is_finite_real(v) or v <= 0.0:
                 raise ProbabilityError(f"{name} must be a positive real, got {v!r}")
         for name in ("cov_sx1", "cov_x1y", "cov_x2y"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not is_finite_real(v):
                 raise ProbabilityError(f"{name} must be a finite real, got {v!r}")
         checks = (
             ("cov_sx1", self.cov_sx1, self.var_s, self.var_x1),
@@ -71,7 +72,7 @@ def var_x2_given_y(spec: GaussianSpec) -> float:
 
 
 def _check_positive(name: str, v: float) -> float:
-    if not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0.0:
+    if not is_finite_real(v) or v <= 0.0:
         raise ProbabilityError(f"{name} must be a positive real, got {v!r}")
     return float(v)
 
@@ -102,7 +103,7 @@ def r_s_given_y(spec: GaussianSpec, Ds: float, cap: float = DEFAULT_RATE_CAP) ->
     Values above ``cap`` are reported as +inf (vanishing excess distortion).
     """
     m = mmse(spec)
-    if not (isinstance(Ds, (int, float)) and math.isfinite(Ds)):
+    if not is_finite_real(Ds):
         raise ProbabilityError(f"Ds must be a finite real, got {Ds!r}")
     if Ds <= m:
         raise InfeasibleDistortionError(
@@ -130,7 +131,7 @@ def gaussian_rate(spec: GaussianSpec, D1: float, D2: float, Ds: float) -> Gaussi
     D1 = _check_positive("D1", D1)
     D2 = _check_positive("D2", D2)
     m = mmse(spec)
-    if not (isinstance(Ds, (int, float)) and math.isfinite(Ds)):
+    if not is_finite_real(Ds):
         raise ProbabilityError(f"Ds must be a finite real, got {Ds!r}")
     if Ds <= m:
         raise InfeasibleDistortionError(

@@ -33,8 +33,14 @@ NORMALIZATION_TOL = 1e-12
 NEGATIVE_DUST_TOL = -1e-15
 
 
+def is_finite_real(v: object) -> bool:
+    """True for a finite int or float. Bools are rejected, even though
+    True == 1: a flag is not a number."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _check_log_base(log_base: float) -> None:
-    if not (isinstance(log_base, (int, float)) and math.isfinite(log_base) and log_base > 1):
+    if not (is_finite_real(log_base) and log_base > 1):
         raise ProbabilityError(f"log_base must be a finite real > 1, got {log_base!r}")
 
 
@@ -44,7 +50,7 @@ def binary_entropy(q: float, log_base: float = 2.0) -> float:
     Raises ProbabilityError for q outside [0, 1].
     """
     _check_log_base(log_base)
-    if not (isinstance(q, (int, float)) and math.isfinite(q)):
+    if not is_finite_real(q):
         raise ProbabilityError(f"q must be a finite real, got {q!r}")
     if q < 0.0 or q > 1.0:
         raise ProbabilityError(f"q must lie in [0, 1], got {q}")
@@ -56,7 +62,7 @@ def binary_entropy(q: float, log_base: float = 2.0) -> float:
 def star(a: float, b: float) -> float:
     """Binary convolution a*b = a(1-b) + b(1-a) of two crossover probabilities."""
     for name, v in (("a", a), ("b", b)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0.0 or v > 1.0:
+        if not is_finite_real(v) or v < 0.0 or v > 1.0:
             raise ProbabilityError(f"{name} must lie in [0, 1], got {v!r}")
     return float(a * (1.0 - b) + b * (1.0 - a))
 
@@ -323,7 +329,7 @@ class DistortionMatrix:
 
 def make_dsbs(p0: float, name_a: str = "x", name_b: str = "y") -> JointPMF:
     """Doubly symmetric binary source: uniform binary pair disagreeing w.p. p0."""
-    if not (isinstance(p0, (int, float)) and math.isfinite(p0)) or p0 < 0.0 or p0 > 0.5:
+    if not is_finite_real(p0) or p0 < 0.0 or p0 > 0.5:
         raise ProbabilityError(f"DSBS parameter must lie in [0, 0.5], got {p0!r}")
     probs = np.array(
         [[(1.0 - p0) / 2.0, p0 / 2.0], [p0 / 2.0, (1.0 - p0) / 2.0]]
@@ -354,7 +360,7 @@ class BinarySourceSpec:
             v = getattr(self, fname)
             if v is None:
                 continue
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0.0 or v > 0.5:
+            if not is_finite_real(v) or v < 0.0 or v > 0.5:
                 raise ProbabilityError(f"{fname} must lie in [0, 0.5], got {v!r}")
 
     @classmethod

@@ -10,12 +10,10 @@ binary Hamming case.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InfeasibleDistortionError, ProbabilityError
-from .prob import DistortionMatrix, JointPMF
+from .prob import DistortionMatrix, JointPMF, is_finite_real
 
 MARKOV_CHECK_TOL = 1e-10
 
@@ -62,9 +60,9 @@ def modified_distortion(joint_sx1: JointPMF, ds: DistortionMatrix) -> Distortion
 def ds0(Ds: float, p: float) -> float:
     """Convert a semantic Hamming target into the equivalent observation-level
     target (Ds - p) / (1 - 2p), defined for Ds >= p and p < 0.5."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p)) or p < 0.0 or p >= 0.5:
+    if not is_finite_real(p) or p < 0.0 or p >= 0.5:
         raise ProbabilityError(f"p must lie in [0, 0.5), got {p!r}")
-    if not (isinstance(Ds, (int, float)) and math.isfinite(Ds)):
+    if not is_finite_real(Ds):
         raise ProbabilityError(f"Ds must be a finite real, got {Ds!r}")
     if Ds < p:
         raise InfeasibleDistortionError(

@@ -80,6 +80,24 @@ Two numerical details matter:
   at fixed q the map from multipliers to distortions is smooth, and q
   converges to the mixture.
 
+* A solved point is read off arrays the solver already holds, not off the
+  6-axis joint. Every BA channel has the form t = q W / Z, so within a
+  source row t / q = w / Z is constant on each cost group, and
+  KL(t(.|x, y) || q_y) over letters equals KL(R || M) over groups, R being
+  the group law. With q_out = q c the BA update, the rate is
+  I = sum p(x, y) KL(R || M) - sum p(y) KL(q_out || q), the
+  alternating-minimization form of Csiszar & Tusnady ("Information geometry
+  and alternating minimization procedures", 1984) and of Blahut (1972). It
+  is exact on groups, only the order of summation changes, and its two sums
+  are of nonnegative terms, so nothing cancels at large multipliers.
+  Re-attaching a zero-multiplier coordinate leaves it unchanged. The
+  achieved distortions are the channel's (x, h_i) marginals contracted with
+  the three cost tables.
+
+  A problem's workspace (flattened law, cost tables, cost groups) lives as
+  long as the problem object: the last one built is reused while solves are
+  handed the same object, as the cells of a sweep are.
+
 Exponent underflow is handled by shifting each cost row by its maximum before
 exponentiation. Rates are returned in ``problem.log_base`` units; multipliers
 are natural-log based (they appear inside exp).
@@ -98,7 +116,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleDistortionError, ProbabilityError, SemrdError, SolverError
-from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base
+from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base, is_finite_real
 
 _COORDS = (0, 1, 2)
 # SolverOptions fields that must be finite and positive
@@ -144,9 +162,7 @@ class SolverOptions:
     def __post_init__(self) -> None:
         for name in _POSITIVE_OPTIONS:
             v = getattr(self, name)
-            if isinstance(v, bool) or not (
-                isinstance(v, (int, float)) and math.isfinite(v) and v > 0
-            ):
+            if not (is_finite_real(v) and v > 0):
                 raise ProbabilityError(f"solver option {name} must be finite and > 0, got {v!r}")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) or (
             self.max_iters < 1
@@ -216,9 +232,7 @@ class RDQuery:
     def __post_init__(self) -> None:
         for name in ("d1", "d2", "ds"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not (
-                isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0
-            ):
+            if not (is_finite_real(v) and v >= 0.0):
                 raise ProbabilityError(f"query {name} must be finite and >= 0, got {v!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -291,7 +305,9 @@ class _Workspace:
     groups). ``group_costs[i, x, k]`` is the cost of group k of row x,
     ``letter_group[x, h]`` the flat (x, k) index of letter h's group, and
     :meth:`group_masses` sums a marginal Q[y, h] over each row's groups.
-    Tables with no repeated values give K = nh."""
+    Tables with no repeated values give K = nh.
+
+    One workspace serves every solve of its problem object (``_workspace``)."""
 
     def __init__(self, problem: RDProblem):
         self.problem = problem
@@ -349,6 +365,13 @@ class _Workspace:
         self._member2 = (g2.T[:, :, None] == np.arange(self.K2)).reshape(
             self.nh2, self.nx2 * self.K2).astype(float)
         self._members = (gs[:, :, None] == np.arange(self.Ks)).astype(float)[None, :, None]
+        # the group costs flat over (x, k) and over (y, x, k), the same
+        # weighted by p(y, x), and as one (k, i) table per source row
+        self.flat = self.group_costs.reshape(3, -1)
+        shape = (3, len(self.p_y), self.nx, self.K)
+        self.costs_yxk = np.broadcast_to(self.group_costs[:, None], shape).reshape(3, -1)
+        self.weighted = (self.Pw[None, :, :, None] * self.group_costs[:, None]).reshape(3, -1)
+        self.costs_xki = np.ascontiguousarray(self.group_costs.transpose(1, 2, 0))
 
     @functools.cached_property
     def costs(self) -> np.ndarray:
@@ -446,8 +469,48 @@ class _Workspace:
     # ---- per-channel statistics ----------------------------------------
 
     def distortions(self, T: np.ndarray) -> tuple[float, float, float]:
-        J = np.einsum("yx,yxh->xh", self.Pw, T)  # joint of composite (x, h)
-        return tuple(float(v) for v in self.costs.reshape(3, -1) @ J.ravel())
+        """E d_i under the channel T[y, x, h]: the joint of (x, h) summed
+        over the other two reproduction axes, against the table c_i[x, h_i].
+        The sums are products with vectors of ones, which numpy runs far
+        faster than reductions over these short axes."""
+        n1, n2, ns = self.h_sizes
+        J = np.einsum("yx,yxh->xh", self.Pw, T).reshape(self.nx, n1, n2 * ns)
+        J2s = (np.ones(n1) @ J).reshape(self.nx, n2, ns)
+        marginals = (J @ np.ones(n2 * ns), J2s @ np.ones(ns), np.ones(n2) @ J2s)
+        return tuple(float(np.vdot(m, c)) for m, c in zip(marginals, self.coord_costs))
+
+    def log_kernel(self, lam: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """(shift, log w): log w[x, k] = shift[x] - lam.c(x, k) per cost
+        group, shift[x] being row x's least cost, so that w <= 1."""
+        log_w = np.dot(lam, self.flat).reshape(self.nx, self.K)
+        shift = np.minimum.reduce(log_w, axis=1)
+        np.subtract(shift[:, None], log_w, out=log_w)
+        return shift, log_w
+
+    def rate(self, Q: np.ndarray, lam: Sequence[float]) -> float:
+        """I(X1, X2; X1h, X2h, Sh | Y) in ``log_base`` units of the channel
+        T = Q W / Z at the multipliers lam, the form of every BA channel.
+
+        Within a source row T / Q = w / Z is constant on each cost group, so
+        KL(T(.|y, x) || Q_y) over letters is KL(R || M) over groups, R the
+        group law and M the group masses of Q. With Q_out = Q c the BA update,
+        I = sum p(y, x) KL(R || M) - sum p(y) KL(Q_out || Q). Both sums are
+        of nonnegative terms, so nothing cancels at large multipliers."""
+        log_w = self.log_kernel(lam)[1]
+        w = np.exp(log_w)
+        R = self.group_masses(Q) * w
+        Z = R.sum(axis=2)
+        R /= Z[:, :, None]
+        # R / M = w / Z on every group that R charges
+        kl_rows = (R * (log_w - np.log(Z)[:, :, None])).sum(axis=2)
+        c = (self.P / Z) @ np.take(w, self.letter_group)
+        Q_out = Q * c
+        log_c = np.log(c, out=np.zeros_like(c), where=Q_out > 0.0)
+        nats = float(np.vdot(self.Pw, kl_rows)) - float(np.dot(self.p_y, (Q_out * log_c).sum(axis=1)))
+        value = nats / math.log(self.problem.log_base)
+        if value < -1e-12:
+            raise SolverError(f"rate evaluated to {value:.3e} < -1e-12")
+        return max(value, 0.0)
 
     # ---- attachments -----------------------------------------------------
 
@@ -456,18 +519,16 @@ class _Workspace:
         coordinate as a function of (other reproductions, y); does not change
         the conditional mutual information."""
         ny = len(self.p_y)
-        ax = 2 + coord  # h-axis position inside the (ny, nx, nh1, nh2, nhs) view
-        J5 = (self.Pw[:, :, None] * T).reshape(ny, self.nx, *self.h_sizes)
-        Jm = J5.sum(axis=ax)  # (ny, nx, <other two h axes>)
-        ed = np.einsum("yxab,xk->yabk", Jm, self.coord_costs[coord])
-        best = ed.argmin(axis=3)  # (ny, a, b)
         nk = self.h_sizes[coord]
-        onehot = np.eye(nk)[best]  # (ny, a, b, nk)
-        T5 = T.reshape(ny, self.nx, *self.h_sizes)
-        collapsed = T5.sum(axis=ax)  # (ny, nx, a, b)
-        mixed = np.einsum("yxab,yabk->yxabk", collapsed, onehot)
-        T5_new = np.moveaxis(mixed, 4, ax)
-        return np.ascontiguousarray(T5_new.reshape(ny, self.nx, self.nh))
+        before = math.prod(self.h_sizes[:coord])
+        after = math.prod(self.h_sizes[coord + 1:])
+        # T summed over the coordinate: (ny, nx, other letters), others = (before, after)
+        T3 = T.reshape(ny * self.nx * before, nk, after)
+        collapsed = np.tensordot(T3, np.ones(nk), axes=(1, 0)).reshape(ny, self.nx, -1)
+        ed = (self.Pw[:, :, None] * collapsed).transpose(0, 2, 1) @ self.coord_costs[coord]
+        onehot = np.eye(nk)[ed.argmin(axis=2)]  # (ny, others, nk)
+        mixed = (collapsed[..., None] * onehot[:, None]).reshape(ny, self.nx, before, after, nk)
+        return np.ascontiguousarray(mixed.swapaxes(3, 4)).reshape(ny, self.nx, self.nh)
 
     # ---- floors ---------------------------------------------------------
 
@@ -484,52 +545,57 @@ class _Workspace:
 
     def assemble_joint(self, T: np.ndarray) -> JointPMF:
         """Full joint over (x1, x2, y, x1h, x2h, sh) induced by the channel."""
-        full = np.zeros((self.ny, self.nx, self.nh))
-        full[self.y_idx] = self.Pw[:, :, None] * T
-        shaped = full.reshape(self.ny, self.nx1, self.nx2, self.nh1, self.nh2, self.nhs)
-        shaped = np.moveaxis(shaped, 0, 2)  # -> (x1, x2, y, h1, h2, hs)
-        prob = self.problem
-        axes = prob.source.axes + prob.repro_alphabets
-        total = shaped.sum()
+        full = np.zeros((self.nx, self.ny, self.nh))
+        full[:, self.y_idx] = (self.Pw[:, :, None] * T).swapaxes(0, 1)
+        total = full.sum()
         if abs(total - 1.0) > 1e-9:
             raise SolverError(f"assembled joint mass {total!r} drifted from 1")
-        return JointPMF(axes, shaped / total)
+        prob = self.problem
+        shaped = full.reshape(self.nx1, self.nx2, self.ny, *self.h_sizes)
+        return JointPMF(prob.source.axes + prob.repro_alphabets, shaped / total)
 
 
 def _point_from_channel(
     ws: _Workspace,
     T: np.ndarray,
+    rate: float,
     lam: Sequence[float],
     iterations: int,
     ba_calls: int,
     converged: bool,
     targets: Sequence[float] | None = None,
 ) -> RDPoint:
-    problem = ws.problem
-    joint = ws.assemble_joint(T)
-    names = problem.axis_names
-    rate = joint.conditional_mutual_information(
-        (names[0], names[1]), (names[3], names[4], names[5]), (names[2],), problem.log_base
-    )
-    achieved = (
-        joint.expected_distortion(problem.d1, names[0], names[3]),
-        joint.expected_distortion(problem.d2, names[1], names[4]),
-        joint.expected_distortion(problem.ds_mod, names[0], names[5]),
-    )
+    achieved = ws.distortions(T)
     cs = 0.0
     if targets is not None:
-        ln_base = math.log(problem.log_base)
+        ln_base = math.log(ws.problem.log_base)
         cs = float(sum(l * abs(t - a) for l, t, a in zip(lam, targets, achieved))) / ln_base
     return RDPoint(
         rate=rate,
         achieved=achieved,
         multipliers=tuple(float(l) for l in lam),
-        channel=joint,
+        channel=ws.assemble_joint(T),
         iterations=iterations,
         ba_calls=ba_calls,
         converged=converged,
         cs_residual=cs,
     )
+
+
+_last_workspace: _Workspace | None = None
+
+
+def _workspace(problem: RDProblem) -> _Workspace:
+    """The workspace of ``problem``. The last one built is kept and reused
+    while the same problem object is solved again (a sweep's cells). Reuse is
+    keyed on identity: problems that compare equal may hold different
+    arrays. A problem's arrays are read-only, so its workspace never goes
+    stale."""
+    global _last_workspace
+    ws = _last_workspace
+    if ws is None or ws.problem is not problem:
+        ws = _last_workspace = _Workspace(problem)
+    return ws
 
 
 def ba_fixed_multipliers(
@@ -548,9 +614,9 @@ def ba_fixed_multipliers(
     lam = (float(lambda1), float(lambda2), float(lambda_s))
     if any(not math.isfinite(l) or l < 0.0 for l in lam):
         raise ProbabilityError(f"multipliers must be finite and >= 0, got {lam}")
-    ws = _Workspace(problem)
-    T, _Q, it, converged = ws.ba(lam, opts)
-    return _point_from_channel(ws, T, lam, it, 1, converged)
+    ws = _workspace(problem)
+    T, Q, it, converged = ws.ba(lam, opts)
+    return _point_from_channel(ws, T, ws.rate(Q, lam), lam, it, 1, converged)
 
 
 # Constants of the constrained BA loop (see the module docstring). The dual is
@@ -666,13 +732,6 @@ class _ConstrainedBA:
         self.ws = ws
         self.targets = tuple(float(t) for t in targets)
         self.opts = opts
-        self.flat = ws.group_costs.reshape(3, -1)
-        # the costs over (y, x, k), the same weighted by p(y, x), and the
-        # costs as one (k, i) table per source row
-        shape = (3, len(ws.p_y), ws.nx, ws.K)
-        self.costs_yxk = np.broadcast_to(ws.group_costs[:, None], shape).reshape(3, -1)
-        self.weighted = (ws.Pw[None, :, :, None] * ws.group_costs[:, None]).reshape(3, -1)
-        self.costs_xki = np.ascontiguousarray(ws.group_costs.transpose(1, 2, 0))
         self.iterations = 0
         self._last_kernel: _Kernel | None = None
 
@@ -683,9 +742,7 @@ class _ConstrainedBA:
         unchanged (a step's first evaluation, the SQUAREM proposal)."""
         k = self._last_kernel
         if k is None or k.lam != lam:
-            w = np.dot(lam, self.flat).reshape(self.ws.nx, self.ws.K)
-            shift = np.minimum.reduce(w, axis=1)
-            np.subtract(shift[:, None], w, out=w)
+            shift, w = self.ws.log_kernel(lam)
             np.exp(w, out=w)
             k = self._last_kernel = _Kernel(lam, float(np.dot(self.ws.p_x, shift)), w)
         return k
@@ -710,16 +767,17 @@ class _ConstrainedBA:
             -sum(l * t for l, t in zip(lam, self.targets)),
         )
         rounding = 1e-14 * (1.0 + sum(abs(v) for v in terms))
-        mean = (self.weighted @ R.ravel()).tolist()
+        mean = (ws.weighted @ R.ravel()).tolist()
         grad = tuple(m - t for m, t in zip(mean, self.targets))
         return _Dual(lam, sum(terms), rounding, grad, _kkt_residual(lam, grad), k, Z, R)
 
     def _covariance(self, d: _Dual) -> np.ndarray:
         """The cost covariance behind d, averaged over (y, x): the negated Hessian."""
-        second = (self.weighted * d.R.ravel()) @ self.costs_yxk.T
+        ws = self.ws
+        second = (ws.weighted * d.R.ravel()) @ ws.costs_yxk.T
         # cost means conditional on (y, x), as (x, y, i), and the same weighted by p(y, x)
-        m1 = d.R.swapaxes(0, 1) @ self.costs_xki
-        B = self.ws.Pw.T[:, :, None] * m1
+        m1 = d.R.swapaxes(0, 1) @ ws.costs_xki
+        B = ws.Pw.T[:, :, None] * m1
         return second - B.reshape(-1, 3).T @ m1.reshape(-1, 3)
 
     def _solve_dual(self, M: np.ndarray, lam: Sequence[float]) -> _Dual:
@@ -824,7 +882,7 @@ def solve_rd_point(
     floor raise :class:`InfeasibleDistortionError`. The returned channel's
     achieved distortions satisfy the query up to ``opts.constraint_tol``.
     """
-    ws = _Workspace(problem)
+    ws = _workspace(problem)
     targets = query.as_tuple()
     for coord in _COORDS:
         floor = ws.absolute_floor(coord)
@@ -838,15 +896,18 @@ def solve_rd_point(
         T = np.full((len(ws.p_y), ws.nx, ws.nh), 1.0 / ws.nh)
         for coord in _COORDS:
             T = ws.attach(T, coord)
-        return _point_from_channel(ws, T, (0.0, 0.0, 0.0), 0, 0, True, targets)
+        return _point_from_channel(ws, T, 0.0, (0.0, 0.0, 0.0), 0, 0, True, targets)
 
     cba = _ConstrainedBA(ws, targets, opts)
     T, final, converged = cba.run()
-    lam = tuple(float(l) for l in final.dual.lam)
+    lam = final.dual.lam
+    # the rate of the final step's channel; re-attaching a coordinate whose
+    # multiplier is 0 leaves it unchanged
+    rate = ws.rate(final.Q, lam)
     for coord in _COORDS:
         if lam[coord] == 0.0:
             T = ws.attach(T, coord)
-    point = _point_from_channel(ws, T, lam, cba.iterations, 1, converged, targets)
+    point = _point_from_channel(ws, T, rate, lam, cba.iterations, 1, converged, targets)
     ok = (
         converged
         and final.dual.kkt <= 5.0 * opts.constraint_tol

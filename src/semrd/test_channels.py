@@ -50,14 +50,10 @@ def correlated_noise_law(p1: float, p2: float) -> np.ndarray:
     )
 
 
-def correlated_q_vector(p1: float, p2: float, D1: float, D2: float) -> np.ndarray:
-    """Reproduction-noise law (zhat1, zhat2) ~ (q1, q2, q3, q4) that makes the
-    independent-flip channel reproduce ``correlated_noise_law``.
-
-    Entries can carry float dust slightly below zero at region boundaries;
-    dust above ``Q_NEGATIVE_DUST`` is clipped and the vector renormalized,
-    anything lower raises RegionError.
-    """
+def correlated_q_unclipped(p1: float, p2: float, D1: float, D2: float) -> np.ndarray:
+    """The reproduction-noise law of :func:`correlated_q_vector` as the
+    channel inversion gives it: entries may be negative, where the
+    construction does not exist."""
     for name, dd in (("D1", D1), ("D2", D2)):
         if abs(1.0 - 2.0 * dd) < DEGENERATE_FLIP_TOL:
             raise ProbabilityError(
@@ -69,7 +65,18 @@ def correlated_q_vector(p1: float, p2: float, D1: float, D2: float) -> np.ndarra
     a = (1.0 - p1 - p2 + 2.0 * p1 * p2) - D2
     b = (p1 + p2 - 2.0 * p1 * p2) - D2
     w = p2 * (1.0 - 2.0 * p1) * (1.0 - p2)
-    q = np.array([u * a + w, u * b - w, v * a - w, v * b + w]) / denom
+    return np.array([u * a + w, u * b - w, v * a - w, v * b + w]) / denom
+
+
+def correlated_q_vector(p1: float, p2: float, D1: float, D2: float) -> np.ndarray:
+    """Reproduction-noise law (zhat1, zhat2) ~ (q1, q2, q3, q4) that makes the
+    independent-flip channel reproduce ``correlated_noise_law``.
+
+    Entries can carry float dust slightly below zero at region boundaries;
+    dust above ``Q_NEGATIVE_DUST`` is clipped and the vector renormalized,
+    anything lower raises RegionError.
+    """
+    q = correlated_q_unclipped(p1, p2, D1, D2)
     if float(q.min()) < Q_NEGATIVE_DUST:
         raise RegionError(
             f"reproduction-noise law has negative entry {float(q.min()):.3e}; "

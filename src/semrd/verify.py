@@ -39,6 +39,7 @@ from .test_channels import (
     build_correlated_binary_channel,
     classification_source_marginal,
     correlated_noise_law,
+    correlated_q_unclipped,
     correlated_q_vector,
     verify_achievability,
 )
@@ -428,12 +429,7 @@ def q_nonnegativity_scan(grid_n: int = 25) -> Check:
     for d1 in np.linspace(1e-4, cap, grid_n):
         for d2 in np.linspace(1e-4, spec.p1 - 1e-4, grid_n):
             total += 1
-            denom = (1 - 2 * d1) * (1 - 2 * d2)
-            u, v = (1 - spec.p2) - d1, spec.p2 - d1
-            a = (1 - spec.p1 - spec.p2 + 2 * spec.p1 * spec.p2) - d2
-            b = (spec.p1 + spec.p2 - 2 * spec.p1 * spec.p2) - d2
-            w = spec.p2 * (1 - 2 * spec.p1) * (1 - spec.p2)
-            q = np.array([u * a + w, u * b - w, v * a - w, v * b + w]) / denom
+            q = correlated_q_unclipped(spec.p1, spec.p2, d1, d2)
             if float(q.min()) < -1e-12:
                 bad += 1
                 if q.min() < worst_entry:

@@ -52,6 +52,13 @@ class TestConditionalBinaryRd:
         with pytest.raises(ProbabilityError):
             conditional_binary_rd(0.6, 0.1)
 
+    def test_bool_rejected(self):
+        # a flag is not a probability or a distortion, even though True == 1
+        with pytest.raises(ProbabilityError, match="p0"):
+            conditional_binary_rd(False, 0.1)
+        with pytest.raises(ProbabilityError, match="D"):
+            conditional_binary_rd(0.25, True)
+
 
 class TestSemanticBinaryRd:
     def test_frozen_value(self):

@@ -140,6 +140,13 @@ class TestGaussianRate:
         with pytest.raises(ProbabilityError):
             gaussian_rate(STD, 0.0, 1.0, 1.6)
 
+    def test_bool_rejected(self):
+        # True == 1 would pass every range test below
+        with pytest.raises(ProbabilityError, match="D1"):
+            gaussian_rate(STD, True, 1.0, 1.6)
+        with pytest.raises(ProbabilityError, match="Ds"):
+            gaussian_rate(STD, 0.5, 1.0, True)
+
     def test_equal_rate_locus(self):
         assert equal_rate_semantic_target(STD, 1.0) == pytest.approx(1.75, abs=1e-15)
         # on the locus both x1-term arguments coincide

@@ -124,6 +124,50 @@ def between_floors(problem, fractions):
     ))
 
 
+def _solved(build, fractions=None, query=None, reattached=False):
+    """A case of the lean-point test: (problem, solved point, whether a
+    coordinate with multiplier 0 is re-attached after the constrained run)."""
+
+    def case():
+        problem = build()
+        q = query if query is not None else between_floors(problem, fractions)
+        return problem, solve_rd_point(problem, q), reattached
+
+    return case
+
+
+def _fixed(build, lam, opts=solver_mod.DEFAULT_OPTIONS):
+    def case():
+        problem = build()
+        return problem, ba_fixed_multipliers(problem, *lam, opts=opts), False
+
+    return case
+
+
+LEAN_POINT_CASES = [
+    _solved(lambda: sources.conditionally_independent_problem(SPEC_IND),
+            query=RDQuery(0.1, 0.1, 0.5)),
+    _solved(lambda: sources.correlated_problem(SPEC_COR), query=RDQuery(0.05, 0.1, 0.3),
+            reattached=True),
+    _solved(lambda: sources.classification_problem(0.25, 0.25, 64),
+            query=RDQuery(0.096, 0.1, 0.26)),
+    _solved(lambda: sources.classification_problem(0.25, 0.25, 64),
+            query=RDQuery(0.172, 0.1, 0.398), reattached=True),
+    _solved(lambda: random_table_problem(5), fractions=(0.3, 0.4, 0.5)),
+    _solved(uneven_table_problem, fractions=(0.4, 0.5, 0.5)),
+    _solved(lambda: sources.correlated_problem(SPEC_COR), query=RDQuery(0.6, 0.6, 0.55)),
+    _fixed(lambda: sources.correlated_problem(SPEC_COR), (2.0, 1.0, 0.5)),
+    _fixed(lambda: sources.classification_problem(0.25, 0.25, 64), (3.0, 1.0, 0.0)),
+    # three iterations from uniform: the output marginal still differs from Q
+    _fixed(lambda: random_table_problem(5), (2.0, 1.0, 0.5), SolverOptions(max_iters=3)),
+]
+LEAN_POINT_IDS = [
+    "independent", "correlated_reattached", "classification64",
+    "classification64_reattached", "random_table", "uneven_table", "zero_rate",
+    "fixed_correlated", "fixed_classification64", "fixed_three_iterations",
+]
+
+
 class TestFixedMultipliers:
     def test_zero_multipliers_zero_rate(self, prob_cor):
         pt = ba_fixed_multipliers(prob_cor, 0.0, 0.0, 0.0)
@@ -332,7 +376,8 @@ class TestGroupedDual:
         assert all(a <= t + 1e-8 for a, t in zip(pt.achieved, q.as_tuple()))
         monkeypatch.setattr(solver_mod, "_row_groups", identity_groups)
         assert solver_mod._Workspace(problem).K == ws.nh
-        dense = solve_rd_point(problem, q)
+        # a new problem object, so that the solve builds its own workspace
+        dense = solve_rd_point(uneven_table_problem(), q)
         assert dense.converged
         assert pt.rate == pytest.approx(dense.rate, abs=1e-9)
         assert np.allclose(pt.achieved, dense.achieved, rtol=0, atol=1e-9)
@@ -429,20 +474,25 @@ class TestSolveRdPoint:
         # constraint rides along at the transformed value
         assert pt.achieved[0] == pytest.approx(0.02, abs=1e-6)
 
-    def test_achieved_matches_channel_recomputation(self, prob_cor):
-        pt = solve_rd_point(prob_cor, RDQuery(0.05, 0.1, 0.3))
+    @pytest.mark.parametrize("case", LEAN_POINT_CASES, ids=LEAN_POINT_IDS)
+    def test_achieved_matches_channel_recomputation(self, case):
+        # the rate and distortions come from the solver's own arrays; the
+        # 6-axis channel it returns must carry the same numbers
+        problem, pt, reattached = case()
+        if reattached:
+            assert 0.0 in pt.multipliers and pt.ba_calls == 1
         joint = pt.channel
-        names = ("x1", "x2", "y", "x1_hat", "x2_hat", "s_hat")
+        names = problem.axis_names
         recomputed = (
-            joint.expected_distortion(prob_cor.d1, names[0], names[3]),
-            joint.expected_distortion(prob_cor.d2, names[1], names[4]),
-            joint.expected_distortion(prob_cor.ds_mod, names[0], names[5]),
+            joint.expected_distortion(problem.d1, names[0], names[3]),
+            joint.expected_distortion(problem.d2, names[1], names[4]),
+            joint.expected_distortion(problem.ds_mod, names[0], names[5]),
         )
-        assert np.allclose(recomputed, pt.achieved, atol=1e-10)
+        assert np.max(np.abs(np.subtract(recomputed, pt.achieved))) <= 1e-12
         rate = joint.conditional_mutual_information(
-            ("x1", "x2"), ("x1_hat", "x2_hat", "s_hat"), ("y",)
+            names[:2], names[3:], names[2:3], problem.log_base
         )
-        assert rate == pytest.approx(pt.rate, abs=1e-12)
+        assert abs(rate - pt.rate) <= 1e-12
 
     def test_zero_rate_when_targets_slack(self, prob_cor):
         pt = solve_rd_point(prob_cor, RDQuery(0.6, 0.6, 0.55))
@@ -567,6 +617,41 @@ class TestSolveRdPoint:
         base = solve_rd_point(prob_ind, RDQuery(0.1, 0.1, 0.5))
         jit = solve_rd_point(prob_ind, RDQuery(0.1, 0.1, 0.5), SolverOptions(init_seed=7))
         assert jit.rate == pytest.approx(base.rate, abs=1e-6)
+
+
+class TestWorkspaceReuse:
+    def test_one_workspace_per_serial_sweep(self, monkeypatch):
+        # solve_cells calls solve_rd_point through the module attribute once
+        # per cell, and the cells share one workspace
+        problem = sources.correlated_problem(SPEC_COR)  # not seen by the solver yet
+        solves, builds = [], []
+        solve, init = solver_mod.solve_rd_point, solver_mod._Workspace.__init__
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "solve_rd_point", counting_solve)
+        monkeypatch.setattr(solver_mod._Workspace, "__init__", counting_init)
+        queries = [RDQuery(0.05, 0.1, 0.3), RDQuery(0.1, 0.1, 0.5), RDQuery(0.6, 0.6, 0.55),
+                   RDQuery(0.1, 0.1, 0.1)]
+        cells = list(solver_mod.solve_cells(problem, list(enumerate(queries))))
+        assert len(cells) == len(solves) == 4
+        assert len(builds) == 1
+        assert [c.point is None for c in cells] == [False, False, False, True]
+
+    def test_equal_problems_keep_their_own_laws(self, prob_ind, prob_cor):
+        # the arrays do not take part in equality, so reuse is keyed on identity
+        assert prob_ind == prob_cor
+        assert solver_mod._workspace(prob_ind) is not solver_mod._workspace(prob_cor)
+        q = RDQuery(0.2, 0.2, 0.4)
+        ind, cor = solve_rd_point(prob_ind, q), solve_rd_point(prob_cor, q)
+        assert abs(ind.rate - cor.rate) > 0.05
+        assert solve_rd_point(prob_ind, q).rate == ind.rate
 
 
 class TestSolverOptions:
