@@ -9,6 +9,8 @@ Submodules:
 * ``test_channels`` -- explicit achievability constructions and audits
 * ``gaussian`` -- jointly Gaussian closed forms and Monte Carlo checks
 * ``sources`` -- canonical model sources and solver-instance builders
+* ``models`` -- the discrete models and the router between closed form and
+  solver
 * ``figures``/``verify``/``cli`` -- data-file generation and check suites
 """
 

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
 from .config import SweepConfig, load_config
-from .errors import ConfigError, InfeasibleDistortionError, SemrdError
+from .errors import ConfigError, SemrdError
 from .figures import FIGURE_IDS, generate_figure
+from .gaussian import gaussian_rate, nats_to_bits
+from .models import Row, route
+from .solver import RDQuery
 from .verify import SUITES, run_suite
 
 USAGE_ERROR = 1
@@ -50,104 +54,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_rows(cfg: SweepConfig):
-    """Yield one row dict per grid cell, ordered by grid index."""
-    import itertools
+def _gaussian_row(cfg: SweepConfig, q: RDQuery) -> Row:
+    try:
+        nats = gaussian_rate(cfg.gaussian_spec, q.d1, q.d2, q.ds).rate_nats
+    except SemrdError as exc:
+        return Row(q, "closed_form", error=f"infeasible: {exc}")
+    return Row(q, "closed_form", nats if cfg.base == "nats" else nats_to_bits(nats), True)
 
-    from . import sources
-    from .closed_form import (
-        in_region_classification,
-        in_region_correlated,
-        rate_classification,
-        rate_conditionally_independent,
-        rate_correlated,
-    )
-    from .gaussian import gaussian_rate, nats_to_bits
-    from .solver import RDQuery, solve_cells
 
-    cells = list(itertools.product(cfg.grid["d1"], cfg.grid["d2"], cfg.grid["ds"]))
-
-    def closed_value(d1, d2, ds):
-        if cfg.kind == "binary_independent":
-            return rate_conditionally_independent(cfg.binary_spec, d1, d2, ds), True
-        if cfg.kind == "binary_correlated":
-            if in_region_correlated(cfg.binary_spec, d1, d2, ds):
-                return rate_correlated(cfg.binary_spec, d1, d2, ds), True
-            return None, False
-        if cfg.kind == "classification":
-            if in_region_classification(
-                cfg.classification_p, cfg.classification_p2, cfg.classification_n, d1, d2, ds
-            ):
-                return (
-                    rate_classification(
-                        cfg.classification_p, cfg.classification_p2, cfg.classification_n,
-                        d1, d2, ds,
-                    ),
-                    True,
-                )
-            return None, False
-        raise AssertionError(cfg.kind)
-
+def _sweep_rows(cfg: SweepConfig) -> list[Row]:
+    """One row per grid cell, ordered by grid index."""
+    grid = cfg.grid
+    queries = [RDQuery(*q) for q in itertools.product(grid["d1"], grid["d2"], grid["ds"])]
     if cfg.kind == "gaussian":
-        for d1, d2, ds in cells:
-            row = {"d1": d1, "d2": d2, "ds": ds, "method": "closed_form",
-                   "converged": True, "cs_residual": None, "error": None, "rate": None}
-            try:
-                res = gaussian_rate(cfg.gaussian_spec, d1, d2, ds)
-                row["rate"] = res.rate_nats if cfg.base == "nats" else nats_to_bits(res.rate_nats)
-            except (InfeasibleDistortionError, SemrdError) as exc:
-                row["error"] = f"infeasible: {exc}"
-                row["converged"] = False
-            yield row
-        return
-
-    if cfg.kind == "custom":
-        problem = cfg.problem
-    elif cfg.kind == "classification":
-        problem = sources.classification_problem(
-            cfg.classification_p, cfg.classification_p2, cfg.classification_n
-        )
-    elif cfg.kind == "binary_independent":
-        problem = sources.conditionally_independent_problem(cfg.binary_spec)
-    else:
-        problem = sources.correlated_problem(cfg.binary_spec)
-
-    ba_cells = []
-    rows = []
-    for d1, d2, ds in cells:
-        row = {"d1": d1, "d2": d2, "ds": ds, "rate": None, "method": None,
-               "converged": None, "cs_residual": None, "error": None}
-        use_ba = cfg.method == "ba" or cfg.kind == "custom"
-        if not use_ba:
-            try:
-                value, ok = closed_value(d1, d2, ds)
-            except SemrdError as exc:
-                row.update(method="closed_form", converged=False, error=str(exc))
-                rows.append(row)
-                continue
-            if ok:
-                row.update(rate=value, method="closed_form", converged=True)
-            elif cfg.method == "closed_form":
-                row.update(
-                    method="closed_form",
-                    converged=False,
-                    error="RegionError: outside the closed form's proven region",
-                )
-            else:
-                use_ba = True
-        if use_ba:
-            row["method"] = "ba"
-            ba_cells.append(((len(rows),), RDQuery(d1, d2, ds)))
-        rows.append(row)
-
-    for cell in solve_cells(problem, ba_cells, cfg.solver_options, cfg.workers):
-        row = rows[cell.index[0]]
-        if cell.point is None:
-            row.update(converged=False, error=cell.error)
-        else:
-            point = cell.point
-            row.update(rate=point.rate, converged=point.converged, cs_residual=point.cs_residual)
-    yield from rows
+        return [_gaussian_row(cfg, q) for q in queries]
+    return route(cfg.model, queries, cfg.method, cfg.solver_options, cfg.workers)
 
 
 def cmd_sweep(config_path: str, out_path: str) -> int:
@@ -161,12 +82,9 @@ def cmd_sweep(config_path: str, out_path: str) -> int:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in _sweep_rows(cfg):
-            writer.writerow(
-                [
-                    _csv_value(row[k])
-                    for k in header
-                ]
-            )
+            fields = (*row.query.as_tuple(), row.rate, row.method, row.converged,
+                      row.cs_residual, row.error)
+            writer.writerow([_csv_value(v) for v in fields])
     return 0
 
 

@@ -10,8 +10,10 @@ Kinds and their ``params``:
 
 Common fields: ``grid`` with entries ``d1``/``d2``/``ds``, each either an
 explicit list of values or {"linspace": [start, stop, num]}; optional
-``method`` ("auto" routes in-region points to the closed form and the rest to
-the solver; "closed_form" errors outside regions; "ba" always solves);
+``method``, passed to :func:`semrd.models.route` ("auto" serves each model's
+closed form on its proven region and solves the rest; "closed_form" flags the
+points outside the region; "ba" always solves); every grid value must be
+nonnegative;
 optional ``solver`` overrides (SolverOptions field names); optional
 ``workers`` (processes for the cells that use the solver); optional ``base`` ("bits"/"nats", gaussian only).
 
@@ -34,11 +36,18 @@ import numpy as np
 from .errors import ConfigError
 from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, ProbabilityError, is_finite_real
 from .gaussian import GaussianSpec
+from .models import (
+    METHODS,
+    Model,
+    classification_model,
+    correlated_model,
+    custom_model,
+    independent_model,
+)
 from .solver import RDProblem, SolverOptions, _valid_workers
 from . import sources
 
 KINDS = ("binary_independent", "binary_correlated", "classification", "gaussian", "custom")
-METHODS = ("auto", "closed_form", "ba")
 
 
 def _fail(path: str, msg: str) -> None:
@@ -68,15 +77,15 @@ def _grid_axis(value: Any, path: str) -> tuple[float, ...]:
         spec = _get(value, path, "linspace")
         if not isinstance(spec, (list, tuple)) or len(spec) != 3:
             _fail(f"{path}.linspace", "must be [start, stop, num]")
-        start = _real(spec[0], f"{path}.linspace[0]")
-        stop = _real(spec[1], f"{path}.linspace[1]")
+        start = _real(spec[0], f"{path}.linspace[0]", lo=0.0)
+        stop = _real(spec[1], f"{path}.linspace[1]", lo=0.0)
         if not isinstance(spec[2], int) or isinstance(spec[2], bool) or spec[2] < 1:
             _fail(f"{path}.linspace[2]", f"must be a positive integer, got {spec[2]!r}")
         return tuple(float(v) for v in np.linspace(start, stop, spec[2]))
     if isinstance(value, (list, tuple)):
         if not value:
             _fail(path, "empty grid")
-        return tuple(_real(v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_real(v, f"{path}[{i}]", lo=0.0) for i, v in enumerate(value))
     _fail(path, f"must be a list of values or a linspace object, got {type(value).__name__}")
     raise AssertionError  # unreachable
 
@@ -90,11 +99,7 @@ class SweepConfig:
     workers: int | None
     base: str
     # discrete kinds
-    binary_spec: BinarySourceSpec | None = None
-    classification_n: int | None = None
-    classification_p: float | None = None
-    classification_p2: float | None = None
-    problem: RDProblem | None = None
+    model: Model | None = None
     # gaussian kind
     gaussian_spec: GaussianSpec | None = None
 
@@ -222,19 +227,20 @@ def parse_config(doc: Any) -> SweepConfig:
         p = _real(_get(params, "params", "p"), "params.p", 0.0, 0.5)
         p2 = _real(_get(params, "params", "p2"), "params.p2", 0.0, 0.5)
         p3 = _real(_get(params, "params", "p3"), "params.p3", 0.0, 0.5)
-        return SweepConfig(binary_spec=BinarySourceSpec.conditionally_independent(p, p2, p3), **common)
+        spec = BinarySourceSpec.conditionally_independent(p, p2, p3)
+        return SweepConfig(model=independent_model(spec), **common)
     if kind == "binary_correlated":
         p = _real(_get(params, "params", "p"), "params.p", 0.0, 0.5)
         p1 = _real(_get(params, "params", "p1"), "params.p1", 0.0, 0.5)
         p2 = _real(_get(params, "params", "p2"), "params.p2", 0.0, 0.5)
-        return SweepConfig(binary_spec=BinarySourceSpec.correlated(p, p1, p2), **common)
+        return SweepConfig(model=correlated_model(BinarySourceSpec.correlated(p, p1, p2)), **common)
     if kind == "classification":
         p = _real(_get(params, "params", "p"), "params.p", 0.0, 0.5)
         p2 = _real(_get(params, "params", "p2"), "params.p2", 0.0, 0.5)
         n = _get(params, "params", "n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 4 or n % 2:
             _fail("params.n", f"must be an even integer >= 4, got {n!r}")
-        return SweepConfig(classification_n=n, classification_p=p, classification_p2=p2, **common)
+        return SweepConfig(model=classification_model(p, p2, n), **common)
     if kind == "gaussian":
         if method == "ba":
             _fail("method", "the gaussian kind has no solver route; use closed_form/auto")
@@ -250,8 +256,7 @@ def parse_config(doc: Any) -> SweepConfig:
     # custom
     if method != "ba" and method != "auto":
         _fail("method", "custom sweeps have no closed form; use 'ba' (or 'auto')")
-    problem = _parse_custom(params, "params")
-    return SweepConfig(problem=problem, **common)
+    return SweepConfig(model=custom_model(_parse_custom(params, "params")), **common)
 
 
 def load_config(path: str) -> SweepConfig:

@@ -9,8 +9,10 @@ The presets cover the toolkit's standard study plots:
   every cell is solved numerically; a formula-extension column is included
   for comparison).
 * ``fig6a``/``fig6b`` -- slices of fig5 at fixed d1 = 0.03 / 0.05.
-* ``fig7``  -- rate surface for the integer-parity model (N = 8), closed
-  form across its proven region.
+* ``fig7``  -- rate surface for the integer-parity model (N = 8). At every
+  resolution its grid (d1 up to 2(N-1)p2/N, background distortion 0.5) lies
+  in the closed form's proven region, so the router serves every cell from
+  the closed form.
 * ``fig8``  -- rate surface for the Gaussian model (variances 2,
   covariances 1, background distortion 1), in nats by default.
 * ``fig9``  -- fig8's surface plus the equal-rate locus separating the
@@ -31,15 +33,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import __version__, sources
-from .closed_form import (
-    conditional_binary_rd,
-    in_region_classification,
-    in_region_correlated,
-    rate_classification,
-    rate_correlated,
-    semantic_binary_rd,
-)
+from . import __version__
+from .closed_form import conditional_binary_rd, semantic_binary_rd
 from .errors import ConfigError
 from .gaussian import (
     GaussianSpec,
@@ -51,9 +46,10 @@ from .gaussian import (
     var_x1_given_y,
     var_x2_given_y,
 )
+from .models import Row, classification_model, correlated_model, route
 from .prob import BinarySourceSpec, binary_entropy
 from .semantic import ds0
-from .solver import RDQuery, SolverOptions, _valid_workers, sweep_surface
+from .solver import RDQuery, SolverOptions, _valid_workers
 
 FIGURE_IDS = ("fig4", "fig5", "fig6a", "fig6b", "fig7", "fig8", "fig9")
 DEFAULT_SURFACE_GRID = 50
@@ -109,93 +105,24 @@ def _formula_extension_bits(spec: BinarySourceSpec, d1: float, d2: float, ds: fl
     )
 
 
-def _run_correlated_cells(
-    spec: BinarySourceSpec,
-    d1_values: np.ndarray,
-    ds_values: np.ndarray,
-    d2: float,
-    opts: SolverOptions,
-    workers: int | None,
-):
-    """Route each (d1, ds) cell: closed form inside the proven region, solver
-    outside. Returns row dicts in d1-major order."""
-    problem = sources.correlated_problem(spec)
-    rows = []
-    ba_cells = []
-    for i, d1 in enumerate(d1_values):
-        for j, ds in enumerate(ds_values):
-            if in_region_correlated(spec, float(d1), d2, float(ds)):
-                rows.append(
-                    {
-                        "d1": float(d1),
-                        "ds": float(ds),
-                        "rate_bits": rate_correlated(spec, float(d1), d2, float(ds)),
-                        "method": "closed_form",
-                        "converged": True,
-                        "cs_residual": None,
-                        "error": None,
-                    }
-                )
-            else:
-                rows.append(None)
-                ba_cells.append((len(rows) - 1, float(d1), float(ds)))
-    if ba_cells:
-        grid = {
-            "d1": sorted({c[1] for c in ba_cells}),
-            "d2": [d2],
-            "ds": sorted({c[2] for c in ba_cells}),
-        }
-        # the BA cells of these presets form a full sub-grid; solve it once
-        surface = sweep_surface(problem, grid, opts, workers=workers)
-        lookup = {}
-        for cell in surface.points:
-            q = cell.query
-            lookup[(q.d1, q.ds)] = cell
-        for pos, d1, ds in ba_cells:
-            cell = lookup[(d1, ds)]
-            if cell.point is None:
-                rows[pos] = {
-                    "d1": d1,
-                    "ds": ds,
-                    "rate_bits": None,
-                    "method": "ba",
-                    "converged": False,
-                    "cs_residual": None,
-                    "error": cell.error,
-                }
-            else:
-                rows[pos] = {
-                    "d1": d1,
-                    "ds": ds,
-                    "rate_bits": cell.point.rate,
-                    "method": "ba",
-                    "converged": cell.point.converged,
-                    "cs_residual": cell.point.cs_residual,
-                    "error": None,
-                }
-    for row in rows:
-        row["formula_extension_bits"] = _formula_extension_bits(
-            spec, row["d1"], d2, row["ds"]
-        )
-    return rows
-
-
-def _correlated_stats(rows: list[dict]) -> dict:
+def _correlated_stats(spec: BinarySourceSpec, d2: float, rows: list[Row]) -> dict:
     methods: dict[str, int] = {}
     converged = 0
     failed = 0
     divergence = 0.0
     rates = []
     for row in rows:
-        methods[row["method"]] = methods.get(row["method"], 0) + 1
-        if row["error"]:
+        methods[row.method] = methods.get(row.method, 0) + 1
+        if row.error:
             failed += 1
             continue
-        if row["converged"]:
+        if row.converged:
             converged += 1
-        rates.append(row["rate_bits"])
-        if row["method"] == "ba":
-            divergence = max(divergence, abs(row["rate_bits"] - row["formula_extension_bits"]))
+        rates.append(row.rate)
+        if row.method == "ba":
+            q = row.query
+            extension = _formula_extension_bits(spec, q.d1, d2, q.ds)
+            divergence = max(divergence, abs(row.rate - extension))
     return {
         "method_counts": methods,
         "converged_cells": converged,
@@ -243,7 +170,8 @@ def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, opts, worke
     unit, scale = _unit(base)
     spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
     d2 = 0.5
-    rows = _run_correlated_cells(spec, d1_values, ds_values, d2, opts, workers)
+    queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
+    rows = route(correlated_model(spec), queries, "auto", opts, workers)
     header = (
         "d1",
         "ds",
@@ -261,15 +189,15 @@ def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, opts, worke
         header,
         (
             (
-                r["d1"],
-                r["ds"],
+                r.query.d1,
+                r.query.ds,
                 d2,
-                None if r["rate_bits"] is None else r["rate_bits"] * scale,
-                r["method"],
-                r["converged"],
-                r["cs_residual"],
-                r["formula_extension_bits"] * scale,
-                r["error"],
+                None if r.rate is None else r.rate * scale,
+                r.method,
+                r.converged,
+                r.cs_residual,
+                _formula_extension_bits(spec, r.query.d1, d2, r.query.ds) * scale,
+                r.error,
             )
             for r in rows
         ),
@@ -279,7 +207,7 @@ def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, opts, worke
         "parameters": {"p": BINARY_P, "p1": BINARY_P, "p2": BINARY_P, "d2": d2},
         "grid": grid_shape,
         "files": [{"name": os.path.basename(path), "rows": count}],
-        "stats": _correlated_stats(rows),
+        "stats": _correlated_stats(spec, d2, rows),
         "notes": [
             "background distortion 0.5 exceeds the correlated closed form's proven "
             "region bound (d2 <= p1), so out-of-region cells carry solver values; "
@@ -336,31 +264,22 @@ def _build_fig7(out_dir, grid_n, base, workers, opts):
     bound = 2.0 * (n_alpha - 1) * p2 / n_alpha
     d1_values = np.linspace(0.0, bound, n)
     ds_values = np.linspace(p, 0.5, n)
-    rows = []
-    ba_count = 0
-    for d1 in d1_values:
-        for ds in ds_values:
-            d1f, dsf = float(d1), float(ds)
-            in_region = in_region_classification(p, p2, n_alpha, d1f, d2, dsf)
-            if in_region:
-                rate = rate_classification(p, p2, n_alpha, d1f, d2, dsf)
-                method = "closed_form"
-            else:  # not reachable with these ranges; kept for grid overrides
-                problem = sources.classification_problem(p, p2, n_alpha)
-                from .solver import solve_rd_point
-
-                rate = solve_rd_point(problem, RDQuery(d1f, d2, dsf), opts).rate
-                method = "ba"
-                ba_count += 1
-            binding = "semantic" if ds0(dsf, p) < d1f else "observation"
-            rows.append((d1f, dsf, d2, rate * scale, method, True, binding))
+    queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
+    routed = route(classification_model(p, p2, n_alpha), queries, "auto", opts, workers)
+    rows = [
+        (r.query.d1, r.query.ds, d2, None if r.rate is None else r.rate * scale,
+         r.method, r.converged,
+         "semantic" if ds0(r.query.ds, p) < r.query.d1 else "observation")
+        for r in routed
+    ]
     path = os.path.join(out_dir, "fig7_surface.csv")
     count = _write_csv(
         path,
         ("d1", "ds", "d2", f"rate_{unit}", "method", "converged", "binding"),
         rows,
     )
-    rates = [r[3] for r in rows]
+    ba_count = sum(r.method == "ba" for r in routed)
+    rates = [r[3] for r in rows if r[3] is not None]
     return {
         "base": unit,
         "parameters": {"p": p, "p2": p2, "n": n_alpha, "d2": d2},
@@ -368,8 +287,8 @@ def _build_fig7(out_dir, grid_n, base, workers, opts):
         "files": [{"name": os.path.basename(path), "rows": count}],
         "stats": {
             "method_counts": {"closed_form": count - ba_count, "ba": ba_count},
-            "converged_cells": count,
-            "failed_cells": 0,
+            "converged_cells": sum(r.converged for r in routed),
+            "failed_cells": sum(r.error is not None for r in routed),
             f"min_rate_{unit}": min(rates),
             f"max_rate_{unit}": max(rates),
         },

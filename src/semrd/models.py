@@ -1,0 +1,128 @@
+"""The discrete models and the one router that serves their queries.
+
+A :class:`Model` holds three parts: a builder of its solver instance, its
+closed form (in bits) or None, and the predicate of the region on which that
+closed form is proven. :func:`route` answers a batch of target queries for a
+model: the closed form inside its region, the solver everywhere else. Sweeps
+and figures both go through it, so the choice between the two is made here
+and nowhere else.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+from . import solver, sources
+from .closed_form import (
+    in_region_classification,
+    in_region_correlated,
+    rate_classification,
+    rate_conditionally_independent,
+    rate_correlated,
+)
+from .errors import ConfigError, SemrdError
+from .prob import BinarySourceSpec
+from .solver import DEFAULT_OPTIONS, RDProblem, RDQuery, SolverOptions
+
+METHODS = ("auto", "closed_form", "ba")
+OUTSIDE_REGION = "RegionError: outside the closed form's proven region"
+
+
+@dataclass(frozen=True)
+class Model:
+    """``build()`` returns the solver instance; ``closed_form(d1, d2, ds)``
+    the rate in bits, valid where ``in_region(d1, d2, ds)`` holds (at every
+    target when it is None). A model without a closed form is always
+    solved."""
+
+    build: Callable[[], RDProblem]
+    closed_form: Callable[[float, float, float], float] | None = None
+    in_region: Callable[[float, float, float], bool] | None = None
+
+
+@dataclass(frozen=True)
+class Row:
+    """One routed query. ``method`` is "closed_form" or "ba"; a flagged row
+    has ``converged`` False, an ``error`` and no rate."""
+
+    query: RDQuery
+    method: str
+    rate: float | None = None
+    converged: bool = False
+    cs_residual: float | None = None
+    error: str | None = None
+
+
+def independent_model(spec: BinarySourceSpec) -> Model:
+    """Observation and background independent given side information: the
+    closed form holds at every target."""
+    return Model(
+        lambda: sources.conditionally_independent_problem(spec),
+        functools.partial(rate_conditionally_independent, spec),
+    )
+
+
+def correlated_model(spec: BinarySourceSpec) -> Model:
+    return Model(
+        lambda: sources.correlated_problem(spec),
+        functools.partial(rate_correlated, spec),
+        functools.partial(in_region_correlated, spec),
+    )
+
+
+def classification_model(p: float, p2: float, n: int) -> Model:
+    return Model(
+        lambda: sources.classification_problem(p, p2, n),
+        functools.partial(rate_classification, p, p2, n),
+        functools.partial(in_region_classification, p, p2, n),
+    )
+
+
+def custom_model(problem: RDProblem) -> Model:
+    """Explicit tables: no closed form, every query is solved."""
+    return Model(lambda: problem)
+
+
+def route(
+    model: Model,
+    queries: Sequence[RDQuery],
+    method: str = "auto",
+    opts: SolverOptions = DEFAULT_OPTIONS,
+    workers: int | None = None,
+) -> list[Row]:
+    """One row per query, in order.
+
+    ``auto`` serves the closed form on its region and solves the rest;
+    ``closed_form`` flags the queries outside the region instead; ``ba``
+    solves every query. A closed form that raises :class:`SemrdError` gives a
+    flagged row. The queries left to the solver go to
+    :func:`solver.solve_cells` in one batch, on one problem built for it.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"method: must be one of {METHODS}, got {method!r}")
+    rows: list[Row | None] = []
+    pending = []
+    for q in queries:
+        row = None
+        if method != "ba" and model.closed_form is not None:
+            try:
+                if model.in_region is None or model.in_region(*q.as_tuple()):
+                    row = Row(q, "closed_form", model.closed_form(*q.as_tuple()), True)
+                elif method == "closed_form":
+                    row = Row(q, "closed_form", error=OUTSIDE_REGION)
+            except SemrdError as exc:
+                row = Row(q, "closed_form", error=str(exc))
+        if row is None:
+            pending.append(((len(rows),), q))
+        rows.append(row)
+    if pending:
+        # through the module attribute, so that a caller may wrap the batch
+        for cell in solver.solve_cells(model.build(), pending, opts, workers):
+            p = cell.point
+            rows[cell.index[0]] = (
+                Row(cell.query, "ba", error=cell.error) if p is None
+                else Row(cell.query, "ba", p.rate, p.converged, p.cs_residual)
+            )
+    return rows

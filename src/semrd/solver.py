@@ -25,12 +25,15 @@ rate-distortion surface is convex.
 
 Two numerical details matter:
 
-* Stopping uses an optimality certificate in addition to the per-iteration
-  Lagrangian decrease. With c(h) = sum_x p(x) W(x,h) / Z(x) (the
+* There is one loop, and its only stopping rule is an optimality
+  certificate (Blahut, "Computation of channel capacity and rate-distortion
+  functions", IEEE TIT 1972). With c(h) = sum_x p(x) W(x,h) / Z(x) (the
   multiplicative marginal update), convexity gives
-  F(q) - min F <= max_h c(h) - 1; the iteration stops only once this bound is
-  below ``cert_tol``. Plain decrease-based stopping can freeze a warm-started
-  run far from the new fixed point.
+  F(q) - min F <= max_h c(h) - 1; a run stops once this bound is below
+  ``cert_tol``. Decrease-based stopping can freeze a warm-started run far
+  from the new fixed point. A target solve (below) and a fixed-multiplier run
+  (``ba_fixed_multipliers``) take the same steps, the latter with the
+  multipliers held at the given values in place of the multiplier solve.
 
 * The multipliers are not searched for from outside. A target solve is one
   constrained BA run (Chen et al., "A Constrained BA Algorithm for
@@ -105,7 +108,6 @@ are natural-log based (they appear inside exp).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import multiprocessing
@@ -120,28 +122,23 @@ from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base, is_fini
 
 _COORDS = (0, 1, 2)
 # SolverOptions fields that must be finite and positive
-_POSITIVE_OPTIONS = (
-    "tol", "cert_tol", "stall_cert", "stall_drift_tol", "constraint_tol", "rate_tol", "lambda_cap",
-)
+_POSITIVE_OPTIONS = ("cert_tol", "constraint_tol", "rate_tol", "lambda_cap")
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunables for the fixed-multiplier and the constrained alternating
-    minimization.
+    """Tunables of the alternating minimization, shared by target solves and
+    fixed-multiplier runs.
 
-    ``tol`` is the per-iteration Lagrangian-decrease threshold (nats) of the
-    fixed-multiplier run; ``cert_tol`` the optimality-certificate threshold
-    that stops both runs. ``stall_cert`` and ``stall_drift_tol`` let a
-    fixed-multiplier run stop in the sublinear regime once its distortions
-    are still. ``constraint_tol`` is the distortion-matching tolerance a
-    target solve must meet, ``rate_tol`` the acceptable complementary-slackness
-    residual (same units as the returned rate), ``lambda_cap`` the largest
-    multiplier. ``init_seed`` adds a deterministic multiplicative jitter to
-    the uniform initialization; None means exactly uniform.
+    ``cert_tol`` is the optimality-certificate threshold, the only stopping
+    rule of both runs. ``constraint_tol`` is the distortion-matching
+    tolerance a target solve must meet, ``rate_tol`` the acceptable
+    complementary-slackness residual (same units as the returned rate),
+    ``lambda_cap`` the largest multiplier. ``init_seed`` adds a deterministic
+    multiplicative jitter to the uniform initialization; None means exactly
+    uniform.
 
-    ``max_iters`` caps the iterations of a fixed-multiplier run and the
-    constrained steps of a target solve. It leaves headroom for the slow
+    ``max_iters`` caps the steps of a run. It leaves headroom for the slow
     regime where a reproduction atom sits near its support threshold: the
     certificate then decays sublinearly. With SQUAREM a target solve there
     takes hundreds of steps (about 300 at the correlated example's query
@@ -150,10 +147,7 @@ class SolverOptions:
     """
 
     max_iters: int = 50000
-    tol: float = 1e-10
     cert_tol: float = 1e-12
-    stall_cert: float = 1e-8
-    stall_drift_tol: float = 1e-12
     constraint_tol: float = 1e-9
     rate_tol: float = 1e-6
     lambda_cap: float = 1e8
@@ -243,11 +237,12 @@ class RDQuery:
 class RDPoint:
     """A solved point: rate (log_base units/symbol), exact achieved
     distortions under ``channel``, the multipliers used (natural-log based),
-    and solver diagnostics: ``iterations`` counts the BA iterations of a
-    fixed-multiplier run, or the constrained steps of a target solve (each
-    with its own multiplier solve); ``ba_calls`` is the number of such runs
-    behind the point: 1, or 0 on the zero-rate path. ``cs_residual`` bounds
-    |rate - optimum| via complementary slackness."""
+    and solver diagnostics: ``iterations`` counts the steps of the run,
+    SQUAREM proposals included, on both paths (a target solve's steps each
+    solve for the multipliers, a fixed-multiplier run's hold them);
+    ``ba_calls`` is the number of such runs behind the point: 1, or 0 on the
+    zero-rate path. ``cs_residual`` bounds |rate - optimum| via
+    complementary slackness."""
 
     rate: float
     achieved: tuple[float, float, float]
@@ -373,18 +368,6 @@ class _Workspace:
         self.weighted = (self.Pw[None, :, :, None] * self.group_costs[:, None]).reshape(3, -1)
         self.costs_xki = np.ascontiguousarray(self.group_costs.transpose(1, 2, 0))
 
-    @functools.cached_property
-    def costs(self) -> np.ndarray:
-        """Stacked cost tables, costs[i] = c_i[x, h]. Only the
-        fixed-multiplier run works per letter pair, so they are built on
-        first use."""
-        problem = self.problem
-        shape5 = (self.nx1, self.nx2, self.nh1, self.nh2, self.nhs)
-        c1 = np.broadcast_to(problem.d1.values[:, None, :, None, None], shape5)
-        c2 = np.broadcast_to(problem.d2.values[None, :, None, :, None], shape5)
-        cs = np.broadcast_to(problem.ds_mod.values[:, None, None, None, :], shape5)
-        return np.stack([c.reshape(self.nx, self.nh) for c in (c1, c2, cs)])
-
     def group_masses(self, Q: np.ndarray) -> np.ndarray:
         """M[y, x, k]: the mass Q[y, h] puts on group k of source row x,
         summed one table at a time (x1h, then x2h, then sh)."""
@@ -406,65 +389,6 @@ class _Workspace:
             Q = Q * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=Q.shape))
             Q /= Q.sum(axis=1, keepdims=True)
         return Q
-
-    def ba(
-        self,
-        lam: Sequence[float],
-        opts: SolverOptions,
-        Q0: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-        """Minimize the Lagrangian at fixed multipliers.
-
-        Returns (T, Q, iterations, converged) with T[y, x, h] the conditional
-        channel and Q[y, h] its output marginal.
-        """
-        e = -(lam[0] * self.costs[0] + lam[1] * self.costs[1] + lam[2] * self.costs[2])
-        shift = e.max(axis=1)
-        W = np.exp(e - shift[:, None])
-        Wt = W.T.copy()
-        P, Pw, p_y = self.P, self.Pw, self.p_y
-        # F = -sum_{y,x} p(y) P(x|y) (log Z + shift(x)); the shift part is fixed per call
-        F_shift = float(np.dot(self.p_x, shift))
-        Q = self.initial_marginal(opts.init_seed) if Q0 is None else Q0.copy()
-        F_prev = math.inf
-        it = 0
-        converged = False
-        d_checkpoint = None
-        while it < opts.max_iters:
-            it += 1
-            Z = Q @ Wt  # (ny, nx)
-            c = (P / Z) @ W  # (ny, nh)
-            F = -(float(np.vdot(Pw, np.log(Z))) + F_shift)
-            if F > F_prev + 1e-11 * (1.0 + abs(F)):
-                raise SolverError(
-                    f"Lagrangian increased from {F_prev!r} to {F!r} at iteration {it}"
-                )
-            small_step = F_prev - F < opts.tol
-            Q *= c
-            Q /= Q.sum(axis=1, keepdims=True)
-            if small_step:
-                # the certificate is read only once the Lagrangian has stopped moving
-                cert = float(np.dot(p_y, np.maximum(c.max(axis=1) - 1.0, 0.0)))
-                if cert < opts.cert_tol:
-                    converged = True
-                    break
-                if cert < opts.stall_cert and it % 500 == 0:
-                    # sublinear regime: an atom at its support threshold regrows at a
-                    # vanishing rate. The certificate already bounds the remaining
-                    # Lagrangian gap; accept once the distortion readings are still.
-                    Zc = Q @ Wt
-                    Tc = Q[:, None, :] * W[None, :, :] / Zc[:, :, None]
-                    d_now = self.distortions(Tc)
-                    if d_checkpoint is not None and all(
-                        abs(a - b) < opts.stall_drift_tol for a, b in zip(d_now, d_checkpoint)
-                    ):
-                        converged = True
-                        break
-                    d_checkpoint = d_now
-            F_prev = F
-        Z = Q @ Wt
-        T = Q[:, None, :] * W[None, :, :] / Z[:, :, None]
-        return T, Q, it, converged
 
     # ---- per-channel statistics ----------------------------------------
 
@@ -596,27 +520,6 @@ def _workspace(problem: RDProblem) -> _Workspace:
     if ws is None or ws.problem is not problem:
         ws = _last_workspace = _Workspace(problem)
     return ws
-
-
-def ba_fixed_multipliers(
-    problem: RDProblem,
-    lambda1: float,
-    lambda2: float,
-    lambda_s: float,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> RDPoint:
-    """Solve the Lagrangian problem at fixed multipliers (natural-log based).
-
-    Returns the fixed point's rate and exact achieved distortions. No slack
-    re-attachment is applied here; coordinates with zero multiplier keep
-    whatever (rate-free) reproduction the alternating minimization settles on.
-    """
-    lam = (float(lambda1), float(lambda2), float(lambda_s))
-    if any(not math.isfinite(l) or l < 0.0 for l in lam):
-        raise ProbabilityError(f"multipliers must be finite and >= 0, got {lam}")
-    ws = _workspace(problem)
-    T, Q, it, converged = ws.ba(lam, opts)
-    return _point_from_channel(ws, T, ws.rate(Q, lam), lam, it, 1, converged)
 
 
 # Constants of the constrained BA loop (see the module docstring). The dual is
@@ -853,11 +756,12 @@ class _ConstrainedBA:
         sx = self._step(Qx / Qx.sum(axis=1, keepdims=True), s2.dual.lam)
         return sx if sx.dual.value <= s2.dual.value else s2
 
-    def run(self) -> tuple[np.ndarray, _Step, bool]:
-        """Returns (T, final step, converged): T meets the targets up to the
-        final step's KKT residual."""
+    def run(self, lam: tuple[float, ...] = (0.0, 0.0, 0.0)) -> tuple[np.ndarray, _Step, bool]:
+        """Returns (T, final step, converged), the first multiplier solve
+        warm-started at lam: T meets the targets up to the final step's KKT
+        residual."""
         cert_tol = self.opts.cert_tol
-        cur = self._step(self.ws.initial_marginal(self.opts.init_seed), (0.0, 0.0, 0.0))
+        cur = self._step(self.ws.initial_marginal(self.opts.init_seed), lam)
         while cur.cert >= cert_tol and self.iterations < self.opts.max_iters:
             s1 = self._plain(cur)
             if s1.cert < cert_tol:
@@ -868,6 +772,38 @@ class _ConstrainedBA:
         d = cur.dual
         T = cur.Q[:, None, :] * self._letters(d.kernel)[None, :, :] / d.Z[:, :, None]
         return T, cur, cur.cert < cert_tol
+
+
+class _FixedBA(_ConstrainedBA):
+    """The same loop with the multipliers held where ``run`` starts them:
+    each step evaluates g_Q there in place of the multiplier solve. With zero
+    targets g_Q is the Lagrangian, so its monotonicity check, SQUAREM and the
+    certificate carry over unchanged."""
+
+    def _solve_dual(self, M: np.ndarray, lam: Sequence[float]) -> _Dual:
+        return self._evaluate(M, lam)
+
+
+def ba_fixed_multipliers(
+    problem: RDProblem,
+    lambda1: float,
+    lambda2: float,
+    lambda_s: float,
+    opts: SolverOptions = DEFAULT_OPTIONS,
+) -> RDPoint:
+    """Solve the Lagrangian problem at fixed multipliers (natural-log based).
+
+    Returns the fixed point's rate and exact achieved distortions. No slack
+    re-attachment is applied here; coordinates with zero multiplier keep
+    whatever (rate-free) reproduction the alternating minimization settles on.
+    """
+    lam = (float(lambda1), float(lambda2), float(lambda_s))
+    if any(not math.isfinite(l) or l < 0.0 for l in lam):
+        raise ProbabilityError(f"multipliers must be finite and >= 0, got {lam}")
+    ws = _workspace(problem)
+    run = _FixedBA(ws, (0.0, 0.0, 0.0), opts)
+    T, final, converged = run.run(lam)
+    return _point_from_channel(ws, T, ws.rate(final.Q, lam), lam, run.iterations, 1, converged)
 
 
 def solve_rd_point(

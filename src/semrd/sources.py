@@ -27,11 +27,11 @@ def _bsc(p: float) -> np.ndarray:
     return np.array([[1.0 - p, p], [p, 1.0 - p]])
 
 
-def conditionally_independent_source(p2: float, p3: float) -> JointPMF:
-    """Uniform side info; observation and background are independent
-    crossover channels from it (chain x1 - y - x2)."""
+def conditionally_independent_source(p2: float, p3: float, p_y: float = 0.5) -> JointPMF:
+    """Side info with P(y = 1) = p_y; observation and background are
+    independent crossover channels from it (chain x1 - y - x2)."""
     k1, k3 = _bsc(p2), _bsc(p3)
-    probs = np.einsum("y,ya,yb->aby", np.full(2, 0.5), k1, k3)
+    probs = np.einsum("y,ya,yb->aby", np.array([1.0 - p_y, p_y]), k1, k3)
     return JointPMF((Alphabet.binary(X1), Alphabet.binary(X2), Alphabet.binary(Y)), probs)
 
 
@@ -90,16 +90,19 @@ def _semantic_table(joint_sx1: JointPMF) -> DistortionMatrix:
 def conditionally_independent_problem(spec: BinarySourceSpec) -> RDProblem:
     spec.require("p", "p2", "p3")
     source = conditionally_independent_source(spec.p2, spec.p3)
-    return _binary_problem(source, spec.p)
+    return binary_problem(source, spec.p)
 
 
 def correlated_problem(spec: BinarySourceSpec) -> RDProblem:
     spec.require("p", "p1", "p2")
     source = correlated_source(spec.p1, spec.p2)
-    return _binary_problem(source, spec.p)
+    return binary_problem(source, spec.p)
 
 
-def _binary_problem(source: JointPMF, p: float) -> RDProblem:
+def binary_problem(source: JointPMF, p: float) -> RDProblem:
+    """Solver instance of a binary (x1, x2, y) source under Hamming
+    distortions, the latent seen by the observation through a crossover-p
+    channel."""
     x1, x2, _y = source.axes
     h1, h2 = Alphabet.binary(X1_HAT), Alphabet.binary(X2_HAT)
     return RDProblem(

@@ -30,7 +30,7 @@ from .closed_form import (
     rate_correlated,
     semantic_binary_rd,
 )
-from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, binary_entropy, make_dsbs
+from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, binary_entropy
 from .semantic import check_distortion_equivalence, ds0, modified_distortion
 from .solver import RDQuery, SolverOptions, semantic_rd, solve_rd_point
 from .errors import RegionError, SemrdError
@@ -517,33 +517,8 @@ def random_chain_problem(rng: np.random.Generator):
     p2 = float(rng.uniform(0.05, 0.45))  # observation | side info crossover
     p3 = float(rng.uniform(0.05, 0.45))  # background | side info crossover
     p_sem = float(rng.uniform(0.05, 0.4))
-    probs = np.zeros((2, 2, 2))
-    for y, w in enumerate((1.0 - p_y, p_y)):
-        for x1 in range(2):
-            for x2 in range(2):
-                probs[x1, x2, y] = (
-                    w
-                    * ((1 - p2) if x1 == y else p2)
-                    * ((1 - p3) if x2 == y else p3)
-                )
-    source = JointPMF(
-        (Alphabet.binary(sources.X1), Alphabet.binary(sources.X2), Alphabet.binary(sources.Y)),
-        probs,
-    )
-    x1, x2, _ = source.axes
-    h1, h2 = Alphabet.binary(sources.X1_HAT), Alphabet.binary(sources.X2_HAT)
-    from .solver import RDProblem
-
-    problem = RDProblem(
-        source=source,
-        repro_alphabets=(h1, h2, Alphabet.binary(sources.S_HAT)),
-        d1=DistortionMatrix.hamming(x1, h1),
-        d2=DistortionMatrix.hamming(x2, h2),
-        ds_mod=modified_distortion(
-            make_dsbs(p_sem, sources.S, sources.X1),
-            DistortionMatrix.hamming(Alphabet.binary(sources.S), Alphabet.binary(sources.S_HAT)),
-        ),
-    )
+    source = sources.conditionally_independent_source(p2, p3, p_y)
+    problem = sources.binary_problem(source, p_sem)
     return problem, p_sem
 
 

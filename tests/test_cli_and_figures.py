@@ -224,6 +224,25 @@ class TestCli:
         assert rc == 1
         assert "grid.d1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["auto", "closed_form", "ba"])
+    def test_negative_grid_target_is_usage_error(self, tmp_path, method, capsys):
+        # every method rejects the grid before any cell is routed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "kind": "binary_correlated",
+                    "method": method,
+                    "params": {"p": 0.25, "p1": 0.25, "p2": 0.25},
+                    "grid": {"d1": [-0.05, 0.05], "d2": [0.1], "ds": [0.3]},
+                }
+            )
+        )
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == USAGE_ERROR
+        assert "grid.d1[0]: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_channels_json(self, capsys):
         rc = main(["verify", "channels", "--json"])
         assert rc == 0

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is referenced in that module,
-and every module-level private function or class is referenced somewhere.
+every module-level private function or class is referenced somewhere, and
+every solver option is read by the package.
 
 No lint tool is part of the toolchain, so this walks each module's syntax
 tree. ``from __future__`` imports and names re-exported through ``__all__``
@@ -76,3 +77,20 @@ def unreferenced_private_definitions(src: Path, roots) -> list[str]:
 def test_private_definitions_referenced():
     roots = (ROOT / "src", ROOT / "tests", ROOT / "bench")
     assert unreferenced_private_definitions(SRC, roots) == []
+
+
+def test_solver_options_read():
+    # an option nothing reads is a setting that silently does nothing
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    (options,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SolverOptions")
+    fields = {n.target.id for n in options.body if isinstance(n, ast.AnnAssign)}
+    inside = {id(n) for n in ast.walk(options)}
+    read = {
+        node.attr
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and id(node) not in inside
+    }
+    assert {"max_iters", "cert_tol"} <= fields
+    assert sorted(fields - read) == []

@@ -125,6 +125,10 @@ class TestConfigParsing:
             (lambda d: d.update(solver={"bogus": 1}), "solver.bogus"),
             # the Gauss-Seidel round cap no longer exists; setting it is an error
             (lambda d: d.update(solver={"max_rounds": 3}), "solver.max_rounds"),
+            # options of the deleted fixed-multiplier loop
+            (lambda d: d.update(solver={"tol": 1e-10}), "solver.tol"),
+            (lambda d: d.update(solver={"stall_cert": 1e-8}), "solver.stall_cert"),
+            (lambda d: d.update(solver={"stall_drift_tol": 1e-12}), "solver.stall_drift_tol"),
             (lambda d: d.update(solver={"lambda_cap": -1}), "solver: solver option lambda_cap"),
             (lambda d: d.update(workers=0), "workers"),
             (lambda d: d.update(base="nats"), "base"),
@@ -138,6 +142,14 @@ class TestConfigParsing:
         }
         mutate(doc)
         with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_negative_linspace_end_rejected(self, end):
+        spec = [0.0, 0.1, 3]
+        spec[end] = -0.1
+        doc = dict(VALID_BASE, grid={"d1": {"linspace": spec}, "d2": [0.1], "ds": [0.3]})
+        with pytest.raises(ConfigError, match=rf"grid\.d1\.linspace\[{end}\]: must be >= 0"):
             parse_config(doc)
 
     def test_gaussian_kind(self):
@@ -187,8 +199,8 @@ class TestConfigParsing:
             "grid": {"d1": [0.1], "d2": [0.1], "ds": [0.3]},
         }
         cfg = parse_config(doc)
-        assert cfg.problem is not None
-        assert cfg.problem.source.axis_names == ("x1", "x2", "y")
+        assert cfg.model.closed_form is None
+        assert cfg.model.build().source.axis_names == ("x1", "x2", "y")
 
     def test_custom_bad_probs_path(self):
         doc = {
