@@ -17,7 +17,7 @@ import sys
 
 from .config import SweepConfig, load_config
 from .errors import ConfigError, SemrdError
-from .figures import FIGURE_IDS, generate_figure
+from .figures import FIGURE_IDS, _fmt, generate_figure
 from .gaussian import gaussian_rate, nats_to_bits
 from .models import Row, route
 from .solver import RDQuery
@@ -84,18 +84,8 @@ def cmd_sweep(config_path: str, out_path: str) -> int:
         for row in _sweep_rows(cfg):
             fields = (*row.query.as_tuple(), row.rate, row.method, row.converged,
                       row.cs_residual, row.error)
-            writer.writerow([_csv_value(v) for v in fields])
+            writer.writerow([_fmt(v) for v in fields])
     return 0
-
-
-def _csv_value(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".9g")
-    return v
 
 
 def cmd_figure(figure_id, out_dir, grid, base, workers) -> int:

@@ -49,7 +49,7 @@ from .gaussian import (
 from .models import Row, classification_model, correlated_model, route
 from .prob import BinarySourceSpec, binary_entropy
 from .semantic import ds0
-from .solver import RDQuery, SolverOptions, _valid_workers
+from .solver import DEFAULT_OPTIONS, RDQuery, _valid_workers
 
 FIGURE_IDS = ("fig4", "fig5", "fig6a", "fig6b", "fig7", "fig8", "fig9")
 DEFAULT_SURFACE_GRID = 50
@@ -133,8 +133,8 @@ def _correlated_stats(spec: BinarySourceSpec, d2: float, rows: list[Row]) -> dic
     }
 
 
-def _build_fig4(out_dir, grid_n, base, workers, opts):
-    del workers, opts
+def _build_fig4(out_dir, grid_n, base, workers):
+    del workers
     unit, scale = _unit(base)
     p = 0.1
     n = grid_n or DEFAULT_CURVE_GRID
@@ -166,12 +166,12 @@ def _build_fig4(out_dir, grid_n, base, workers, opts):
     }
 
 
-def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, opts, workers, base):
+def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, workers, base):
     unit, scale = _unit(base)
     spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
     d2 = 0.5
     queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
-    rows = route(correlated_model(spec), queries, "auto", opts, workers)
+    rows = route(correlated_model(spec), queries, "auto", workers=workers)
     header = (
         "d1",
         "ds",
@@ -217,7 +217,7 @@ def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, opts, worke
     }
 
 
-def _build_fig5(out_dir, grid_n, base, workers, opts):
+def _build_fig5(out_dir, grid_n, base, workers):
     n = grid_n or DEFAULT_SURFACE_GRID
     spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
     d1_values = np.linspace(0.0, spec.p1 * spec.p2, n)
@@ -228,7 +228,6 @@ def _build_fig5(out_dir, grid_n, base, workers, opts):
         d1_values,
         ds_values,
         "fig5_surface.csv",
-        opts,
         workers,
         base,
     )
@@ -237,7 +236,7 @@ def _build_fig5(out_dir, grid_n, base, workers, opts):
 def _build_fig6(which: str):
     fixed_d1 = {"fig6a": 0.03, "fig6b": 0.05}[which]
 
-    def build(out_dir, grid_n, base, workers, opts):
+    def build(out_dir, grid_n, base, workers):
         n = grid_n or DEFAULT_CURVE_GRID
         ds_values = np.linspace(BINARY_P, 0.5, n)
         return _fig5_like(
@@ -246,7 +245,6 @@ def _build_fig6(which: str):
             np.array([fixed_d1]),
             ds_values,
             f"{which}_curve.csv",
-            opts,
             workers,
             base,
         )
@@ -254,7 +252,7 @@ def _build_fig6(which: str):
     return build
 
 
-def _build_fig7(out_dir, grid_n, base, workers, opts):
+def _build_fig7(out_dir, grid_n, base, workers):
     unit, scale = _unit(base)
     p = BINARY_P
     p2 = BINARY_P
@@ -265,7 +263,7 @@ def _build_fig7(out_dir, grid_n, base, workers, opts):
     d1_values = np.linspace(0.0, bound, n)
     ds_values = np.linspace(p, 0.5, n)
     queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
-    routed = route(classification_model(p, p2, n_alpha), queries, "auto", opts, workers)
+    routed = route(classification_model(p, p2, n_alpha), queries, "auto", workers=workers)
     rows = [
         (r.query.d1, r.query.ds, d2, None if r.rate is None else r.rate * scale,
          r.method, r.converged,
@@ -348,8 +346,8 @@ def _gaussian_manifest(rows, d1_values, ds_values, d2, files):
 _GAUSS_HEADER = ("d1", "ds", "d2", "rate_nats", "rate_bits", "term_x1_branch", "method")
 
 
-def _build_fig8(out_dir, grid_n, base, workers, opts):
-    del base, workers, opts
+def _build_fig8(out_dir, grid_n, base, workers):
+    del base, workers
     n = grid_n or DEFAULT_SURFACE_GRID
     d2 = 1.0
     d1_values = np.linspace(0.1, 1.6, n)
@@ -362,8 +360,8 @@ def _build_fig8(out_dir, grid_n, base, workers, opts):
     )
 
 
-def _build_fig9(out_dir, grid_n, base, workers, opts):
-    del base, workers, opts
+def _build_fig9(out_dir, grid_n, base, workers):
+    del base, workers
     n = grid_n or DEFAULT_SURFACE_GRID
     d2 = 1.0
     d1_values = np.linspace(0.1, 1.6, n)
@@ -409,9 +407,10 @@ def generate_figure(
     grid_n: int | None = None,
     base: str | None = None,
     workers: int | None = None,
-    opts: SolverOptions | None = None,
 ) -> dict:
-    """Emit one figure preset's data files and manifest into ``out_dir``.
+    """Emit one figure preset's data files and manifest into ``out_dir``. The
+    cells the router sends to the solver run in ``workers`` processes with the
+    default solver options, which the manifest records.
 
     Returns the manifest dict (also written as ``<figure_id>_manifest.json``).
     """
@@ -426,12 +425,11 @@ def generate_figure(
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir!r} is not writable")
-    opts = opts or SolverOptions()
-    manifest = _BUILDERS[figure_id](out_dir, grid_n, base, workers, opts)
+    manifest = _BUILDERS[figure_id](out_dir, grid_n, base, workers)
     manifest = {
         "figure": figure_id,
         "package_version": __version__,
-        "solver": dataclasses.asdict(opts),
+        "solver": dataclasses.asdict(DEFAULT_OPTIONS),
         "workers": workers,
         **manifest,
     }

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import InfeasibleDistortionError, ProbabilityError
 from .prob import is_finite_real
 
-DEFAULT_RATE_CAP = 1e6  # nats; r_s_given_y reports +inf above this
-
 
 def nats_to_bits(x: float) -> float:
     return x / math.log(2.0)
@@ -77,16 +75,22 @@ def _check_positive(name: str, v: float) -> float:
     return float(v)
 
 
+def _half_log(ratio: float) -> float:
+    """(1/2) ln(ratio), clamped at 0. A ratio of at most 1 gives 0 without
+    taking the log: a ratio of 0 (a part known from y) has rate 0."""
+    return 0.5 * math.log(ratio) if ratio > 1.0 else 0.0
+
+
 def r_x2_given_y(spec: GaussianSpec, D2: float) -> float:
     """(1/2) ln(var(x2|y) / D2), clamped at 0. Nats."""
     D2 = _check_positive("D2", D2)
-    return max(0.5 * math.log(var_x2_given_y(spec) / D2), 0.0)
+    return _half_log(var_x2_given_y(spec) / D2)
 
 
 def r_x1_given_y(spec: GaussianSpec, D1: float) -> float:
     """(1/2) ln(var(x1|y) / D1), clamped at 0. Nats."""
     D1 = _check_positive("D1", D1)
-    return max(0.5 * math.log(var_x1_given_y(spec) / D1), 0.0)
+    return _half_log(var_x1_given_y(spec) / D1)
 
 
 def semantic_zero_rate_threshold(spec: GaussianSpec) -> float:
@@ -95,12 +99,11 @@ def semantic_zero_rate_threshold(spec: GaussianSpec) -> float:
     return mmse(spec) + spec.cov_sx1**2 * var_x1_given_y(spec) / spec.var_x1**2
 
 
-def r_s_given_y(spec: GaussianSpec, Ds: float, cap: float = DEFAULT_RATE_CAP) -> float:
+def r_s_given_y(spec: GaussianSpec, Ds: float) -> float:
     """Rate of the latent-only constraint:
     (1/2) ln[cov_sx1^2 var(x1|y) / (var_x1^2 (Ds - mmse))], clamped at 0.
 
     Ds <= mmse is infeasible (no estimator beats the irreducible error).
-    Values above ``cap`` are reported as +inf (vanishing excess distortion).
     """
     m = mmse(spec)
     if not is_finite_real(Ds):
@@ -110,8 +113,7 @@ def r_s_given_y(spec: GaussianSpec, Ds: float, cap: float = DEFAULT_RATE_CAP) ->
             f"semantic target {Ds} does not exceed the estimation floor mmse={m}"
         )
     ratio = spec.cov_sx1**2 * var_x1_given_y(spec) / (spec.var_x1**2 * (Ds - m))
-    rate = max(0.5 * math.log(ratio), 0.0) if ratio > 0.0 else 0.0
-    return math.inf if rate > cap else rate
+    return _half_log(ratio)
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def gaussian_rate(spec: GaussianSpec, D1: float, D2: float, Ds: float) -> Gaussi
     arg_obs = v1 / D1
     arg_sem = spec.cov_sx1**2 * v1 / (spec.var_x1**2 * (Ds - m))
     branch = "observation" if arg_obs >= arg_sem else "semantic"
-    term_x1 = max(0.5 * math.log(max(arg_obs, arg_sem)), 0.0)
+    term_x1 = _half_log(max(arg_obs, arg_sem))
     rate = r_x2_given_y(spec, D2) + term_x1
     return GaussianRDResult(rate_nats=rate, term_x1_branch=branch, mmse=m)
 

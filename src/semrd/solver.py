@@ -762,13 +762,15 @@ class _ConstrainedBA:
         residual."""
         cert_tol = self.opts.cert_tol
         cur = self._step(self.ws.initial_marginal(self.opts.init_seed), lam)
+        # no step, the SQUAREM proposal included, once the cap is reached
         while cur.cert >= cert_tol and self.iterations < self.opts.max_iters:
             s1 = self._plain(cur)
-            if s1.cert < cert_tol:
+            if s1.cert < cert_tol or self.iterations == self.opts.max_iters:
                 cur = s1
                 break
             s2 = self._plain(s1)
-            cur = s2 if s2.cert < cert_tol else self._extrapolate(cur, s1, s2)
+            done = s2.cert < cert_tol or self.iterations == self.opts.max_iters
+            cur = s2 if done else self._extrapolate(cur, s1, s2)
         d = cur.dual
         T = cur.Q[:, None, :] * self._letters(d.kernel)[None, :, :] / d.Z[:, :, None]
         return T, cur, cur.cert < cert_tol

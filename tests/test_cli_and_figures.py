@@ -11,6 +11,7 @@ from semrd.cli import USAGE_ERROR, main
 from semrd.closed_form import rate_classification, semantic_binary_rd
 from semrd.figures import generate_figure
 from semrd.prob import binary_entropy
+from semrd.verify import SUITES
 
 
 def read_csv(path):
@@ -205,6 +206,27 @@ class TestCli:
         assert rows[0]["rate"] == ""
         assert float(rows[1]["rate"]) == pytest.approx(0.752038698, abs=1e-8)
 
+    def test_sweep_gaussian_degenerate_spec(self, tmp_path):
+        # var(x1|y) = var(x2|y) = 0: both parts are known from y, the rate is 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "kind": "gaussian",
+                    "params": {
+                        "var_s": 2, "var_x1": 1, "var_x2": 1, "var_y": 1,
+                        "cov_sx1": 1, "cov_x1y": 1, "cov_x2y": 1,
+                    },
+                    "grid": {"d1": [0.5], "d2": [1.0], "ds": [1.5]},
+                }
+            )
+        )
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1
+        assert (rows[0]["rate"], rows[0]["converged"], rows[0]["error"]) == ("0", "true", "")
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "nope", "--out", "x"]) == 1
         assert main(["sweep", "--config", "/does/not/exist.json", "--out", "/tmp/x.csv"]) == 1
@@ -252,6 +274,12 @@ class TestCli:
         names = {c["name"] for c in report["checks"]}
         assert "correlated_rate_match" in names
         assert "q_nonnegativity_scan" in names
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_verify_suite_json(self, suite, capsys):
+        assert main(["verify", suite, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["suite"], report["passed"]) == (suite, True)
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         import semrd.verify as verify_mod

@@ -81,7 +81,6 @@ class TestSemanticRate:
         assert r_s_given_y(STD, 1.875) == 0.0
 
     def test_vanishing_excess_reported_unbounded(self):
-        assert r_s_given_y(STD, 1.5 + 1e-12, cap=10.0) == math.inf
         assert math.isfinite(r_s_given_y(STD, 1.5 + 1e-12))
 
     def test_infeasible(self):
@@ -92,6 +91,15 @@ class TestSemanticRate:
 
 
 class TestGaussianRate:
+    def test_parts_known_from_side_information_have_rate_zero(self):
+        # cov^2 = var * var: x1 and x2 are functions of y
+        spec = GaussianSpec(
+            var_s=2.0, var_x1=1.0, var_x2=1.0, var_y=1.0, cov_sx1=1.0, cov_x1y=1.0, cov_x2y=1.0
+        )
+        assert var_x1_given_y(spec) == var_x2_given_y(spec) == 0.0
+        assert r_x1_given_y(spec, 0.5) == r_x2_given_y(spec, 1.0) == 0.0
+        assert gaussian_rate(spec, 0.5, 1.0, 1.5).rate_nats == 0.0
+
     def test_background_only(self):
         res = gaussian_rate(STD, 1.5, 1.0, 1.9)
         assert res.rate_nats == pytest.approx(HALF_LN_1_5, abs=1e-12)

@@ -1,11 +1,14 @@
 """The router: closed form on its region, one solver batch for the rest."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 import semrd.solver as solver_mod
+import semrd.verify as verify
 from semrd.closed_form import in_region_correlated, rate_correlated
+from semrd.errors import SolverError
 from semrd.models import OUTSIDE_REGION, Model, correlated_model, route
 from semrd.prob import BinarySourceSpec
 from semrd.solver import RDQuery
@@ -86,3 +89,30 @@ def test_closed_form_errors_become_flagged_rows(calls):
     assert counts["batches"] == 0
     (ba,) = route(model, below, "ba")
     assert ba.method == "ba" and ba.error.startswith("InfeasibleDistortionError")
+
+
+_SOLVE = solver_mod.solve_rd_point
+
+
+def _unconverged(*args):
+    return dataclasses.replace(_SOLVE(*args), converged=False)
+
+
+def _failing(*args):
+    raise SolverError("forced")
+
+
+@pytest.mark.parametrize("patch", [_unconverged, _failing], ids=["unconverged", "solver_error"])
+def test_verify_grid_check_fails_on_bad_solver_rows(monkeypatch, patch):
+    """An asserted closed-form-vs-solver check fails, without raising, when a
+    solver row did not converge or was flagged; a recorded report gives a
+    flagged row's gap as None."""
+    points = [(0.03, 0.1, 0.45), (0.05, 0.2, 0.45)]
+    model = correlated_model(SPEC)
+    assert verify._grid_check("grid", model, points, 2e-3).passed
+    monkeypatch.setattr(solver_mod, "solve_rd_point", patch)
+    check = verify._grid_check("grid", model, points, 2e-3)
+    assert not check.passed
+    assert check.details == {"points": 2}
+    gaps = verify._gap_report("gaps", model, points, lambda *q: q, "formula").details
+    assert all((g["gap_bits"] is None) == (patch is _failing) for g in gaps.values())

@@ -196,6 +196,14 @@ class TestFixedMultipliers:
         assert d1 == pytest.approx(pt.achieved[0], abs=1e-12)
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+def test_max_iters_caps_the_steps(prob_cor, cap):
+    """No step, the SQUAREM proposal included, once the cap is reached."""
+    opts = SolverOptions(max_iters=cap)
+    assert solve_rd_point(prob_cor, RDQuery(0.05, 0.23, 0.45), opts).iterations == cap
+    assert ba_fixed_multipliers(prob_cor, 2.0, 1.0, 0.5, opts=opts).iterations == cap
+
+
 def dense_costs(ws):
     """The stacked cost tables per letter pair, costs[i] = c_i[x, h]."""
     problem = ws.problem
