@@ -14,7 +14,8 @@ Model summary (all distortions Hamming):
   given side information (separate compression is optimal).
 * ``rate_correlated`` -- side information coupled to the background only
   through the observation; proven on the small-distortion region
-  ``in_region_correlated``.
+  ``in_region_correlated``. ``correlated_expression`` is the same
+  expression without the region check, for comparison columns only.
 * ``rate_classification`` -- integer observation in [1:N], binary parity
   semantics; proven on ``in_region_classification``.
 """
@@ -91,6 +92,19 @@ def in_region_correlated(spec: BinarySourceSpec, D1: float, D2: float, Ds: float
     return 0.0 <= m <= spec.p1 * spec.p2 and 0.0 <= D2 <= spec.p1
 
 
+def correlated_expression(spec: BinarySourceSpec, D1: float, D2: float, Ds: float) -> float:
+    """h(p1) + h(p2) - h(min{D1, Ds0}) - h(D2), evaluated at any target: the
+    correlated model's rate on its region (see :func:`rate_correlated`), an
+    unchecked expression elsewhere."""
+    m = effective_observation_distortion(spec.p, D1, Ds)
+    return (
+        binary_entropy(spec.p1)
+        + binary_entropy(spec.p2)
+        - binary_entropy(m)
+        - binary_entropy(D2)
+    )
+
+
 def rate_correlated(spec: BinarySourceSpec, D1: float, D2: float, Ds: float) -> float:
     """h(p1) + h(p2) - h(min{D1, Ds0}) - h(D2) on the small-distortion region."""
     if not in_region_correlated(spec, D1, D2, Ds):
@@ -99,13 +113,7 @@ def rate_correlated(spec: BinarySourceSpec, D1: float, D2: float, Ds: float) -> 
             f"(min{{D1, Ds0}} <= {spec.p1 * spec.p2}, D2 <= {spec.p1}); "
             "use the numerical solver for this point"
         )
-    m = effective_observation_distortion(spec.p, D1, Ds)
-    return (
-        binary_entropy(spec.p1)
-        + binary_entropy(spec.p2)
-        - binary_entropy(m)
-        - binary_entropy(D2)
-    )
+    return correlated_expression(spec, D1, D2, Ds)
 
 
 def _check_classification_params(p: float, p2: float, N: int) -> None:

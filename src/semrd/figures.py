@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .closed_form import conditional_binary_rd, semantic_binary_rd
+from .closed_form import conditional_binary_rd, correlated_expression, semantic_binary_rd
 from .errors import ConfigError
 from .gaussian import (
     GaussianSpec,
@@ -47,7 +47,7 @@ from .gaussian import (
     var_x2_given_y,
 )
 from .models import Row, classification_model, correlated_model, route
-from .prob import BinarySourceSpec, binary_entropy
+from .prob import BinarySourceSpec
 from .semantic import ds0
 from .solver import DEFAULT_OPTIONS, RDQuery, _valid_workers
 
@@ -93,18 +93,6 @@ def _axis_spec(values: np.ndarray) -> dict:
     return {"start": float(values[0]), "stop": float(values[-1]), "num": int(values.size)}
 
 
-def _formula_extension_bits(spec: BinarySourceSpec, d1: float, d2: float, ds: float) -> float:
-    """Literal evaluation of the correlated-model expression outside its
-    region; comparison column only, never reported as the rate."""
-    m = min(d1, ds0(ds, spec.p))
-    return (
-        binary_entropy(spec.p1)
-        + binary_entropy(spec.p2)
-        - binary_entropy(m)
-        - binary_entropy(min(d2, 0.5))
-    )
-
-
 def _correlated_stats(spec: BinarySourceSpec, d2: float, rows: list[Row]) -> dict:
     methods: dict[str, int] = {}
     converged = 0
@@ -121,7 +109,7 @@ def _correlated_stats(spec: BinarySourceSpec, d2: float, rows: list[Row]) -> dic
         rates.append(row.rate)
         if row.method == "ba":
             q = row.query
-            extension = _formula_extension_bits(spec, q.d1, d2, q.ds)
+            extension = correlated_expression(spec, q.d1, d2, q.ds)
             divergence = max(divergence, abs(row.rate - extension))
     return {
         "method_counts": methods,
@@ -196,7 +184,7 @@ def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, workers, ba
                 r.method,
                 r.converged,
                 r.cs_residual,
-                _formula_extension_bits(spec, r.query.d1, d2, r.query.ds) * scale,
+                correlated_expression(spec, r.query.d1, d2, r.query.ds) * scale,
                 r.error,
             )
             for r in rows

@@ -103,7 +103,6 @@ def route(
     if method not in METHODS:
         raise ConfigError(f"method: must be one of {METHODS}, got {method!r}")
     rows: list[Row | None] = []
-    pending = []
     for q in queries:
         row = None
         if method != "ba" and model.closed_form is not None:
@@ -114,14 +113,14 @@ def route(
                     row = Row(q, "closed_form", error=OUTSIDE_REGION)
             except SemrdError as exc:
                 row = Row(q, "closed_form", error=str(exc))
-        if row is None:
-            pending.append(((len(rows),), q))
         rows.append(row)
+    pending = [i for i, row in enumerate(rows) if row is None]
     if pending:
         # through the module attribute, so that a caller may wrap the batch
-        for cell in solver.solve_cells(model.build(), pending, opts, workers):
+        cells = solver.solve_cells(model.build(), [queries[i] for i in pending], opts, workers)
+        for i, cell in zip(pending, cells):
             p = cell.point
-            rows[cell.index[0]] = (
+            rows[i] = (
                 Row(cell.query, "ba", error=cell.error) if p is None
                 else Row(cell.query, "ba", p.rate, p.converged, p.cs_residual)
             )

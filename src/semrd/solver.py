@@ -83,19 +83,19 @@ Two numerical details matter:
   at fixed q the map from multipliers to distortions is smooth, and q
   converges to the mixture.
 
-* A solved point is read off arrays the solver already holds, not off the
-  6-axis joint. Every BA channel has the form t = q W / Z, so within a
-  source row t / q = w / Z is constant on each cost group, and
-  KL(t(.|x, y) || q_y) over letters equals KL(R || M) over groups, R being
-  the group law. With q_out = q c the BA update, the rate is
-  I = sum p(x, y) KL(R || M) - sum p(y) KL(q_out || q), the
-  alternating-minimization form of Csiszar & Tusnady ("Information geometry
-  and alternating minimization procedures", 1984) and of Blahut (1972). It
-  is exact on groups, only the order of summation changes, and its two sums
-  are of nonnegative terms, so nothing cancels at large multipliers.
-  Re-attaching a zero-multiplier coordinate leaves it unchanged. The
-  achieved distortions are the channel's (x, h_i) marginals contracted with
-  the three cost tables.
+* A solved point is a handful of numbers read off arrays the solver already
+  holds; no 6-axis joint is assembled and the channel is not kept. Every BA
+  channel has the form t = q W / Z, so within a source row t / q = w / Z is
+  constant on each cost group, and KL(t(.|x, y) || q_y) over letters equals
+  KL(R || M) over groups, R being the group law. With q_out = q c the BA
+  update, the rate is I = sum p(x, y) KL(R || M) - sum p(y) KL(q_out || q),
+  the alternating-minimization form of Csiszar & Tusnady ("Information
+  geometry and alternating minimization procedures", 1984) and of Blahut
+  (1972). It is exact on groups, only the order of summation changes, and
+  its two sums are of nonnegative terms, so nothing cancels at large
+  multipliers. Re-attaching a zero-multiplier coordinate leaves it
+  unchanged. The achieved distortions are the channel's (x, h_i) marginals
+  contracted with the three cost tables.
 
   A problem's workspace (flattened law, cost tables, cost groups) lives as
   long as the problem object: the last one built is reused while solves are
@@ -134,9 +134,8 @@ class SolverOptions:
     rule of both runs. ``constraint_tol`` is the distortion-matching
     tolerance a target solve must meet, ``rate_tol`` the acceptable
     complementary-slackness residual (same units as the returned rate),
-    ``lambda_cap`` the largest multiplier. ``init_seed`` adds a deterministic
-    multiplicative jitter to the uniform initialization; None means exactly
-    uniform.
+    ``lambda_cap`` the largest multiplier. Every run starts from the uniform
+    marginal; the certificate stop makes the answer independent of that start.
 
     ``max_iters`` caps the steps of a run. It leaves headroom for the slow
     regime where a reproduction atom sits near its support threshold: the
@@ -151,7 +150,6 @@ class SolverOptions:
     constraint_tol: float = 1e-9
     rate_tol: float = 1e-6
     lambda_cap: float = 1e8
-    init_seed: int | None = None
 
     def __post_init__(self) -> None:
         for name in _POSITIVE_OPTIONS:
@@ -163,9 +161,6 @@ class SolverOptions:
         ):
             raise ProbabilityError(f"solver option max_iters must be an int >= 1, "
                                    f"got {self.max_iters!r}")
-        seed = self.init_seed
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ProbabilityError(f"solver option init_seed must be None or an int, got {seed!r}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -235,28 +230,25 @@ class RDQuery:
 
 @dataclass(frozen=True)
 class RDPoint:
-    """A solved point: rate (log_base units/symbol), exact achieved
-    distortions under ``channel``, the multipliers used (natural-log based),
-    and solver diagnostics: ``iterations`` counts the steps of the run,
-    SQUAREM proposals included, on both paths (a target solve's steps each
-    solve for the multipliers, a fixed-multiplier run's hold them);
-    ``ba_calls`` is the number of such runs behind the point: 1, or 0 on the
-    zero-rate path. ``cs_residual`` bounds |rate - optimum| via
-    complementary slackness."""
+    """A solved point, as numbers only: the rate (log_base units/symbol) and
+    the exact achieved distortions of the solver's final channel, the
+    multipliers used (natural-log based), and solver diagnostics:
+    ``iterations`` counts the steps of the run, SQUAREM proposals included,
+    on both paths (a target solve's steps each solve for the multipliers, a
+    fixed-multiplier run's hold them), and is 0 on the zero-rate path.
+    ``cs_residual`` bounds |rate - optimum| via complementary slackness. The
+    channel itself is not kept."""
 
     rate: float
     achieved: tuple[float, float, float]
     multipliers: tuple[float, float, float]
-    channel: JointPMF
     iterations: int
-    ba_calls: int
     converged: bool
     cs_residual: float = 0.0
 
 
 @dataclass(frozen=True)
 class SurfaceCell:
-    index: tuple[int, ...]
     query: RDQuery
     point: RDPoint | None
     error: str | None = None
@@ -264,7 +256,6 @@ class SurfaceCell:
 
 @dataclass(frozen=True)
 class RDSurface:
-    grid_axes: tuple[tuple[str, tuple[float, ...]], ...]
     points: tuple[SurfaceCell, ...]
 
 
@@ -381,14 +372,9 @@ class _Workspace:
 
     # ---- alternating minimization -------------------------------------
 
-    def initial_marginal(self, seed: int | None) -> np.ndarray:
-        ny = len(self.p_y)
-        Q = np.full((ny, self.nh), 1.0 / self.nh)
-        if seed is not None:
-            rng = np.random.default_rng(seed)
-            Q = Q * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=Q.shape))
-            Q /= Q.sum(axis=1, keepdims=True)
-        return Q
+    def initial_marginal(self) -> np.ndarray:
+        """The uniform marginal Q[y, h], where every run starts."""
+        return np.full((len(self.p_y), self.nh), 1.0 / self.nh)
 
     # ---- per-channel statistics ----------------------------------------
 
@@ -465,19 +451,6 @@ class _Workspace:
         ed = np.einsum("yx,xk->yk", self.Pw, self.coord_costs[coord])
         return float(ed.min(axis=1).sum())
 
-    # ---- assembly ---------------------------------------------------------
-
-    def assemble_joint(self, T: np.ndarray) -> JointPMF:
-        """Full joint over (x1, x2, y, x1h, x2h, sh) induced by the channel."""
-        full = np.zeros((self.nx, self.ny, self.nh))
-        full[:, self.y_idx] = (self.Pw[:, :, None] * T).swapaxes(0, 1)
-        total = full.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise SolverError(f"assembled joint mass {total!r} drifted from 1")
-        prob = self.problem
-        shaped = full.reshape(self.nx1, self.nx2, self.ny, *self.h_sizes)
-        return JointPMF(prob.source.axes + prob.repro_alphabets, shaped / total)
-
 
 def _point_from_channel(
     ws: _Workspace,
@@ -485,10 +458,11 @@ def _point_from_channel(
     rate: float,
     lam: Sequence[float],
     iterations: int,
-    ba_calls: int,
     converged: bool,
     targets: Sequence[float] | None = None,
 ) -> RDPoint:
+    """The point of the channel T[y, x, h]: its achieved distortions and, for
+    a target solve, the complementary-slackness residual. T is not kept."""
     achieved = ws.distortions(T)
     cs = 0.0
     if targets is not None:
@@ -498,9 +472,7 @@ def _point_from_channel(
         rate=rate,
         achieved=achieved,
         multipliers=tuple(float(l) for l in lam),
-        channel=ws.assemble_joint(T),
         iterations=iterations,
-        ba_calls=ba_calls,
         converged=converged,
         cs_residual=cs,
     )
@@ -761,7 +733,7 @@ class _ConstrainedBA:
         warm-started at lam: T meets the targets up to the final step's KKT
         residual."""
         cert_tol = self.opts.cert_tol
-        cur = self._step(self.ws.initial_marginal(self.opts.init_seed), lam)
+        cur = self._step(self.ws.initial_marginal(), lam)
         # no step, the SQUAREM proposal included, once the cap is reached
         while cur.cert >= cert_tol and self.iterations < self.opts.max_iters:
             s1 = self._plain(cur)
@@ -805,7 +777,7 @@ def ba_fixed_multipliers(
     ws = _workspace(problem)
     run = _FixedBA(ws, (0.0, 0.0, 0.0), opts)
     T, final, converged = run.run(lam)
-    return _point_from_channel(ws, T, ws.rate(final.Q, lam), lam, run.iterations, 1, converged)
+    return _point_from_channel(ws, T, ws.rate(final.Q, lam), lam, run.iterations, converged)
 
 
 def solve_rd_point(
@@ -817,7 +789,7 @@ def solve_rd_point(
 
     Targets at or above the zero-rate distortion of a coordinate leave that
     constraint slack (zero multiplier). Targets below the full-information
-    floor raise :class:`InfeasibleDistortionError`. The returned channel's
+    floor raise :class:`InfeasibleDistortionError`. The returned point's
     achieved distortions satisfy the query up to ``opts.constraint_tol``.
     """
     ws = _workspace(problem)
@@ -834,7 +806,7 @@ def solve_rd_point(
         T = np.full((len(ws.p_y), ws.nx, ws.nh), 1.0 / ws.nh)
         for coord in _COORDS:
             T = ws.attach(T, coord)
-        return _point_from_channel(ws, T, 0.0, (0.0, 0.0, 0.0), 0, 0, True, targets)
+        return _point_from_channel(ws, T, 0.0, (0.0, 0.0, 0.0), 0, True, targets)
 
     cba = _ConstrainedBA(ws, targets, opts)
     T, final, converged = cba.run()
@@ -845,7 +817,7 @@ def solve_rd_point(
     for coord in _COORDS:
         if lam[coord] == 0.0:
             T = ws.attach(T, coord)
-    point = _point_from_channel(ws, T, rate, lam, cba.iterations, 1, converged, targets)
+    point = _point_from_channel(ws, T, rate, lam, cba.iterations, converged, targets)
     ok = (
         converged
         and final.dual.kkt <= 5.0 * opts.constraint_tol
@@ -894,22 +866,6 @@ def semantic_rd(
     return solve_rd_point(problem, RDQuery(0.0, 0.0, Ds), opts)
 
 
-def _grid_queries(
-    grid: Mapping[str, Sequence[float]]
-) -> tuple[tuple[tuple[str, tuple[float, ...]], ...], list[tuple[tuple[int, ...], RDQuery]]]:
-    keys = ("d1", "d2", "ds")
-    if set(grid.keys()) != set(keys):
-        raise ProbabilityError(f"grid must have exactly the keys {keys}, got {tuple(grid.keys())}")
-    axes = tuple((k, tuple(float(v) for v in grid[k])) for k in keys)
-    if any(len(vals) == 0 for _k, vals in axes):
-        raise ProbabilityError("empty grid")
-    cells = []
-    for idx in itertools.product(*(range(len(vals)) for _k, vals in axes)):
-        q = RDQuery(*(axes[j][1][idx[j]] for j in range(3)))
-        cells.append((idx, q))
-    return axes, cells
-
-
 def _valid_workers(workers: object) -> bool:
     """A process count is None (serial) or an int >= 1; bools are rejected."""
     return workers is None or (
@@ -918,31 +874,30 @@ def _valid_workers(workers: object) -> bool:
 
 
 def _solve_cell(args) -> SurfaceCell:
-    problem, idx, query, opts = args
+    problem, query, opts = args
     try:
-        return SurfaceCell(idx, query, solve_rd_point(problem, query, opts))
+        return SurfaceCell(query, solve_rd_point(problem, query, opts))
     except SemrdError as exc:
-        return SurfaceCell(idx, query, None, error=f"{type(exc).__name__}: {exc}")
+        return SurfaceCell(query, None, error=f"{type(exc).__name__}: {exc}")
 
 
 def solve_cells(
     problem: RDProblem,
-    cells: Sequence[tuple[tuple[int, ...], RDQuery]],
+    queries: Sequence[RDQuery],
     opts: SolverOptions = DEFAULT_OPTIONS,
     workers: int | None = None,
 ) -> Iterator[SurfaceCell]:
-    """Solve each ``(index, query)`` cell and yield the results in order.
-    Per-cell failures are yielded as flagged cells, not raised.
+    """Solve each query and yield one cell per query, in order. Per-cell
+    failures are yielded as flagged cells, not raised.
 
-    Results are yielded one at a time so that a caller keeping only a few
-    numbers per cell does not hold every channel at once. Cells are
-    independent; ``workers`` > 1 evaluates them in that many separate
-    processes with identical per-cell results to a serial run. ``workers``
-    must be None or an int >= 1, else :class:`ProbabilityError` is raised.
+    Cells are independent; ``workers`` > 1 evaluates them in that many
+    separate processes with identical per-cell results to a serial run.
+    ``workers`` must be None or an int >= 1, else :class:`ProbabilityError`
+    is raised.
     """
     if not _valid_workers(workers):
         raise ProbabilityError(f"workers must be None or an int >= 1, got {workers!r}")
-    args = [(problem, idx, q, opts) for idx, q in cells]
+    args = [(problem, q, opts) for q in queries]
     if workers is None or workers == 1 or len(args) <= 1:
         return map(_solve_cell, args)
     return _solve_in_pool(args, workers)
@@ -966,5 +921,11 @@ def sweep_surface(
     ``workers`` > 1 evaluates cells in separate processes (see
     :func:`solve_cells`).
     """
-    axes, cells = _grid_queries(grid)
-    return RDSurface(grid_axes=axes, points=tuple(solve_cells(problem, cells, opts, workers)))
+    keys = ("d1", "d2", "ds")
+    if set(grid.keys()) != set(keys):
+        raise ProbabilityError(f"grid must have exactly the keys {keys}, got {tuple(grid.keys())}")
+    axes = [[float(v) for v in grid[k]] for k in keys]
+    if not all(axes):
+        raise ProbabilityError("empty grid")
+    queries = [RDQuery(*t) for t in itertools.product(*axes)]
+    return RDSurface(tuple(solve_cells(problem, queries, opts, workers)))

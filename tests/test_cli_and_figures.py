@@ -166,9 +166,9 @@ class TestCli:
         seen = []
         original = semrd.solver.solve_cells
 
-        def recording(problem, cells, opts, workers):
+        def recording(problem, queries, opts, workers):
             seen.append(workers)
-            return original(problem, cells, opts, workers)
+            return original(problem, queries, opts, workers)
 
         monkeypatch.setattr(semrd.solver, "solve_cells", recording)
         outputs = []

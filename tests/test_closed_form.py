@@ -12,6 +12,7 @@ import pytest
 from semrd.closed_form import (
     classification_region_bound,
     conditional_binary_rd,
+    correlated_expression,
     in_region_classification,
     in_region_correlated,
     rate_classification,
@@ -156,6 +157,15 @@ class TestRateCorrelated:
     def test_region_error_routes_to_solver(self):
         with pytest.raises(RegionError, match="solver"):
             rate_correlated(self.SPEC, 0.05, 0.5, 0.3)
+
+    def test_expression_has_no_region_check(self):
+        # the rate on the region; the same expression, unchecked, outside it
+        assert correlated_expression(self.SPEC, 0.05, 0.1, 0.3) == rate_correlated(
+            self.SPEC, 0.05, 0.1, 0.3
+        )
+        assert correlated_expression(self.SPEC, 0.05, 0.5, 0.3) == pytest.approx(
+            T3_EXAMPLE + binary_entropy(0.1) - 1.0, abs=1e-12
+        )
 
     def test_separate_compression_never_cheaper(self):
         # separate encoding of the two parts (side info helping each alone)

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is referenced in that module,
-every module-level private function or class is referenced somewhere, and
-every solver option is read by the package.
+every module-level private function or class is referenced somewhere, every
+solver option is read by the package, and every field of a solver result is
+read by the package or the benchmark.
 
 No lint tool is part of the toolchain, so this walks each module's syntax
 tree. ``from __future__`` imports and names re-exported through ``__all__``
@@ -79,18 +80,37 @@ def test_private_definitions_referenced():
     assert unreferenced_private_definitions(SRC, roots) == []
 
 
-def test_solver_options_read():
-    # an option nothing reads is a setting that silently does nothing
+def unread_fields(class_name: str, paths) -> tuple[set[str], list[str]]:
+    """(fields, unread): the annotated fields of the solver class
+    ``class_name``, and those never read as an attribute in ``paths`` outside
+    that class's own body."""
     tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
-    (options,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SolverOptions")
-    fields = {n.target.id for n in options.body if isinstance(n, ast.AnnAssign)}
-    inside = {id(n) for n in ast.walk(options)}
+    (cls,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name)
+    fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+    inside = {id(n) for n in ast.walk(cls)}
     read = {
         node.attr
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for path in paths
+        for node in ast.walk(tree if path == SRC / "solver.py"
+                             else ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         and id(node) not in inside
     }
+    return fields, sorted(fields - read)
+
+
+def test_solver_options_read():
+    # an option nothing reads is a setting that silently does nothing
+    fields, unread = unread_fields("SolverOptions", sorted(SRC.glob("*.py")))
     assert {"max_iters", "cert_tol"} <= fields
-    assert sorted(fields - read) == []
+    assert unread == []
+
+
+@pytest.mark.parametrize("class_name", ["RDPoint", "SurfaceCell", "RDSurface"])
+def test_result_fields_read(class_name):
+    # a result field that neither the package nor the benchmark reads is
+    # carried (and pickled across the process pool) for nothing
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    fields, unread = unread_fields(class_name, paths)
+    assert fields
+    assert unread == []

@@ -189,12 +189,6 @@ class TestFixedMultipliers:
         with pytest.raises(ProbabilityError):
             ba_fixed_multipliers(prob_cor, -1.0, 0.0, 0.0)
 
-    def test_channel_consistent_with_reported_values(self, prob_cor):
-        pt = ba_fixed_multipliers(prob_cor, 2.0, 1.0, 0.5)
-        joint = pt.channel
-        d1 = joint.expected_distortion(prob_cor.d1, "x1", "x1_hat")
-        assert d1 == pytest.approx(pt.achieved[0], abs=1e-12)
-
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
 def test_max_iters_caps_the_steps(prob_cor, cap):
@@ -222,7 +216,7 @@ def reference_ba(ws, lam, cert_tol):
     costs = dense_costs(ws)
     e = -np.tensordot(lam, costs, axes=1)
     W = np.exp(e - e.max(axis=1)[:, None])
-    Q = ws.initial_marginal(None)
+    Q = ws.initial_marginal()
     for _ in range(solver_mod.DEFAULT_OPTIONS.max_iters):
         Z = Q @ W.T
         c = (ws.P / Z) @ W
@@ -309,6 +303,13 @@ GROUPED_WORKSPACES = [
 GROUPED_IDS = ["independent", "classification64", "random_table", "uneven_table"]
 
 
+def jittered_marginal(ws, rng):
+    """The uniform marginal with a multiplicative jitter of up to 1e-3."""
+    shape = (len(ws.p_y), ws.nh)
+    Q = np.full(shape, 1.0 / ws.nh) * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=shape))
+    return Q / Q.sum(axis=1, keepdims=True)
+
+
 class TestGroupedDual:
     @pytest.mark.parametrize("build", GROUPED_WORKSPACES, ids=GROUPED_IDS)
     def test_matches_dense_reference(self, build):
@@ -316,7 +317,7 @@ class TestGroupedDual:
         ws = solver_mod._Workspace(problem)
         targets = np.array(between_floors(problem, (0.3, 0.4, 0.5)).as_tuple())
         cba = solver_mod._ConstrainedBA(ws, targets, solver_mod.DEFAULT_OPTIONS)
-        cold = ws.initial_marginal(None)
+        cold = ws.initial_marginal()
         s = cba._step(cold, np.zeros(3))
         for _ in range(6):
             s = cba._step(s.Q_next, s.dual.lam)
@@ -339,8 +340,9 @@ class TestGroupedDual:
         ws = solver_mod._Workspace(build())
         # every letter's group carries exactly that letter's costs
         assert np.array_equal(ws.group_costs.reshape(3, -1)[:, ws.letter_group], dense_costs(ws))
-        # group masses of Q sum its mass over each row's letters
-        Q = ws.initial_marginal(4)
+        # group masses of Q sum its mass over each row's letters, on a
+        # non-uniform Q
+        Q = jittered_marginal(ws, np.random.default_rng(4))
         M = ws.group_masses(Q)
         expect = [
             np.bincount(ws.letter_group.ravel(), np.tile(Qy, ws.nx), minlength=ws.nx * ws.K)
@@ -447,10 +449,22 @@ class TestNewtonDirection:
         # log 4 (E d1 = 1 / (1 + e^lam1) = 0.2 under the uniform Q)
         ws = solver_mod._Workspace(single_source_problem())
         cba = solver_mod._ConstrainedBA(ws, (0.2, 0.0, 0.0), solver_mod.DEFAULT_OPTIONS)
-        d = cba._solve_dual(ws.group_masses(ws.initial_marginal(None)), (0.0, 1.0, 1.0))
+        d = cba._solve_dual(ws.group_masses(ws.initial_marginal()), (0.0, 1.0, 1.0))
         assert d.kkt <= solver_mod._KKT_TOL
         assert d.lam[0] == pytest.approx(math.log(4.0), abs=1e-12)
         assert d.lam[1:] == (1.0, 1.0)
+
+
+def joint_of(ws, T):
+    """The joint over (x1, x2, y, x1h, x2h, sh) that the channel T[y, x, h]
+    induces on the workspace's source law."""
+    full = np.zeros((ws.nx, ws.ny, ws.nh))
+    full[:, ws.y_idx] = (ws.Pw[:, :, None] * T).swapaxes(0, 1)
+    total = full.sum()
+    assert abs(total - 1.0) <= 1e-9, f"joint mass {total!r} drifted from 1"
+    problem = ws.problem
+    shaped = full.reshape(ws.nx1, ws.nx2, ws.ny, *ws.h_sizes)
+    return JointPMF(problem.source.axes + problem.repro_alphabets, shaped / total)
 
 
 class TestSolveRdPoint:
@@ -475,13 +489,22 @@ class TestSolveRdPoint:
         assert pt.achieved[0] == pytest.approx(0.02, abs=1e-6)
 
     @pytest.mark.parametrize("case", LEAN_POINT_CASES, ids=LEAN_POINT_IDS)
-    def test_achieved_matches_channel_recomputation(self, case):
+    def test_achieved_matches_channel_recomputation(self, case, monkeypatch):
         # the rate and distortions come from the solver's own arrays; the
-        # 6-axis channel it returns must carry the same numbers
+        # 6-axis joint of its final channel must carry the same numbers
+        channels = []
+        original = solver_mod._point_from_channel
+
+        def capturing(ws, T, *args):
+            channels.append((ws, T))
+            return original(ws, T, *args)
+
+        monkeypatch.setattr(solver_mod, "_point_from_channel", capturing)
         problem, pt, reattached = case()
         if reattached:
-            assert 0.0 in pt.multipliers and pt.ba_calls == 1
-        joint = pt.channel
+            assert 0.0 in pt.multipliers and pt.iterations > 0
+        ((ws, T),) = channels
+        joint = joint_of(ws, T)
         names = problem.axis_names
         recomputed = (
             joint.expected_distortion(problem.d1, names[0], names[3]),
@@ -535,13 +558,12 @@ class TestSolveRdPoint:
         assert pt.rate >= rate_correlated(SPEC_COR, *q.as_tuple()) - 2e-3
 
     def test_ba_calls_reported(self, prob_ind):
-        # one constrained BA run per point
+        # one constrained BA run per point, none on the zero-rate path
         pt = solve_rd_point(prob_ind, REFERENCE_CELL)
         assert pt.converged
-        assert pt.ba_calls == 1
         assert pt.iterations < GAUSS_SEIDEL_ITERATIONS
-        assert ba_fixed_multipliers(prob_ind, 1.0, 1.0, 1.0).ba_calls == 1
-        assert solve_rd_point(prob_ind, RDQuery(0.6, 0.6, 0.55)).ba_calls == 0
+        assert ba_fixed_multipliers(prob_ind, 1.0, 1.0, 1.0).iterations > 0
+        assert solve_rd_point(prob_ind, RDQuery(0.6, 0.6, 0.55)).iterations == 0
 
     def test_reported_numbers_are_python_floats(self, prob_cor):
         pt = solve_rd_point(prob_cor, RDQuery(0.05, 0.1, 0.3))
@@ -600,12 +622,15 @@ class TestSolveRdPoint:
     def test_determinism(self, prob_cor):
         a = solve_rd_point(prob_cor, RDQuery(0.05, 0.1, 0.3))
         b = solve_rd_point(prob_cor, RDQuery(0.05, 0.1, 0.3))
-        assert a.rate == b.rate
-        assert np.array_equal(a.channel.probs, b.channel.probs)
+        assert a == b
 
-    def test_jitter_initialization_changes_nothing_material(self, prob_ind):
+    def test_jitter_initialization_changes_nothing_material(self, prob_ind, monkeypatch):
+        # the certificate stop makes the answer independent of the start
         base = solve_rd_point(prob_ind, RDQuery(0.1, 0.1, 0.5))
-        jit = solve_rd_point(prob_ind, RDQuery(0.1, 0.1, 0.5), SolverOptions(init_seed=7))
+        rng = np.random.default_rng(7)
+        monkeypatch.setattr(solver_mod._Workspace, "initial_marginal",
+                            lambda ws: jittered_marginal(ws, rng))
+        jit = solve_rd_point(prob_ind, RDQuery(0.1, 0.1, 0.5))
         assert jit.rate == pytest.approx(base.rate, abs=1e-6)
 
 
@@ -629,7 +654,7 @@ class TestWorkspaceReuse:
         monkeypatch.setattr(solver_mod._Workspace, "__init__", counting_init)
         queries = [RDQuery(0.05, 0.1, 0.3), RDQuery(0.1, 0.1, 0.5), RDQuery(0.6, 0.6, 0.55),
                    RDQuery(0.1, 0.1, 0.1)]
-        cells = list(solver_mod.solve_cells(problem, list(enumerate(queries))))
+        cells = list(solver_mod.solve_cells(problem, queries))
         assert len(cells) == len(solves) == 4
         assert len(builds) == 1
         assert [c.point is None for c in cells] == [False, False, False, True]
@@ -661,13 +686,13 @@ class TestSolverOptions:
 
     @pytest.mark.parametrize("value", [1.5, "7", True])
     def test_init_seed(self, value):
-        with pytest.raises(ProbabilityError, match="init_seed"):
+        # the option is gone: every run starts from the uniform marginal
+        with pytest.raises(TypeError, match="init_seed"):
             SolverOptions(init_seed=value)
 
     def test_valid_values_kept(self):
-        opts = SolverOptions(max_iters=1, lambda_cap=5, rate_tol=1e-3, init_seed=0)
-        assert (opts.max_iters, opts.lambda_cap, opts.init_seed) == (1, 5, 0)
-        assert SolverOptions(init_seed=None).init_seed is None
+        opts = SolverOptions(max_iters=1, lambda_cap=5, rate_tol=1e-3)
+        assert (opts.max_iters, opts.lambda_cap, opts.rate_tol) == (1, 5, 1e-3)
 
 
 class TestSemanticRd:
@@ -722,9 +747,9 @@ class TestSweepSurface:
 
     @pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
     def test_bad_workers_rejected(self, prob_cor, workers):
-        cells = [((0,), RDQuery(0.05, 0.1, 0.3))]
+        queries = [RDQuery(0.05, 0.1, 0.3)]
         with pytest.raises(ProbabilityError, match="workers"):
-            solver_mod.solve_cells(prob_cor, cells, workers=workers)
+            solver_mod.solve_cells(prob_cor, queries, workers=workers)
         with pytest.raises(ProbabilityError, match="workers"):
             sweep_surface(prob_cor, {"d1": [0.05], "d2": [0.1], "ds": [0.3]}, workers=workers)
 
@@ -732,10 +757,8 @@ class TestSweepSurface:
         grid = {"d1": [0.02, 0.05], "d2": [0.1], "ds": [0.3, 0.45]}
         serial = sweep_surface(prob_cor, grid)
         parallel = sweep_surface(prob_cor, grid, workers=2)
-        for a, b in zip(serial.points, parallel.points):
-            assert a.index == b.index
-            assert a.point.rate == b.point.rate
-            assert np.array_equal(a.point.channel.probs, b.point.channel.probs)
+        assert len(serial.points) == 4
+        assert serial.points == parallel.points
 
 
 class TestClassicalForms:

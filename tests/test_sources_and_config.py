@@ -129,6 +129,8 @@ class TestConfigParsing:
             (lambda d: d.update(solver={"tol": 1e-10}), "solver.tol"),
             (lambda d: d.update(solver={"stall_cert": 1e-8}), "solver.stall_cert"),
             (lambda d: d.update(solver={"stall_drift_tol": 1e-12}), "solver.stall_drift_tol"),
+            # every run starts from the uniform marginal; no seed to set
+            (lambda d: d.update(solver={"init_seed": 0}), "solver.init_seed"),
             (lambda d: d.update(solver={"lambda_cap": -1}), "solver: solver option lambda_cap"),
             (lambda d: d.update(workers=0), "workers"),
             (lambda d: d.update(base="nats"), "base"),
