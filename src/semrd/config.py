@@ -38,6 +38,7 @@ from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, Probab
 from .gaussian import GaussianSpec
 from .models import (
     METHODS,
+    NO_CLOSED_FORM,
     Model,
     classification_model,
     correlated_model,
@@ -255,7 +256,7 @@ def parse_config(doc: Any) -> SweepConfig:
         return SweepConfig(gaussian_spec=gspec, **common)
     # custom
     if method != "ba" and method != "auto":
-        _fail("method", "custom sweeps have no closed form; use 'ba' (or 'auto')")
+        _fail("method", NO_CLOSED_FORM)
     return SweepConfig(model=custom_model(_parse_custom(params, "params")), **common)
 
 

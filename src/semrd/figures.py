@@ -34,7 +34,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .closed_form import conditional_binary_rd, correlated_expression, semantic_binary_rd
+from .closed_form import (
+    classification_region_bound,
+    conditional_binary_rd,
+    correlated_expression,
+    semantic_binary_rd,
+)
 from .errors import ConfigError
 from .gaussian import (
     GaussianSpec,
@@ -247,8 +252,7 @@ def _build_fig7(out_dir, grid_n, base, workers):
     n_alpha = 8
     d2 = 0.5
     n = grid_n or DEFAULT_SURFACE_GRID
-    bound = 2.0 * (n_alpha - 1) * p2 / n_alpha
-    d1_values = np.linspace(0.0, bound, n)
+    d1_values = np.linspace(0.0, classification_region_bound(p2, n_alpha), n)
     ds_values = np.linspace(p, 0.5, n)
     queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
     routed = route(classification_model(p, p2, n_alpha), queries, "auto", workers=workers)

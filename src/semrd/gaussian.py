@@ -99,12 +99,10 @@ def semantic_zero_rate_threshold(spec: GaussianSpec) -> float:
     return mmse(spec) + spec.cov_sx1**2 * var_x1_given_y(spec) / spec.var_x1**2
 
 
-def r_s_given_y(spec: GaussianSpec, Ds: float) -> float:
-    """Rate of the latent-only constraint:
-    (1/2) ln[cov_sx1^2 var(x1|y) / (var_x1^2 (Ds - mmse))], clamped at 0.
-
-    Ds <= mmse is infeasible (no estimator beats the irreducible error).
-    """
+def _semantic_ratio(spec: GaussianSpec, Ds: float) -> tuple[float, float]:
+    """(ratio, mmse), ratio = cov_sx1^2 var(x1|y) / (var_x1^2 (Ds - mmse)) the
+    argument of the semantic term. Ds <= mmse is infeasible (no estimator
+    beats the irreducible error)."""
     m = mmse(spec)
     if not is_finite_real(Ds):
         raise ProbabilityError(f"Ds must be a finite real, got {Ds!r}")
@@ -112,8 +110,13 @@ def r_s_given_y(spec: GaussianSpec, Ds: float) -> float:
         raise InfeasibleDistortionError(
             f"semantic target {Ds} does not exceed the estimation floor mmse={m}"
         )
-    ratio = spec.cov_sx1**2 * var_x1_given_y(spec) / (spec.var_x1**2 * (Ds - m))
-    return _half_log(ratio)
+    return spec.cov_sx1**2 * var_x1_given_y(spec) / (spec.var_x1**2 * (Ds - m)), m
+
+
+def r_s_given_y(spec: GaussianSpec, Ds: float) -> float:
+    """Rate of the latent-only constraint:
+    (1/2) ln[cov_sx1^2 var(x1|y) / (var_x1^2 (Ds - mmse))], clamped at 0."""
+    return _half_log(_semantic_ratio(spec, Ds)[0])
 
 
 @dataclass(frozen=True)
@@ -132,16 +135,8 @@ def gaussian_rate(spec: GaussianSpec, D1: float, D2: float, Ds: float) -> Gaussi
     semantic terms, each clamped at zero. Nats."""
     D1 = _check_positive("D1", D1)
     D2 = _check_positive("D2", D2)
-    m = mmse(spec)
-    if not is_finite_real(Ds):
-        raise ProbabilityError(f"Ds must be a finite real, got {Ds!r}")
-    if Ds <= m:
-        raise InfeasibleDistortionError(
-            f"semantic target {Ds} does not exceed the estimation floor mmse={m}"
-        )
-    v1 = var_x1_given_y(spec)
-    arg_obs = v1 / D1
-    arg_sem = spec.cov_sx1**2 * v1 / (spec.var_x1**2 * (Ds - m))
+    arg_sem, m = _semantic_ratio(spec, Ds)
+    arg_obs = var_x1_given_y(spec) / D1
     branch = "observation" if arg_obs >= arg_sem else "semantic"
     term_x1 = _half_log(max(arg_obs, arg_sem))
     rate = r_x2_given_y(spec, D2) + term_x1

@@ -28,6 +28,7 @@ from .solver import DEFAULT_OPTIONS, RDProblem, RDQuery, SolverOptions
 
 METHODS = ("auto", "closed_form", "ba")
 OUTSIDE_REGION = "RegionError: outside the closed form's proven region"
+NO_CLOSED_FORM = "custom sweeps have no closed form; use 'ba' (or 'auto')"
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,12 @@ def route(
     solves every query. A closed form that raises :class:`SemrdError` gives a
     flagged row. The queries left to the solver go to
     :func:`solver.solve_cells` in one batch, on one problem built for it.
+    ``closed_form`` on a model without one raises :class:`ConfigError`.
     """
     if method not in METHODS:
         raise ConfigError(f"method: must be one of {METHODS}, got {method!r}")
+    if method == "closed_form" and model.closed_form is None:
+        raise ConfigError(f"method: {NO_CLOSED_FORM}")
     rows: list[Row | None] = []
     for q in queries:
         row = None

@@ -73,19 +73,20 @@ Two numerical details matter:
   of d1 over x1h, of d2 over x2h, of d's over sh) and combined, so each row
   has K = K1 K2 Ks groups: 8 of 256 letters for the classification model at
   N = 64, all 8 letters on the binary models. Each step sums q to M once,
-  table by table. The BA marginal update, the certificate, SQUAREM and the
-  final channel stay per letter, with the letter kernel gathered from w;
-  the kernel is rebuilt only when the multipliers change.
+  table by table. The BA marginal update, the certificate and SQUAREM stay
+  per letter, with the letter kernel gathered from w; the kernel is rebuilt
+  only when the multipliers change.
 
-  Coordinates whose final multiplier is 0 are re-attached as a deterministic
-  function of the remaining reproductions and y, which meets their target at
-  no rate cost. A linear segment of the rate surface needs no time-sharing:
-  at fixed q the map from multipliers to distortions is smooth, and q
-  converges to the mixture.
+  A coordinate whose multiplier solves to 0 meets its target through the
+  KKT conditions: its gradient E d_i - D_i is at most the residual, so the
+  final channel itself satisfies it. A linear segment of the rate surface
+  needs no time-sharing: at fixed q the map from multipliers to distortions
+  is smooth, and q converges to the mixture.
 
-* A solved point is a handful of numbers read off arrays the solver already
-  holds; no 6-axis joint is assembled and the channel is not kept. Every BA
-  channel has the form t = q W / Z, so within a source row t / q = w / Z is
+* A solved point is a handful of numbers read off the final step's arrays:
+  no channel over (y, x, h) is built after the loop, and its rate and
+  distortions are those of the final BA channel t = q W / Z at the final
+  step's multipliers. Within a source row t / q = w / Z is
   constant on each cost group, and KL(t(.|x, y) || q_y) over letters equals
   KL(R || M) over groups, R being the group law. With q_out = q c the BA
   update, the rate is I = sum p(x, y) KL(R || M) - sum p(y) KL(q_out || q),
@@ -93,9 +94,8 @@ Two numerical details matter:
   geometry and alternating minimization procedures", 1984) and of Blahut
   (1972). It is exact on groups, only the order of summation changes, and
   its two sums are of nonnegative terms, so nothing cancels at large
-  multipliers. Re-attaching a zero-multiplier coordinate leaves it
-  unchanged. The achieved distortions are the channel's (x, h_i) marginals
-  contracted with the three cost tables.
+  multipliers. The achieved distortions are the final dual's gradient plus
+  the targets, E d_i = sum p(x, y) R(k | x, y) c_i(x, k) over groups.
 
   A problem's workspace (flattened law, cost tables, cost groups) lives as
   long as the problem object: the last one built is reused while solves are
@@ -112,7 +112,7 @@ import itertools
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -231,13 +231,16 @@ class RDQuery:
 @dataclass(frozen=True)
 class RDPoint:
     """A solved point, as numbers only: the rate (log_base units/symbol) and
-    the exact achieved distortions of the solver's final channel, the
-    multipliers used (natural-log based), and solver diagnostics:
-    ``iterations`` counts the steps of the run, SQUAREM proposals included,
-    on both paths (a target solve's steps each solve for the multipliers, a
-    fixed-multiplier run's hold them), and is 0 on the zero-rate path.
-    ``cs_residual`` bounds |rate - optimum| via complementary slackness. The
-    channel itself is not kept."""
+    the achieved distortions of one channel, the multipliers used
+    (natural-log based), and solver diagnostics. On both solver paths the
+    channel is the final BA step's, so a coordinate with multiplier 0
+    reports what that channel achieves (at most its target, up to the KKT
+    residual); on the zero-rate path it is the best channel of y alone, and
+    ``achieved`` holds the zero-rate floors. ``iterations`` counts the steps
+    of the run, SQUAREM proposals included, on both paths (a target solve's
+    steps each solve for the multipliers, a fixed-multiplier run's hold
+    them), and is 0 on the zero-rate path. ``cs_residual`` bounds
+    |rate - optimum| via complementary slackness."""
 
     rate: float
     achieved: tuple[float, float, float]
@@ -315,14 +318,13 @@ class _Workspace:
         self.Pw = self.p_y[:, None] * self.P
         self.p_x = self.Pw.sum(axis=0)
 
-        # per-coordinate small tables indexed by composite x, used by attachments
+        # per-coordinate small tables indexed by composite x, used by the floors
         d1x = np.broadcast_to(problem.d1.values[:, None, :], (self.nx1, self.nx2, self.nh1))
         d2x = np.broadcast_to(problem.d2.values[None, :, :], (self.nx1, self.nx2, self.nh2))
         dsx = np.broadcast_to(problem.ds_mod.values[:, None, :], (self.nx1, self.nx2, self.nhs))
         self.coord_costs = tuple(
             np.ascontiguousarray(d.reshape(self.nx, -1)) for d in (d1x, d2x, dsx)
         )
-        self.h_sizes = (self.nh1, self.nh2, self.nhs)
 
         g1, u1 = _row_groups(problem.d1.values)
         g2, u2 = _row_groups(problem.d2.values)
@@ -376,19 +378,6 @@ class _Workspace:
         """The uniform marginal Q[y, h], where every run starts."""
         return np.full((len(self.p_y), self.nh), 1.0 / self.nh)
 
-    # ---- per-channel statistics ----------------------------------------
-
-    def distortions(self, T: np.ndarray) -> tuple[float, float, float]:
-        """E d_i under the channel T[y, x, h]: the joint of (x, h) summed
-        over the other two reproduction axes, against the table c_i[x, h_i].
-        The sums are products with vectors of ones, which numpy runs far
-        faster than reductions over these short axes."""
-        n1, n2, ns = self.h_sizes
-        J = np.einsum("yx,yxh->xh", self.Pw, T).reshape(self.nx, n1, n2 * ns)
-        J2s = (np.ones(n1) @ J).reshape(self.nx, n2, ns)
-        marginals = (J @ np.ones(n2 * ns), J2s @ np.ones(ns), np.ones(n2) @ J2s)
-        return tuple(float(np.vdot(m, c)) for m, c in zip(marginals, self.coord_costs))
-
     def log_kernel(self, lam: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(shift, log w): log w[x, k] = shift[x] - lam.c(x, k) per cost
         group, shift[x] being row x's least cost, so that w <= 1."""
@@ -422,24 +411,6 @@ class _Workspace:
             raise SolverError(f"rate evaluated to {value:.3e} < -1e-12")
         return max(value, 0.0)
 
-    # ---- attachments -----------------------------------------------------
-
-    def attach(self, T: np.ndarray, coord: int) -> np.ndarray:
-        """Apply the best deterministic re-attachment of that reproduction
-        coordinate as a function of (other reproductions, y); does not change
-        the conditional mutual information."""
-        ny = len(self.p_y)
-        nk = self.h_sizes[coord]
-        before = math.prod(self.h_sizes[:coord])
-        after = math.prod(self.h_sizes[coord + 1:])
-        # T summed over the coordinate: (ny, nx, other letters), others = (before, after)
-        T3 = T.reshape(ny * self.nx * before, nk, after)
-        collapsed = np.tensordot(T3, np.ones(nk), axes=(1, 0)).reshape(ny, self.nx, -1)
-        ed = (self.Pw[:, :, None] * collapsed).transpose(0, 2, 1) @ self.coord_costs[coord]
-        onehot = np.eye(nk)[ed.argmin(axis=2)]  # (ny, others, nk)
-        mixed = (collapsed[..., None] * onehot[:, None]).reshape(ny, self.nx, before, after, nk)
-        return np.ascontiguousarray(mixed.swapaxes(3, 4)).reshape(ny, self.nx, self.nh)
-
     # ---- floors ---------------------------------------------------------
 
     def absolute_floor(self, coord: int) -> float:
@@ -450,32 +421,6 @@ class _Workspace:
         """Best distortion with reproductions depending on y alone."""
         ed = np.einsum("yx,xk->yk", self.Pw, self.coord_costs[coord])
         return float(ed.min(axis=1).sum())
-
-
-def _point_from_channel(
-    ws: _Workspace,
-    T: np.ndarray,
-    rate: float,
-    lam: Sequence[float],
-    iterations: int,
-    converged: bool,
-    targets: Sequence[float] | None = None,
-) -> RDPoint:
-    """The point of the channel T[y, x, h]: its achieved distortions and, for
-    a target solve, the complementary-slackness residual. T is not kept."""
-    achieved = ws.distortions(T)
-    cs = 0.0
-    if targets is not None:
-        ln_base = math.log(ws.problem.log_base)
-        cs = float(sum(l * abs(t - a) for l, t, a in zip(lam, targets, achieved))) / ln_base
-    return RDPoint(
-        rate=rate,
-        achieved=achieved,
-        multipliers=tuple(float(l) for l in lam),
-        iterations=iterations,
-        converged=converged,
-        cs_residual=cs,
-    )
 
 
 _last_workspace: _Workspace | None = None
@@ -646,6 +591,11 @@ class _ConstrainedBA:
         grad = tuple(m - t for m, t in zip(mean, self.targets))
         return _Dual(lam, sum(terms), rounding, grad, _kkt_residual(lam, grad), k, Z, R)
 
+    def achieved(self, d: _Dual) -> tuple[float, float, float]:
+        """E d_i of the BA channel behind d: its gradient plus the targets
+        (with zero targets, the gradient itself)."""
+        return tuple(g + t for g, t in zip(d.grad, self.targets))
+
     def _covariance(self, d: _Dual) -> np.ndarray:
         """The cost covariance behind d, averaged over (y, x): the negated Hessian."""
         ws = self.ws
@@ -728,10 +678,10 @@ class _ConstrainedBA:
         sx = self._step(Qx / Qx.sum(axis=1, keepdims=True), s2.dual.lam)
         return sx if sx.dual.value <= s2.dual.value else s2
 
-    def run(self, lam: tuple[float, ...] = (0.0, 0.0, 0.0)) -> tuple[np.ndarray, _Step, bool]:
-        """Returns (T, final step, converged), the first multiplier solve
-        warm-started at lam: T meets the targets up to the final step's KKT
-        residual."""
+    def run(self, lam: tuple[float, ...] = (0.0, 0.0, 0.0)) -> tuple[_Step, bool]:
+        """Returns (final step, converged), the first multiplier solve
+        warm-started at lam. The final step's channel Q W / Z meets the
+        targets up to its dual's KKT residual."""
         cert_tol = self.opts.cert_tol
         cur = self._step(self.ws.initial_marginal(), lam)
         # no step, the SQUAREM proposal included, once the cap is reached
@@ -743,9 +693,7 @@ class _ConstrainedBA:
             s2 = self._plain(s1)
             done = s2.cert < cert_tol or self.iterations == self.opts.max_iters
             cur = s2 if done else self._extrapolate(cur, s1, s2)
-        d = cur.dual
-        T = cur.Q[:, None, :] * self._letters(d.kernel)[None, :, :] / d.Z[:, :, None]
-        return T, cur, cur.cert < cert_tol
+        return cur, cur.cert < cert_tol
 
 
 class _FixedBA(_ConstrainedBA):
@@ -767,8 +715,8 @@ def ba_fixed_multipliers(
 ) -> RDPoint:
     """Solve the Lagrangian problem at fixed multipliers (natural-log based).
 
-    Returns the fixed point's rate and exact achieved distortions. No slack
-    re-attachment is applied here; coordinates with zero multiplier keep
+    Returns the rate and achieved distortions of the final BA channel, as
+    :func:`solve_rd_point` does; coordinates with zero multiplier keep
     whatever (rate-free) reproduction the alternating minimization settles on.
     """
     lam = (float(lambda1), float(lambda2), float(lambda_s))
@@ -776,8 +724,8 @@ def ba_fixed_multipliers(
         raise ProbabilityError(f"multipliers must be finite and >= 0, got {lam}")
     ws = _workspace(problem)
     run = _FixedBA(ws, (0.0, 0.0, 0.0), opts)
-    T, final, converged = run.run(lam)
-    return _point_from_channel(ws, T, ws.rate(final.Q, lam), lam, run.iterations, converged)
+    final, converged = run.run(lam)
+    return RDPoint(ws.rate(final.Q, lam), run.achieved(final.dual), lam, run.iterations, converged)
 
 
 def solve_rd_point(
@@ -801,32 +749,23 @@ def solve_rd_point(
                 f"constraint {coord}: target {targets[coord]} is below the "
                 f"full-information floor {floor}"
             )
-    if all(targets[c] >= ws.zero_rate_floor(c) - 1e-15 for c in _COORDS):
-        # zero rate: reproductions depend on y alone
-        T = np.full((len(ws.p_y), ws.nx, ws.nh), 1.0 / ws.nh)
-        for coord in _COORDS:
-            T = ws.attach(T, coord)
-        return _point_from_channel(ws, T, 0.0, (0.0, 0.0, 0.0), 0, True, targets)
+    floors = tuple(ws.zero_rate_floor(c) for c in _COORDS)
+    if all(t >= f - 1e-15 for t, f in zip(targets, floors)):
+        # zero rate: each reproduction is the best function of y alone
+        return RDPoint(0.0, floors, (0.0, 0.0, 0.0), 0, True)
 
     cba = _ConstrainedBA(ws, targets, opts)
-    T, final, converged = cba.run()
-    lam = final.dual.lam
-    # the rate of the final step's channel; re-attaching a coordinate whose
-    # multiplier is 0 leaves it unchanged
-    rate = ws.rate(final.Q, lam)
-    for coord in _COORDS:
-        if lam[coord] == 0.0:
-            T = ws.attach(T, coord)
-    point = _point_from_channel(ws, T, rate, lam, cba.iterations, converged, targets)
+    final, converged = cba.run()
+    d = final.dual
+    achieved = cba.achieved(d)
+    cs = sum(l * abs(g) for l, g in zip(d.lam, d.grad)) / math.log(problem.log_base)
     ok = (
         converged
-        and final.dual.kkt <= 5.0 * opts.constraint_tol
-        and point.cs_residual <= opts.rate_tol
-        and all(point.achieved[c] <= targets[c] + 10.0 * opts.constraint_tol for c in _COORDS)
+        and d.kkt <= 5.0 * opts.constraint_tol
+        and cs <= opts.rate_tol
+        and all(a <= t + 10.0 * opts.constraint_tol for a, t in zip(achieved, targets))
     )
-    if point.converged != ok:
-        point = replace(point, converged=ok)
-    return point
+    return RDPoint(ws.rate(final.Q, d.lam), achieved, d.lam, cba.iterations, ok, cs)
 
 
 def semantic_rd(

@@ -80,18 +80,19 @@ def test_private_definitions_referenced():
     assert unreferenced_private_definitions(SRC, roots) == []
 
 
-def unread_fields(class_name: str, paths) -> tuple[set[str], list[str]]:
-    """(fields, unread): the annotated fields of the solver class
-    ``class_name``, and those never read as an attribute in ``paths`` outside
-    that class's own body."""
-    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+def unread_fields(module: str, class_name: str, paths) -> tuple[set[str], list[str]]:
+    """(fields, unread): the annotated fields of the class ``class_name`` in
+    the package module ``module``, and those never read as an attribute in
+    ``paths`` outside that class's own body."""
+    source = SRC / module
+    tree = ast.parse(source.read_text(encoding="utf-8"))
     (cls,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name)
     fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
     inside = {id(n) for n in ast.walk(cls)}
     read = {
         node.attr
         for path in paths
-        for node in ast.walk(tree if path == SRC / "solver.py"
+        for node in ast.walk(tree if path == source
                              else ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         and id(node) not in inside
@@ -101,16 +102,23 @@ def unread_fields(class_name: str, paths) -> tuple[set[str], list[str]]:
 
 def test_solver_options_read():
     # an option nothing reads is a setting that silently does nothing
-    fields, unread = unread_fields("SolverOptions", sorted(SRC.glob("*.py")))
+    fields, unread = unread_fields("solver.py", "SolverOptions", sorted(SRC.glob("*.py")))
     assert {"max_iters", "cert_tol"} <= fields
     assert unread == []
 
 
-@pytest.mark.parametrize("class_name", ["RDPoint", "SurfaceCell", "RDSurface"])
+# each result class, with the package module that defines it
+RESULT_CLASSES = {
+    "RDPoint": "solver.py", "SurfaceCell": "solver.py", "RDSurface": "solver.py",
+    "Row": "models.py",
+}
+
+
+@pytest.mark.parametrize("class_name", RESULT_CLASSES)
 def test_result_fields_read(class_name):
     # a result field that neither the package nor the benchmark reads is
     # carried (and pickled across the process pool) for nothing
     paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    fields, unread = unread_fields(class_name, paths)
+    fields, unread = unread_fields(RESULT_CLASSES[class_name], class_name, paths)
     assert fields
     assert unread == []

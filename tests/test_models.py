@@ -6,10 +6,11 @@ import itertools
 import pytest
 
 import semrd.solver as solver_mod
+import semrd.sources as sources
 import semrd.verify as verify
 from semrd.closed_form import in_region_correlated, rate_correlated
-from semrd.errors import SolverError
-from semrd.models import OUTSIDE_REGION, Model, correlated_model, route
+from semrd.errors import ConfigError, SolverError
+from semrd.models import OUTSIDE_REGION, Model, correlated_model, custom_model, route
 from semrd.prob import BinarySourceSpec
 from semrd.solver import RDQuery
 
@@ -76,6 +77,16 @@ def test_ba_solves_every_cell(calls):
     rows = route(model, QUERIES, "ba")
     assert counts == {"batches": 1, "solves": len(QUERIES), "builds": 1}
     assert all(r.method == "ba" for r in rows)
+
+
+def test_closed_form_on_a_model_without_one_is_rejected(calls):
+    # the correlated tables given as a custom model: no rows are labelled
+    # "ba" under the closed_form method, and nothing is solved
+    counts, _ = calls
+    model = custom_model(sources.correlated_problem(SPEC))
+    with pytest.raises(ConfigError, match="no closed form"):
+        route(model, [RDQuery(0.05, 0.1, 0.3)], "closed_form")
+    assert counts == {"batches": 0, "solves": 0, "builds": 0}
 
 
 def test_closed_form_errors_become_flagged_rows(calls):

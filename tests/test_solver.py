@@ -124,14 +124,14 @@ def between_floors(problem, fractions):
     ))
 
 
-def _solved(build, fractions=None, query=None, reattached=False):
+def _solved(build, fractions=None, query=None, slack=False):
     """A case of the lean-point test: (problem, solved point, whether a
-    coordinate with multiplier 0 is re-attached after the constrained run)."""
+    coordinate's multiplier solves to 0 with its target slack)."""
 
     def case():
         problem = build()
         q = query if query is not None else between_floors(problem, fractions)
-        return problem, solve_rd_point(problem, q), reattached
+        return problem, solve_rd_point(problem, q), slack
 
     return case
 
@@ -148,11 +148,11 @@ LEAN_POINT_CASES = [
     _solved(lambda: sources.conditionally_independent_problem(SPEC_IND),
             query=RDQuery(0.1, 0.1, 0.5)),
     _solved(lambda: sources.correlated_problem(SPEC_COR), query=RDQuery(0.05, 0.1, 0.3),
-            reattached=True),
+            slack=True),
     _solved(lambda: sources.classification_problem(0.25, 0.25, 64),
             query=RDQuery(0.096, 0.1, 0.26)),
     _solved(lambda: sources.classification_problem(0.25, 0.25, 64),
-            query=RDQuery(0.172, 0.1, 0.398), reattached=True),
+            query=RDQuery(0.172, 0.1, 0.398), slack=True),
     _solved(lambda: random_table_problem(5), fractions=(0.3, 0.4, 0.5)),
     _solved(uneven_table_problem, fractions=(0.4, 0.5, 0.5)),
     _solved(lambda: sources.correlated_problem(SPEC_COR), query=RDQuery(0.6, 0.6, 0.55)),
@@ -463,8 +463,18 @@ def joint_of(ws, T):
     total = full.sum()
     assert abs(total - 1.0) <= 1e-9, f"joint mass {total!r} drifted from 1"
     problem = ws.problem
-    shaped = full.reshape(ws.nx1, ws.nx2, ws.ny, *ws.h_sizes)
+    shaped = full.reshape(ws.nx1, ws.nx2, ws.ny, ws.nh1, ws.nh2, ws.nhs)
     return JointPMF(problem.source.axes + problem.repro_alphabets, shaped / total)
+
+
+def y_only_channel(ws):
+    """The zero-rate channel T[y, x, h]: each reproduction coordinate takes,
+    for each y, the letter of least expected cost given y."""
+    letters = [(ws.Pw @ costs).argmin(axis=1) for costs in ws.coord_costs]  # per y
+    h = (letters[0] * ws.nh2 + letters[1]) * ws.nhs + letters[2]
+    T = np.zeros((len(ws.p_y), ws.nx, ws.nh))
+    T[np.arange(len(ws.p_y)), :, h] = 1.0
+    return T
 
 
 class TestSolveRdPoint:
@@ -485,25 +495,39 @@ class TestSolveRdPoint:
         assert pt.achieved[1] <= q.d2 + 1e-7
         assert pt.achieved[2] <= q.ds + 1e-7
         # the semantic target is the binding one here; the observation
-        # constraint rides along at the transformed value
-        assert pt.achieved[0] == pytest.approx(0.02, abs=1e-6)
+        # constraint rides along at the transformed value 0.02, so tightening
+        # it there costs nothing
+        assert pt.multipliers[0] == 0.0
+        tight = solve_rd_point(prob_cor, RDQuery(0.02, 0.1, 0.26))
+        assert abs(pt.rate - tight.rate) <= 1e-9
 
     @pytest.mark.parametrize("case", LEAN_POINT_CASES, ids=LEAN_POINT_IDS)
     def test_achieved_matches_channel_recomputation(self, case, monkeypatch):
-        # the rate and distortions come from the solver's own arrays; the
-        # 6-axis joint of its final channel must carry the same numbers
-        channels = []
-        original = solver_mod._point_from_channel
+        # the rate and distortions come from the final step's arrays; the
+        # 6-axis joint of its channel Q W / Z must carry the same numbers
+        runs = []
+        original = solver_mod._ConstrainedBA.run
 
-        def capturing(ws, T, *args):
-            channels.append((ws, T))
-            return original(ws, T, *args)
+        def capturing(self, *args):
+            final, converged = original(self, *args)
+            runs.append((self, final))
+            return final, converged
 
-        monkeypatch.setattr(solver_mod, "_point_from_channel", capturing)
-        problem, pt, reattached = case()
-        if reattached:
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "run", capturing)
+        problem, pt, slack = case()
+        if runs:
+            ((cba, final),) = runs
+            ws, d = cba.ws, final.dual
+            T = final.Q[:, None, :] * cba._letters(d.kernel)[None, :, :] / d.Z[:, :, None]
+        else:
+            assert pt.iterations == 0
+            ws = solver_mod._Workspace(problem)
+            T = y_only_channel(ws)
+        if slack:
             assert 0.0 in pt.multipliers and pt.iterations > 0
-        ((ws, T),) = channels
+            # a zero-multiplier coordinate's own channel meets its target
+            for a, t, l in zip(pt.achieved, cba.targets, pt.multipliers):
+                assert l > 0.0 or a <= t + 1e-12
         joint = joint_of(ws, T)
         names = problem.axis_names
         recomputed = (
