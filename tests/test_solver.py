@@ -192,7 +192,7 @@ class TestFixedMultipliers:
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
 def test_max_iters_caps_the_steps(prob_cor, cap):
-    """No step, the SQUAREM proposal included, once the cap is reached."""
+    """No step, an Anderson proposal included, once the cap is reached."""
     opts = SolverOptions(max_iters=cap)
     assert solve_rd_point(prob_cor, RDQuery(0.05, 0.23, 0.45), opts).iterations == cap
     assert ba_fixed_multipliers(prob_cor, 2.0, 1.0, 0.5, opts=opts).iterations == cap
@@ -263,6 +263,101 @@ class TestBaAgainstReference:
             assert pt.converged
             assert abs(pt.rate - rate) <= 1e-9
             assert np.max(np.abs(np.subtract(pt.achieved, achieved))) <= 1e-9
+
+
+def test_fixed_multipliers_at_the_support_point_converge(prob_cor, support_multipliers):
+    # plain BA is slowest at these multipliers. SQUAREM took 414 steps;
+    # Anderson takes 31, and 63 when a proposal with a nonpositive atom is
+    # dropped instead of shortened
+    pt = ba_fixed_multipliers(prob_cor, *support_multipliers)
+    assert pt.converged
+    assert pt.iterations < 414
+
+
+class TestAnderson:
+    """The accelerated loop: its proposal, and the steps it keeps."""
+
+    @staticmethod
+    def contraction_history():
+        """A history of plain steps of the linear map Q -> p + 0.9 (Q - p).
+        Row 0 of p has an atom of 1e-9, far below a tenth of its image; the
+        last image drops atom 3 of row 1 to exactly 0, as underflow does."""
+        p = np.array([[0.5, 0.3, 0.2 - 1e-9, 1e-9], [0.4, 0.4, 0.2, 0.0]])
+        Q, steps = np.full((2, 4), 0.25), []
+        for k in range(4):
+            g = p + 0.9 * (Q - p)
+            if k == 3:
+                g[1, 3] = 0.0
+                g /= g.sum(axis=1, keepdims=True)
+            steps.append(solver_mod._Step(Q, None, 1.0, g))
+            Q = g
+        history = solver_mod._Anderson(steps[0])
+        for s in steps[1:]:
+            history.push(s)
+        return history, Q
+
+    @staticmethod
+    def assert_admissible(Q, g):
+        """Zero atoms of the image g stay exactly 0, live ones keep a tenth
+        of it (up to the rounding of the renormalisation), rows sum to 1."""
+        live = g > 0.0
+        assert np.all(Q[~live] == 0.0)
+        assert np.all(Q[live] >= solver_mod._FLOOR * g[live] * (1.0 - 1e-12))
+        assert np.max(np.abs(Q.sum(axis=1) - 1.0)) <= 1e-15
+
+    def test_proposal_is_shortened_and_keeps_zero_atoms(self):
+        history, g = self.contraction_history()
+        Q = history.propose()
+        self.assert_admissible(Q, g)
+        # the shortening binds: the tiny atom sits at exactly a tenth of its
+        # image, and the dropped atom stays 0 though it moved in the history
+        assert np.min(Q[g > 0.0] / g[g > 0.0]) == pytest.approx(solver_mod._FLOOR, rel=1e-12)
+        assert np.any(history.dG[:history.count, 7] != 0.0)
+        # a cleared history proposes nothing: the next step is plain
+        history.count = 0
+        assert history.propose() is None
+
+    @pytest.mark.parametrize("case", ["support", "classification", "underflow"])
+    def test_runs_propose_admissibly_and_never_raise_F(self, case, monkeypatch, prob_cor, prob_cls):
+        problem, query = {
+            "support": (prob_cor, RDQuery(0.05, 0.23, 0.45)),
+            "classification": (prob_cls, RDQuery(0.4, 0.1, 0.352)),
+            "underflow": (random_table_problem(25), None),
+        }[case]
+        if query is None:
+            query = between_floors(problem, (0.5, 0.0, 0.5))
+        proposals, kept = [], []
+        propose, init, push = (solver_mod._Anderson.propose, solver_mod._Anderson.__init__,
+                               solver_mod._Anderson.push)
+
+        def capture_proposal(self):
+            Q = propose(self)
+            if Q is not None:
+                proposals.append((Q, self.g))
+            return Q
+
+        def capture_first(self, s):
+            kept.append(s)
+            init(self, s)
+
+        def capture_kept(self, s):
+            kept.append(s)
+            push(self, s)
+
+        monkeypatch.setattr(solver_mod._Anderson, "propose", capture_proposal)
+        monkeypatch.setattr(solver_mod._Anderson, "__init__", capture_first)
+        monkeypatch.setattr(solver_mod._Anderson, "push", capture_kept)
+        pt = solve_rd_point(problem, query)
+        assert pt.converged
+        assert proposals
+        for Q, g in proposals:
+            self.assert_admissible(Q, g)
+        # every kept step, proposals among them, is no worse than the step
+        # before it beyond the rounding allowance 1e-11 (1 + |F|)
+        assert any(s.Q is Q for s in kept for Q, _ in proposals)
+        for prev, s in zip(kept, kept[1:]):
+            F = s.dual.value
+            assert F <= prev.dual.value + 1e-11 * (1.0 + abs(F))
 
 
 def reference_dual_step(ws, targets, Q, lam):
@@ -610,10 +705,18 @@ class TestSolveRdPoint:
         assert pt.multipliers[2] <= 1e-8
         assert pt.rate == pytest.approx(2.980419967419392, abs=1e-6)
 
+    def test_vanishing_semantic_multiplier_tail_is_short(self, prob_cls):
+        # lam_s tends to 0 while the semantic target is almost tight; the
+        # tail took 527 steps under SQUAREM
+        pt = solve_rd_point(prob_cls, RDQuery(0.4, 0.1, 0.352))
+        assert pt.converged
+        assert pt.iterations < 200
+
     def test_extrapolation_survives_underflowed_atoms(self):
         # with the background target at its floor, reproduction atoms of the
-        # marginal underflow to exactly 0; SQUAREM must keep extrapolating
-        # (128 steps), where a strict positivity test stalls past 2,000
+        # marginal fall by about 15 orders of magnitude per step (to exactly
+        # 0 once they underflow); Anderson proposals must keep coming, with
+        # such atoms held at or above a tenth of their image (27 steps)
         problem = random_table_problem(25)
         pt = solve_rd_point(problem, between_floors(problem, (0.5, 0.0, 0.5)),
                             SolverOptions(max_iters=2000))
