@@ -10,16 +10,15 @@ Exit codes: 0 success, 1 usage/configuration error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
+from typing import Iterator
 
 from .config import SweepConfig, load_config
 from .errors import ConfigError, SemrdError
-from .figures import FIGURE_IDS, _fmt, generate_figure
-from .gaussian import gaussian_rate, nats_to_bits
-from .models import Row, route
+from .figures import FIGURE_IDS, _write_csv, generate_figure
+from .models import route
 from .solver import RDQuery
 from .verify import SUITES, run_suite
 
@@ -54,37 +53,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gaussian_row(cfg: SweepConfig, q: RDQuery) -> Row:
-    try:
-        nats = gaussian_rate(cfg.gaussian_spec, q.d1, q.d2, q.ds).rate_nats
-    except SemrdError as exc:
-        return Row(q, "closed_form", error=f"infeasible: {exc}")
-    return Row(q, "closed_form", nats if cfg.base == "nats" else nats_to_bits(nats), True)
-
-
-def _sweep_rows(cfg: SweepConfig) -> list[Row]:
-    """One row per grid cell, ordered by grid index."""
+def _sweep_rows(cfg: SweepConfig) -> Iterator[tuple]:
+    """The CSV fields of each grid cell, ordered by grid index. Nothing is
+    routed before the first row is drawn, so an unwritable output fails
+    before any cell is solved."""
     grid = cfg.grid
     queries = [RDQuery(*q) for q in itertools.product(grid["d1"], grid["d2"], grid["ds"])]
-    if cfg.kind == "gaussian":
-        return [_gaussian_row(cfg, q) for q in queries]
-    return route(cfg.model, queries, cfg.method, cfg.solver_options, cfg.workers)
+    for row in route(cfg.model, queries, cfg.method, cfg.solver_options, cfg.workers):
+        yield (*row.query.as_tuple(), row.rate, row.method, row.converged, row.cs_residual,
+               row.error)
 
 
 def cmd_sweep(config_path: str, out_path: str) -> int:
     cfg = load_config(config_path)
     header = ("d1", "d2", "ds", "rate", "method", "converged", "cs_residual", "error")
-    try:
-        fh = open(out_path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in _sweep_rows(cfg):
-            fields = (*row.query.as_tuple(), row.rate, row.method, row.converged,
-                      row.cs_residual, row.error)
-            writer.writerow([_fmt(v) for v in fields])
+    _write_csv(out_path, header, _sweep_rows(cfg))
     return 0
 
 

@@ -9,18 +9,21 @@ Kinds and their ``params``:
 * ``custom``             -- inline pmf and distortion tables (see below)
 
 Common fields: ``grid`` with entries ``d1``/``d2``/``ds``, each either an
-explicit list of values or {"linspace": [start, stop, num]}; optional
-``method``, passed to :func:`semrd.models.route` ("auto" serves each model's
-closed form on its proven region and solves the rest; "closed_form" flags the
-points outside the region; "ba" always solves); every grid value must be
-nonnegative;
-optional ``solver`` overrides (SolverOptions field names); optional
-``workers`` (processes for the cells that use the solver); optional ``base`` ("bits"/"nats", gaussian only).
+explicit list of values or {"linspace": [start, stop, num]}; every grid value
+must be nonnegative. Optional ``method``: every kind, Gaussian sweeps
+included, is answered by :func:`semrd.models.route` ("auto" serves each
+model's closed form on its proven region and solves the rest; "closed_form"
+flags the points outside the region; "ba" always solves), and a method the
+kind's model does not support is rejected (:func:`semrd.models.check_method`).
+Optional ``solver``: {"max_iters": int}, the one solver option (the
+tolerances are constants of :mod:`semrd.solver`). Optional ``workers``
+(processes for the cells that use the solver); optional ``base``
+("bits"/"nats", gaussian only).
 
 ``custom`` params: {"alphabets": {name: [labels...]}, "source": {"axes":
 [names], "probs": nested}, "repro_axes": [names], "d1"/"d2"/"ds_mod":
 {"source_axis": name, "repro_axis": name, "values": nested}, "log_base"}.
-Custom sweeps always use the solver.
+Custom sweeps always use the solver; Gaussian sweeps never do.
 
 Schema violations raise ConfigError with the offending field path.
 """
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Mapping
+from typing import Any, Mapping, NoReturn
 
 import numpy as np
 
@@ -37,12 +40,12 @@ from .errors import ConfigError
 from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, ProbabilityError, is_finite_real
 from .gaussian import GaussianSpec
 from .models import (
-    METHODS,
-    NO_CLOSED_FORM,
     Model,
+    check_method,
     classification_model,
     correlated_model,
     custom_model,
+    gaussian_model,
     independent_model,
 )
 from .solver import RDProblem, SolverOptions, _valid_workers
@@ -51,7 +54,7 @@ from . import sources
 KINDS = ("binary_independent", "binary_correlated", "classification", "gaussian", "custom")
 
 
-def _fail(path: str, msg: str) -> None:
+def _fail(path: str, msg: str) -> NoReturn:
     raise ConfigError(f"{path}: {msg}")
 
 
@@ -88,21 +91,15 @@ def _grid_axis(value: Any, path: str) -> tuple[float, ...]:
             _fail(path, "empty grid")
         return tuple(_real(v, f"{path}[{i}]", lo=0.0) for i, v in enumerate(value))
     _fail(path, f"must be a list of values or a linspace object, got {type(value).__name__}")
-    raise AssertionError  # unreachable
 
 
 @dataclasses.dataclass(frozen=True)
 class SweepConfig:
-    kind: str
     method: str
     grid: dict[str, tuple[float, ...]]
     solver_options: SolverOptions
     workers: int | None
-    base: str
-    # discrete kinds
-    model: Model | None = None
-    # gaussian kind
-    gaussian_spec: GaussianSpec | None = None
+    model: Model
 
 
 def _parse_solver_options(obj: Any, path: str) -> SolverOptions:
@@ -111,16 +108,13 @@ def _parse_solver_options(obj: Any, path: str) -> SolverOptions:
     if not isinstance(obj, Mapping):
         _fail(path, "must be an object")
     allowed = {f.name for f in dataclasses.fields(SolverOptions)}
-    kwargs: dict[str, Any] = {}
-    for key, value in obj.items():
+    for key in obj:
         if key not in allowed:
             _fail(f"{path}.{key}", f"unknown solver option; allowed: {sorted(allowed)}")
-        kwargs[key] = value
     try:
-        return SolverOptions(**kwargs)
+        return SolverOptions(**obj)
     except (ProbabilityError, TypeError) as exc:
         _fail(path, str(exc))
-        raise AssertionError
 
 
 def _parse_alphabets(obj: Any, path: str) -> dict[str, Alphabet]:
@@ -152,7 +146,6 @@ def _parse_table(
         return DistortionMatrix(alphabets[src], alphabets[rep], np.asarray(values, dtype=float))
     except (ProbabilityError, ValueError) as exc:
         _fail(f"{path}.values", str(exc))
-        raise AssertionError
 
 
 def _parse_custom(params: Any, path: str) -> RDProblem:
@@ -175,7 +168,6 @@ def _parse_custom(params: Any, path: str) -> RDProblem:
         )
     except (ProbabilityError, ValueError) as exc:
         _fail(f"{path}.source.probs", str(exc))
-        raise AssertionError
     d1 = _parse_table(_get(params, path, "d1"), f"{path}.d1", alphabets)
     d2 = _parse_table(_get(params, path, "d2"), f"{path}.d2", alphabets)
     ds_mod = _parse_table(_get(params, path, "ds_mod"), f"{path}.ds_mod", alphabets)
@@ -185,7 +177,6 @@ def _parse_custom(params: Any, path: str) -> RDProblem:
         return sources.custom_problem(source, d1, d2, ds_mod, log_base)
     except ProbabilityError as exc:
         _fail(path, str(exc))
-        raise AssertionError
 
 
 def parse_config(doc: Any) -> SweepConfig:
@@ -195,8 +186,6 @@ def parse_config(doc: Any) -> SweepConfig:
     if kind not in KINDS:
         _fail("kind", f"must be one of {KINDS}, got {kind!r}")
     method = _get(doc, "", "method", required=False, default="auto")
-    if method not in METHODS:
-        _fail("method", f"must be one of {METHODS}, got {method!r}")
     grid_obj = _get(doc, "", "grid")
     if not isinstance(grid_obj, Mapping):
         _fail("grid", "must be an object with d1/d2/ds entries")
@@ -221,43 +210,38 @@ def parse_config(doc: Any) -> SweepConfig:
     params = _get(doc, "", "params")
     if not isinstance(params, Mapping) and kind != "custom":
         _fail("params", "must be an object")
+    model = _parse_model(kind, params, base)
+    check_method(model, method)
+    return SweepConfig(method, grid, opts, workers, model)
 
-    common = dict(kind=kind, method=method, grid=grid, solver_options=opts,
-                  workers=workers, base=base)
+
+def _parse_model(kind: str, params: Any, base: str) -> Model:
     if kind == "binary_independent":
         p = _real(_get(params, "params", "p"), "params.p", 0.0, 0.5)
         p2 = _real(_get(params, "params", "p2"), "params.p2", 0.0, 0.5)
         p3 = _real(_get(params, "params", "p3"), "params.p3", 0.0, 0.5)
-        spec = BinarySourceSpec.conditionally_independent(p, p2, p3)
-        return SweepConfig(model=independent_model(spec), **common)
+        return independent_model(BinarySourceSpec.conditionally_independent(p, p2, p3))
     if kind == "binary_correlated":
         p = _real(_get(params, "params", "p"), "params.p", 0.0, 0.5)
         p1 = _real(_get(params, "params", "p1"), "params.p1", 0.0, 0.5)
         p2 = _real(_get(params, "params", "p2"), "params.p2", 0.0, 0.5)
-        return SweepConfig(model=correlated_model(BinarySourceSpec.correlated(p, p1, p2)), **common)
+        return correlated_model(BinarySourceSpec.correlated(p, p1, p2))
     if kind == "classification":
         p = _real(_get(params, "params", "p"), "params.p", 0.0, 0.5)
         p2 = _real(_get(params, "params", "p2"), "params.p2", 0.0, 0.5)
         n = _get(params, "params", "n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 4 or n % 2:
             _fail("params.n", f"must be an even integer >= 4, got {n!r}")
-        return SweepConfig(model=classification_model(p, p2, n), **common)
+        return classification_model(p, p2, n)
     if kind == "gaussian":
-        if method == "ba":
-            _fail("method", "the gaussian kind has no solver route; use closed_form/auto")
         kwargs = {}
         for fname in ("var_s", "var_x1", "var_x2", "var_y", "cov_sx1", "cov_x1y", "cov_x2y"):
             kwargs[fname] = _real(_get(params, "params", fname), f"params.{fname}")
         try:
-            gspec = GaussianSpec(**kwargs)
+            return gaussian_model(GaussianSpec(**kwargs), base)
         except ProbabilityError as exc:
             _fail("params", str(exc))
-            raise AssertionError
-        return SweepConfig(gaussian_spec=gspec, **common)
-    # custom
-    if method != "ba" and method != "auto":
-        _fail("method", NO_CLOSED_FORM)
-    return SweepConfig(model=custom_model(_parse_custom(params, "params")), **common)
+    return custom_model(_parse_custom(params, "params"))
 
 
 def load_config(path: str) -> SweepConfig:

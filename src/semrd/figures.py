@@ -54,7 +54,9 @@ from .gaussian import (
 from .models import Row, classification_model, correlated_model, route
 from .prob import BinarySourceSpec
 from .semantic import ds0
-from .solver import DEFAULT_OPTIONS, RDQuery, _valid_workers
+from .solver import (
+    CERT_TOL, CONSTRAINT_TOL, DEFAULT_OPTIONS, LAMBDA_CAP, RATE_TOL, RDQuery, _valid_workers,
+)
 
 FIGURE_IDS = ("fig4", "fig5", "fig6a", "fig6b", "fig7", "fig8", "fig9")
 DEFAULT_SURFACE_GRID = 50
@@ -84,8 +86,13 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write the rows under ``header``, the file opened before the first row is drawn."""
     count = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -421,7 +428,10 @@ def generate_figure(
     manifest = {
         "figure": figure_id,
         "package_version": __version__,
-        "solver": dataclasses.asdict(DEFAULT_OPTIONS),
+        "solver": {
+            **dataclasses.asdict(DEFAULT_OPTIONS), "cert_tol": CERT_TOL,
+            "constraint_tol": CONSTRAINT_TOL, "rate_tol": RATE_TOL, "lambda_cap": LAMBDA_CAP,
+        },
         "workers": workers,
         **manifest,
     }

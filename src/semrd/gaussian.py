@@ -125,10 +125,6 @@ class GaussianRDResult:
     term_x1_branch: str  # "observation" or "semantic": which max argument won
     mmse: float
 
-    @property
-    def rate_bits(self) -> float:
-        return nats_to_bits(self.rate_nats)
-
 
 def gaussian_rate(spec: GaussianSpec, D1: float, D2: float, Ds: float) -> GaussianRDResult:
     """Total rate: background term plus the max of the observation and
@@ -189,9 +185,7 @@ class MonteCarloCase:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    n_samples: int
     seed: int
-    mmse_value: float
     cases: tuple[MonteCarloCase, MonteCarloCase]
     passed: bool
 
@@ -293,9 +287,7 @@ def monte_carlo_decomposition_check(
         bound_limit=D1,
     )
     return MonteCarloReport(
-        n_samples=n_samples,
         seed=seed,
-        mmse_value=m,
         cases=(case1, case2),
         passed=case1.passed and case2.passed,
     )

@@ -1,11 +1,13 @@
-"""The discrete models and the one router that serves their queries.
+"""The models of every sweep kind and the one router that serves their queries.
 
-A :class:`Model` holds three parts: a builder of its solver instance, its
-closed form (in bits) or None, and the predicate of the region on which that
+A :class:`Model` holds three parts: a builder of its solver instance or None,
+its closed form or None, and the predicate of the region on which that
 closed form is proven. :func:`route` answers a batch of target queries for a
 model: the closed form inside its region, the solver everywhere else. Sweeps
-and figures both go through it, so the choice between the two is made here
-and nowhere else.
+of all five kinds (the three binary and parity models, the Gaussian model and
+custom tables) and figures go through it, so the choice between the two, and
+which methods a model supports (:func:`check_method`), are decided here and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -23,22 +25,22 @@ from .closed_form import (
     rate_correlated,
 )
 from .errors import ConfigError, SemrdError
+from .gaussian import GaussianSpec, gaussian_rate, nats_to_bits
 from .prob import BinarySourceSpec
 from .solver import DEFAULT_OPTIONS, RDProblem, RDQuery, SolverOptions
 
 METHODS = ("auto", "closed_form", "ba")
 OUTSIDE_REGION = "RegionError: outside the closed form's proven region"
-NO_CLOSED_FORM = "custom sweeps have no closed form; use 'ba' (or 'auto')"
 
 
 @dataclass(frozen=True)
 class Model:
-    """``build()`` returns the solver instance; ``closed_form(d1, d2, ds)``
-    the rate in bits, valid where ``in_region(d1, d2, ds)`` holds (at every
-    target when it is None). A model without a closed form is always
-    solved."""
+    """``build()`` returns the solver instance (None: the model is never
+    solved); ``closed_form(d1, d2, ds)`` the rate (in bits on the discrete
+    models), valid where ``in_region(d1, d2, ds)`` holds (at every target
+    when it is None). A model without a closed form is always solved."""
 
-    build: Callable[[], RDProblem]
+    build: Callable[[], RDProblem] | None
     closed_form: Callable[[float, float, float], float] | None = None
     in_region: Callable[[float, float, float], bool] | None = None
 
@@ -86,6 +88,29 @@ def custom_model(problem: RDProblem) -> Model:
     return Model(lambda: problem)
 
 
+def gaussian_model(spec: GaussianSpec, base: str) -> Model:
+    """The jointly Gaussian model: a closed form at every target, in nats or
+    (``base`` "bits") in bits, and no solver instance."""
+
+    def rate(d1: float, d2: float, ds: float) -> float:
+        nats = gaussian_rate(spec, d1, d2, ds).rate_nats
+        return nats if base == "nats" else nats_to_bits(nats)
+
+    return Model(None, rate)
+
+
+def check_method(model: Model, method: str) -> None:
+    """Raise :class:`ConfigError` unless ``method`` is one of METHODS and
+    ``model`` supports it: ``closed_form`` needs a closed form and ``ba`` a
+    solver instance."""
+    if method not in METHODS:
+        raise ConfigError(f"method: must be one of {METHODS}, got {method!r}")
+    if method == "closed_form" and model.closed_form is None:
+        raise ConfigError("method: custom sweeps have no closed form; use 'ba' (or 'auto')")
+    if method == "ba" and model.build is None:
+        raise ConfigError("method: the gaussian kind has no solver route; use closed_form/auto")
+
+
 def route(
     model: Model,
     queries: Sequence[RDQuery],
@@ -100,12 +125,10 @@ def route(
     solves every query. A closed form that raises :class:`SemrdError` gives a
     flagged row. The queries left to the solver go to
     :func:`solver.solve_cells` in one batch, on one problem built for it.
-    ``closed_form`` on a model without one raises :class:`ConfigError`.
+    A method the model does not support raises :class:`ConfigError`
+    (:func:`check_method`).
     """
-    if method not in METHODS:
-        raise ConfigError(f"method: must be one of {METHODS}, got {method!r}")
-    if method == "closed_form" and model.closed_form is None:
-        raise ConfigError(f"method: {NO_CLOSED_FORM}")
+    check_method(model, method)
     rows: list[Row | None] = []
     for q in queries:
         row = None
@@ -116,7 +139,7 @@ def route(
                 elif method == "closed_form":
                     row = Row(q, "closed_form", error=OUTSIDE_REGION)
             except SemrdError as exc:
-                row = Row(q, "closed_form", error=str(exc))
+                row = Row(q, "closed_form", error=f"{type(exc).__name__}: {exc}")
         rows.append(row)
     pending = [i for i, row in enumerate(rows) if row is None]
     if pending:

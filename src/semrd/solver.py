@@ -30,7 +30,7 @@ Two numerical details matter:
   functions", IEEE TIT 1972). With c(h) = sum_x p(x) W(x,h) / Z(x) (the
   multiplicative marginal update), convexity gives
   F(q) - min F <= max_h c(h) - 1; a run stops once this bound is below
-  ``cert_tol``. Decrease-based stopping can freeze a warm-started run far
+  ``CERT_TOL``. Decrease-based stopping can freeze a warm-started run far
   from the new fixed point. A target solve (below) and a fixed-multiplier run
   (``ba_fixed_multipliers``) take the same steps, the latter with the
   multipliers held at the given values in place of the multiplier solve.
@@ -45,7 +45,7 @@ Two numerical details matter:
   covariance of the costs. The solve is a projected Newton iteration with
   Armijo backtracking, warm-started at the previous multipliers, run to a
   KKT residual of 1e-12, because multipliers left anywhere inside the
-  ``constraint_tol`` band make the certificate stall. Its direction solves
+  ``CONSTRAINT_TOL`` band make the certificate stall. Its direction solves
   the free block of the covariance (1x1, 2x2 or 3x3) in closed form; a
   block singular to working precision gets the least-norm solution. The step
   then takes the BA marginal update at those multipliers. Its value
@@ -105,6 +105,9 @@ Two numerical details matter:
 Exponent underflow is handled by shifting each cost row by its maximum before
 exponentiation. Rates are returned in ``problem.log_base`` units; multipliers
 are natural-log based (they appear inside exp).
+
+The tolerances are module constants, not options; :class:`SolverOptions`
+holds the one option, ``max_iters``.
 """
 
 from __future__ import annotations
@@ -122,21 +125,15 @@ from .errors import InfeasibleDistortionError, ProbabilityError, SemrdError, Sol
 from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base, is_finite_real
 
 _COORDS = (0, 1, 2)
-# SolverOptions fields that must be finite and positive
-_POSITIVE_OPTIONS = ("cert_tol", "constraint_tol", "rate_tol", "lambda_cap")
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunables of the alternating minimization, shared by target solves and
-    fixed-multiplier runs.
-
-    ``cert_tol`` is the optimality-certificate threshold, the only stopping
-    rule of both runs. ``constraint_tol`` is the distortion-matching
-    tolerance a target solve must meet, ``rate_tol`` the acceptable
-    complementary-slackness residual (same units as the returned rate),
-    ``lambda_cap`` the largest multiplier. Every run starts from the uniform
-    marginal; the certificate stop makes the answer independent of that start.
+    """The one option of the alternating minimization, shared by target
+    solves and fixed-multiplier runs; its tolerances are the module
+    constants ``CERT_TOL``, ``CONSTRAINT_TOL``, ``RATE_TOL`` and
+    ``LAMBDA_CAP``. Every run starts from the uniform marginal; the
+    certificate stop makes the answer independent of that start.
 
     ``max_iters`` caps the steps of a run. It leaves headroom for the slow
     regime where a reproduction atom sits near its support threshold: the
@@ -147,16 +144,8 @@ class SolverOptions:
     """
 
     max_iters: int = 50000
-    cert_tol: float = 1e-12
-    constraint_tol: float = 1e-9
-    rate_tol: float = 1e-6
-    lambda_cap: float = 1e8
 
     def __post_init__(self) -> None:
-        for name in _POSITIVE_OPTIONS:
-            v = getattr(self, name)
-            if not (is_finite_real(v) and v > 0):
-                raise ProbabilityError(f"solver option {name} must be finite and > 0, got {v!r}")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) or (
             self.max_iters < 1
         ):
@@ -379,32 +368,19 @@ class _Workspace:
         """The uniform marginal Q[y, h], where every run starts."""
         return np.full((len(self.p_y), self.nh), 1.0 / self.nh)
 
-    def log_kernel(self, lam: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """(shift, log w): log w[x, k] = shift[x] - lam.c(x, k) per cost
-        group, shift[x] being row x's least cost, so that w <= 1."""
-        log_w = np.dot(lam, self.flat).reshape(self.nx, self.K)
-        shift = np.minimum.reduce(log_w, axis=1)
-        np.subtract(shift[:, None], log_w, out=log_w)
-        return shift, log_w
-
-    def rate(self, Q: np.ndarray, lam: Sequence[float]) -> float:
-        """I(X1, X2; X1h, X2h, Sh | Y) in ``log_base`` units of the channel
-        T = Q W / Z at the multipliers lam, the form of every BA channel.
+    def rate(self, s: _Step) -> float:
+        """I(X1, X2; X1h, X2h, Sh | Y) in ``log_base`` units of the step's
+        channel T = Q W / Z, the form of every BA channel.
 
         Within a source row T / Q = w / Z is constant on each cost group, so
         KL(T(.|y, x) || Q_y) over letters is KL(R || M) over groups, R the
         group law and M the group masses of Q. With Q_out = Q c the BA update,
         I = sum p(y, x) KL(R || M) - sum p(y) KL(Q_out || Q). Both sums are
         of nonnegative terms, so nothing cancels at large multipliers."""
-        log_w = self.log_kernel(lam)[1]
-        w = np.exp(log_w)
-        R = self.group_masses(Q) * w
-        Z = R.sum(axis=2)
-        R /= Z[:, :, None]
+        d, c = s.dual, s.c
         # R / M = w / Z on every group that R charges
-        kl_rows = (R * (log_w - np.log(Z)[:, :, None])).sum(axis=2)
-        c = (self.P / Z) @ np.take(w, self.letter_group)
-        Q_out = Q * c
+        kl_rows = (d.R * (d.kernel.log_w - np.log(d.Z)[:, :, None])).sum(axis=2)
+        Q_out = s.Q * c
         log_c = np.log(c, out=np.zeros_like(c), where=Q_out > 0.0)
         nats = float(np.vdot(self.Pw, kl_rows)) - float(np.dot(self.p_y, (Q_out * log_c).sum(axis=1)))
         value = nats / math.log(self.problem.log_base)
@@ -442,8 +418,12 @@ def _workspace(problem: RDProblem) -> _Workspace:
 
 # Constants of the constrained BA loop (see the module docstring). The dual is
 # re-solved whenever its KKT residual exceeds _KKT_TOL: multipliers left
-# anywhere inside the constraint_tol band make the certificate stall far above
-# cert_tol.
+# anywhere inside the CONSTRAINT_TOL band make the certificate stall far above
+# CERT_TOL.
+CERT_TOL = 1e-12
+CONSTRAINT_TOL = 1e-9
+RATE_TOL = 1e-6
+LAMBDA_CAP = 1e8
 _KKT_TOL = 1e-12
 _NEWTON_STEPS = 100
 _ARMIJO = 1e-4
@@ -511,11 +491,12 @@ def _newton_direction(
 @dataclass
 class _Kernel:
     """exp(shift - cost) per cost group at one multiplier vector, shift
-    being each source row's least cost: ``w[x, k]`` and ``p_shift`` =
-    p(x).shift."""
+    being each source row's least cost: ``w[x, k]``, its log ``log_w`` and
+    ``p_shift`` = p(x).shift."""
 
     lam: tuple[float, ...]
     p_shift: float
+    log_w: np.ndarray
     w: np.ndarray
 
 
@@ -539,12 +520,14 @@ class _Dual:
 @dataclass
 class _Step:
     """One constrained step from Q: the dual solved at Q (its multipliers,
-    value F(Q) and KKT residual), the certificate and the BA update of Q."""
+    value F(Q) and KKT residual), the certificate, the BA update of Q and its
+    multiplicative factor c[y, h]."""
 
     Q: np.ndarray
     dual: _Dual
     cert: float
     Q_next: np.ndarray
+    c: np.ndarray
 
 
 class _Anderson:
@@ -600,9 +583,12 @@ class _ConstrainedBA:
         unchanged (the first evaluation of each step)."""
         k = self._last_kernel
         if k is None or k.lam != lam:
-            shift, w = self.ws.log_kernel(lam)
-            np.exp(w, out=w)
-            k = self._last_kernel = _Kernel(lam, float(np.dot(self.ws.p_x, shift)), w)
+            ws = self.ws
+            # log w[x, k] = shift[x] - lam.c(x, k), shift[x] being row x's least cost
+            log_w = np.dot(lam, ws.flat).reshape(ws.nx, ws.K)
+            shift = np.minimum.reduce(log_w, axis=1)
+            np.subtract(shift[:, None], log_w, out=log_w)
+            k = self._last_kernel = _Kernel(lam, float(np.dot(ws.p_x, shift)), log_w, np.exp(log_w))
         return k
 
     def _letters(self, k: _Kernel) -> np.ndarray:
@@ -644,9 +630,8 @@ class _ConstrainedBA:
         return second - B.reshape(-1, 3).T @ m1.reshape(-1, 3)
 
     def _solve_dual(self, M: np.ndarray, lam: Sequence[float]) -> _Dual:
-        """Maximise g_Q over 0 <= lam <= lambda_cap by projected Newton,
+        """Maximise g_Q over 0 <= lam <= LAMBDA_CAP by projected Newton,
         warm-started at lam; M holds the group masses of Q."""
-        cap = self.opts.lambda_cap
         d = self._evaluate(M, lam)
         for _ in range(_NEWTON_STEPS):
             if d.kkt <= _KKT_TOL:
@@ -661,7 +646,7 @@ class _ConstrainedBA:
             t = 1.0
             for _ in range(_BACKTRACKS):
                 new = self._evaluate(
-                    M, [min(cap, max(0.0, l + t * s)) for l, s in zip(d.lam, step)]
+                    M, [min(LAMBDA_CAP, max(0.0, l + t * s)) for l, s in zip(d.lam, step)]
                 )
                 # Armijo, up to rounding in g once the gain is that small
                 gain = sum(g * (n - l) for g, n, l in zip(d.grad, new.lam, d.lam))
@@ -675,13 +660,13 @@ class _ConstrainedBA:
 
     # ---- steps ---------------------------------------------------------------
 
-    def _update(self, Q: np.ndarray, d: _Dual) -> tuple[float, np.ndarray]:
-        """The certificate at d and the BA marginal update of Q, per letter."""
+    def _update(self, Q: np.ndarray, d: _Dual) -> tuple[float, np.ndarray, np.ndarray]:
+        """The certificate at d, the BA update of Q and its factor c, per letter."""
         c = (self.ws.P / d.Z) @ self._letters(d.kernel)
         cert = float(np.dot(self.ws.p_y, np.maximum(np.maximum.reduce(c, axis=1) - 1.0, 0.0)))
         Q_next = Q * c
         Q_next /= np.add.reduce(Q_next, axis=1, keepdims=True)
-        return cert, Q_next
+        return cert, Q_next, c
 
     def _step(self, Q: np.ndarray, lam: Sequence[float]) -> _Step:
         self.iterations += 1
@@ -692,11 +677,11 @@ class _ConstrainedBA:
         """Returns (final step, converged), the first multiplier solve
         warm-started at lam. The final step's channel Q W / Z meets the
         targets up to its dual's KKT residual."""
-        cert_tol, cap = self.opts.cert_tol, self.opts.max_iters
+        cap = self.opts.max_iters
         cur = self._step(self.ws.initial_marginal(), lam)
         history = _Anderson(cur)
         # no step, the Anderson proposal included, once the cap is reached
-        while cur.cert >= cert_tol and self.iterations < cap:
+        while cur.cert >= CERT_TOL and self.iterations < cap:
             Q = history.propose()
             s = self._step(cur.Q_next if Q is None else Q, cur.dual.lam)
             # a rise beyond rounding drops a proposal and the history; a plain step raises
@@ -708,7 +693,7 @@ class _ConstrainedBA:
                                   f" to {s.dual.value!r} at step {self.iterations}")
             cur = s
             history.push(s)
-        return cur, cur.cert < cert_tol
+        return cur, cur.cert < CERT_TOL
 
 
 class _FixedBA(_ConstrainedBA):
@@ -740,7 +725,7 @@ def ba_fixed_multipliers(
     ws = _workspace(problem)
     run = _FixedBA(ws, (0.0, 0.0, 0.0), opts)
     final, converged = run.run(lam)
-    return RDPoint(ws.rate(final.Q, lam), run.achieved(final.dual), lam, run.iterations, converged)
+    return RDPoint(ws.rate(final), run.achieved(final.dual), lam, run.iterations, converged)
 
 
 def solve_rd_point(
@@ -753,7 +738,7 @@ def solve_rd_point(
     Targets at or above the zero-rate distortion of a coordinate leave that
     constraint slack (zero multiplier). Targets below the full-information
     floor raise :class:`InfeasibleDistortionError`. The returned point's
-    achieved distortions satisfy the query up to ``opts.constraint_tol``.
+    achieved distortions satisfy the query up to ``CONSTRAINT_TOL``.
     """
     ws = _workspace(problem)
     targets = query.as_tuple()
@@ -776,11 +761,11 @@ def solve_rd_point(
     cs = sum(l * abs(g) for l, g in zip(d.lam, d.grad)) / math.log(problem.log_base)
     ok = (
         converged
-        and d.kkt <= 5.0 * opts.constraint_tol
-        and cs <= opts.rate_tol
-        and all(a <= t + 10.0 * opts.constraint_tol for a, t in zip(achieved, targets))
+        and d.kkt <= 5.0 * CONSTRAINT_TOL
+        and cs <= RATE_TOL
+        and all(a <= t + 10.0 * CONSTRAINT_TOL for a, t in zip(achieved, targets))
     )
-    return RDPoint(ws.rate(final.Q, d.lam), achieved, d.lam, cba.iterations, ok, cs)
+    return RDPoint(ws.rate(final), achieved, d.lam, cba.iterations, ok, cs)
 
 
 def semantic_rd(

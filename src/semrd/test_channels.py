@@ -93,9 +93,6 @@ class CorrelatedBinaryChannel:
     p: float
     p1: float
     p2: float
-    d1_target: float
-    d2_target: float
-    ds_target: float
     effective_d1: float  # min(D1, Ds0): flip probability of the first coordinate
     role_switched: bool  # True when the semantic target was the binding one
     q: np.ndarray
@@ -149,9 +146,6 @@ def build_correlated_binary_channel(
         p=p,
         p1=p1,
         p2=p2,
-        d1_target=D1,
-        d2_target=D2,
-        ds_target=Ds,
         effective_d1=flip1,
         role_switched=role_switched,
         q=q,
@@ -166,7 +160,6 @@ class ClassificationChannel:
 
     p2: float
     n: int
-    d1_target: float
     p_y_given_x1_hat: np.ndarray  # shape (2, n)
     joint: JointPMF  # axes (x1, y, x1_hat, s_hat), s_hat = parity(x1_hat)
 
@@ -214,7 +207,6 @@ def build_classification_channel(p2: float, n: int, D1: float) -> Classification
     return ClassificationChannel(
         p2=p2,
         n=n,
-        d1_target=D1,
         p_y_given_x1_hat=p_y_given_x1h,
         joint=JointPMF(axes, probs),
     )
@@ -230,7 +222,6 @@ class AchievabilityReport:
     marginal_residual: float
     achieved: tuple[float | None, float | None, float | None]
     rate: float
-    closed_form_rate: float
     rate_gap: float
 
 
@@ -277,6 +268,5 @@ def verify_achievability(
         marginal_residual=residual,
         achieved=achieved,
         rate=rate,
-        closed_form_rate=float(expected_rate),
         rate_gap=abs(rate - float(expected_rate)),
     )

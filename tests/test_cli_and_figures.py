@@ -202,7 +202,7 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_csv(out)
-        assert rows[0]["error"].startswith("infeasible")
+        assert rows[0]["error"].startswith("InfeasibleDistortionError: semantic target 1.0")
         assert rows[0]["rate"] == ""
         assert float(rows[1]["rate"]) == pytest.approx(0.752038698, abs=1e-8)
 
@@ -226,6 +226,28 @@ class TestCli:
         rows = read_csv(out)
         assert len(rows) == 1
         assert (rows[0]["rate"], rows[0]["converged"], rows[0]["error"]) == ("0", "true", "")
+
+    def test_unwritable_output_fails_before_solving(self, tmp_path, monkeypatch, capsys):
+        import semrd.solver
+
+        def never(*args):
+            raise AssertionError("a cell was solved before the output was opened")
+
+        monkeypatch.setattr(semrd.solver, "solve_cells", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "kind": "binary_correlated",
+                    "method": "ba",
+                    "params": {"p": 0.25, "p1": 0.25, "p2": 0.25},
+                    "grid": {"d1": [0.05], "d2": [0.1], "ds": [0.3]},
+                }
+            )
+        )
+        out = tmp_path / "missing" / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == USAGE_ERROR
+        assert "cannot write output" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "nope", "--out", "x"]) == 1

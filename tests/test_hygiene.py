@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is referenced in that module,
 every module-level private function or class is referenced somewhere, every
-solver option is read by the package, and every field of a solver result is
-read by the package or the benchmark.
+solver option is read by the package, and every field of a result or config
+class is read by the package, the benchmark or (for the checks' results) the
+tests.
 
 No lint tool is part of the toolchain, so this walks each module's syntax
 tree. ``from __future__`` imports and names re-exported through ``__all__``
@@ -101,24 +102,40 @@ def unread_fields(module: str, class_name: str, paths) -> tuple[set[str], list[s
 
 
 def test_solver_options_read():
-    # an option nothing reads is a setting that silently does nothing
+    # an option nothing reads is a setting that silently does nothing; the
+    # tolerances are constants, so max_iters is the one option
     fields, unread = unread_fields("solver.py", "SolverOptions", sorted(SRC.glob("*.py")))
-    assert {"max_iters", "cert_tol"} <= fields
+    assert fields == {"max_iters"}
     assert unread == []
 
 
-# each result class, with the package module that defines it
+# each result or config class, with the package module that defines it and
+# the directories whose reads count: the solver's results and the sweep
+# config are read by the package and the benchmark, the achievability and
+# Gaussian results also by the tests that assert them
+PACKAGE_AND_BENCH = ("src", "bench")
+WITH_TESTS = ("src", "bench", "tests")
 RESULT_CLASSES = {
-    "RDPoint": "solver.py", "SurfaceCell": "solver.py", "RDSurface": "solver.py",
-    "Row": "models.py",
+    "RDPoint": ("solver.py", PACKAGE_AND_BENCH),
+    "SurfaceCell": ("solver.py", PACKAGE_AND_BENCH),
+    "RDSurface": ("solver.py", PACKAGE_AND_BENCH),
+    "Row": ("models.py", PACKAGE_AND_BENCH),
+    "SweepConfig": ("config.py", PACKAGE_AND_BENCH),
+    "CorrelatedBinaryChannel": ("test_channels.py", WITH_TESTS),
+    "ClassificationChannel": ("test_channels.py", WITH_TESTS),
+    "AchievabilityReport": ("test_channels.py", WITH_TESTS),
+    "GaussianRDResult": ("gaussian.py", WITH_TESTS),
+    "MonteCarloCase": ("gaussian.py", WITH_TESTS),
+    "MonteCarloReport": ("gaussian.py", WITH_TESTS),
 }
 
 
 @pytest.mark.parametrize("class_name", RESULT_CLASSES)
 def test_result_fields_read(class_name):
-    # a result field that neither the package nor the benchmark reads is
-    # carried (and pickled across the process pool) for nothing
-    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    fields, unread = unread_fields(RESULT_CLASSES[class_name], class_name, paths)
+    # a field that nothing reads is carried (and pickled across the process
+    # pool) for nothing
+    module, roots = RESULT_CLASSES[class_name]
+    paths = [p for root in roots for p in sorted((ROOT / root).rglob("*.py"))]
+    fields, unread = unread_fields(module, class_name, paths)
     assert fields
     assert unread == []

@@ -96,7 +96,8 @@ def test_closed_form_errors_become_flagged_rows(calls):
     below = [RDQuery(0.03, 0.1, 0.1)]
     (auto,) = route(model, below)
     assert (auto.method, auto.rate, auto.converged) == ("closed_form", None, False)
-    assert "floor" in auto.error
+    # labelled as the solver labels its errors: the class name, then the message
+    assert auto.error.startswith("InfeasibleDistortionError: ") and "floor" in auto.error
     assert counts["batches"] == 0
     (ba,) = route(model, below, "ba")
     assert ba.method == "ba" and ba.error.startswith("InfeasibleDistortionError")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from semrd.config import load_config, parse_config
+from semrd.closed_form import rate_correlated
 from semrd.errors import ConfigError
+from semrd.gaussian import GaussianSpec, gaussian_rate
 from semrd.prob import BinarySourceSpec
 from semrd.sources import (
     background_side_problem,
@@ -102,7 +104,8 @@ VALID_BASE = {
 class TestConfigParsing:
     def test_valid_minimal(self):
         cfg = parse_config(VALID_BASE)
-        assert cfg.kind == "binary_correlated"
+        spec = BinarySourceSpec.correlated(0.25, 0.25, 0.25)
+        assert cfg.model.closed_form(0.05, 0.1, 0.3) == rate_correlated(spec, 0.05, 0.1, 0.3)
         assert cfg.method == "auto"
         assert cfg.grid["d1"] == (0.05,)
 
@@ -131,7 +134,12 @@ class TestConfigParsing:
             (lambda d: d.update(solver={"stall_drift_tol": 1e-12}), "solver.stall_drift_tol"),
             # every run starts from the uniform marginal; no seed to set
             (lambda d: d.update(solver={"init_seed": 0}), "solver.init_seed"),
-            (lambda d: d.update(solver={"lambda_cap": -1}), "solver: solver option lambda_cap"),
+            (lambda d: d.update(solver={"max_iters": 0}), "solver: solver option max_iters"),
+            # the tolerances are solver constants; setting one is an error
+            (lambda d: d.update(solver={"cert_tol": 1e-10}), "solver.cert_tol"),
+            (lambda d: d.update(solver={"constraint_tol": 1e-8}), "solver.constraint_tol"),
+            (lambda d: d.update(solver={"rate_tol": 1e-3}), "solver.rate_tol"),
+            (lambda d: d.update(solver={"lambda_cap": 5}), "solver.lambda_cap"),
             (lambda d: d.update(workers=0), "workers"),
             (lambda d: d.update(base="nats"), "base"),
         ],
@@ -164,8 +172,10 @@ class TestConfigParsing:
             "grid": {"d1": [0.5], "d2": [1.0], "ds": [1.7]},
         }
         cfg = parse_config(doc)
-        assert cfg.base == "nats"
-        assert cfg.gaussian_spec is not None
+        # routed: the closed form in nats at every target, no solver instance
+        assert cfg.model.build is None and cfg.model.in_region is None
+        spec = GaussianSpec(**doc["params"])
+        assert cfg.model.closed_form(0.5, 1.0, 1.7) == gaussian_rate(spec, 0.5, 1.0, 1.7).rate_nats
 
     def test_gaussian_rejects_ba(self):
         doc = {
