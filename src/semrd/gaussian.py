@@ -185,7 +185,6 @@ class MonteCarloCase:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    seed: int
     cases: tuple[MonteCarloCase, MonteCarloCase]
     passed: bool
 
@@ -287,7 +286,6 @@ def monte_carlo_decomposition_check(
         bound_limit=D1,
     )
     return MonteCarloReport(
-        seed=seed,
         cases=(case1, case2),
         passed=case1.passed and case2.passed,
     )

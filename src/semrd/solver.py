@@ -45,7 +45,10 @@ Two numerical details matter:
   covariance of the costs. The solve is a projected Newton iteration with
   Armijo backtracking, warm-started at the previous multipliers, run to a
   KKT residual of 1e-12, because multipliers left anywhere inside the
-  ``CONSTRAINT_TOL`` band make the certificate stall. Its direction solves
+  ``CONSTRAINT_TOL`` band make the certificate stall; once the certificate
+  is below 1e-11 the residual goes to a tenth of the previous step's
+  certificate (never below the rounding in g), because multipliers frozen
+  inside the 1e-12 band stall it in its last digits. Its direction solves
   the free block of the covariance (1x1, 2x2 or 3x3) in closed form; a
   block singular to working precision gets the least-norm solution. The step
   then takes the BA marginal update at those multipliers. Its value
@@ -102,6 +105,29 @@ Two numerical details matter:
   long as the problem object: the last one built is reused while solves are
   handed the same object, as the cells of a sweep are.
 
+* A source whose observation and background are independent given the side
+  information (the chain X1 - Y - X2, p(x1, x2, y) = p(x1|y) p(x2|y) p(y)) is
+  solved as two smaller problems (Gray, "Conditional rate-distortion theory",
+  Stanford technical report, 1972): the observation side on (X1, Y) under the
+  d1 and d's targets, and the background side, the conditional
+  rate-distortion function of X2 given Y, under the d2 target. The split is
+  exact. For any channel, with X2 independent of X1 given Y,
+
+      I(X1 X2; X1h X2h Sh | Y) = I(X1; X1h X2h Sh | Y) + I(X2; X1h X2h Sh | X1 Y)
+                               >= I(X1; X1h Sh | Y) + I(X2; X2h | Y),
+
+  and each distortion involves one side's reproduction only, so no channel
+  beats the sum of the two sides' optima; the product of the two optimal
+  channels meets all three targets with equality, so
+  R(D1, D2, Ds) = R_obs(D1, Ds) + R_bg(D2). Each part's rate is within its
+  certificate of its optimum, so the composed rate is within the sum of the
+  two certificates of the joint optimum. The factorisation is detected once
+  per problem object (:attr:`RDProblem.split`), to rounding, and only when
+  both x1 and x2 have more than one letter; a batch on such a problem solves
+  each distinct (d1, ds) on the observation side and each distinct d2 on the
+  background side once. :func:`solve_joint_point` is the joint solve on any
+  problem, the reference the split is checked against.
+
 Exponent underflow is handled by shifting each cost row by its maximum before
 exponentiation. Rates are returned in ``problem.log_base`` units; multipliers
 are natural-log based (they appear inside exp).
@@ -112,10 +138,9 @@ holds the one option, ``max_iters``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -138,8 +163,8 @@ class SolverOptions:
     ``max_iters`` caps the steps of a run. It leaves headroom for the slow
     regime where a reproduction atom sits near its support threshold: the
     certificate then decays sublinearly. With Anderson acceleration a target
-    solve there takes about a hundred steps (121 at the correlated example's
-    query (0.05, 0.23, 0.45)). A run that exhausts the cap is reported with
+    solve there takes tens of steps (27 at the correlated example's query
+    (0.05, 0.23, 0.45)). A run that exhausts the cap is reported with
     converged=False.
     """
 
@@ -198,6 +223,62 @@ class RDProblem:
     def axis_names(self) -> tuple[str, ...]:
         return self.source.axis_names + tuple(a.name for a in self.repro_alphabets)
 
+    @functools.cached_property
+    def split(self) -> tuple[RDProblem, RDProblem] | None:
+        """The observation-side and background-side problems when the source
+        factorises as p(x1|y) p(x2|y) p(y), each entry to a relative 1e-12,
+        and both x1 and x2 have more than one letter; else None. Computed
+        once per problem object, so the two parts keep their identity (and
+        their workspaces) across the solves of a sweep."""
+        x1, x2, _y = self.source.axes
+        if x1.size == 1 or x2.size == 1:
+            return None
+        probs = self.source.probs
+        p_x1y, p_x2y = probs.sum(axis=1), probs.sum(axis=0)
+        p_y = p_x1y.sum(axis=0)
+        product = p_x1y[:, None, :] * p_x2y[None, :, :] / np.where(p_y > 0.0, p_y, 1.0)
+        if not np.allclose(probs, product, rtol=1e-12, atol=0.0):
+            return None
+        return observation_side_problem(self), background_side_problem(self)
+
+
+def observation_side_problem(problem: RDProblem) -> RDProblem:
+    """Reduced instance keeping (observation, side info) and both
+    observation-level constraints; the background axes become degenerate."""
+    x1, x2, y = problem.source.axes
+    h1, h2, hs = problem.repro_alphabets
+    marg = problem.source.marginalize((x1.name, y.name)).probs
+    bg = Alphabet(x2.name, 1, ("*",))
+    bg_hat = Alphabet(h2.name, 1, ("*",))
+    source = JointPMF((x1, bg, y), marg.reshape(x1.size, 1, y.size))
+    return RDProblem(
+        source=source,
+        repro_alphabets=(h1, bg_hat, hs),
+        d1=problem.d1,
+        d2=DistortionMatrix.zero(bg, bg_hat),
+        ds_mod=problem.ds_mod,
+        log_base=problem.log_base,
+    )
+
+
+def background_side_problem(problem: RDProblem) -> RDProblem:
+    """Reduced instance keeping (background, side info) only."""
+    x1, x2, y = problem.source.axes
+    h1, h2, hs = problem.repro_alphabets
+    marg = problem.source.marginalize((x2.name, y.name)).probs
+    obs = Alphabet(x1.name, 1, ("*",))
+    obs_hat = Alphabet(h1.name, 1, ("*",))
+    sem_hat = Alphabet(hs.name, 1, ("*",))
+    source = JointPMF((obs, x2, y), marg.reshape(1, x2.size, y.size))
+    return RDProblem(
+        source=source,
+        repro_alphabets=(obs_hat, h2, sem_hat),
+        d1=DistortionMatrix.zero(obs, obs_hat),
+        d2=problem.d2,
+        ds_mod=DistortionMatrix.zero(obs, sem_hat),
+        log_base=problem.log_base,
+    )
+
 
 @dataclass(frozen=True)
 class RDQuery:
@@ -230,7 +311,14 @@ class RDPoint:
     of the run, Anderson proposals included, on both paths (a target solve's
     steps each solve for the multipliers, a fixed-multiplier run's hold
     them), and is 0 on the zero-rate path. ``cs_residual`` bounds
-    |rate - optimum| via complementary slackness."""
+    |rate - optimum| via complementary slackness.
+
+    On a split problem (:attr:`RDProblem.split`) the point composes its two
+    parts' points: the rate is their sum, ``achieved`` and ``multipliers``
+    take d1 and d's from the observation side and d2 from the background
+    side, ``iterations`` and ``cs_residual`` are sums, and ``converged``
+    holds when both parts converged and the summed ``cs_residual`` is at most
+    ``RATE_TOL``. The channel is the product of the two parts' channels."""
 
     rate: float
     achieved: tuple[float, float, float]
@@ -417,9 +505,9 @@ def _workspace(problem: RDProblem) -> _Workspace:
 
 
 # Constants of the constrained BA loop (see the module docstring). The dual is
-# re-solved whenever its KKT residual exceeds _KKT_TOL: multipliers left
-# anywhere inside the CONSTRAINT_TOL band make the certificate stall far above
-# CERT_TOL.
+# re-solved whenever its KKT residual exceeds _KKT_TOL (or a tenth of the last
+# certificate, when that is smaller): multipliers left anywhere inside the
+# CONSTRAINT_TOL band make the certificate stall far above CERT_TOL.
 CERT_TOL = 1e-12
 CONSTRAINT_TOL = 1e-9
 RATE_TOL = 1e-6
@@ -629,12 +717,14 @@ class _ConstrainedBA:
         B = ws.Pw.T[:, :, None] * m1
         return second - B.reshape(-1, 3).T @ m1.reshape(-1, 3)
 
-    def _solve_dual(self, M: np.ndarray, lam: Sequence[float]) -> _Dual:
+    def _solve_dual(self, M: np.ndarray, lam: Sequence[float], tol: float = _KKT_TOL) -> _Dual:
         """Maximise g_Q over 0 <= lam <= LAMBDA_CAP by projected Newton,
-        warm-started at lam; M holds the group masses of Q."""
+        warm-started at lam, to a KKT residual of tol, or of the rounding in
+        g where that is larger, but never above _KKT_TOL; M holds the group
+        masses of Q."""
         d = self._evaluate(M, lam)
         for _ in range(_NEWTON_STEPS):
-            if d.kkt <= _KKT_TOL:
+            if d.kkt <= min(_KKT_TOL, max(tol, d.rounding)):
                 break
             # Newton direction on the free coordinates; the others stay put
             free = [l > 0.0 or g > 0.0 for l, g in zip(d.lam, d.grad)]
@@ -668,9 +758,9 @@ class _ConstrainedBA:
         Q_next /= np.add.reduce(Q_next, axis=1, keepdims=True)
         return cert, Q_next, c
 
-    def _step(self, Q: np.ndarray, lam: Sequence[float]) -> _Step:
+    def _step(self, Q: np.ndarray, lam: Sequence[float], tol: float = _KKT_TOL) -> _Step:
         self.iterations += 1
-        d = self._solve_dual(self.ws.group_masses(Q), lam)
+        d = self._solve_dual(self.ws.group_masses(Q), lam, tol)
         return _Step(Q, d, *self._update(Q, d))
 
     def run(self, lam: tuple[float, ...] = (0.0, 0.0, 0.0)) -> tuple[_Step, bool]:
@@ -683,7 +773,9 @@ class _ConstrainedBA:
         # no step, the Anderson proposal included, once the cap is reached
         while cur.cert >= CERT_TOL and self.iterations < cap:
             Q = history.propose()
-            s = self._step(cur.Q_next if Q is None else Q, cur.dual.lam)
+            # the dual to a tenth of the last certificate where that is below
+            # _KKT_TOL: multipliers frozen inside the _KKT_TOL band stall it
+            s = self._step(cur.Q_next if Q is None else Q, cur.dual.lam, cur.cert / 10.0)
             # a rise beyond rounding drops a proposal and the history; a plain step raises
             if s.dual.value > cur.dual.value + 1e-11 * (1.0 + abs(s.dual.value)):
                 if Q is not None:
@@ -702,7 +794,7 @@ class _FixedBA(_ConstrainedBA):
     targets g_Q is the Lagrangian, so its monotonicity check, the
     acceleration and the certificate carry over unchanged."""
 
-    def _solve_dual(self, M: np.ndarray, lam: Sequence[float]) -> _Dual:
+    def _solve_dual(self, M: np.ndarray, lam: Sequence[float], tol: float = _KKT_TOL) -> _Dual:
         return self._evaluate(M, lam)
 
 
@@ -739,7 +831,26 @@ def solve_rd_point(
     constraint slack (zero multiplier). Targets below the full-information
     floor raise :class:`InfeasibleDistortionError`. The returned point's
     achieved distortions satisfy the query up to ``CONSTRAINT_TOL``.
+
+    A split problem (:attr:`RDProblem.split`) is solved as a batch of one
+    through its two parts; every other problem by :func:`solve_joint_point`.
     """
+    if problem.split is None:
+        return solve_joint_point(problem, query, opts)
+    (point,) = _solve_split(problem, [query], opts, None)
+    if isinstance(point, SemrdError):
+        raise point
+    return point
+
+
+def solve_joint_point(
+    problem: RDProblem,
+    query: RDQuery,
+    opts: SolverOptions = DEFAULT_OPTIONS,
+) -> RDPoint:
+    """:func:`solve_rd_point` as one joint solve over all three constraints,
+    whether or not the source splits: the solver of every problem that does
+    not split, and the reference for those that do."""
     ws = _workspace(problem)
     targets = query.as_tuple()
     for coord in _COORDS:
@@ -812,12 +923,58 @@ def _valid_workers(workers: object) -> bool:
     )
 
 
-def _solve_cell(args) -> SurfaceCell:
+def _solve_one(args) -> RDPoint | SemrdError:
     problem, query, opts = args
     try:
-        return SurfaceCell(query, solve_rd_point(problem, query, opts))
+        return solve_rd_point(problem, query, opts)
     except SemrdError as exc:
-        return SurfaceCell(query, None, error=f"{type(exc).__name__}: {exc}")
+        return exc
+
+
+def _compose(obs: RDPoint | SemrdError, bg: RDPoint | SemrdError) -> RDPoint | SemrdError:
+    """The point of a split problem from its two parts' points (see
+    :class:`RDPoint`); an error in either part is the cell's error."""
+    if isinstance(obs, SemrdError):
+        return obs
+    if isinstance(bg, SemrdError):
+        return bg
+    cs = obs.cs_residual + bg.cs_residual
+    return RDPoint(
+        obs.rate + bg.rate,
+        (obs.achieved[0], bg.achieved[1], obs.achieved[2]),
+        (obs.multipliers[0], bg.multipliers[1], obs.multipliers[2]),
+        obs.iterations + bg.iterations,
+        obs.converged and bg.converged and cs <= RATE_TOL,
+        cs,
+    )
+
+
+def _solve_split(
+    problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions, workers: int | None
+) -> Iterator[RDPoint | SemrdError]:
+    """The points of a split problem, in query order. Each distinct (d1, ds)
+    is solved once on the observation side and each distinct d2 once on the
+    background side, in one batch with every observation solve first, so the
+    one kept workspace serves each side's solves and a pool starts once."""
+    obs, bg = problem.split
+    obs_keys = list(dict.fromkeys((q.d1, q.ds) for q in queries))
+    bg_keys = list(dict.fromkeys(q.d2 for q in queries))
+    points = list(_solve_all(
+        [(obs, RDQuery(d1, 0.0, ds), opts) for d1, ds in obs_keys]
+        + [(bg, RDQuery(0.0, d2, 0.0), opts) for d2 in bg_keys], workers))
+    obs_points = dict(zip(obs_keys, points))
+    bg_points = dict(zip(bg_keys, points[len(obs_keys):]))
+    for q in queries:
+        yield _compose(obs_points[q.d1, q.ds], bg_points[q.d2])
+
+
+def _solve_all(args: list, workers: int | None) -> Iterator[RDPoint | SemrdError]:
+    """One point or error per (problem, query, options), in order: each is
+    one :func:`solve_rd_point` call, through the module attribute so that a
+    caller may wrap it, in a process pool when ``workers`` > 1."""
+    if workers is None or workers == 1 or len(args) <= 1:
+        return map(_solve_one, args)
+    return _solve_in_pool(args, workers)
 
 
 def solve_cells(
@@ -830,22 +987,30 @@ def solve_cells(
     failures are yielded as flagged cells, not raised.
 
     Cells are independent; ``workers`` > 1 evaluates them in that many
-    separate processes with identical per-cell results to a serial run.
-    ``workers`` must be None or an int >= 1, else :class:`ProbabilityError`
-    is raised.
+    separate processes with identical per-cell results to a serial run (on a
+    split problem, the two sides' solves share the pool). ``workers`` must be
+    None or an int >= 1, else :class:`ProbabilityError` is raised.
     """
     if not _valid_workers(workers):
         raise ProbabilityError(f"workers must be None or an int >= 1, got {workers!r}")
-    args = [(problem, q, opts) for q in queries]
-    if workers is None or workers == 1 or len(args) <= 1:
-        return map(_solve_cell, args)
-    return _solve_in_pool(args, workers)
+    if problem.split is not None:
+        points = _solve_split(problem, queries, opts, workers)
+    else:
+        points = _solve_all([(problem, q, opts) for q in queries], workers)
+    return (
+        SurfaceCell(q, p) if isinstance(p, RDPoint)
+        else SurfaceCell(q, None, error=f"{type(p).__name__}: {p}")
+        for q, p in zip(queries, points)
+    )
 
 
-def _solve_in_pool(args: list, workers: int) -> Iterator[SurfaceCell]:
+def _solve_in_pool(args: list, workers: int) -> Iterator[RDPoint | SemrdError]:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        yield from pool.map(_solve_cell, args, chunksize=max(1, len(args) // (4 * workers)))
+        yield from pool.map(_solve_one, args, chunksize=max(1, len(args) // (4 * workers)))
 
 
 def sweep_surface(

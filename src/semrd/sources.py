@@ -145,41 +145,3 @@ def custom_problem(
         ds_mod=ds_mod,
         log_base=log_base,
     )
-
-
-def observation_side_problem(problem: RDProblem) -> RDProblem:
-    """Reduced instance keeping (observation, side info) and both
-    observation-level constraints; the background axes become degenerate."""
-    x1, x2, y = problem.source.axes
-    h1, h2, hs = problem.repro_alphabets
-    marg = problem.source.marginalize((x1.name, y.name)).probs
-    bg = Alphabet(x2.name, 1, ("*",))
-    bg_hat = Alphabet(h2.name, 1, ("*",))
-    source = JointPMF((x1, bg, y), marg.reshape(x1.size, 1, y.size))
-    return RDProblem(
-        source=source,
-        repro_alphabets=(h1, bg_hat, hs),
-        d1=problem.d1,
-        d2=DistortionMatrix.zero(bg, bg_hat),
-        ds_mod=problem.ds_mod,
-        log_base=problem.log_base,
-    )
-
-
-def background_side_problem(problem: RDProblem) -> RDProblem:
-    """Reduced instance keeping (background, side info) only."""
-    x1, x2, y = problem.source.axes
-    h1, h2, hs = problem.repro_alphabets
-    marg = problem.source.marginalize((x2.name, y.name)).probs
-    obs = Alphabet(x1.name, 1, ("*",))
-    obs_hat = Alphabet(h1.name, 1, ("*",))
-    sem_hat = Alphabet(hs.name, 1, ("*",))
-    source = JointPMF((obs, x2, y), marg.reshape(1, x2.size, y.size))
-    return RDProblem(
-        source=source,
-        repro_alphabets=(obs_hat, h2, sem_hat),
-        d1=DistortionMatrix.zero(obs, obs_hat),
-        d2=problem.d2,
-        ds_mod=DistortionMatrix.zero(obs, sem_hat),
-        log_base=problem.log_base,
-    )

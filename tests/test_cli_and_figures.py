@@ -155,13 +155,27 @@ class TestCli:
         assert float(row["rate"]) == pytest.approx(expect, abs=1e-3)
 
     def test_sweep_workers_csv_identical(self, tmp_path, monkeypatch):
+        # the correlated source is solved jointly; the classification source
+        # splits, so its pool runs the observation and background batches
         import semrd.solver
 
-        doc = {
-            "kind": "binary_correlated",
-            "method": "ba",
-            "params": {"p": 0.25, "p1": 0.25, "p2": 0.25},
-            "grid": {"d1": [0.03, 0.05], "d2": [0.5], "ds": [0.1, 0.4]},
+        docs = {
+            "correlated": {
+                "kind": "binary_correlated",
+                "method": "ba",
+                "params": {"p": 0.25, "p1": 0.25, "p2": 0.25},
+                "grid": {"d1": [0.03, 0.05], "d2": [0.5], "ds": [0.1, 0.4]},
+            },
+            "classification": {
+                "kind": "classification",
+                "method": "ba",
+                "params": {"p": 0.25, "p2": 0.25, "n": 8},
+                "grid": {"d1": [0.05, 0.3], "d2": [0.1, 0.5], "ds": [0.1, 0.3]},
+            },
+        }
+        errors = {
+            "correlated": ["InfeasibleDistortionError", "", "InfeasibleDistortionError", ""],
+            "classification": ["InfeasibleDistortionError", ""] * 4,
         }
         seen = []
         original = semrd.solver.solve_cells
@@ -171,19 +185,20 @@ class TestCli:
             return original(problem, queries, opts, workers)
 
         monkeypatch.setattr(semrd.solver, "solve_cells", recording)
-        outputs = []
-        for name, extra in (("serial", {}), ("pool", {"workers": 2})):
-            cfg = tmp_path / f"{name}.json"
-            cfg.write_text(json.dumps({**doc, **extra}))
-            out = tmp_path / f"{name}.csv"
-            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert seen == [None, 2]
-        assert outputs[0] == outputs[1]
-        rows = read_csv(tmp_path / "pool.csv")
-        assert [r["error"].split(":")[0] for r in rows] == [
-            "InfeasibleDistortionError", "", "InfeasibleDistortionError", ""
-        ]
+        for kind, doc in docs.items():
+            seen.clear()
+            outputs = []
+            for name, extra in (("serial", {}), ("pool", {"workers": 2})):
+                cfg = tmp_path / f"{kind}_{name}.json"
+                cfg.write_text(json.dumps({**doc, **extra}))
+                out = tmp_path / f"{kind}_{name}.csv"
+                assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert seen == [None, 2]
+            assert outputs[0] == outputs[1]
+            rows = read_csv(tmp_path / f"{kind}_pool.csv")
+            assert [r["error"].split(":")[0] for r in rows] == errors[kind]
+            assert all(r["converged"] == "true" for r in rows if not r["error"])
 
     def test_sweep_gaussian_infeasible_flagged(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -84,7 +84,10 @@ def test_private_definitions_referenced():
 def unread_fields(module: str, class_name: str, paths) -> tuple[set[str], list[str]]:
     """(fields, unread): the annotated fields of the class ``class_name`` in
     the package module ``module``, and those never read as an attribute in
-    ``paths`` outside that class's own body."""
+    ``paths`` outside that class's own body.
+
+    Reads are matched by attribute name alone: a same-named attribute read
+    anywhere in ``paths``, on any object, counts as a read of the field."""
     source = SRC / module
     tree = ast.parse(source.read_text(encoding="utf-8"))
     (cls,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name)

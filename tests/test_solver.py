@@ -9,6 +9,7 @@ closed forms do not cover.
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -125,13 +126,14 @@ def between_floors(problem, fractions):
 
 
 def _solved(build, fractions=None, query=None, slack=False):
-    """A case of the lean-point test: (problem, solved point, whether a
-    coordinate's multiplier solves to 0 with its target slack)."""
+    """A case of the lean-point test: (problem, solved point, the targets
+    when a coordinate's multiplier solves to 0 with its target slack, else
+    None)."""
 
     def case():
         problem = build()
         q = query if query is not None else between_floors(problem, fractions)
-        return problem, solve_rd_point(problem, q), slack
+        return problem, solve_rd_point(problem, q), q.as_tuple() if slack else None
 
     return case
 
@@ -139,7 +141,7 @@ def _solved(build, fractions=None, query=None, slack=False):
 def _fixed(build, lam, opts=solver_mod.DEFAULT_OPTIONS):
     def case():
         problem = build()
-        return problem, ba_fixed_multipliers(problem, *lam, opts=opts), False
+        return problem, ba_fixed_multipliers(problem, *lam, opts=opts), None
 
     return case
 
@@ -598,7 +600,8 @@ class TestSolveRdPoint:
     @pytest.mark.parametrize("case", LEAN_POINT_CASES, ids=LEAN_POINT_IDS)
     def test_achieved_matches_channel_recomputation(self, case, monkeypatch):
         # the rate and distortions come from the final step's arrays; the
-        # 6-axis joint of its channel Q W / Z must carry the same numbers
+        # 6-axis joint of its channel Q W / Z must carry the same numbers. A
+        # split problem's channel is the product of its two parts' channels.
         runs = []
         original = solver_mod._ConstrainedBA.run
 
@@ -607,20 +610,37 @@ class TestSolveRdPoint:
             runs.append((self, final))
             return final, converged
 
+        def channel(part):
+            """(workspace, T[y, x, h]) of the solve of ``part``: its final
+            step, or the y-only channel of the zero-rate path."""
+            for cba, final in runs:
+                if cba.ws.problem is part:
+                    d = final.dual
+                    return cba.ws, (final.Q[:, None, :] * cba._letters(d.kernel)[None, :, :]
+                                    / d.Z[:, :, None])
+            ws = solver_mod._Workspace(part)
+            return ws, y_only_channel(ws)
+
         monkeypatch.setattr(solver_mod._ConstrainedBA, "run", capturing)
-        problem, pt, slack = case()
-        if runs:
-            ((cba, final),) = runs
-            ws, d = cba.ws, final.dual
-            T = final.Q[:, None, :] * cba._letters(d.kernel)[None, :, :] / d.Z[:, :, None]
-        else:
-            assert pt.iterations == 0
+        problem, pt, slack_targets = case()
+        split = problem.split is not None and all(cba.ws.problem is not problem for cba, _ in runs)
+        if split:
+            (obs_ws, T_obs), (bg_ws, T_bg) = map(channel, problem.split)
+            assert len(runs) <= 2
             ws = solver_mod._Workspace(problem)
-            T = y_only_channel(ws)
-        if slack:
+            T = np.einsum(
+                "yaik,ybj->yabijk",
+                T_obs.reshape(len(ws.p_y), ws.nx1, ws.nh1, ws.nhs),
+                T_bg.reshape(len(ws.p_y), ws.nx2, ws.nh2),
+            ).reshape(len(ws.p_y), ws.nx, ws.nh)
+        else:
+            assert len(runs) <= 1
+            ws, T = channel(problem)
+        assert pt.iterations == sum(cba.iterations for cba, _ in runs)
+        if slack_targets is not None:
             assert 0.0 in pt.multipliers and pt.iterations > 0
             # a zero-multiplier coordinate's own channel meets its target
-            for a, t, l in zip(pt.achieved, cba.targets, pt.multipliers):
+            for a, t, l in zip(pt.achieved, slack_targets, pt.multipliers):
                 assert l > 0.0 or a <= t + 1e-12
         joint = joint_of(ws, T)
         names = problem.axis_names
@@ -665,6 +685,15 @@ class TestSolveRdPoint:
         assert pt.converged
         # the Gauss-Seidel search spent 192,281 BA iterations here
         assert pt.iterations < 2000
+
+    def test_support_threshold_point_does_not_stall(self, prob_cor):
+        # with the dual solved only to _KKT_TOL, the multipliers froze from
+        # step 23 and the certificate crept from 6.6e-12 to 4.8e-12 over 98
+        # steps (121 in all); the value is that run's
+        pt = solve_rd_point(prob_cor, RDQuery(0.05, 0.23, 0.45))
+        assert pt.converged
+        assert pt.iterations < 40
+        assert abs(pt.rate - 0.562638443444521) <= 1e-9
 
     def test_named_failure_converges(self, prob_cor):
         # a query on the correlated model's documented region where the
@@ -898,7 +927,7 @@ class TestClassicalForms:
     def test_symmetric_pair_with_side_info(self, prob_cor):
         # conditional rate h(p0) - h(D) when the pair is doubly symmetric
         p0 = 0.25
-        reduced = sources.observation_side_problem(prob_cor)
+        reduced = solver_mod.observation_side_problem(prob_cor)
         for d in (0.05, 0.1, 0.2):
             pt = solve_rd_point(reduced, RDQuery(d, 0.0, 0.5))
             assert pt.rate == pytest.approx(
@@ -906,19 +935,78 @@ class TestClassicalForms:
             )
 
 
+def chain_table_problem(seed, perturbation=0.0):
+    """Seeded random law with x1 and x2 independent given y (3x2x2 source,
+    random tables), optionally perturbed off the chain by a relative
+    ``perturbation`` on one entry."""
+    base = random_table_problem(seed)
+    rng = np.random.default_rng(seed)
+    probs = np.einsum(
+        "y,ya,yb->aby", rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3), size=2),
+        rng.dirichlet(np.ones(2), size=2),
+    )
+    probs[0, 0, 0] *= 1.0 + perturbation
+    source = JointPMF(base.source.axes, probs / probs.sum())
+    return sources.custom_problem(source, base.d1, base.d2, base.ds_mod)
+
+
+def separable_grids():
+    """Criterion 02's axes on the independent-parts model, and an N = 8
+    classification grid with the semantic target binding, slack and at its
+    floor."""
+    independent = [RDQuery(*q) for q in itertools.product(
+        np.linspace(0.02, 0.23, 10).tolist(),
+        np.linspace(0.02, 0.23, 10).tolist(),
+        np.linspace(0.26, 0.49, 10).tolist(),
+    )]
+    classification = [RDQuery(*q) for q in itertools.product(
+        np.linspace(0.0, 0.4, 5).tolist(), (0.05, 0.35, 0.5), np.linspace(0.25, 0.5, 6).tolist(),
+    )]
+    return [
+        (sources.conditionally_independent_problem(SPEC_IND), independent),
+        (sources.classification_problem(0.25, 0.25, 8), classification),
+    ]
+
+
 class TestSeparability:
-    def test_reduced_problems_sum_to_joint(self, prob_ind):
-        # the independent-parts source satisfies the observation-side chain,
-        # so the joint solve splits exactly
-        q = RDQuery(0.08, 0.15, 0.4)
-        joint = solve_rd_point(prob_ind, q).rate
-        obs = solve_rd_point(
-            sources.observation_side_problem(prob_ind), RDQuery(q.d1, 0.0, q.ds)
-        ).rate
-        bg = solve_rd_point(
-            sources.background_side_problem(prob_ind), RDQuery(0.0, q.d2, 0.0)
-        ).rate
-        assert joint == pytest.approx(obs + bg, abs=2e-3)
+    def test_reduced_problems_sum_to_joint(self):
+        # the split answers (sums of the two reduced problems' points) agree
+        # with the joint solve on every cell
+        for problem, queries in separable_grids():
+            assert problem.split is not None
+            split = list(solver_mod.solve_cells(problem, queries))
+            for q, cell in zip(queries, split):
+                joint = solver_mod.solve_joint_point(problem, q)
+                assert abs(cell.point.rate - joint.rate) <= 1e-9, q
+                assert cell.point.converged == joint.converged, q
+
+    def test_only_chain_sources_split(self, monkeypatch):
+        # an exactly separable custom source runs one solve per part; moved
+        # off the chain by 1e-6 it runs one joint solve
+        runs = []
+        original = solver_mod._ConstrainedBA.run
+
+        def counting(self, *args):
+            runs.append(self.ws.problem)
+            return original(self, *args)
+
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "run", counting)
+        for perturbation, parts in ((0.0, 2), (1e-6, 1)):
+            problem = chain_table_problem(2, perturbation)
+            assert (problem.split is not None) == (parts == 2)
+            q = between_floors(problem, (0.3, 0.4, 0.5))
+            runs.clear()
+            pt = solve_rd_point(problem, q)
+            assert all(map(operator.is_, runs, problem.split or (problem,)))
+            assert len(runs) == parts
+            assert pt.converged
+            assert abs(pt.rate - solver_mod.solve_joint_point(problem, q).rate) <= 1e-9
+
+    def test_degenerate_axes_do_not_split(self, prob_ind):
+        # a part of a split problem has a one-letter axis and is solved jointly
+        obs, bg = prob_ind.split
+        assert obs.split is None and bg.split is None
+        assert prob_ind.split is prob_ind.split
 
 
 class TestProblemValidation:

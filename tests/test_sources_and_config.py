@@ -8,15 +8,14 @@ from semrd.closed_form import rate_correlated
 from semrd.errors import ConfigError
 from semrd.gaussian import GaussianSpec, gaussian_rate
 from semrd.prob import BinarySourceSpec
+from semrd.solver import background_side_problem, observation_side_problem
 from semrd.sources import (
-    background_side_problem,
     classification_problem,
     classification_source,
     conditionally_independent_problem,
     conditionally_independent_source,
     correlated_problem,
     correlated_source,
-    observation_side_problem,
     parity_bit,
     parity_semantic_joint,
 )
