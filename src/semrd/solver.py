@@ -31,9 +31,11 @@ Two numerical details matter:
   multiplicative marginal update), convexity gives
   F(q) - min F <= max_h c(h) - 1; a run stops once this bound is below
   ``CERT_TOL``. Decrease-based stopping can freeze a warm-started run far
-  from the new fixed point. A target solve (below) and a fixed-multiplier run
-  (``ba_fixed_multipliers``) take the same steps, the latter with the
-  multipliers held at the given values in place of the multiplier solve.
+  from the new fixed point; the certificate stop cannot, so where a run
+  starts moves its answer only by rounding. A target solve (below) and a
+  fixed-multiplier run (``ba_fixed_multipliers``) take the same steps, the
+  latter with the multipliers held at the given values in place of the
+  multiplier solve.
 
 * The multipliers are not searched for from outside. A target solve is one
   constrained BA run (Chen et al., "A Constrained BA Algorithm for
@@ -105,6 +107,22 @@ Two numerical details matter:
   long as the problem object: the last one built is reused while solves are
   handed the same object, as the cells of a sweep are.
 
+* A batch of queries is solved by continuation, as Blahut (1972) traced a
+  rate-distortion curve: each slope's run started from the previous slope's
+  output marginal. :func:`solve_cells` cuts the batch into chains, maximal
+  runs of consecutive queries (on a split problem, of distinct part queries)
+  each differing from the previous one in exactly one target. A chain's first
+  run starts from the uniform marginal at zero multipliers; each later run
+  starts from the previous run's final BA marginal, mixed with 0.1% of the
+  uniform one (BA never revives a zero atom), and its multiplier solve from
+  the previous run's multipliers. A zero-rate, failed or unconverged point
+  restarts its chain cold. An inherited multiplier can saturate where the
+  new target is slack enough: its cost's variance underflows, Newton cannot
+  move it and the first multiplier solve stops above its tolerance; that
+  solve is then repeated from zero multipliers at the same marginal. Chains
+  depend on the queries only, and a process pool takes whole chains, so a
+  pooled batch returns exactly the serial points.
+
 * A source whose observation and background are independent given the side
   information (the chain X1 - Y - X2, p(x1, x2, y) = p(x1|y) p(x2|y) p(y)) is
   solved as two smaller problems (Gray, "Conditional rate-distortion theory",
@@ -157,8 +175,9 @@ class SolverOptions:
     """The one option of the alternating minimization, shared by target
     solves and fixed-multiplier runs; its tolerances are the module
     constants ``CERT_TOL``, ``CONSTRAINT_TOL``, ``RATE_TOL`` and
-    ``LAMBDA_CAP``. Every run starts from the uniform marginal; the
-    certificate stop makes the answer independent of that start.
+    ``LAMBDA_CAP``. A run starts from the uniform marginal, or, along a chain
+    of a batch (:func:`solve_cells`), from its predecessor's final step; the
+    certificate stop makes the rate independent of the start up to rounding.
 
     ``max_iters`` caps the steps of a run. It leaves headroom for the slow
     regime where a reproduction atom sits near its support threshold: the
@@ -306,8 +325,12 @@ class RDPoint:
     (natural-log based), and solver diagnostics. On both solver paths the
     channel is the final BA step's, so a coordinate with multiplier 0
     reports what that channel achieves (at most its target, up to the KKT
-    residual); on the zero-rate path it is the best channel of y alone, and
-    ``achieved`` holds the zero-rate floors. ``iterations`` counts the steps
+    residual), which depends on where the run started: the final channel is
+    one of the optimal channels, and a slack coordinate does not single one
+    out. The rate and the multipliers of a solved point move only by rounding
+    with the start (:func:`solve_cells`). On the zero-rate path the channel
+    is the best channel of y alone, and ``achieved`` holds the zero-rate
+    floors. ``iterations`` counts the steps
     of the run, Anderson proposals included, on both paths (a target solve's
     steps each solve for the multipliers, a fixed-multiplier run's hold
     them), and is 0 on the zero-rate path. ``cs_residual`` bounds
@@ -453,7 +476,7 @@ class _Workspace:
     # ---- alternating minimization -------------------------------------
 
     def initial_marginal(self) -> np.ndarray:
-        """The uniform marginal Q[y, h], where every run starts."""
+        """The uniform marginal Q[y, h], where a cold run starts."""
         return np.full((len(self.p_y), self.nh), 1.0 / self.nh)
 
     def rate(self, s: _Step) -> float:
@@ -524,6 +547,8 @@ _SINGULAR = 1e-12
 # Anderson acceleration: secant pairs kept, least share of its image an atom keeps
 _MEMORY = 5
 _FLOOR = 0.1
+# share of the uniform marginal mixed into a chain's warm start
+_WARM_MIX = 1e-3
 
 
 def _kkt_residual(lam: Sequence[float], grad: Sequence[float]) -> float:
@@ -593,7 +618,8 @@ class _Dual:
     """The dual g_Q at one multiplier vector: its value and a bound on the
     rounding in it, the gradient E[d] - D and KKT residual, with the kernel,
     the normaliser Z[y, x] and the law R[y, x, k] of the cost group given
-    (y, x)."""
+    (y, x). ``stalled`` marks the end of a multiplier solve that stopped above
+    its tolerance."""
 
     lam: tuple[float, ...]
     value: float
@@ -603,6 +629,7 @@ class _Dual:
     kernel: _Kernel
     Z: np.ndarray
     R: np.ndarray
+    stalled: bool = False
 
 
 @dataclass
@@ -721,11 +748,12 @@ class _ConstrainedBA:
         """Maximise g_Q over 0 <= lam <= LAMBDA_CAP by projected Newton,
         warm-started at lam, to a KKT residual of tol, or of the rounding in
         g where that is larger, but never above _KKT_TOL; M holds the group
-        masses of Q."""
+        masses of Q. A solve that stops above that residual (out of Newton or
+        backtracking steps) returns its last dual marked ``stalled``."""
         d = self._evaluate(M, lam)
         for _ in range(_NEWTON_STEPS):
             if d.kkt <= min(_KKT_TOL, max(tol, d.rounding)):
-                break
+                return d
             # Newton direction on the free coordinates; the others stay put
             free = [l > 0.0 or g > 0.0 for l, g in zip(d.lam, d.grad)]
             step = _newton_direction(self._covariance(d), d.grad, free)
@@ -746,6 +774,7 @@ class _ConstrainedBA:
             else:
                 break
             d = new
+        d.stalled = d.kkt > min(_KKT_TOL, max(tol, d.rounding))
         return d
 
     # ---- steps ---------------------------------------------------------------
@@ -760,15 +789,23 @@ class _ConstrainedBA:
 
     def _step(self, Q: np.ndarray, lam: Sequence[float], tol: float = _KKT_TOL) -> _Step:
         self.iterations += 1
-        d = self._solve_dual(self.ws.group_masses(Q), lam, tol)
+        M = self.ws.group_masses(Q)
+        d = self._solve_dual(M, lam, tol)
+        if d.stalled and self.iterations == 1 and any(lam):
+            # a multiplier inherited from a neighbouring query can saturate, its
+            # block of the covariance singular: solve again from 0 at this Q
+            d = self._solve_dual(M, (0.0, 0.0, 0.0), tol)
         return _Step(Q, d, *self._update(Q, d))
 
-    def run(self, lam: tuple[float, ...] = (0.0, 0.0, 0.0)) -> tuple[_Step, bool]:
-        """Returns (final step, converged), the first multiplier solve
-        warm-started at lam. The final step's channel Q W / Z meets the
-        targets up to its dual's KKT residual."""
+    def run(
+        self, lam: tuple[float, ...] = (0.0, 0.0, 0.0), Q: np.ndarray | None = None
+    ) -> tuple[_Step, bool]:
+        """Returns (final step, converged), the first step from the marginal
+        Q (uniform when None) with its multiplier solve warm-started at lam.
+        The final step's channel Q W / Z meets the targets up to its dual's
+        KKT residual."""
         cap = self.opts.max_iters
-        cur = self._step(self.ws.initial_marginal(), lam)
+        cur = self._step(self.ws.initial_marginal() if Q is None else Q, lam)
         history = _Anderson(cur)
         # no step, the Anderson proposal included, once the cap is reached
         while cur.cert >= CERT_TOL and self.iterations < cap:
@@ -820,10 +857,32 @@ def ba_fixed_multipliers(
     return RDPoint(ws.rate(final), run.achieved(final.dual), lam, run.iterations, converged)
 
 
+class _Start:
+    """Where the next run of a chain of queries starts (:func:`_solve_chain`):
+    the arguments of :meth:`_ConstrainedBA.run`, empty for a cold start. A
+    solve takes them before anything else, so one that raises or ends at zero
+    rate leaves a cold start; one that converges at a positive rate leaves its
+    final step's multipliers and BA marginal, mixed with _WARM_MIX of the
+    uniform marginal because BA never revives a zero atom."""
+
+    def __init__(self) -> None:
+        self.args: tuple = ()
+
+    def take(self) -> tuple:
+        args, self.args = self.args, ()
+        return args
+
+    def keep(self, final: _Step) -> None:
+        Q = final.Q_next
+        self.args = (final.dual.lam, (1.0 - _WARM_MIX) * Q + _WARM_MIX / Q.shape[1])
+
+
 def solve_rd_point(
     problem: RDProblem,
     query: RDQuery,
     opts: SolverOptions = DEFAULT_OPTIONS,
+    *,
+    _start: _Start | None = None,
 ) -> RDPoint:
     """Minimum rate meeting the query's three expected-distortion targets.
 
@@ -834,9 +893,10 @@ def solve_rd_point(
 
     A split problem (:attr:`RDProblem.split`) is solved as a batch of one
     through its two parts; every other problem by :func:`solve_joint_point`.
+    ``_start`` is private to the chains of :func:`solve_cells`.
     """
     if problem.split is None:
-        return solve_joint_point(problem, query, opts)
+        return solve_joint_point(problem, query, opts, _start=_start)
     (point,) = _solve_split(problem, [query], opts, None)
     if isinstance(point, SemrdError):
         raise point
@@ -847,10 +907,13 @@ def solve_joint_point(
     problem: RDProblem,
     query: RDQuery,
     opts: SolverOptions = DEFAULT_OPTIONS,
+    *,
+    _start: _Start | None = None,
 ) -> RDPoint:
     """:func:`solve_rd_point` as one joint solve over all three constraints,
     whether or not the source splits: the solver of every problem that does
     not split, and the reference for those that do."""
+    start = _start.take() if _start is not None else ()
     ws = _workspace(problem)
     targets = query.as_tuple()
     for coord in _COORDS:
@@ -866,7 +929,7 @@ def solve_joint_point(
         return RDPoint(0.0, floors, (0.0, 0.0, 0.0), 0, True)
 
     cba = _ConstrainedBA(ws, targets, opts)
-    final, converged = cba.run()
+    final, converged = cba.run(*start)
     d = final.dual
     achieved = cba.achieved(d)
     cs = sum(l * abs(g) for l, g in zip(d.lam, d.grad)) / math.log(problem.log_base)
@@ -876,6 +939,8 @@ def solve_joint_point(
         and cs <= RATE_TOL
         and all(a <= t + 10.0 * CONSTRAINT_TOL for a, t in zip(achieved, targets))
     )
+    if ok and _start is not None:
+        _start.keep(final)
     return RDPoint(ws.rate(final), achieved, d.lam, cba.iterations, ok, cs)
 
 
@@ -923,12 +988,34 @@ def _valid_workers(workers: object) -> bool:
     )
 
 
-def _solve_one(args) -> RDPoint | SemrdError:
-    problem, query, opts = args
-    try:
-        return solve_rd_point(problem, query, opts)
-    except SemrdError as exc:
-        return exc
+def _chains(problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions) -> list:
+    """The queries cut into chains, as (problem, queries, options): maximal
+    runs of consecutive queries each differing from the previous one in
+    exactly one target."""
+    chains, prev = [], None
+    for q in queries:
+        t = q.as_tuple()
+        if prev is None or sum(a != b for a, b in zip(t, prev)) != 1:
+            chains.append((problem, [], opts))
+        chains[-1][1].append(q)
+        prev = t
+    return chains
+
+
+def _solve_chain(args) -> list[RDPoint | SemrdError]:
+    """One point or error per query of a chain, in order. Each is one
+    :func:`solve_rd_point` call, through the module attribute so that a caller
+    may wrap it; each starts where the previous one ended (:class:`_Start`),
+    the first one and any after a zero-rate, failed or unconverged point
+    from the uniform marginal at zero multipliers."""
+    problem, queries, opts = args
+    start, points = _Start(), []
+    for q in queries:
+        try:
+            points.append(solve_rd_point(problem, q, opts, _start=start))
+        except SemrdError as exc:
+            points.append(exc)
+    return points
 
 
 def _compose(obs: RDPoint | SemrdError, bg: RDPoint | SemrdError) -> RDPoint | SemrdError:
@@ -960,21 +1047,21 @@ def _solve_split(
     obs_keys = list(dict.fromkeys((q.d1, q.ds) for q in queries))
     bg_keys = list(dict.fromkeys(q.d2 for q in queries))
     points = list(_solve_all(
-        [(obs, RDQuery(d1, 0.0, ds), opts) for d1, ds in obs_keys]
-        + [(bg, RDQuery(0.0, d2, 0.0), opts) for d2 in bg_keys], workers))
+        _chains(obs, [RDQuery(d1, 0.0, ds) for d1, ds in obs_keys], opts)
+        + _chains(bg, [RDQuery(0.0, d2, 0.0) for d2 in bg_keys], opts), workers))
     obs_points = dict(zip(obs_keys, points))
     bg_points = dict(zip(bg_keys, points[len(obs_keys):]))
     for q in queries:
         yield _compose(obs_points[q.d1, q.ds], bg_points[q.d2])
 
 
-def _solve_all(args: list, workers: int | None) -> Iterator[RDPoint | SemrdError]:
-    """One point or error per (problem, query, options), in order: each is
-    one :func:`solve_rd_point` call, through the module attribute so that a
-    caller may wrap it, in a process pool when ``workers`` > 1."""
-    if workers is None or workers == 1 or len(args) <= 1:
-        return map(_solve_one, args)
-    return _solve_in_pool(args, workers)
+def _solve_all(chains: list, workers: int | None) -> Iterator[RDPoint | SemrdError]:
+    """One point or error per query of each chain (:func:`_solve_chain`), in
+    order; whole chains go to a process pool when ``workers`` > 1 and there
+    are at least two of them."""
+    if workers is None or workers == 1 or len(chains) < 2:
+        return itertools.chain.from_iterable(map(_solve_chain, chains))
+    return _solve_in_pool(chains, workers)
 
 
 def solve_cells(
@@ -986,17 +1073,24 @@ def solve_cells(
     """Solve each query and yield one cell per query, in order. Per-cell
     failures are yielded as flagged cells, not raised.
 
-    Cells are independent; ``workers`` > 1 evaluates them in that many
-    separate processes with identical per-cell results to a serial run (on a
-    split problem, the two sides' solves share the pool). ``workers`` must be
-    None or an int >= 1, else :class:`ProbabilityError` is raised.
+    The queries are solved by continuation along chains of neighbours (see
+    the module docstring): each run after a chain's first starts from its
+    predecessor's final marginal and multipliers, which saves steps and moves
+    rates only by rounding against a lone :func:`solve_rd_point` call, a
+    batch of one that starts cold. Each solve is one :func:`solve_rd_point`
+    call through the module attribute, once per query or, on a split
+    problem, once per distinct part query. ``workers`` > 1 evaluates whole
+    chains in that many separate processes, with the points of a serial run,
+    when there are at least two chains (on a split problem, the two sides'
+    chains share the pool). ``workers`` must be None or an int >= 1, else
+    :class:`ProbabilityError` is raised.
     """
     if not _valid_workers(workers):
         raise ProbabilityError(f"workers must be None or an int >= 1, got {workers!r}")
     if problem.split is not None:
         points = _solve_split(problem, queries, opts, workers)
     else:
-        points = _solve_all([(problem, q, opts) for q in queries], workers)
+        points = _solve_all(_chains(problem, queries, opts), workers)
     return (
         SurfaceCell(q, p) if isinstance(p, RDPoint)
         else SurfaceCell(q, None, error=f"{type(p).__name__}: {p}")
@@ -1004,13 +1098,15 @@ def solve_cells(
     )
 
 
-def _solve_in_pool(args: list, workers: int) -> Iterator[RDPoint | SemrdError]:
+def _solve_in_pool(chains: list, workers: int) -> Iterator[RDPoint | SemrdError]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        yield from pool.map(_solve_one, args, chunksize=max(1, len(args) // (4 * workers)))
+        chunk = max(1, len(chains) // (4 * workers))
+        for points in pool.map(_solve_chain, chains, chunksize=chunk):
+            yield from points
 
 
 def sweep_surface(

@@ -30,9 +30,9 @@ def calls(monkeypatch):
         counts["batches"] += 1
         return solve_cells(*args)
 
-    def counting_solve(*args):
+    def counting_solve(*args, **kwargs):
         counts["solves"] += 1
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "solve_cells", counting_cells)
     monkeypatch.setattr(solver_mod, "solve_rd_point", counting_solve)
@@ -106,11 +106,11 @@ def test_closed_form_errors_become_flagged_rows(calls):
 _SOLVE = solver_mod.solve_rd_point
 
 
-def _unconverged(*args):
-    return dataclasses.replace(_SOLVE(*args), converged=False)
+def _unconverged(*args, **kwargs):
+    return dataclasses.replace(_SOLVE(*args, **kwargs), converged=False)
 
 
-def _failing(*args):
+def _failing(*args, **kwargs):
     raise SolverError("forced")
 
 

@@ -17,7 +17,7 @@ import pytest
 import semrd.solver as solver_mod
 import semrd.sources as sources
 from semrd.closed_form import rate_conditionally_independent, rate_correlated
-from semrd.errors import InfeasibleDistortionError, ProbabilityError
+from semrd.errors import InfeasibleDistortionError, ProbabilityError, SemrdError
 from semrd.prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, binary_entropy
 from semrd.solver import (
     RDProblem,
@@ -842,7 +842,8 @@ class TestSolverOptions:
 
     @pytest.mark.parametrize("value", [1.5, "7", True])
     def test_init_seed(self, value):
-        # the option is gone: every run starts from the uniform marginal
+        # the option is gone: a run starts from the uniform marginal or from
+        # its chain predecessor's final step, never from a seeded draw
         with pytest.raises(TypeError, match="init_seed"):
             SolverOptions(init_seed=value)
 
@@ -908,12 +909,27 @@ class TestSweepSurface:
         with pytest.raises(ProbabilityError, match="workers"):
             sweep_surface(prob_cor, {"d1": [0.05], "d2": [0.1], "ds": [0.3]}, workers=workers)
 
-    def test_parallel_matches_serial(self, prob_cor):
-        grid = {"d1": [0.02, 0.05], "d2": [0.1], "ds": [0.3, 0.45]}
-        serial = sweep_surface(prob_cor, grid)
-        parallel = sweep_surface(prob_cor, grid, workers=2)
-        assert len(serial.points) == 4
-        assert serial.points == parallel.points
+    def test_parallel_matches_serial(self, prob_cor, prob_ind, monkeypatch):
+        # the pool maps whole chains, so every cell starts where it does in a
+        # serial run: the achieved value of a slack coordinate depends on the
+        # start (ds 0.298 against 0.449 at (0.02, 0.1, 0.45) when cells of a
+        # chain were mapped apart). Four chains of the correlated problem; two
+        # of the split problem's observation side and one of its background.
+        pooled, pool = [], solver_mod._solve_in_pool
+
+        def recording(chains, workers):
+            pooled.append([len(queries) for _, queries, _ in chains])
+            return pool(chains, workers)
+
+        monkeypatch.setattr(solver_mod, "_solve_in_pool", recording)
+        grid = {"d1": [0.02, 0.05], "d2": [0.1, 0.2], "ds": [0.3, 0.45]}
+        for problem in (prob_cor, prob_ind):
+            serial = sweep_surface(problem, grid)
+            parallel = sweep_surface(problem, grid, workers=2)
+            assert len(serial.points) == 8
+            assert all(c.point.converged for c in serial.points)
+            assert serial.points == parallel.points
+        assert pooled == [[2, 2, 2, 2], [2, 2, 2]]
 
 
 class TestClassicalForms:
@@ -1007,6 +1023,100 @@ class TestSeparability:
         obs, bg = prob_ind.split
         assert obs.split is None and bg.split is None
         assert prob_ind.split is prob_ind.split
+
+
+def chain_grids():
+    """separable_grids() plus a correlated grid whose chains along ds start at
+    an infeasible semantic target and some end at zero rate."""
+    correlated = [RDQuery(*q) for q in itertools.product(
+        (0.02, 0.06, 0.1, 0.3), (0.1, 0.25, 0.5), (0.1, 0.26, 0.3, 0.4, 0.5),
+    )]
+    return separable_grids() + [(sources.correlated_problem(SPEC_COR), correlated)]
+
+
+def part_queries(problem, queries):
+    """The distinct queries of each part a batch on ``problem`` solves."""
+    if problem.split is None:
+        return [(problem, q) for q in queries]
+    obs, bg = problem.split
+    return ([(obs, RDQuery(d1, 0.0, ds)) for d1, ds in dict.fromkeys((q.d1, q.ds) for q in queries)]
+            + [(bg, RDQuery(0.0, d2, 0.0)) for d2 in dict.fromkeys(q.d2 for q in queries)])
+
+
+class TestChains:
+    @pytest.mark.parametrize("grid", range(3), ids=["independent", "classification8", "correlated"])
+    def test_warm_chains_change_answers_only_by_rounding(self, grid, monkeypatch):
+        # a batch calls solve_rd_point through the module attribute once per
+        # distinct part query, along its chain (the benchmark's per-point
+        # spans wrap it); a call of its own is a batch of one and starts cold
+        problem, queries = chain_grids()[grid]
+        calls = []  # (part, query, point or error)
+
+        def recording(part, q, *args, **kwargs):
+            try:
+                point = solve_rd_point(part, q, *args, **kwargs)
+            except SemrdError as exc:
+                calls.append((part, q, exc))
+                raise
+            calls.append((part, q, point))
+            return point
+
+        monkeypatch.setattr(solver_mod, "solve_rd_point", recording)
+        assert len(list(solver_mod.solve_cells(problem, queries))) == len(queries)
+        assert [(part, q) for part, q, _ in calls] == part_queries(problem, queries)
+        warm_steps = cold_steps = 0
+        for part, q, warm in calls:
+            try:
+                cold = solve_rd_point(part, q)
+            except SemrdError as exc:
+                assert type(warm) is type(exc) and str(warm) == str(exc), q
+                continue
+            assert abs(warm.rate - cold.rate) <= 1e-9, q
+            assert warm.converged == cold.converged, q
+            warm_steps, cold_steps = warm_steps + warm.iterations, cold_steps + cold.iterations
+        assert warm_steps < cold_steps
+
+    def test_chains_follow_the_queries(self, prob_cor):
+        # consecutive queries differing in exactly one target share a chain
+        q = [RDQuery(0.05, 0.1, 0.3), RDQuery(0.05, 0.1, 0.4), RDQuery(0.05, 0.2, 0.4),
+             RDQuery(0.1, 0.3, 0.4), RDQuery(0.1, 0.3, 0.4), RDQuery(0.2, 0.3, 0.4)]
+        chains = solver_mod._chains(prob_cor, q, solver_mod.DEFAULT_OPTIONS)
+        assert [c[1] for c in chains] == [q[:3], q[3:4], q[4:]]
+
+    def test_stalled_warm_multipliers_solve_again_from_zero(self, monkeypatch):
+        # from (d1, ds) = (0.4, 0.25) the inherited semantic multiplier (about
+        # 76.9) saturates at (0.4, 0.3): the semantic cost's variance
+        # underflows, Newton cannot move it and the solve stops at a KKT
+        # residual of 0.05 with F = -3.007, against 0.589 at the next step,
+        # which raised "constrained objective increased"
+        stalls, solve_dual = [], solver_mod._ConstrainedBA._solve_dual
+
+        def spying(self, M, lam, *args):
+            d = solve_dual(self, M, lam, *args)
+            if d.stalled:
+                stalls.append((self.iterations, lam[2], d.kkt))
+            return d
+
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "_solve_dual", spying)
+        obs = sources.classification_problem(0.25, 0.25, 8).split[0]
+        queries = [RDQuery(0.4, 0.0, 0.25), RDQuery(0.4, 0.0, 0.3)]
+        cells = list(solver_mod.solve_cells(obs, queries))
+        assert len(stalls) == 1
+        step, lam_s, kkt = stalls[0]
+        assert step == 1 and lam_s > 70.0 and kkt > 1e-3
+        for q, cell in zip(queries, cells):
+            assert cell.error is None and cell.point.converged
+            assert abs(cell.point.rate - solve_rd_point(obs, q).rate) <= 1e-9
+
+    def test_one_chain_is_solved_in_process(self, prob_cor, monkeypatch):
+        # a pool cannot share one chain's work, so a batch of one chain skips it
+        def no_pool(*args):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(solver_mod, "_solve_in_pool", no_pool)
+        queries = [RDQuery(0.05, 0.1, ds) for ds in (0.3, 0.4, 0.5)]
+        cells = list(solver_mod.solve_cells(prob_cor, queries, workers=2))
+        assert all(c.point.converged for c in cells)
 
 
 class TestProblemValidation:
