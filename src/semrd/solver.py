@@ -79,7 +79,8 @@ Two numerical details matter:
   of d1 over x1h, of d2 over x2h, of d's over sh) and combined, so each row
   has K = K1 K2 Ks groups: 8 of 256 letters for the classification model at
   N = 64, all 8 letters on the binary models. Each step sums q to M once,
-  table by table. The BA marginal update, the certificate and the
+  in one product with the 0/1 matrix of letter-in-group membership
+  (nh x nx K). The BA marginal update, the certificate and the
   acceleration stay per letter, with the letter kernel gathered from w; the
   kernel is rebuilt only when the multipliers change.
 
@@ -103,9 +104,10 @@ Two numerical details matter:
   multipliers. The achieved distortions are the final dual's gradient plus
   the targets, E d_i = sum p(x, y) R(k | x, y) c_i(x, k) over groups.
 
-  A problem's workspace (flattened law, cost tables, cost groups) lives as
-  long as the problem object: the last one built is reused while solves are
-  handed the same object, as the cells of a sweep are.
+  A problem's workspace (flattened law, cost tables, cost groups, and each
+  coordinate's two floors) is built on the problem object's first solve and
+  kept on the object (``RDProblem._workspace``): every later solve of that
+  object shares it, and the two parts of a split problem keep one each.
 
 * A batch of queries is solved by continuation, as Blahut (1972) traced a
   rate-distortion curve: each slope's run started from the previous slope's
@@ -118,10 +120,22 @@ Two numerical details matter:
   the previous run's multipliers. A zero-rate, failed or unconverged point
   restarts its chain cold. An inherited multiplier can saturate where the
   new target is slack enough: its cost's variance underflows, Newton cannot
-  move it and the first multiplier solve stops above its tolerance; that
-  solve is then repeated from zero multipliers at the same marginal. Chains
-  depend on the queries only, and a process pool takes whole chains, so a
-  pooled batch returns exactly the serial points.
+  move it and the multiplier solve stops above its tolerance. Any solve that
+  stalls from nonzero multipliers, at any step, is repeated from zero
+  multipliers at the same marginal, and the larger of the two dual values is
+  kept: both are lower bounds on F(q).
+
+  The chains of a batch run in lockstep (:class:`_ConstrainedBA`). Each
+  chain owns a slot of one batch, a slot holds one cell (one run) at a time,
+  and one step advances every live cell: the marginals as a (cells, y, h)
+  array, the multiplier solves, the Anderson histories and the stopping
+  rules each cell's own. A slot whose cell stops takes its chain's next
+  query; a lone solve is a batch of one. Every sum over one cell's arrays is
+  a stack of per-cell products, so a cell's numbers do not depend on the
+  cells beside it: a batch returns bit for bit the points of its chains run
+  one after another. Chains depend on the queries only, and a process pool
+  takes groups of whole chains, one batch per group, so a pooled batch
+  returns exactly the serial points too.
 
 * A source whose observation and background are independent given the side
   information (the chain X1 - Y - X2, p(x1, x2, y) = p(x1|y) p(x2|y) p(y)) is
@@ -156,6 +170,7 @@ holds the one option, ``max_iters``.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -260,6 +275,18 @@ class RDProblem:
             return None
         return observation_side_problem(self), background_side_problem(self)
 
+    def __getstate__(self) -> dict:
+        # the cached values are rebuilt where the problem is unpickled
+        return {k: v for k, v in self.__dict__.items() if k not in ("split", "_workspace")}
+
+    @functools.cached_property
+    def _workspace(self) -> _Workspace:
+        """The solver's arrays for this problem, built on first use and kept
+        as long as the problem object: the cells of a sweep share them.
+        Problems that compare equal may hold different arrays, so each object
+        has its own."""
+        return _Workspace(self)
+
 
 def observation_side_problem(problem: RDProblem) -> RDProblem:
     """Reduced instance keeping (observation, side info) and both
@@ -330,10 +357,11 @@ class RDPoint:
     out. The rate and the multipliers of a solved point move only by rounding
     with the start (:func:`solve_cells`). On the zero-rate path the channel
     is the best channel of y alone, and ``achieved`` holds the zero-rate
-    floors. ``iterations`` counts the steps
-    of the run, Anderson proposals included, on both paths (a target solve's
-    steps each solve for the multipliers, a fixed-multiplier run's hold
-    them), and is 0 on the zero-rate path. ``cs_residual`` bounds
+    floors. ``iterations`` counts the point's own steps, Anderson proposals
+    included, on both paths (a target solve's steps each solve for the
+    multipliers, a fixed-multiplier run's hold them): in a batch each step
+    advances several cells, and each counts it once. It is 0 on the
+    zero-rate path. ``cs_residual`` bounds
     |rate - optimum| via complementary slackness.
 
     On a split problem (:attr:`RDProblem.split`) the point composes its two
@@ -397,10 +425,11 @@ class _Workspace:
     :meth:`group_masses` sums a marginal Q[y, h] over each row's groups.
     Tables with no repeated values give K = nh.
 
-    One workspace serves every solve of its problem object (``_workspace``)."""
+    One workspace serves every solve of its problem object
+    (``RDProblem._workspace``), and holds each coordinate's floors."""
 
     def __init__(self, problem: RDProblem):
-        self.problem = problem
+        self.log_base = problem.log_base
         x1, x2, y = problem.source.axes
         h1, h2, hs = problem.repro_alphabets
         self.nx1, self.nx2, self.ny = x1.size, x2.size, y.size
@@ -426,6 +455,8 @@ class _Workspace:
         self.coord_costs = tuple(
             np.ascontiguousarray(d.reshape(self.nx, -1)) for d in (d1x, d2x, dsx)
         )
+        self.absolute_floors = tuple(self.absolute_floor(c) for c in _COORDS)
+        self.zero_rate_floors = tuple(self.zero_rate_floor(c) for c in _COORDS)
 
         g1, u1 = _row_groups(problem.d1.values)
         g2, u2 = _row_groups(problem.d2.values)
@@ -448,30 +479,24 @@ class _Workspace:
         self.letter_group = (
             (per1 + pers)[:, None, :] + per2[None, :, :]
         ).reshape(self.nx, self.nh)
-        # one-hot group membership per table: (x1 k1, x1h), (x2h, x2 k2), (-, x1, -, sh, ks)
-        self._member1 = (g1[:, None, :] == np.arange(self.K1)[None, :, None]).reshape(
-            self.nx1 * self.K1, self.nh1).astype(float)
-        self._member2 = (g2.T[:, :, None] == np.arange(self.K2)).reshape(
-            self.nh2, self.nx2 * self.K2).astype(float)
-        self._members = (gs[:, :, None] == np.arange(self.Ks)).astype(float)[None, :, None]
+        # one-hot membership of letter h in the flat group (x, k), for every x
+        self.members = np.zeros((self.nh, self.nx * self.K))
+        self.members[np.arange(self.nh), self.letter_group] = 1.0
         # the group costs flat over (x, k) and over (y, x, k), the same
-        # weighted by p(y, x), and as one (k, i) table per source row
+        # weighted by p(y, x), and as one (k, i) table per source row; the
+        # weights of the dual's sums as columns
         self.flat = self.group_costs.reshape(3, -1)
         shape = (3, len(self.p_y), self.nx, self.K)
         self.costs_yxk = np.broadcast_to(self.group_costs[:, None], shape).reshape(3, -1)
         self.weighted = (self.Pw[None, :, :, None] * self.group_costs[:, None]).reshape(3, -1)
         self.costs_xki = np.ascontiguousarray(self.group_costs.transpose(1, 2, 0))
+        self.Pw_col, self.p_x_col = self.Pw.reshape(-1, 1), self.p_x[:, None]
+        self.p_y_col = self.p_y[:, None]
 
     def group_masses(self, Q: np.ndarray) -> np.ndarray:
-        """M[y, x, k]: the mass Q[y, h] puts on group k of source row x,
-        summed one table at a time (x1h, then x2h, then sh)."""
-        ny = len(Q)
-        S = self._member1 @ Q.reshape(ny, self.nh1, self.nh2 * self.nhs)
-        S = S.reshape(ny, self.nx1, self.K1, self.nh2, self.nhs)  # (y, x1, k1, x2h, sh)
-        S = S.swapaxes(3, 4) @ self._member2  # (y, x1, k1, sh, x2 k2)
-        S = S.swapaxes(3, 4) @ self._members  # (y, x1, k1, x2 k2, ks)
-        S = S.reshape(ny, self.nx1, self.K1, self.nx2, self.K2, self.Ks)
-        return S.transpose(0, 1, 3, 2, 4, 5).reshape(ny, self.nx, self.K)
+        """M[..., y, x, k]: the mass Q[..., y, h] puts on group k of source
+        row x, one product with the membership matrix for every cell and y."""
+        return (Q.reshape(-1, self.nh) @ self.members).reshape(Q.shape[:-1] + (self.nx, self.K))
 
     # ---- alternating minimization -------------------------------------
 
@@ -479,22 +504,23 @@ class _Workspace:
         """The uniform marginal Q[y, h], where a cold run starts."""
         return np.full((len(self.p_y), self.nh), 1.0 / self.nh)
 
-    def rate(self, s: _Step) -> float:
-        """I(X1, X2; X1h, X2h, Sh | Y) in ``log_base`` units of the step's
-        channel T = Q W / Z, the form of every BA channel.
+    def rate(self, s: _Step, b: int) -> float:
+        """I(X1, X2; X1h, X2h, Sh | Y) in ``log_base`` units of the channel
+        T = Q W / Z of cell b of a step, the form of every BA channel.
 
         Within a source row T / Q = w / Z is constant on each cost group, so
         KL(T(.|y, x) || Q_y) over letters is KL(R || M) over groups, R the
         group law and M the group masses of Q. With Q_out = Q c the BA update,
         I = sum p(y, x) KL(R || M) - sum p(y) KL(Q_out || Q). Both sums are
         of nonnegative terms, so nothing cancels at large multipliers."""
-        d, c = s.dual, s.c
+        Q, d, c = s.Q[b], s.dual, s.c[b]
         # R / M = w / Z on every group that R charges
-        kl_rows = (d.R * (d.kernel.log_w - np.log(d.Z)[:, :, None])).sum(axis=2)
-        Q_out = s.Q * c
+        kl_rows = np.add.reduce(d.R[b] * (d.kernel.log_w[b] - np.log(d.Z[b])[:, :, None]), axis=2)
+        Q_out = Q * c
         log_c = np.log(c, out=np.zeros_like(c), where=Q_out > 0.0)
-        nats = float(np.vdot(self.Pw, kl_rows)) - float(np.dot(self.p_y, (Q_out * log_c).sum(axis=1)))
-        value = nats / math.log(self.problem.log_base)
+        nats = (float(np.vdot(self.Pw, kl_rows))
+                - float(np.dot(self.p_y, np.add.reduce(Q_out * log_c, axis=1))))
+        value = nats / math.log(self.log_base)
         if value < -1e-12:
             raise SolverError(f"rate evaluated to {value:.3e} < -1e-12")
         return max(value, 0.0)
@@ -509,22 +535,6 @@ class _Workspace:
         """Best distortion with reproductions depending on y alone."""
         ed = np.einsum("yx,xk->yk", self.Pw, self.coord_costs[coord])
         return float(ed.min(axis=1).sum())
-
-
-_last_workspace: _Workspace | None = None
-
-
-def _workspace(problem: RDProblem) -> _Workspace:
-    """The workspace of ``problem``. The last one built is kept and reused
-    while the same problem object is solved again (a sweep's cells). Reuse is
-    keyed on identity: problems that compare equal may hold different
-    arrays. A problem's arrays are read-only, so its workspace never goes
-    stale."""
-    global _last_workspace
-    ws = _last_workspace
-    if ws is None or ws.problem is not problem:
-        ws = _last_workspace = _Workspace(problem)
-    return ws
 
 
 # Constants of the constrained BA loop (see the module docstring). The dual is
@@ -554,7 +564,9 @@ _WARM_MIX = 1e-3
 def _kkt_residual(lam: Sequence[float], grad: Sequence[float]) -> float:
     """Largest KKT violation of the dual over lam >= 0: |grad| on positive
     multipliers, the positive part of grad on zero ones."""
-    return max(abs(g) if l > 0.0 else max(g, 0.0) for l, g in zip(lam, grad))
+    (l0, l1, l2), (g0, g1, g2) = lam, grad
+    return max(abs(g0) if l0 > 0.0 else max(g0, 0.0), abs(g1) if l1 > 0.0 else max(g1, 0.0),
+               abs(g2) if l2 > 0.0 else max(g2, 0.0))
 
 
 def _newton_direction(
@@ -603,61 +615,58 @@ def _newton_direction(
 
 @dataclass
 class _Kernel:
-    """exp(shift - cost) per cost group at one multiplier vector, shift
-    being each source row's least cost: ``w[x, k]``, its log ``log_w`` and
-    ``p_shift`` = p(x).shift."""
+    """exp(shift - lam.c) per cost group and cell, shift being each source
+    row's least cost: ``w[b, x, k]``, its log ``log_w``, and ``p_shift[b]`` =
+    p(x).shift, at the multipliers ``lam[b]``."""
 
-    lam: tuple[float, ...]
-    p_shift: float
+    lam: list[list[float]]
+    p_shift: list[float]
     log_w: np.ndarray
     w: np.ndarray
 
 
 @dataclass
 class _Dual:
-    """The dual g_Q at one multiplier vector: its value and a bound on the
-    rounding in it, the gradient E[d] - D and KKT residual, with the kernel,
-    the normaliser Z[y, x] and the law R[y, x, k] of the cost group given
-    (y, x). ``stalled`` marks the end of a multiplier solve that stopped above
-    its tolerance."""
+    """The dual g_Q of each cell at its multipliers: its value and a bound on
+    the rounding in it, the gradient E[d] - D, with the kernel, the
+    normaliser Z[b, y, x] and the law R[b, y, x, k] of the cost group given
+    (y, x)."""
 
-    lam: tuple[float, ...]
-    value: float
-    rounding: float
-    grad: tuple[float, ...]
-    kkt: float
     kernel: _Kernel
+    value: list[float]
+    rounding: list[float]
+    grad: list[list[float]]
     Z: np.ndarray
     R: np.ndarray
-    stalled: bool = False
 
 
 @dataclass
 class _Step:
-    """One constrained step from Q: the dual solved at Q (its multipliers,
-    value F(Q) and KKT residual), the certificate, the BA update of Q and its
-    multiplicative factor c[y, h]."""
+    """One constrained step of each cell from Q[b]: the dual solved at Q (its
+    multipliers and value F(Q)), the certificate, the BA update of Q and its
+    multiplicative factor c[b, y, h]."""
 
     Q: np.ndarray
     dual: _Dual
-    cert: float
+    cert: list[float]
     Q_next: np.ndarray
     c: np.ndarray
 
 
 class _Anderson:
     """Rows of dR, dG: the last _MEMORY differences of the residuals r = Q_next - Q
-    and images g = Q_next of a run's accepted steps, ``count`` since the last clear."""
+    and images g = Q_next of one cell's accepted steps, ``count`` since the last
+    clear. A cell's history starts at its first step, whose (Q, Q_next) it takes."""
 
-    def __init__(self, s: _Step):
-        self.dR, self.dG = np.empty((2, _MEMORY, s.Q.size))
-        self.count, self.r, self.g = 0, (s.Q_next - s.Q).ravel(), s.Q_next
+    def __init__(self, Q: np.ndarray, Q_next: np.ndarray):
+        self.dR, self.dG = np.empty((2, _MEMORY, Q.size))
+        self.count, self.r, self.g = 0, (Q_next - Q).ravel(), Q_next
 
-    def push(self, s: _Step) -> None:
-        r, i = (s.Q_next - s.Q).ravel(), self.count % _MEMORY
+    def push(self, Q: np.ndarray, Q_next: np.ndarray) -> None:
+        r, i = (Q_next - Q).ravel(), self.count % _MEMORY
         np.subtract(r, self.r, out=self.dR[i])
-        np.subtract(s.Q_next.ravel(), self.g.ravel(), out=self.dG[i])
-        self.count, self.r, self.g = self.count + 1, r, s.Q_next
+        np.subtract(Q_next.ravel(), self.g.ravel(), out=self.dG[i])
+        self.count, self.r, self.g = self.count + 1, r, Q_next
 
     def propose(self) -> np.ndarray | None:
         """g minus the image differences weighted by the least-squares fit of the
@@ -679,160 +688,262 @@ class _Anderson:
         return Q / np.add.reduce(Q, axis=1, keepdims=True)
 
 
-class _ConstrainedBA:
-    """Alternating minimization under the three distortion constraints for
-    one query: an exact multiplier solve at every step, on the workspace's
-    cost groups, and Anderson acceleration of the marginal update."""
+@dataclass
+class _Cell:
+    """A cell of a batch: its slot (its chain), targets and steps taken; its
+    last accepted step (row ``row`` of a batch step) with that step's
+    multipliers, BA image, F and certificate, where its next step starts; its
+    Anderson history; and the error that stopped it, if one did. Before the
+    first step ``lam`` and ``Q_next`` hold the start, and F and the
+    certificate are infinite: no step exceeds them."""
 
-    def __init__(self, ws: _Workspace, targets: Sequence[float], opts: SolverOptions):
+    slot: int
+    targets: tuple[float, ...]
+    lam: list[float]
+    Q_next: np.ndarray
+    value: float = math.inf
+    cert: float = math.inf
+    step: _Step | None = None
+    row: int = 0
+    iterations: int = 0
+    history: _Anderson | None = None
+    error: SolverError | None = None
+
+
+class _ConstrainedBA:
+    """Alternating minimization under the three distortion constraints for a
+    batch of cells of one problem, each with its own targets: an exact
+    multiplier solve per cell at every step, on the workspace's cost groups,
+    and Anderson acceleration of each cell's marginal update. One
+    :meth:`advance` takes one step of every live cell: each array operation
+    covers them all, and only the few scalars of each cell are handled one
+    cell at a time. A lone solve is a batch of one."""
+
+    def __init__(self, ws: _Workspace, opts: SolverOptions):
         self.ws = ws
-        self.targets = tuple(float(t) for t in targets)
         self.opts = opts
-        self.iterations = 0
+        self.cells: list[_Cell] = []
         self._last_kernel: _Kernel | None = None
 
     # ---- the dual at fixed Q ----------------------------------------------
 
-    def _kernel(self, lam: tuple[float, ...]) -> _Kernel:
-        """The kernel at lam; the last one built is reused while lam is
-        unchanged (the first evaluation of each step)."""
-        k = self._last_kernel
-        if k is None or k.lam != lam:
-            ws = self.ws
-            # log w[x, k] = shift[x] - lam.c(x, k), shift[x] being row x's least cost
-            log_w = np.dot(lam, ws.flat).reshape(ws.nx, ws.K)
-            shift = np.minimum.reduce(log_w, axis=1)
-            np.subtract(shift[:, None], log_w, out=log_w)
-            k = self._last_kernel = _Kernel(lam, float(np.dot(ws.p_x, shift)), log_w, np.exp(log_w))
-        return k
+    def _kernel(self, lam: list[list[float]]) -> _Kernel:
+        """The kernel of each cell at its multipliers lam[b]."""
+        ws = self.ws
+        # log w[b, x, k] = shift[b, x] - lam[b].c(x, k), shift being row x's least cost
+        n = len(lam)
+        log_w = (np.array(lam)[:, None, :] @ ws.flat).reshape(n, ws.nx, ws.K)
+        shift = np.minimum.reduce(log_w, axis=2)
+        np.subtract(shift[:, :, None], log_w, out=log_w)
+        p_shift = (shift.reshape(n, 1, -1) @ ws.p_x_col).ravel().tolist()
+        return _Kernel(lam, p_shift, log_w, np.exp(log_w))
 
     def _letters(self, k: _Kernel) -> np.ndarray:
-        """The kernel per letter, W[x, h]."""
-        return np.take(k.w, self.ws.letter_group)
+        """The kernel per letter, W[b, x, h]."""
+        return np.take(k.w.reshape(len(k.w), -1), self.ws.letter_group, axis=1)
 
-    def _evaluate(self, M: np.ndarray, lam: Sequence[float]) -> _Dual:
-        """g_Q at lam, from the group masses M of Q."""
+    def _evaluate(self, M: np.ndarray, k: _Kernel, targets: Sequence[Sequence[float]]) -> _Dual:
+        """g_Q of each cell at its kernel's multipliers, from the group masses
+        M[b] of its Q."""
         ws = self.ws
-        lam = tuple(map(float, lam))
-        k = self._kernel(lam)
-        R = M * k.w
-        Z = np.add.reduce(R, axis=2)  # (ny, nx)
-        R /= Z[:, :, None]
+        n = len(M)
+        R = M * k.w[:, None]
+        Z = np.add.reduce(R, axis=3)  # (n, ny, nx)
+        R /= Z[:, :, :, None]
         # g = p.shift - sum p log Z - lam.D; with large multipliers the first
         # and last terms nearly cancel, so rounding scales with their size
-        terms = (
-            k.p_shift,
-            -float(np.vdot(ws.Pw, np.log(Z))),
-            -sum(l * t for l, t in zip(lam, self.targets)),
-        )
-        rounding = 1e-14 * (1.0 + sum(abs(v) for v in terms))
-        mean = (ws.weighted @ R.ravel()).tolist()
-        grad = tuple(m - t for m, t in zip(mean, self.targets))
-        return _Dual(lam, sum(terms), rounding, grad, _kkt_residual(lam, grad), k, Z, R)
-
-    def achieved(self, d: _Dual) -> tuple[float, float, float]:
-        """E d_i of the BA channel behind d: its gradient plus the targets
-        (with zero targets, the gradient itself)."""
-        return tuple(g + t for g, t in zip(d.grad, self.targets))
+        # (both are nonnegative, as costs and multipliers are)
+        log_z = (np.log(Z).reshape(n, 1, -1) @ ws.Pw_col).ravel().tolist()
+        mean = (ws.weighted @ R.reshape(n, -1, 1)).tolist()
+        value, rounding, grad = [], [], []
+        for s, z, l, t, ((m0,), (m1,), (m2,)) in zip(k.p_shift, log_z, k.lam, targets, mean):
+            ld = l[0] * t[0] + l[1] * t[1] + l[2] * t[2]
+            value.append(s - z - ld)
+            rounding.append(1e-14 * (1.0 + (abs(s) + abs(z) + abs(ld))))
+            grad.append([m0 - t[0], m1 - t[1], m2 - t[2]])
+        return _Dual(k, value, rounding, grad, Z, R)
 
     def _covariance(self, d: _Dual) -> np.ndarray:
-        """The cost covariance behind d, averaged over (y, x): the negated Hessian."""
+        """The cost covariance behind each cell's dual, averaged over (y, x):
+        the negated Hessian, (n, 3, 3)."""
         ws = self.ws
-        second = (ws.weighted * d.R.ravel()) @ ws.costs_yxk.T
-        # cost means conditional on (y, x), as (x, y, i), and the same weighted by p(y, x)
-        m1 = d.R.swapaxes(0, 1) @ ws.costs_xki
+        n = len(d.R)
+        second = (ws.weighted * d.R.reshape(n, 1, -1)) @ ws.costs_yxk.T
+        # cost means conditional on (y, x), as (n, x, y, i), and the same weighted by p(y, x)
+        m1 = d.R.swapaxes(1, 2) @ ws.costs_xki
         B = ws.Pw.T[:, :, None] * m1
-        return second - B.reshape(-1, 3).T @ m1.reshape(-1, 3)
+        return second - B.reshape(n, -1, 3).swapaxes(1, 2) @ m1.reshape(n, -1, 3)
 
-    def _solve_dual(self, M: np.ndarray, lam: Sequence[float], tol: float = _KKT_TOL) -> _Dual:
-        """Maximise g_Q over 0 <= lam <= LAMBDA_CAP by projected Newton,
-        warm-started at lam, to a KKT residual of tol, or of the rounding in
-        g where that is larger, but never above _KKT_TOL; M holds the group
-        masses of Q. A solve that stops above that residual (out of Newton or
-        backtracking steps) returns its last dual marked ``stalled``."""
-        d = self._evaluate(M, lam)
+    def _newton(self, M: np.ndarray, d: _Dual, targets: Sequence[Sequence[float]],
+                tol: list[float]) -> tuple[_Dual, list[int]]:
+        """Projected Newton on each cell's g_Q over 0 <= lam <= LAMBDA_CAP from
+        d, to a KKT residual of its tol, or of the rounding in g where that is
+        larger, but never above _KKT_TOL. Returns the final duals, and the
+        cells that stopped above that residual (out of Newton or backtracking
+        steps): the stalled ones.
+
+        Every evaluation covers every cell; a cell that is done, or whose
+        backtracking is, keeps its multipliers and so its dual."""
+
+        def unsolved(d: _Dual, b: int) -> bool:
+            return (_kkt_residual(d.kernel.lam[b], d.grad[b])
+                    > min(_KKT_TOL, max(tol[b], d.rounding[b])))
+
+        active = [b for b in range(len(M)) if unsolved(d, b)]
+        stalled: list[int] = []
         for _ in range(_NEWTON_STEPS):
-            if d.kkt <= min(_KKT_TOL, max(tol, d.rounding)):
-                return d
-            # Newton direction on the free coordinates; the others stay put
-            free = [l > 0.0 or g > 0.0 for l, g in zip(d.lam, d.grad)]
-            step = _newton_direction(self._covariance(d), d.grad, free)
-            # no coordinate moves by more than max(1, lam_i)
-            reach = min(max(1.0, l) / max(abs(s), 1e-300) for l, s in zip(d.lam, step))
-            if reach < 1.0:
-                step = [s * reach for s in step]
-            t = 1.0
+            if not active:
+                break
+            # Newton direction on the free coordinates; the others stay put. No
+            # coordinate moves by more than max(1, lam_i)
+            lam, grad, value, rounding = d.kernel.lam, d.grad, d.value, d.rounding
+            cov, at, steps = self._covariance(d), list(lam), {}
+            for b in active:
+                l, g = lam[b], grad[b]
+                step = _newton_direction(cov[b], g, [x > 0.0 or y > 0.0 for x, y in zip(l, g)])
+                (l0, l1, l2), (s0, s1, s2) = l, step
+                reach = min(max(1.0, l0) / max(abs(s0), 1e-300),
+                            max(1.0, l1) / max(abs(s1), 1e-300),
+                            max(1.0, l2) / max(abs(s2), 1e-300))
+                if reach < 1.0:
+                    step = [y * reach for y in step]
+                steps[b] = step
+                at[b] = [min(LAMBDA_CAP, max(0.0, x + y)) for x, y in zip(l, step)]
+            # every cell still backtracking has failed the same shares t before
+            t, pending = 1.0, active
             for _ in range(_BACKTRACKS):
-                new = self._evaluate(
-                    M, [min(LAMBDA_CAP, max(0.0, l + t * s)) for l, s in zip(d.lam, step)]
-                )
+                new = self._evaluate(M, self._kernel(at), targets)
                 # Armijo, up to rounding in g once the gain is that small
-                gain = sum(g * (n - l) for g, n, l in zip(d.grad, new.lam, d.lam))
-                if new.value >= d.value + _ARMIJO * gain - d.rounding:
+                failed = []
+                for b in pending:
+                    x, l, g = at[b], lam[b], grad[b]
+                    gain = g[0] * (x[0] - l[0]) + g[1] * (x[1] - l[1]) + g[2] * (x[2] - l[2])
+                    if not new.value[b] >= value[b] + _ARMIJO * gain - rounding[b]:
+                        failed.append(b)
+                pending = failed
+                if not pending:
                     break
                 t *= 0.5
+                for b in pending:
+                    at[b] = [min(LAMBDA_CAP, max(0.0, x + t * y)) for x, y in zip(lam[b], steps[b])]
             else:
-                break
+                # out of backtracking steps: those cells stay where they are
+                for b in pending:
+                    at[b] = lam[b]
+                new = self._evaluate(M, self._kernel(at), targets)
+                stalled += pending
             d = new
-        d.stalled = d.kkt > min(_KKT_TOL, max(tol, d.rounding))
+            active = [b for b in active if b not in pending and unsolved(d, b)]
+        return d, stalled + active
+
+    def _solve_dual(self, M: np.ndarray, k: _Kernel, targets: Sequence[Sequence[float]],
+                    tol: list[float]) -> _Dual:
+        """Maximise each cell's g_Q by :meth:`_newton`, warm-started at the
+        kernel's multipliers; M holds the group masses of the cells' Q. A
+        cell that stalls from nonzero multipliers is solved again from zero
+        at the same Q, and keeps the multipliers of the larger of the two
+        values: both are lower bounds on F(Q). An inherited multiplier stalls
+        this way where the new target is slack enough: its cost's variance
+        underflows and Newton cannot move it."""
+        d, stalled = self._newton(M, self._evaluate(M, k, targets), targets, tol)
+        retry = sorted(b for b in stalled if any(k.lam[b]))
+        if retry:
+            Mr, tr = M[retry], [targets[b] for b in retry]
+            zero = self._evaluate(Mr, self._kernel([[0.0, 0.0, 0.0] for _ in retry]), tr)
+            again, _ = self._newton(Mr, zero, tr, [tol[b] for b in retry])
+            lam = list(d.kernel.lam)
+            for i, b in enumerate(retry):
+                if again.value[i] > d.value[b]:
+                    lam[b] = again.kernel.lam[i]
+            if lam != d.kernel.lam:
+                d = self._evaluate(M, self._kernel(lam), targets)
         return d
 
     # ---- steps ---------------------------------------------------------------
 
-    def _update(self, Q: np.ndarray, d: _Dual) -> tuple[float, np.ndarray, np.ndarray]:
-        """The certificate at d, the BA update of Q and its factor c, per letter."""
+    def _update(self, Q: np.ndarray, d: _Dual) -> tuple[list[float], np.ndarray, np.ndarray]:
+        """Per cell: the certificate at d, the BA update of Q and its factor
+        c, per letter."""
         c = (self.ws.P / d.Z) @ self._letters(d.kernel)
-        cert = float(np.dot(self.ws.p_y, np.maximum(np.maximum.reduce(c, axis=1) - 1.0, 0.0)))
+        gap = np.maximum(np.maximum.reduce(c, axis=2) - 1.0, 0.0)
         Q_next = Q * c
-        Q_next /= np.add.reduce(Q_next, axis=1, keepdims=True)
+        Q_next /= np.add.reduce(Q_next, axis=2, keepdims=True)
+        cert = (gap.reshape(len(gap), 1, -1) @ self.ws.p_y_col).ravel().tolist()
         return cert, Q_next, c
 
-    def _step(self, Q: np.ndarray, lam: Sequence[float], tol: float = _KKT_TOL) -> _Step:
-        self.iterations += 1
-        M = self.ws.group_masses(Q)
-        d = self._solve_dual(M, lam, tol)
-        if d.stalled and self.iterations == 1 and any(lam):
-            # a multiplier inherited from a neighbouring query can saturate, its
-            # block of the covariance singular: solve again from 0 at this Q
-            d = self._solve_dual(M, (0.0, 0.0, 0.0), tol)
-        return _Step(Q, d, *self._update(Q, d))
+    def add(self, slot: int, targets: Sequence[float], lam: Sequence[float] = (0.0, 0.0, 0.0),
+            Q: np.ndarray | None = None) -> None:
+        """A new cell, joining the batch at its next step: that step starts
+        from the marginal Q (uniform when None) with its multiplier solve
+        warm-started at lam."""
+        self.cells.append(_Cell(slot, tuple(targets), [float(l) for l in lam],
+                                self.ws.initial_marginal() if Q is None else Q))
 
-    def run(
-        self, lam: tuple[float, ...] = (0.0, 0.0, 0.0), Q: np.ndarray | None = None
-    ) -> tuple[_Step, bool]:
-        """Returns (final step, converged), the first step from the marginal
-        Q (uniform when None) with its multiplier solve warm-started at lam.
-        The final step's channel Q W / Z meets the targets up to its dual's
-        KKT residual."""
-        cap = self.opts.max_iters
-        cur = self._step(self.ws.initial_marginal() if Q is None else Q, lam)
-        history = _Anderson(cur)
-        # no step, the Anderson proposal included, once the cap is reached
-        while cur.cert >= CERT_TOL and self.iterations < cap:
-            Q = history.propose()
-            # the dual to a tenth of the last certificate where that is below
-            # _KKT_TOL: multipliers frozen inside the _KKT_TOL band stall it
-            s = self._step(cur.Q_next if Q is None else Q, cur.dual.lam, cur.cert / 10.0)
-            # a rise beyond rounding drops a proposal and the history; a plain step raises
-            if s.dual.value > cur.dual.value + 1e-11 * (1.0 + abs(s.dual.value)):
-                if Q is not None:
-                    history.count = 0
-                    continue
-                raise SolverError(f"constrained objective increased from {cur.dual.value!r}"
-                                  f" to {s.dual.value!r} at step {self.iterations}")
-            cur = s
-            history.push(s)
-        return cur, cur.cert < CERT_TOL
+    def advance(self) -> list[_Cell]:
+        """One step of every live cell: from its Anderson proposal, or else
+        from its last BA image. A cell whose step raises F beyond rounding
+        drops a proposal and its history, or fails on a plain step; a cell
+        stops once its certificate is below CERT_TOL or it has taken
+        ``max_iters`` steps. Returns the cells that stopped, in slot order,
+        and removes them from the batch: a cell converged when its
+        certificate is below CERT_TOL, and the final step's channel Q W / Z
+        meets its targets up to its dual's KKT residual."""
+        cells, proposed, start = self.cells, [], []
+        for cell in cells:
+            P = None if cell.history is None else cell.history.propose()
+            proposed.append(P is not None)
+            start.append(cell.Q_next if P is None else P)
+            cell.iterations += 1
+        Q, lam = np.array(start), [cell.lam for cell in cells]
+        # the last evaluation's kernel, while the cells keep its multipliers
+        k = self._last_kernel
+        if k is None or k.lam != lam:
+            k = self._kernel(lam)
+        # the dual to a tenth of the last certificate where that is below
+        # _KKT_TOL: multipliers frozen inside the _KKT_TOL band stall it
+        d = self._solve_dual(self.ws.group_masses(Q), k, [cell.targets for cell in cells],
+                             [cell.cert / 10.0 for cell in cells])
+        self._last_kernel = d.kernel
+        s = _Step(Q, d, *self._update(Q, d))
+        live, out, cap = [], [], self.opts.max_iters
+        for b, cell in enumerate(cells):
+            v = d.value[b]
+            if v > cell.value + 1e-11 * (1.0 + abs(v)):
+                # a rise beyond rounding drops a proposal and the history; a plain step fails
+                if proposed[b]:
+                    cell.history.count = 0
+                else:
+                    cell.error = SolverError(f"constrained objective increased from {cell.value!r}"
+                                             f" to {v!r} at step {cell.iterations}")
+            else:
+                if cell.history is None:
+                    cell.history = _Anderson(Q[b], s.Q_next[b])
+                else:
+                    cell.history.push(Q[b], s.Q_next[b])
+                cell.step, cell.row, cell.lam, cell.Q_next = s, b, d.kernel.lam[b], s.Q_next[b]
+                cell.value, cell.cert = v, s.cert[b]
+            if cell.error is None and cell.cert >= CERT_TOL and cell.iterations < cap:
+                live.append(cell)
+            else:
+                out.append(cell)
+        self.cells = live
+        return out
+
+    def run(self) -> _Cell:
+        """Advance a batch of one cell until it stops."""
+        while not (done := self.advance()):
+            pass
+        return done[0]
 
 
 class _FixedBA(_ConstrainedBA):
-    """The same loop with the multipliers held where ``run`` starts them:
+    """The same loop with the multipliers held where each cell starts them:
     each step evaluates g_Q there in place of the multiplier solve. With zero
     targets g_Q is the Lagrangian, so its monotonicity check, the
     acceleration and the certificate carry over unchanged."""
 
-    def _solve_dual(self, M: np.ndarray, lam: Sequence[float], tol: float = _KKT_TOL) -> _Dual:
-        return self._evaluate(M, lam)
+    def _solve_dual(self, M, k, targets, tol) -> _Dual:
+        return self._evaluate(M, k, targets)
 
 
 def ba_fixed_multipliers(
@@ -851,30 +962,109 @@ def ba_fixed_multipliers(
     lam = (float(lambda1), float(lambda2), float(lambda_s))
     if any(not math.isfinite(l) or l < 0.0 for l in lam):
         raise ProbabilityError(f"multipliers must be finite and >= 0, got {lam}")
-    ws = _workspace(problem)
-    run = _FixedBA(ws, (0.0, 0.0, 0.0), opts)
-    final, converged = run.run(lam)
-    return RDPoint(ws.rate(final), run.achieved(final.dual), lam, run.iterations, converged)
+    ws = problem._workspace
+    run = _FixedBA(ws, opts)
+    run.add(0, (0.0, 0.0, 0.0), lam)
+    done = run.run()
+    if done.error is not None:
+        raise done.error
+    achieved = tuple(done.step.dual.grad[done.row])
+    return RDPoint(ws.rate(done.step, done.row), achieved, lam, done.iterations,
+                   done.cert < CERT_TOL)
 
 
-class _Start:
-    """Where the next run of a chain of queries starts (:func:`_solve_chain`):
-    the arguments of :meth:`_ConstrainedBA.run`, empty for a cold start. A
-    solve takes them before anything else, so one that raises or ends at zero
-    rate leaves a cold start; one that converges at a positive rate leaves its
+class _Batch:
+    """Chains of queries on one problem (:func:`_chains`), solved in lockstep
+    by one :class:`_ConstrainedBA`: each chain owns a slot, and each slot
+    holds one live cell at a time. When a slot's cell stops, the slot takes
+    the next query of its chain; a query below a floor or at zero rate is
+    answered there and the slot moves on. Each run starts where its chain's
+    previous one ended: a run that converges at a positive rate leaves its
     final step's multipliers and BA marginal, mixed with _WARM_MIX of the
-    uniform marginal because BA never revives a zero atom."""
+    uniform marginal because BA never revives a zero atom; every other
+    outcome leaves a cold start.
 
-    def __init__(self) -> None:
-        self.args: tuple = ()
+    :meth:`result` hands out one chain's answers in order, advancing the
+    batch only until the next one is ready; answers of the other chains wait
+    in the batch, with their targets, until they are asked for."""
 
-    def take(self) -> tuple:
-        args, self.args = self.args, ()
-        return args
+    def __init__(self, problem: RDProblem, chains: Sequence[Sequence[RDQuery]],
+                 opts: SolverOptions):
+        self.problem = problem
+        self.ws = problem._workspace
+        self.cba = _ConstrainedBA(self.ws, opts)
+        self.queries = [iter(chain) for chain in chains]
+        self.ready: list[collections.deque] = [collections.deque() for _ in chains]
+        self.starts: list[tuple] = [() for _ in chains]
+        for slot in range(len(chains)):
+            self._take(slot)
 
-    def keep(self, final: _Step) -> None:
-        Q = final.Q_next
-        self.args = (final.dual.lam, (1.0 - _WARM_MIX) * Q + _WARM_MIX / Q.shape[1])
+    def _take(self, slot: int) -> None:
+        """Answer the slot's next queries that need no run, and start a run on
+        the first one that does."""
+        ws = self.ws
+        for query in self.queries[slot]:
+            start, self.starts[slot] = self.starts[slot], ()
+            targets = query.as_tuple()
+            for coord, floor in enumerate(ws.absolute_floors):
+                if targets[coord] < floor - 1e-12:
+                    self.ready[slot].append((targets, InfeasibleDistortionError(
+                        f"constraint {coord}: target {targets[coord]} is below the "
+                        f"full-information floor {floor}")))
+                    break
+            else:
+                floors = ws.zero_rate_floors
+                if not all(t >= f - 1e-15 for t, f in zip(targets, floors)):
+                    self.cba.add(slot, targets, *start)
+                    return
+                # zero rate: each reproduction is the best function of y alone
+                self.ready[slot].append((targets, RDPoint(0.0, floors, (0.0, 0.0, 0.0), 0, True)))
+
+    def _point(self, done: _Cell) -> RDPoint | SemrdError:
+        """The point of a stopped cell, or its error; a converged point at a
+        positive rate becomes the warm start of its chain's next run."""
+        if done.error is not None:
+            return done.error
+        s, b, targets = done.step, done.row, done.targets
+        lam, grad = tuple(s.dual.kernel.lam[b]), s.dual.grad[b]
+        achieved = tuple(g + t for g, t in zip(grad, targets))
+        cs = sum(l * abs(g) for l, g in zip(lam, grad))
+        cs /= math.log(self.ws.log_base)
+        try:
+            rate = self.ws.rate(s, b)
+        except SolverError as exc:
+            return exc
+        ok = (
+            done.cert < CERT_TOL
+            and _kkt_residual(lam, grad) <= 5.0 * CONSTRAINT_TOL
+            and cs <= RATE_TOL
+            and all(a <= t + 10.0 * CONSTRAINT_TOL for a, t in zip(achieved, targets))
+        )
+        if ok:
+            Q = s.Q_next[b]
+            self.starts[done.slot] = (lam, (1.0 - _WARM_MIX) * Q + _WARM_MIX / Q.shape[1])
+        return RDPoint(rate, achieved, lam, done.iterations, ok, cs)
+
+    def result(self, problem: RDProblem, query: RDQuery, slot: int) -> RDPoint:
+        """The answer to ``query``, the next query of chain ``slot``: its
+        point, or its error raised. A query that is not that chain's next
+        one, or a problem that is not the batch's, raises
+        :class:`SolverError`: answers go to the queries they belong to."""
+        ready = self.ready[slot]
+        while not ready:
+            if not self.cba.cells:
+                raise SolverError(f"chain {slot} has no query left")
+            for done in self.cba.advance():
+                self.ready[done.slot].append((done.targets, self._point(done)))
+                self._take(done.slot)
+        targets, answer = ready[0]
+        if problem is not self.problem or targets != query.as_tuple():
+            raise SolverError(f"query {query.as_tuple()} is not the next query {targets} "
+                              f"of chain {slot} of this batch")
+        ready.popleft()
+        if isinstance(answer, SemrdError):
+            raise answer
+        return answer
 
 
 def solve_rd_point(
@@ -882,7 +1072,7 @@ def solve_rd_point(
     query: RDQuery,
     opts: SolverOptions = DEFAULT_OPTIONS,
     *,
-    _start: _Start | None = None,
+    _batch: tuple[_Batch, int] | None = None,
 ) -> RDPoint:
     """Minimum rate meeting the query's three expected-distortion targets.
 
@@ -893,10 +1083,11 @@ def solve_rd_point(
 
     A split problem (:attr:`RDProblem.split`) is solved as a batch of one
     through its two parts; every other problem by :func:`solve_joint_point`.
-    ``_start`` is private to the chains of :func:`solve_cells`.
+    ``_batch`` is private to :func:`solve_cells`: the shared batch and the
+    chain whose next answer this call returns.
     """
     if problem.split is None:
-        return solve_joint_point(problem, query, opts, _start=_start)
+        return solve_joint_point(problem, query, opts, _batch=_batch)
     (point,) = _solve_split(problem, [query], opts, None)
     if isinstance(point, SemrdError):
         raise point
@@ -908,40 +1099,16 @@ def solve_joint_point(
     query: RDQuery,
     opts: SolverOptions = DEFAULT_OPTIONS,
     *,
-    _start: _Start | None = None,
+    _batch: tuple[_Batch, int] | None = None,
 ) -> RDPoint:
     """:func:`solve_rd_point` as one joint solve over all three constraints,
     whether or not the source splits: the solver of every problem that does
-    not split, and the reference for those that do."""
-    start = _start.take() if _start is not None else ()
-    ws = _workspace(problem)
-    targets = query.as_tuple()
-    for coord in _COORDS:
-        floor = ws.absolute_floor(coord)
-        if targets[coord] < floor - 1e-12:
-            raise InfeasibleDistortionError(
-                f"constraint {coord}: target {targets[coord]} is below the "
-                f"full-information floor {floor}"
-            )
-    floors = tuple(ws.zero_rate_floor(c) for c in _COORDS)
-    if all(t >= f - 1e-15 for t, f in zip(targets, floors)):
-        # zero rate: each reproduction is the best function of y alone
-        return RDPoint(0.0, floors, (0.0, 0.0, 0.0), 0, True)
-
-    cba = _ConstrainedBA(ws, targets, opts)
-    final, converged = cba.run(*start)
-    d = final.dual
-    achieved = cba.achieved(d)
-    cs = sum(l * abs(g) for l, g in zip(d.lam, d.grad)) / math.log(problem.log_base)
-    ok = (
-        converged
-        and d.kkt <= 5.0 * CONSTRAINT_TOL
-        and cs <= RATE_TOL
-        and all(a <= t + 10.0 * CONSTRAINT_TOL for a, t in zip(achieved, targets))
-    )
-    if ok and _start is not None:
-        _start.keep(final)
-    return RDPoint(ws.rate(final), achieved, d.lam, cba.iterations, ok, cs)
+    not split, and the reference for those that do. Alone, it is a batch of
+    one chain of one query."""
+    if _batch is None:
+        return _Batch(problem, [[query]], opts).result(problem, query, 0)
+    batch, slot = _batch
+    return batch.result(problem, query, slot)
 
 
 def semantic_rd(
@@ -1002,20 +1169,27 @@ def _chains(problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions)
     return chains
 
 
-def _solve_chain(args) -> list[RDPoint | SemrdError]:
-    """One point or error per query of a chain, in order. Each is one
-    :func:`solve_rd_point` call, through the module attribute so that a caller
-    may wrap it; each starts where the previous one ended (:class:`_Start`),
-    the first one and any after a zero-rate, failed or unconverged point
-    from the uniform marginal at zero multipliers."""
-    problem, queries, opts = args
-    start, points = _Start(), []
-    for q in queries:
-        try:
-            points.append(solve_rd_point(problem, q, opts, _start=start))
-        except SemrdError as exc:
-            points.append(exc)
-    return points
+def _solve_chains(chains: list) -> Iterator[RDPoint | SemrdError]:
+    """One point or error per query of each chain, in order, the chains of
+    each problem in one :class:`_Batch`. Each is one :func:`solve_rd_point`
+    call, through the module attribute so that a caller may wrap it, that
+    returns the next answer of its chain."""
+    slots: dict[int, list] = {}
+    for problem, queries, _ in chains:
+        slots.setdefault(id(problem), []).append(queries)
+    batches: dict[int, _Batch] = {}
+    taken: collections.Counter = collections.Counter()
+    for problem, queries, opts in chains:
+        key = id(problem)
+        if key not in batches:
+            batches[key] = _Batch(problem, slots[key], opts)
+        handle = (batches[key], taken[key])
+        taken[key] += 1
+        for q in queries:
+            try:
+                yield solve_rd_point(problem, q, opts, _batch=handle)
+            except SemrdError as exc:
+                yield exc
 
 
 def _compose(obs: RDPoint | SemrdError, bg: RDPoint | SemrdError) -> RDPoint | SemrdError:
@@ -1041,8 +1215,8 @@ def _solve_split(
 ) -> Iterator[RDPoint | SemrdError]:
     """The points of a split problem, in query order. Each distinct (d1, ds)
     is solved once on the observation side and each distinct d2 once on the
-    background side, in one batch with every observation solve first, so the
-    one kept workspace serves each side's solves and a pool starts once."""
+    background side, every observation solve first: one batch per side, and
+    a pool started once for both."""
     obs, bg = problem.split
     obs_keys = list(dict.fromkeys((q.d1, q.ds) for q in queries))
     bg_keys = list(dict.fromkeys(q.d2 for q in queries))
@@ -1056,11 +1230,11 @@ def _solve_split(
 
 
 def _solve_all(chains: list, workers: int | None) -> Iterator[RDPoint | SemrdError]:
-    """One point or error per query of each chain (:func:`_solve_chain`), in
-    order; whole chains go to a process pool when ``workers`` > 1 and there
-    are at least two of them."""
+    """One point or error per query of each chain, in order
+    (:func:`_solve_chains`); the chains go to a process pool in ``workers``
+    groups when ``workers`` > 1 and there are at least two of them."""
     if workers is None or workers == 1 or len(chains) < 2:
-        return itertools.chain.from_iterable(map(_solve_chain, chains))
+        return _solve_chains(chains)
     return _solve_in_pool(chains, workers)
 
 
@@ -1073,17 +1247,20 @@ def solve_cells(
     """Solve each query and yield one cell per query, in order. Per-cell
     failures are yielded as flagged cells, not raised.
 
-    The queries are solved by continuation along chains of neighbours (see
-    the module docstring): each run after a chain's first starts from its
-    predecessor's final marginal and multipliers, which saves steps and moves
-    rates only by rounding against a lone :func:`solve_rd_point` call, a
-    batch of one that starts cold. Each solve is one :func:`solve_rd_point`
-    call through the module attribute, once per query or, on a split
-    problem, once per distinct part query. ``workers`` > 1 evaluates whole
-    chains in that many separate processes, with the points of a serial run,
-    when there are at least two chains (on a split problem, the two sides'
-    chains share the pool). ``workers`` must be None or an int >= 1, else
-    :class:`ProbabilityError` is raised.
+    The queries are solved by continuation along chains of neighbours, the
+    chains in lockstep (see the module docstring): each run after a chain's
+    first starts from its predecessor's final marginal and multipliers, which
+    saves steps and moves rates only by rounding against a lone
+    :func:`solve_rd_point` call, a batch of one that starts cold. Each answer
+    is one :func:`solve_rd_point` call through the module attribute, once per
+    query or, on a split problem, once per distinct part query; a call
+    advances the shared batch until its own query is done, and its point's
+    ``iterations`` are that query's own steps. ``workers`` > 1 splits the
+    chains into that many groups, each solved as its own batch in a separate
+    process, with the points of a serial run, when there are at least two
+    chains (on a split problem, the two sides' chains share the pool).
+    ``workers`` must be None or an int >= 1, else :class:`ProbabilityError`
+    is raised.
     """
     if not _valid_workers(workers):
         raise ProbabilityError(f"workers must be None or an int >= 1, got {workers!r}")
@@ -1098,14 +1275,21 @@ def solve_cells(
     )
 
 
+def _solve_group(chains: list) -> list[RDPoint | SemrdError]:
+    return list(_solve_chains(chains))
+
+
 def _solve_in_pool(chains: list, workers: int) -> Iterator[RDPoint | SemrdError]:
+    """The chains cut into ``workers`` runs of consecutive chains, each run
+    solved as its own batches in a process of a pool."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    size = -(-len(chains) // workers)
+    groups = [chains[i:i + size] for i in range(0, len(chains), size)]
     ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        chunk = max(1, len(chains) // (4 * workers))
-        for points in pool.map(_solve_chain, chains, chunksize=chunk):
+    with ProcessPoolExecutor(max_workers=len(groups), mp_context=ctx) as pool:
+        for points in pool.map(_solve_group, groups):
             yield from points
 
 
@@ -1116,10 +1300,11 @@ def sweep_surface(
     workers: int | None = None,
 ) -> RDSurface:
     """Solve one point per grid cell (Cartesian product of the three target
-    lists). Per-cell failures are returned as flagged cells, not raised.
+    lists), as one batch (:func:`solve_cells`). Per-cell failures are
+    returned as flagged cells, not raised.
 
-    ``workers`` > 1 evaluates cells in separate processes (see
-    :func:`solve_cells`).
+    ``workers`` > 1 solves groups of the cells' chains in separate processes
+    (see :func:`solve_cells`).
     """
     keys = ("d1", "d2", "ds")
     if set(grid.keys()) != set(keys):

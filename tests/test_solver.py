@@ -17,7 +17,7 @@ import pytest
 import semrd.solver as solver_mod
 import semrd.sources as sources
 from semrd.closed_form import rate_conditionally_independent, rate_correlated
-from semrd.errors import InfeasibleDistortionError, ProbabilityError, SemrdError
+from semrd.errors import InfeasibleDistortionError, ProbabilityError, SemrdError, SolverError
 from semrd.prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, binary_entropy
 from semrd.solver import (
     RDProblem,
@@ -200,9 +200,9 @@ def test_max_iters_caps_the_steps(prob_cor, cap):
     assert ba_fixed_multipliers(prob_cor, 2.0, 1.0, 0.5, opts=opts).iterations == cap
 
 
-def dense_costs(ws):
+def dense_costs(problem):
     """The stacked cost tables per letter pair, costs[i] = c_i[x, h]."""
-    problem = ws.problem
+    ws = problem._workspace
     shape5 = (ws.nx1, ws.nx2, ws.nh1, ws.nh2, ws.nhs)
     c1 = np.broadcast_to(problem.d1.values[:, None, :, None, None], shape5)
     c2 = np.broadcast_to(problem.d2.values[None, :, None, :, None], shape5)
@@ -210,12 +210,13 @@ def dense_costs(ws):
     return np.stack([c.reshape(ws.nx, ws.nh) for c in (c1, c2, cs)])
 
 
-def reference_ba(ws, lam, cert_tol):
+def reference_ba(problem, lam, cert_tol):
     """Plain BA at fixed multipliers on the dense costs, from the uniform
     marginal until Blahut's certificate is below cert_tol: no cost groups, no
     extrapolation. Returns the rate (log_base units) and the distortions of
     its channel, each summed over every (y, x, h) letter."""
-    costs = dense_costs(ws)
+    ws = problem._workspace
+    costs = dense_costs(problem)
     e = -np.tensordot(lam, costs, axes=1)
     W = np.exp(e - e.max(axis=1)[:, None])
     Q = ws.initial_marginal()
@@ -232,7 +233,7 @@ def reference_ba(ws, lam, cert_tol):
     J = ws.Pw[:, :, None] * T
     Q_out = J.sum(axis=1) / ws.p_y[:, None]
     log_ratio = np.log(np.where(J > 0.0, T / Q_out[:, None, :], 1.0))
-    rate = float((J * log_ratio).sum()) / math.log(ws.problem.log_base)
+    rate = float((J * log_ratio).sum()) / math.log(problem.log_base)
     return rate, tuple(float((J * c[None]).sum()) for c in costs)
 
 
@@ -257,10 +258,9 @@ class TestBaAgainstReference:
         # ba_fixed_multipliers runs the constrained loop with the multipliers
         # held; it must land on the plain loop's fixed point
         problem = build()
-        ws = solver_mod._Workspace(problem)
         for lam in ((2.0, 1.0, 0.5), support_multipliers):
             pt = ba_fixed_multipliers(problem, *lam)
-            rate, achieved = reference_ba(ws, np.array(lam), solver_mod.CERT_TOL)
+            rate, achieved = reference_ba(problem, np.array(lam), solver_mod.CERT_TOL)
             assert pt.converged
             assert abs(pt.rate - rate) <= 1e-9
             assert np.max(np.abs(np.subtract(pt.achieved, achieved))) <= 1e-9
@@ -290,11 +290,11 @@ class TestAnderson:
             if k == 3:
                 g[1, 3] = 0.0
                 g /= g.sum(axis=1, keepdims=True)
-            steps.append(solver_mod._Step(Q, None, 1.0, g, None))
+            steps.append((Q, g))
             Q = g
-        history = solver_mod._Anderson(steps[0])
+        history = solver_mod._Anderson(*steps[0])
         for s in steps[1:]:
-            history.push(s)
+            history.push(*s)
         return history, Q
 
     @staticmethod
@@ -327,9 +327,12 @@ class TestAnderson:
         }[case]
         if query is None:
             query = between_floors(problem, (0.5, 0.0, 0.5))
-        proposals, kept = [], []
+        # a lone solve is a batch of one cell: each kept step's marginal Q
+        # reaches its history, with F(Q) from the multiplier solve just before
+        proposals, kept, last = [], [], []
         propose, init, push = (solver_mod._Anderson.propose, solver_mod._Anderson.__init__,
                                solver_mod._Anderson.push)
+        solve_dual = solver_mod._ConstrainedBA._solve_dual
 
         def capture_proposal(self):
             Q = propose(self)
@@ -337,17 +340,23 @@ class TestAnderson:
                 proposals.append((Q, self.g))
             return Q
 
-        def capture_first(self, s):
-            kept.append(s)
-            init(self, s)
+        def capture_dual(self, *args):
+            d = solve_dual(self, *args)
+            last[:] = d.value
+            return d
 
-        def capture_kept(self, s):
-            kept.append(s)
-            push(self, s)
+        def capture_first(self, Q, Q_next):
+            kept.append((Q.copy(), last[0]))
+            init(self, Q, Q_next)
+
+        def capture_kept(self, Q, Q_next):
+            kept.append((Q.copy(), last[0]))
+            push(self, Q, Q_next)
 
         monkeypatch.setattr(solver_mod._Anderson, "propose", capture_proposal)
         monkeypatch.setattr(solver_mod._Anderson, "__init__", capture_first)
         monkeypatch.setattr(solver_mod._Anderson, "push", capture_kept)
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "_solve_dual", capture_dual)
         pt = solve_rd_point(problem, query)
         assert pt.converged
         assert proposals
@@ -355,18 +364,18 @@ class TestAnderson:
             self.assert_admissible(Q, g)
         # every kept step, proposals among them, is no worse than the step
         # before it beyond the rounding allowance 1e-11 (1 + |F|)
-        assert any(s.Q is Q for s in kept for Q, _ in proposals)
-        for prev, s in zip(kept, kept[1:]):
-            F = s.dual.value
-            assert F <= prev.dual.value + 1e-11 * (1.0 + abs(F))
+        assert any(np.array_equal(Q, P) for Q, _ in kept for P, _ in proposals)
+        for (_, prev), (_, F) in zip(kept, kept[1:]):
+            assert F <= prev + 1e-11 * (1.0 + abs(F))
 
 
-def reference_dual_step(ws, targets, Q, lam):
+def reference_dual_step(problem, targets, Q, lam):
     """The dense multiplier-solve formulas over every (x, h) letter pair:
     the dual value and gradient, the cost covariance, the certificate and the
     BA update of Q. The grouped solve in ``_ConstrainedBA`` must reproduce
     them."""
-    costs = dense_costs(ws)
+    ws = problem._workspace
+    costs = dense_costs(problem)
     flat = costs.reshape(3, -1)
     cost = (lam @ flat).reshape(ws.nx, ws.nh)
     shift = cost.min(axis=1)
@@ -412,30 +421,35 @@ class TestGroupedDual:
         problem = build()
         ws = solver_mod._Workspace(problem)
         targets = np.array(between_floors(problem, (0.3, 0.4, 0.5)).as_tuple())
-        cba = solver_mod._ConstrainedBA(ws, targets, solver_mod.DEFAULT_OPTIONS)
+        cba = solver_mod._ConstrainedBA(ws, solver_mod.DEFAULT_OPTIONS)
         cold = ws.initial_marginal()
-        s = cba._step(cold, np.zeros(3))
-        for _ in range(6):
-            s = cba._step(s.Q_next, s.dual.lam)
-        mid = s.Q
+        # seven plain constrained steps from the cold start, a batch of one
+        Q, lam = cold, [0.0, 0.0, 0.0]
+        for _ in range(7):
+            M = ws.group_masses(Q[None])
+            d = cba._solve_dual(M, cba._kernel([lam]), targets[None], [solver_mod._KKT_TOL])
+            mid, Q, lam = Q, cba._update(Q[None], d)[1][0], d.kernel.lam[0]
         for Q in (cold, mid):
             for lam in (np.array([2.0, 1.0, 0.5]), np.array([2.0, 0.0, 0.5])):
-                value, grad, cov, cert, Q_next = reference_dual_step(ws, targets, Q, lam)
-                d = cba._evaluate(ws.group_masses(Q), lam)
-                got_cert, got_Q_next, _ = cba._update(Q, d)
+                value, grad, cov, cert, Q_next = reference_dual_step(problem, targets, Q, lam)
+                d = cba._evaluate(ws.group_masses(Q[None]), cba._kernel([lam.tolist()]),
+                                  targets[None])
+                got_cert, got_Q_next, _ = cba._update(Q[None], d)
                 # relative to the size of the terms: g and the gradient are
                 # differences of O(1) sums, the certificate a deviation from 1
-                assert abs(d.value - value) <= 1e-12 * (1.0 + abs(value))
-                assert np.max(np.abs(d.grad - grad)) <= 1e-12 * (1.0 + np.max(np.abs(targets)))
-                assert np.max(np.abs(cba._covariance(d) - cov)) <= 1e-12 * np.max(np.abs(cov))
-                assert abs(got_cert - cert) <= 1e-12 * (1.0 + cert)
-                assert np.max(np.abs(got_Q_next - Q_next)) <= 1e-12 * np.max(Q_next)
+                assert abs(d.value[0] - value) <= 1e-12 * (1.0 + abs(value))
+                assert np.max(np.abs(d.grad[0] - grad)) <= 1e-12 * (1.0 + np.max(np.abs(targets)))
+                assert np.max(np.abs(cba._covariance(d)[0] - cov)) <= 1e-12 * np.max(np.abs(cov))
+                assert abs(got_cert[0] - cert) <= 1e-12 * (1.0 + cert)
+                assert np.max(np.abs(got_Q_next[0] - Q_next)) <= 1e-12 * np.max(Q_next)
 
     @pytest.mark.parametrize("build", GROUPED_WORKSPACES, ids=GROUPED_IDS)
     def test_groups_hold_one_cost_triple(self, build):
-        ws = solver_mod._Workspace(build())
+        problem = build()
+        ws = solver_mod._Workspace(problem)
         # every letter's group carries exactly that letter's costs
-        assert np.array_equal(ws.group_costs.reshape(3, -1)[:, ws.letter_group], dense_costs(ws))
+        assert np.array_equal(ws.group_costs.reshape(3, -1)[:, ws.letter_group],
+                              dense_costs(problem))
         # group masses of Q sum its mass over each row's letters, on a
         # non-uniform Q
         Q = jittered_marginal(ws, np.random.default_rng(4))
@@ -528,15 +542,16 @@ class TestNewtonDirection:
         # covariance is zero and the dual is linear in lam; warm-started at
         # its maximiser, the solve stays there
         ws = solver_mod._Workspace(single_source_problem())
-        cba = solver_mod._ConstrainedBA(ws, (0.6, 0.0, 0.0), solver_mod.DEFAULT_OPTIONS)
-        Q = np.zeros((1, ws.nh))
-        Q[0, 0] = 1.0
+        cba = solver_mod._ConstrainedBA(ws, solver_mod.DEFAULT_OPTIONS)
+        targets = np.array([[0.6, 0.0, 0.0]])
+        Q = np.zeros((1, 1, ws.nh))
+        Q[0, 0, 0] = 1.0
         M = ws.group_masses(Q)
-        lam = (0.0, 1.0, 1.0)
-        assert np.all(cba._covariance(cba._evaluate(M, lam)) == 0.0)
-        d = cba._solve_dual(M, lam)
-        assert d.kkt <= solver_mod._KKT_TOL
-        assert d.lam == lam
+        lam = [[0.0, 1.0, 1.0]]
+        assert np.all(cba._covariance(cba._evaluate(M, cba._kernel(lam), targets)) == 0.0)
+        d = cba._solve_dual(M, cba._kernel(lam), targets, [solver_mod._KKT_TOL])
+        assert solver_mod._kkt_residual(d.kernel.lam[0], d.grad[0]) <= solver_mod._KKT_TOL
+        assert d.kernel.lam == lam
 
     def test_zero_variance_coordinates_take_the_fallback(self):
         # d2 and d's are zero tables: their rows of the covariance vanish while
@@ -544,21 +559,24 @@ class TestNewtonDirection:
         # falls back to the least-norm solve; lam1 still reaches its optimum
         # log 4 (E d1 = 1 / (1 + e^lam1) = 0.2 under the uniform Q)
         ws = solver_mod._Workspace(single_source_problem())
-        cba = solver_mod._ConstrainedBA(ws, (0.2, 0.0, 0.0), solver_mod.DEFAULT_OPTIONS)
-        d = cba._solve_dual(ws.group_masses(ws.initial_marginal()), (0.0, 1.0, 1.0))
-        assert d.kkt <= solver_mod._KKT_TOL
-        assert d.lam[0] == pytest.approx(math.log(4.0), abs=1e-12)
-        assert d.lam[1:] == (1.0, 1.0)
+        cba = solver_mod._ConstrainedBA(ws, solver_mod.DEFAULT_OPTIONS)
+        d = cba._solve_dual(ws.group_masses(ws.initial_marginal()[None]),
+                            cba._kernel([[0.0, 1.0, 1.0]]), np.array([[0.2, 0.0, 0.0]]),
+                            [solver_mod._KKT_TOL])
+        (lam,) = d.kernel.lam
+        assert solver_mod._kkt_residual(lam, d.grad[0]) <= solver_mod._KKT_TOL
+        assert lam[0] == pytest.approx(math.log(4.0), abs=1e-12)
+        assert lam[1:] == [1.0, 1.0]
 
 
-def joint_of(ws, T):
+def joint_of(problem, T):
     """The joint over (x1, x2, y, x1h, x2h, sh) that the channel T[y, x, h]
-    induces on the workspace's source law."""
+    induces on the problem's source law."""
+    ws = problem._workspace
     full = np.zeros((ws.nx, ws.ny, ws.nh))
     full[:, ws.y_idx] = (ws.Pw[:, :, None] * T).swapaxes(0, 1)
     total = full.sum()
     assert abs(total - 1.0) <= 1e-9, f"joint mass {total!r} drifted from 1"
-    problem = ws.problem
     shaped = full.reshape(ws.nx1, ws.nx2, ws.ny, ws.nh1, ws.nh2, ws.nhs)
     return JointPMF(problem.source.axes + problem.repro_alphabets, shaped / total)
 
@@ -602,32 +620,32 @@ class TestSolveRdPoint:
         # the rate and distortions come from the final step's arrays; the
         # 6-axis joint of its channel Q W / Z must carry the same numbers. A
         # split problem's channel is the product of its two parts' channels.
-        runs = []
-        original = solver_mod._ConstrainedBA.run
+        runs = []  # (batch, stopped cell)
+        original = solver_mod._ConstrainedBA.advance
 
-        def capturing(self, *args):
-            final, converged = original(self, *args)
-            runs.append((self, final))
-            return final, converged
+        def capturing(self):
+            done = original(self)
+            runs.extend((self, cell) for cell in done)
+            return done
 
         def channel(part):
-            """(workspace, T[y, x, h]) of the solve of ``part``: its final
-            step, or the y-only channel of the zero-rate path."""
-            for cba, final in runs:
-                if cba.ws.problem is part:
-                    d = final.dual
-                    return cba.ws, (final.Q[:, None, :] * cba._letters(d.kernel)[None, :, :]
-                                    / d.Z[:, :, None])
-            ws = solver_mod._Workspace(part)
-            return ws, y_only_channel(ws)
+            """T[y, x, h] of the solve of ``part``: its final step, or the
+            y-only channel of the zero-rate path."""
+            for cba, cell in runs:
+                if cba.ws is part._workspace:
+                    s, d, b = cell.step, cell.step.dual, cell.row
+                    return (s.Q[b][:, None, :] * cba._letters(d.kernel)[b][None, :, :]
+                            / d.Z[b][:, :, None])
+            return y_only_channel(part._workspace)
 
-        monkeypatch.setattr(solver_mod._ConstrainedBA, "run", capturing)
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "advance", capturing)
         problem, pt, slack_targets = case()
-        split = problem.split is not None and all(cba.ws.problem is not problem for cba, _ in runs)
+        split = problem.split is not None and all(cba.ws is not problem._workspace
+                                                  for cba, _ in runs)
+        ws = problem._workspace
         if split:
-            (obs_ws, T_obs), (bg_ws, T_bg) = map(channel, problem.split)
+            T_obs, T_bg = map(channel, problem.split)
             assert len(runs) <= 2
-            ws = solver_mod._Workspace(problem)
             T = np.einsum(
                 "yaik,ybj->yabijk",
                 T_obs.reshape(len(ws.p_y), ws.nx1, ws.nh1, ws.nhs),
@@ -635,14 +653,14 @@ class TestSolveRdPoint:
             ).reshape(len(ws.p_y), ws.nx, ws.nh)
         else:
             assert len(runs) <= 1
-            ws, T = channel(problem)
-        assert pt.iterations == sum(cba.iterations for cba, _ in runs)
+            T = channel(problem)
+        assert pt.iterations == sum(cell.iterations for _, cell in runs)
         if slack_targets is not None:
             assert 0.0 in pt.multipliers and pt.iterations > 0
             # a zero-multiplier coordinate's own channel meets its target
             for a, t, l in zip(pt.achieved, slack_targets, pt.multipliers):
                 assert l > 0.0 or a <= t + 1e-12
-        joint = joint_of(ws, T)
+        joint = joint_of(problem, T)
         names = problem.axis_names
         recomputed = (
             joint.expected_distortion(problem.d1, names[0], names[3]),
@@ -814,10 +832,30 @@ class TestWorkspaceReuse:
         assert len(builds) == 1
         assert [c.point is None for c in cells] == [False, False, False, True]
 
+    def test_split_parts_keep_their_own_workspaces(self, monkeypatch):
+        # alternating solves on the two parts of a split problem build each
+        # part's workspace once, with its floors
+        obs, bg = sources.conditionally_independent_problem(SPEC_IND).split
+        builds, init = [], solver_mod._Workspace.__init__
+
+        def counting_init(self, problem):
+            builds.append(problem)
+            init(self, problem)
+
+        monkeypatch.setattr(solver_mod._Workspace, "__init__", counting_init)
+        for d in (0.1, 0.15, 0.2):
+            assert solve_rd_point(obs, RDQuery(d, 0.0, 0.4)).converged
+            assert solve_rd_point(bg, RDQuery(0.0, d, 0.0)).converged
+        assert len(builds) == 2
+        assert builds[0] is obs and builds[1] is bg
+        ws = obs._workspace
+        assert ws.zero_rate_floors == tuple(ws.zero_rate_floor(c) for c in range(3))
+        assert ws.absolute_floors == tuple(ws.absolute_floor(c) for c in range(3))
+
     def test_equal_problems_keep_their_own_laws(self, prob_ind, prob_cor):
         # the arrays do not take part in equality, so reuse is keyed on identity
         assert prob_ind == prob_cor
-        assert solver_mod._workspace(prob_ind) is not solver_mod._workspace(prob_cor)
+        assert prob_ind._workspace is not prob_cor._workspace
         q = RDQuery(0.2, 0.2, 0.4)
         ind, cor = solve_rd_point(prob_ind, q), solve_rd_point(prob_cor, q)
         assert abs(ind.rate - cor.rate) > 0.05
@@ -1000,20 +1038,21 @@ class TestSeparability:
         # an exactly separable custom source runs one solve per part; moved
         # off the chain by 1e-6 it runs one joint solve
         runs = []
-        original = solver_mod._ConstrainedBA.run
+        original = solver_mod._ConstrainedBA.add
 
         def counting(self, *args):
-            runs.append(self.ws.problem)
+            runs.append(self.ws)
             return original(self, *args)
 
-        monkeypatch.setattr(solver_mod._ConstrainedBA, "run", counting)
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "add", counting)
         for perturbation, parts in ((0.0, 2), (1e-6, 1)):
             problem = chain_table_problem(2, perturbation)
             assert (problem.split is not None) == (parts == 2)
             q = between_floors(problem, (0.3, 0.4, 0.5))
             runs.clear()
             pt = solve_rd_point(problem, q)
-            assert all(map(operator.is_, runs, problem.split or (problem,)))
+            solved = problem.split or (problem,)
+            assert all(map(operator.is_, runs, (part._workspace for part in solved)))
             assert len(runs) == parts
             assert pt.converged
             assert abs(pt.rate - solver_mod.solve_joint_point(problem, q).rate) <= 1e-9
@@ -1089,15 +1128,16 @@ class TestChains:
         # underflows, Newton cannot move it and the solve stops at a KKT
         # residual of 0.05 with F = -3.007, against 0.589 at the next step,
         # which raised "constrained objective increased"
-        stalls, solve_dual = [], solver_mod._ConstrainedBA._solve_dual
+        stalls, newton = [], solver_mod._ConstrainedBA._newton
 
-        def spying(self, M, lam, *args):
-            d = solve_dual(self, M, lam, *args)
-            if d.stalled:
-                stalls.append((self.iterations, lam[2], d.kkt))
-            return d
+        def spying(self, M, d, *args):
+            new, stalled = newton(self, M, d, *args)
+            for b in stalled:
+                kkt = solver_mod._kkt_residual(new.kernel.lam[b], new.grad[b])
+                stalls.append((self.cells[b].iterations, d.kernel.lam[b][2], kkt))
+            return new, stalled
 
-        monkeypatch.setattr(solver_mod._ConstrainedBA, "_solve_dual", spying)
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "_newton", spying)
         obs = sources.classification_problem(0.25, 0.25, 8).split[0]
         queries = [RDQuery(0.4, 0.0, 0.25), RDQuery(0.4, 0.0, 0.3)]
         cells = list(solver_mod.solve_cells(obs, queries))
@@ -1107,6 +1147,102 @@ class TestChains:
         for q, cell in zip(queries, cells):
             assert cell.error is None and cell.point.converged
             assert abs(cell.point.rate - solve_rd_point(obs, q).rate) <= 1e-9
+
+    def test_stalled_dual_is_solved_again_from_zero(self):
+        # the retry lives in the multiplier solve, whatever the step: from the
+        # saturated semantic multiplier of (0.4, 0.25) (about 76.9), Newton
+        # stalls at the marginal the run for (0.4, 0.3) starts from, at a KKT
+        # residual of 0.05 and F = -3.007; solved again from 0 it converges,
+        # and the larger of the two values is kept
+        obs = sources.classification_problem(0.25, 0.25, 8).split[0]
+        ws = obs._workspace
+        cba = solver_mod._ConstrainedBA(ws, solver_mod.DEFAULT_OPTIONS)
+        cba.add(0, (0.4, 0.0, 0.25))
+        first = cba.run()
+        lam = first.step.dual.kernel.lam
+        assert lam[0][2] > 70.0
+        Q = (1.0 - solver_mod._WARM_MIX) * first.step.Q_next + solver_mod._WARM_MIX / ws.nh
+        M, targets, tol = ws.group_masses(Q), np.array([[0.4, 0.0, 0.3]]), [solver_mod._KKT_TOL]
+        kernel = cba._kernel(lam)
+        stuck, stalled = cba._newton(M, cba._evaluate(M, kernel, targets), targets, tol)
+        assert stalled == [0]
+        assert solver_mod._kkt_residual(stuck.kernel.lam[0], stuck.grad[0]) > 1e-3
+        d = cba._solve_dual(M, kernel, targets, tol)
+        assert solver_mod._kkt_residual(d.kernel.lam[0], d.grad[0]) <= solver_mod._KKT_TOL
+        assert d.value[0] > stuck.value[0] + 1.0
+        assert d.kernel.lam[0][2] < 10.0
+
+    def test_batch_matches_lone_solves(self, monkeypatch):
+        # one batch of three chains on the N = 8 observation side: an
+        # infeasible head before the stall pair, a head patched to fail on a
+        # rise of F, and a chain ending at zero rate. Each cell answers as a
+        # lone cold solve does, and the batch takes fewer steps than its cells
+        obs = sources.classification_problem(0.25, 0.25, 8).split[0]
+        queries = [RDQuery(*q) for q in (
+            (0.4, 0.0, 0.2), (0.4, 0.0, 0.25), (0.4, 0.0, 0.3),
+            (0.3, 0.0, 0.35), (0.3, 0.0, 0.45),
+            (0.2, 0.0, 0.3), (0.2, 0.0, 0.4), (0.9, 0.0, 0.4),
+        )]
+        chains = solver_mod._chains(obs, queries, solver_mod.DEFAULT_OPTIONS)
+        assert [len(c[1]) for c in chains] == [3, 2, 3]
+        failing, solve_dual = (0.3, 0.0, 0.35), solver_mod._ConstrainedBA._solve_dual
+
+        def rising(self, M, kernel, targets, tol):
+            # F of the failing cell rises by 1 at every step
+            d = solve_dual(self, M, kernel, targets, tol)
+            for b, t in enumerate(targets):
+                if tuple(t) == failing:
+                    self.rises = getattr(self, "rises", 0) + 1
+                    d.value[b] += self.rises
+            return d
+
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "_solve_dual", rising)
+        masses, group_masses = [], solver_mod._Workspace.group_masses
+
+        def counting(self, Q):
+            masses.append(len(Q))
+            return group_masses(self, Q)
+
+        monkeypatch.setattr(solver_mod._Workspace, "group_masses", counting)
+        cells = list(solver_mod.solve_cells(obs, queries))
+        batch_steps = len(masses)
+        assert max(masses) == 3
+        errors = [c.error.split(":")[0] if c.error else None for c in cells]
+        assert errors == ["InfeasibleDistortionError", None, None, "SolverError"] + [None] * 4
+        assert "at step 2" in cells[3].error
+        assert cells[7].point.rate == 0.0 and cells[7].point.iterations == 0
+        cell_steps = 0
+        for q, cell in zip(queries, cells):
+            try:
+                lone = solve_rd_point(obs, q)
+            except SemrdError as exc:
+                assert cell.error == f"{type(exc).__name__}: {exc}", q
+                continue
+            assert abs(cell.point.rate - lone.rate) <= 1e-9, q
+            assert cell.point.converged == lone.converged, q
+            cell_steps += cell.point.iterations
+        assert batch_steps < cell_steps
+
+    def test_answers_go_to_their_queries(self, prob_cor, monkeypatch):
+        # a wrapper of solve_rd_point that answers one query without the
+        # batch leaves that query's answer waiting there: the next call, for
+        # a later query of the chain, is refused rather than handed it
+        queries = [RDQuery(0.05, 0.1, ds) for ds in (0.3, 0.4, 0.5)]
+        original = solver_mod.solve_rd_point
+
+        def skipping(problem, query, *args, **kwargs):
+            if query == queries[1]:
+                return original(problem, query)
+            return original(problem, query, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "solve_rd_point", skipping)
+        cells = list(solver_mod.solve_cells(prob_cor, queries))
+        assert [c.error is None for c in cells] == [True, True, False]
+        assert cells[2].error.startswith("SolverError: query (0.05, 0.1, 0.5) is not the next")
+        batch = solver_mod._Batch(prob_cor, [queries], solver_mod.DEFAULT_OPTIONS)
+        with pytest.raises(SolverError, match="is not the next query"):
+            batch.result(sources.correlated_problem(SPEC_COR), queries[0], 0)
+        assert batch.result(prob_cor, queries[0], 0).converged
 
     def test_one_chain_is_solved_in_process(self, prob_cor, monkeypatch):
         # a pool cannot share one chain's work, so a batch of one chain skips it
