@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    semrd figure <id> --out DIR [--grid N] [--base bits|nats] [--workers N]
+    semrd figure <id> --out DIR [--grid N] [--base bits|nats]
     semrd sweep --config FILE --out FILE
     semrd verify <suite> [--json]
 
@@ -29,6 +29,7 @@ VERIFY_FAILURE = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
+        print(f"semrd: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -41,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--out", required=True, help="output directory")
     fig.add_argument("--grid", type=int, default=None, help="grid resolution override")
     fig.add_argument("--base", choices=("bits", "nats"), default=None)
-    fig.add_argument("--workers", type=int, default=None, help="parallel solver processes")
 
     sw = sub.add_parser("sweep", help="run a configured distortion-grid sweep")
     sw.add_argument("--config", required=True, help="JSON config path")
@@ -71,8 +71,8 @@ def cmd_sweep(config_path: str, out_path: str) -> int:
     return 0
 
 
-def cmd_figure(figure_id, out_dir, grid, base, workers) -> int:
-    manifest = generate_figure(figure_id, out_dir, grid_n=grid, base=base, workers=workers)
+def cmd_figure(figure_id, out_dir, grid, base) -> int:
+    manifest = generate_figure(figure_id, out_dir, grid_n=grid, base=base)
     files = ", ".join(f["name"] for f in manifest["files"])
     print(f"{figure_id}: wrote {files} + {figure_id}_manifest.json in {out_dir}")
     return 0
@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "figure":
-            return cmd_figure(args.figure_id, args.out, args.grid, args.base, args.workers)
+            return cmd_figure(args.figure_id, args.out, args.grid, args.base)
         if args.command == "sweep":
             return cmd_sweep(args.config, args.out)
         if args.command == "verify":

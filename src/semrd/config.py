@@ -17,8 +17,11 @@ flags the points outside the region; "ba" always solves), and a method the
 kind's model does not support is rejected (:func:`semrd.models.check_method`).
 Optional ``solver``: {"max_iters": int}, the one solver option (the
 tolerances are constants of :mod:`semrd.solver`). Optional ``workers``
-(processes for the cells that use the solver); optional ``base``
-("bits"/"nats", gaussian only).
+(processes for the cells that use the solver). ``solver`` and ``workers``
+apply only where the solver runs: a kind and method that never reach it
+(:func:`semrd.models.reaches_solver`: the gaussian kind, ``closed_form``,
+and ``binary_independent`` under ``auto``) reject them. Optional ``base``
+("bits"/"nats", gaussian only). Any other top-level field is rejected.
 
 ``custom`` params: {"alphabets": {name: [labels...]}, "source": {"axes":
 [names], "probs": nested}, "repro_axes": [names], "d1"/"d2"/"ds_mod":
@@ -47,6 +50,7 @@ from .models import (
     custom_model,
     gaussian_model,
     independent_model,
+    reaches_solver,
 )
 from .solver import RDProblem, SolverOptions, _valid_workers
 from . import sources
@@ -182,6 +186,10 @@ def _parse_custom(params: Any, path: str) -> RDProblem:
 def parse_config(doc: Any) -> SweepConfig:
     if not isinstance(doc, Mapping):
         _fail("", f"config root must be an object, got {type(doc).__name__}")
+    fields = ("kind", "method", "params", "grid", "solver", "workers", "base")
+    for key in doc:
+        if key not in fields:
+            _fail(key, f"unknown field; allowed: {list(fields)}")
     kind = _get(doc, "", "kind")
     if kind not in KINDS:
         _fail("kind", f"must be one of {KINDS}, got {kind!r}")
@@ -212,6 +220,10 @@ def parse_config(doc: Any) -> SweepConfig:
         _fail("params", "must be an object")
     model = _parse_model(kind, params, base)
     check_method(model, method)
+    if not reaches_solver(model, method):
+        for key in ("solver", "workers"):
+            if key in doc:
+                _fail(key, f"the {kind} kind under method {method!r} never runs the solver")
     return SweepConfig(method, grid, opts, workers, model)
 
 

@@ -55,7 +55,7 @@ from .models import Row, classification_model, correlated_model, route
 from .prob import BinarySourceSpec
 from .semantic import ds0
 from .solver import (
-    CERT_TOL, CONSTRAINT_TOL, DEFAULT_OPTIONS, LAMBDA_CAP, RATE_TOL, RDQuery, _valid_workers,
+    CERT_TOL, CONSTRAINT_TOL, DEFAULT_OPTIONS, LAMBDA_CAP, RATE_TOL, RDQuery,
 )
 
 FIGURE_IDS = ("fig4", "fig5", "fig6a", "fig6b", "fig7", "fig8", "fig9")
@@ -133,8 +133,7 @@ def _correlated_stats(spec: BinarySourceSpec, d2: float, rows: list[Row]) -> dic
     }
 
 
-def _build_fig4(out_dir, grid_n, base, workers):
-    del workers
+def _build_fig4(out_dir, grid_n, base):
     unit, scale = _unit(base)
     p = 0.1
     n = grid_n or DEFAULT_CURVE_GRID
@@ -166,12 +165,12 @@ def _build_fig4(out_dir, grid_n, base, workers):
     }
 
 
-def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, workers, base):
+def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, base):
     unit, scale = _unit(base)
     spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
     d2 = 0.5
     queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
-    rows = route(correlated_model(spec), queries, "auto", workers=workers)
+    rows = route(correlated_model(spec), queries, "auto")
     header = (
         "d1",
         "ds",
@@ -217,7 +216,7 @@ def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, workers, ba
     }
 
 
-def _build_fig5(out_dir, grid_n, base, workers):
+def _build_fig5(out_dir, grid_n, base):
     n = grid_n or DEFAULT_SURFACE_GRID
     spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
     d1_values = np.linspace(0.0, spec.p1 * spec.p2, n)
@@ -228,7 +227,6 @@ def _build_fig5(out_dir, grid_n, base, workers):
         d1_values,
         ds_values,
         "fig5_surface.csv",
-        workers,
         base,
     )
 
@@ -236,7 +234,7 @@ def _build_fig5(out_dir, grid_n, base, workers):
 def _build_fig6(which: str):
     fixed_d1 = {"fig6a": 0.03, "fig6b": 0.05}[which]
 
-    def build(out_dir, grid_n, base, workers):
+    def build(out_dir, grid_n, base):
         n = grid_n or DEFAULT_CURVE_GRID
         ds_values = np.linspace(BINARY_P, 0.5, n)
         return _fig5_like(
@@ -245,14 +243,13 @@ def _build_fig6(which: str):
             np.array([fixed_d1]),
             ds_values,
             f"{which}_curve.csv",
-            workers,
             base,
         )
 
     return build
 
 
-def _build_fig7(out_dir, grid_n, base, workers):
+def _build_fig7(out_dir, grid_n, base):
     unit, scale = _unit(base)
     p = BINARY_P
     p2 = BINARY_P
@@ -262,7 +259,7 @@ def _build_fig7(out_dir, grid_n, base, workers):
     d1_values = np.linspace(0.0, classification_region_bound(p2, n_alpha), n)
     ds_values = np.linspace(p, 0.5, n)
     queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
-    routed = route(classification_model(p, p2, n_alpha), queries, "auto", workers=workers)
+    routed = route(classification_model(p, p2, n_alpha), queries, "auto")
     rows = [
         (r.query.d1, r.query.ds, d2, None if r.rate is None else r.rate * scale,
          r.method, r.converged,
@@ -297,7 +294,16 @@ def _build_fig7(out_dir, grid_n, base, workers):
     }
 
 
-def _gaussian_rows(d1_values, ds_values, d2):
+_GAUSS_HEADER = ("d1", "ds", "d2", "rate_nats", "rate_bits", "term_x1_branch", "method")
+
+
+def _gaussian_surface(out_dir, grid_n, figure_id):
+    """The Gaussian surface of fig8 and fig9: its grid, its rows written to
+    ``<figure_id>_surface.csv``, and the manifest over them."""
+    n = grid_n or DEFAULT_SURFACE_GRID
+    d2 = 1.0
+    d1_values = np.linspace(0.1, 1.6, n)
+    ds_values = np.linspace(1.52, 1.92, n)
     rows = []
     for d1 in d1_values:
         for ds in ds_values:
@@ -313,10 +319,8 @@ def _gaussian_rows(d1_values, ds_values, d2):
                     "closed_form",
                 )
             )
-    return rows
-
-
-def _gaussian_manifest(rows, d1_values, ds_values, d2, files):
+    path = os.path.join(out_dir, f"{figure_id}_surface.csv")
+    count = _write_csv(path, _GAUSS_HEADER, rows)
     rates = [r[3] for r in rows]
     return {
         "parameters": {
@@ -328,7 +332,7 @@ def _gaussian_manifest(rows, d1_values, ds_values, d2, files):
             "background_rate_nats": r_x2_given_y(GAUSS_SPEC, d2),
         },
         "grid": {"d1": _axis_spec(d1_values), "ds": _axis_spec(ds_values)},
-        "files": files,
+        "files": [{"name": os.path.basename(path), "rows": count}],
         "stats": {
             "method_counts": {"closed_form": len(rows)},
             "converged_cells": len(rows),
@@ -342,46 +346,20 @@ def _gaussian_manifest(rows, d1_values, ds_values, d2, files):
     }
 
 
-_GAUSS_HEADER = ("d1", "ds", "d2", "rate_nats", "rate_bits", "term_x1_branch", "method")
+def _build_fig8(out_dir, grid_n, base):
+    del base
+    return _gaussian_surface(out_dir, grid_n, "fig8")
 
 
-def _build_fig8(out_dir, grid_n, base, workers):
-    del base, workers
+def _build_fig9(out_dir, grid_n, base):
+    del base
+    manifest = _gaussian_surface(out_dir, grid_n, "fig9")
     n = grid_n or DEFAULT_SURFACE_GRID
-    d2 = 1.0
-    d1_values = np.linspace(0.1, 1.6, n)
-    ds_values = np.linspace(1.52, 1.92, n)
-    rows = _gaussian_rows(d1_values, ds_values, d2)
-    path = os.path.join(out_dir, "fig8_surface.csv")
-    count = _write_csv(path, _GAUSS_HEADER, rows)
-    return _gaussian_manifest(
-        rows, d1_values, ds_values, d2, [{"name": os.path.basename(path), "rows": count}]
-    )
-
-
-def _build_fig9(out_dir, grid_n, base, workers):
-    del base, workers
-    n = grid_n or DEFAULT_SURFACE_GRID
-    d2 = 1.0
-    d1_values = np.linspace(0.1, 1.6, n)
-    ds_values = np.linspace(1.52, 1.92, n)
-    rows = _gaussian_rows(d1_values, ds_values, d2)
-    surface_path = os.path.join(out_dir, "fig9_surface.csv")
-    surface_count = _write_csv(surface_path, _GAUSS_HEADER, rows)
     locus_d1 = np.linspace(0.1, var_x1_given_y(GAUSS_SPEC), max(2, n))
     locus_rows = [(float(d1), equal_rate_semantic_target(GAUSS_SPEC, float(d1))) for d1 in locus_d1]
     locus_path = os.path.join(out_dir, "fig9_equal_rate_locus.csv")
     locus_count = _write_csv(locus_path, ("d1", "ds"), locus_rows)
-    manifest = _gaussian_manifest(
-        rows,
-        d1_values,
-        ds_values,
-        d2,
-        [
-            {"name": os.path.basename(surface_path), "rows": surface_count},
-            {"name": os.path.basename(locus_path), "rows": locus_count},
-        ],
-    )
+    manifest["files"].append({"name": os.path.basename(locus_path), "rows": locus_count})
     manifest["notes"].append(
         "the locus file traces ds = mmse + (cov_sx1/var_x1)^2 d1, where the "
         "observation and semantic constraints require equal rate"
@@ -405,10 +383,9 @@ def generate_figure(
     out_dir: str,
     grid_n: int | None = None,
     base: str | None = None,
-    workers: int | None = None,
 ) -> dict:
     """Emit one figure preset's data files and manifest into ``out_dir``. The
-    cells the router sends to the solver run in ``workers`` processes with the
+    cells the router sends to the solver run in this process, with the
     default solver options, which the manifest records.
 
     Returns the manifest dict (also written as ``<figure_id>_manifest.json``).
@@ -419,12 +396,10 @@ def generate_figure(
         raise ConfigError(f"grid must be >= 2, got {grid_n}")
     if base not in (None, "bits", "nats"):
         raise ConfigError(f"base must be 'bits' or 'nats', got {base!r}")
-    if not _valid_workers(workers):
-        raise ConfigError(f"workers must be an int >= 1, got {workers!r}")
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir!r} is not writable")
-    manifest = _BUILDERS[figure_id](out_dir, grid_n, base, workers)
+    manifest = _BUILDERS[figure_id](out_dir, grid_n, base)
     manifest = {
         "figure": figure_id,
         "package_version": __version__,
@@ -432,7 +407,6 @@ def generate_figure(
             **dataclasses.asdict(DEFAULT_OPTIONS), "cert_tol": CERT_TOL,
             "constraint_tol": CONSTRAINT_TOL, "rate_tol": RATE_TOL, "lambda_cap": LAMBDA_CAP,
         },
-        "workers": workers,
         **manifest,
     }
     with open(os.path.join(out_dir, f"{figure_id}_manifest.json"), "w", encoding="utf-8") as fh:

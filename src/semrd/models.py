@@ -111,6 +111,16 @@ def check_method(model: Model, method: str) -> None:
         raise ConfigError("method: the gaussian kind has no solver route; use closed_form/auto")
 
 
+def reaches_solver(model: Model, method: str) -> bool:
+    """Whether :func:`route` can send any query of ``model`` under ``method``
+    to the solver: never without a solver instance or under ``closed_form``,
+    always under ``ba``, and under ``auto`` unless the closed form holds at
+    every target."""
+    if model.build is None or method == "closed_form":
+        return False
+    return method == "ba" or model.closed_form is None or model.in_region is not None
+
+
 def route(
     model: Model,
     queries: Sequence[RDQuery],

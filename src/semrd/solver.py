@@ -133,9 +133,9 @@ Two numerical details matter:
   query; a lone solve is a batch of one. Every sum over one cell's arrays is
   a stack of per-cell products, so a cell's numbers do not depend on the
   cells beside it: a batch returns bit for bit the points of its chains run
-  one after another. Chains depend on the queries only, and a process pool
-  takes groups of whole chains, one batch per group, so a pooled batch
-  returns exactly the serial points too.
+  one after another. Chains depend on the queries only (:func:`_points`),
+  and the process pool of a sweep takes runs of whole chains, one batch per
+  run, so a pooled batch returns exactly the serial points too.
 
 * A source whose observation and background are independent given the side
   information (the chain X1 - Y - X2, p(x1, x2, y) = p(x1|y) p(x2|y) p(y)) is
@@ -1081,14 +1081,17 @@ def solve_rd_point(
     floor raise :class:`InfeasibleDistortionError`. The returned point's
     achieved distortions satisfy the query up to ``CONSTRAINT_TOL``.
 
-    A split problem (:attr:`RDProblem.split`) is solved as a batch of one
-    through its two parts; every other problem by :func:`solve_joint_point`.
-    ``_batch`` is private to :func:`solve_cells`: the shared batch and the
+    A split problem (:attr:`RDProblem.split`) is solved through its two
+    parts (:func:`_points`); every other problem by :func:`solve_joint_point`.
+    ``_batch`` is private to :func:`_solve_chains`: the shared batch and the
     chain whose next answer this call returns.
     """
+    if _batch is not None:
+        batch, slot = _batch
+        return batch.result(problem, query, slot)
     if problem.split is None:
-        return solve_joint_point(problem, query, opts, _batch=_batch)
-    (point,) = _solve_split(problem, [query], opts, None)
+        return solve_joint_point(problem, query, opts)
+    (point,) = _points(problem, [query], opts, None)
     if isinstance(point, SemrdError):
         raise point
     return point
@@ -1098,17 +1101,12 @@ def solve_joint_point(
     problem: RDProblem,
     query: RDQuery,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    *,
-    _batch: tuple[_Batch, int] | None = None,
 ) -> RDPoint:
     """:func:`solve_rd_point` as one joint solve over all three constraints,
     whether or not the source splits: the solver of every problem that does
-    not split, and the reference for those that do. Alone, it is a batch of
-    one chain of one query."""
-    if _batch is None:
-        return _Batch(problem, [[query]], opts).result(problem, query, 0)
-    batch, slot = _batch
-    return batch.result(problem, query, slot)
+    not split, and the reference for those that do. It is a batch of one
+    chain of one query."""
+    return _Batch(problem, [[query]], opts).result(problem, query, 0)
 
 
 def semantic_rd(
@@ -1155,41 +1153,33 @@ def _valid_workers(workers: object) -> bool:
     )
 
 
-def _chains(problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions) -> list:
-    """The queries cut into chains, as (problem, queries, options): maximal
-    runs of consecutive queries each differing from the previous one in
-    exactly one target."""
+def _chains(queries: Sequence[RDQuery]) -> list[list[RDQuery]]:
+    """The queries cut into chains: maximal runs of consecutive queries each
+    differing from the previous one in exactly one target."""
     chains, prev = [], None
     for q in queries:
         t = q.as_tuple()
         if prev is None or sum(a != b for a, b in zip(t, prev)) != 1:
-            chains.append((problem, [], opts))
-        chains[-1][1].append(q)
+            chains.append([])
+        chains[-1].append(q)
         prev = t
     return chains
 
 
-def _solve_chains(chains: list) -> Iterator[RDPoint | SemrdError]:
-    """One point or error per query of each chain, in order, the chains of
-    each problem in one :class:`_Batch`. Each is one :func:`solve_rd_point`
-    call, through the module attribute so that a caller may wrap it, that
-    returns the next answer of its chain."""
-    slots: dict[int, list] = {}
-    for problem, queries, _ in chains:
-        slots.setdefault(id(problem), []).append(queries)
-    batches: dict[int, _Batch] = {}
-    taken: collections.Counter = collections.Counter()
-    for problem, queries, opts in chains:
-        key = id(problem)
-        if key not in batches:
-            batches[key] = _Batch(problem, slots[key], opts)
-        handle = (batches[key], taken[key])
-        taken[key] += 1
-        for q in queries:
+def _solve_chains(problem: RDProblem, chains: Sequence[Sequence[RDQuery]],
+                  opts: SolverOptions) -> list[RDPoint | SemrdError]:
+    """One point or error per query of each chain, in order, the chains in one
+    :class:`_Batch`. Each is one :func:`solve_rd_point` call, through the
+    module attribute so that a caller may wrap it, that returns the next
+    answer of its chain."""
+    batch, answers = _Batch(problem, chains, opts), []
+    for slot, chain in enumerate(chains):
+        for q in chain:
             try:
-                yield solve_rd_point(problem, q, opts, _batch=handle)
+                answers.append(solve_rd_point(problem, q, opts, _batch=(batch, slot)))
             except SemrdError as exc:
-                yield exc
+                answers.append(exc)
+    return answers
 
 
 def _compose(obs: RDPoint | SemrdError, bg: RDPoint | SemrdError) -> RDPoint | SemrdError:
@@ -1210,32 +1200,52 @@ def _compose(obs: RDPoint | SemrdError, bg: RDPoint | SemrdError) -> RDPoint | S
     )
 
 
-def _solve_split(
-    problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions, workers: int | None
-) -> Iterator[RDPoint | SemrdError]:
-    """The points of a split problem, in query order. Each distinct (d1, ds)
-    is solved once on the observation side and each distinct d2 once on the
-    background side, every observation solve first: one batch per side, and
-    a pool started once for both."""
-    obs, bg = problem.split
-    obs_keys = list(dict.fromkeys((q.d1, q.ds) for q in queries))
-    bg_keys = list(dict.fromkeys(q.d2 for q in queries))
-    points = list(_solve_all(
-        _chains(obs, [RDQuery(d1, 0.0, ds) for d1, ds in obs_keys], opts)
-        + _chains(bg, [RDQuery(0.0, d2, 0.0) for d2 in bg_keys], opts), workers))
+def _points(problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions,
+            workers: int | None) -> list[RDPoint | SemrdError]:
+    """One point or error per query, in order: the one place where queries
+    become batches. The sides are the problem itself or, on a split problem,
+    its observation part under each distinct (d1, ds) and its background
+    part under each distinct d2, whose points are composed. Each side's
+    chains are one batch; with ``workers`` > 1 and at least two chains in
+    all, each side's chains are cut into runs of ceil(chains / workers)
+    consecutive chains, each a batch in one process pool."""
+    split = problem.split
+    if split is None:
+        sides = [(problem, queries)]
+    else:
+        obs_keys = list(dict.fromkeys((q.d1, q.ds) for q in queries))
+        bg_keys = list(dict.fromkeys(q.d2 for q in queries))
+        sides = [(split[0], [RDQuery(d1, 0.0, ds) for d1, ds in obs_keys]),
+                 (split[1], [RDQuery(0.0, d2, 0.0) for d2 in bg_keys])]
+    sides = [(part, _chains(qs)) for part, qs in sides if qs]
+    if workers is None or workers == 1 or sum(len(c) for _, c in sides) < 2:
+        points = [p for part, c in sides for p in _solve_chains(part, c, opts)]
+    else:
+        parts, runs = [], []
+        for part, c in sides:
+            size = -(-len(c) // workers)
+            for i in range(0, len(c), size):
+                parts.append(part)
+                runs.append(c[i:i + size])
+        points = _solve_in_pool(parts, runs, opts, workers)
+    if split is None:
+        return points
     obs_points = dict(zip(obs_keys, points))
     bg_points = dict(zip(bg_keys, points[len(obs_keys):]))
-    for q in queries:
-        yield _compose(obs_points[q.d1, q.ds], bg_points[q.d2])
+    return [_compose(obs_points[q.d1, q.ds], bg_points[q.d2]) for q in queries]
 
 
-def _solve_all(chains: list, workers: int | None) -> Iterator[RDPoint | SemrdError]:
-    """One point or error per query of each chain, in order
-    (:func:`_solve_chains`); the chains go to a process pool in ``workers``
-    groups when ``workers`` > 1 and there are at least two of them."""
-    if workers is None or workers == 1 or len(chains) < 2:
-        return _solve_chains(chains)
-    return _solve_in_pool(chains, workers)
+def _solve_in_pool(parts: Sequence[RDProblem], runs: Sequence[Sequence[Sequence[RDQuery]]],
+                   opts: SolverOptions, workers: int) -> list[RDPoint | SemrdError]:
+    """Each run of chains solved on its part (:func:`_solve_chains`) in a
+    spawn pool of at most ``workers`` processes; the answers in order."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=min(workers, len(runs)), mp_context=ctx) as pool:
+        answers = pool.map(_solve_chains, parts, runs, itertools.repeat(opts))
+        return [a for run in answers for a in run]
 
 
 def solve_cells(
@@ -1255,42 +1265,20 @@ def solve_cells(
     is one :func:`solve_rd_point` call through the module attribute, once per
     query or, on a split problem, once per distinct part query; a call
     advances the shared batch until its own query is done, and its point's
-    ``iterations`` are that query's own steps. ``workers`` > 1 splits the
-    chains into that many groups, each solved as its own batch in a separate
-    process, with the points of a serial run, when there are at least two
-    chains (on a split problem, the two sides' chains share the pool).
-    ``workers`` must be None or an int >= 1, else :class:`ProbabilityError`
-    is raised.
+    ``iterations`` are that query's own steps. ``workers`` > 1 cuts each
+    side's chains into runs of consecutive chains, each solved as its own
+    batch in a process of one pool, with the points of a serial run, when
+    there are at least two chains (:func:`_points`). ``workers`` must be None
+    or an int >= 1, else :class:`ProbabilityError` is raised.
     """
     if not _valid_workers(workers):
         raise ProbabilityError(f"workers must be None or an int >= 1, got {workers!r}")
-    if problem.split is not None:
-        points = _solve_split(problem, queries, opts, workers)
-    else:
-        points = _solve_all(_chains(problem, queries, opts), workers)
+    points = _points(problem, queries, opts, workers)
     return (
         SurfaceCell(q, p) if isinstance(p, RDPoint)
         else SurfaceCell(q, None, error=f"{type(p).__name__}: {p}")
         for q, p in zip(queries, points)
     )
-
-
-def _solve_group(chains: list) -> list[RDPoint | SemrdError]:
-    return list(_solve_chains(chains))
-
-
-def _solve_in_pool(chains: list, workers: int) -> Iterator[RDPoint | SemrdError]:
-    """The chains cut into ``workers`` runs of consecutive chains, each run
-    solved as its own batches in a process of a pool."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = -(-len(chains) // workers)
-    groups = [chains[i:i + size] for i in range(0, len(chains), size)]
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=len(groups), mp_context=ctx) as pool:
-        for points in pool.map(_solve_group, groups):
-            yield from points
 
 
 def sweep_surface(
@@ -1303,8 +1291,8 @@ def sweep_surface(
     lists), as one batch (:func:`solve_cells`). Per-cell failures are
     returned as flagged cells, not raised.
 
-    ``workers`` > 1 solves groups of the cells' chains in separate processes
-    (see :func:`solve_cells`).
+    ``workers`` > 1 solves runs of the cells' chains in the processes of a
+    pool (see :func:`solve_cells`).
     """
     keys = ("d1", "d2", "ds")
     if set(grid.keys()) != set(keys):

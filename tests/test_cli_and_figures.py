@@ -85,11 +85,10 @@ class TestFigureGeneration:
         with pytest.raises(ConfigError):
             generate_figure("fig99", str(tmp_path))
 
-    @pytest.mark.parametrize("workers", [0, -2, True, 2.5])
+    @pytest.mark.parametrize("workers", [0, -2, True, 2.5, 2])
     def test_bad_workers_rejected(self, tmp_path, workers):
-        from semrd.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="workers"):
+        # figures solve in this process; workers is not a keyword at all
+        with pytest.raises(TypeError, match="workers"):
             generate_figure("fig4", str(tmp_path), grid_n=11, workers=workers)
         assert not (tmp_path / "fig4_manifest.json").exists()
 
@@ -267,6 +266,16 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["figure", "nope", "--out", "x"]) == 1
         assert main(["sweep", "--config", "/does/not/exist.json", "--out", "/tmp/x.csv"]) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["figure", "fig4", "--out", "d", "--gird", "11"], "unrecognized arguments: --gird 11"),
+        (["sweep", "--out", "x.csv"], "the following arguments are required: --config"),
+    ])
+    def test_usage_error_names_the_argument(self, argv, message, capsys):
+        assert main(argv) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: semrd")
+        assert f"semrd: error: {message}\n" in err
 
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

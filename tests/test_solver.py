@@ -951,13 +951,14 @@ class TestSweepSurface:
         # the pool maps whole chains, so every cell starts where it does in a
         # serial run: the achieved value of a slack coordinate depends on the
         # start (ds 0.298 against 0.449 at (0.02, 0.1, 0.45) when cells of a
-        # chain were mapped apart). Four chains of the correlated problem; two
-        # of the split problem's observation side and one of its background.
+        # chain were mapped apart). Four chains of the correlated problem in
+        # two runs; the split problem's two observation chains in a run each,
+        # and its one background chain in a run of its own.
         pooled, pool = [], solver_mod._solve_in_pool
 
-        def recording(chains, workers):
-            pooled.append([len(queries) for _, queries, _ in chains])
-            return pool(chains, workers)
+        def recording(parts, runs, opts, workers):
+            pooled.append([(part, [len(c) for c in run]) for part, run in zip(parts, runs)])
+            return pool(parts, runs, opts, workers)
 
         monkeypatch.setattr(solver_mod, "_solve_in_pool", recording)
         grid = {"d1": [0.02, 0.05], "d2": [0.1, 0.2], "ds": [0.3, 0.45]}
@@ -967,7 +968,9 @@ class TestSweepSurface:
             assert len(serial.points) == 8
             assert all(c.point.converged for c in serial.points)
             assert serial.points == parallel.points
-        assert pooled == [[2, 2, 2, 2], [2, 2, 2]]
+        obs, bg = prob_ind.split
+        assert pooled == [[(prob_cor, [2, 2]), (prob_cor, [2, 2])],
+                          [(obs, [2]), (obs, [2]), (bg, [2])]]
 
 
 class TestClassicalForms:
@@ -1115,12 +1118,11 @@ class TestChains:
             warm_steps, cold_steps = warm_steps + warm.iterations, cold_steps + cold.iterations
         assert warm_steps < cold_steps
 
-    def test_chains_follow_the_queries(self, prob_cor):
+    def test_chains_follow_the_queries(self):
         # consecutive queries differing in exactly one target share a chain
         q = [RDQuery(0.05, 0.1, 0.3), RDQuery(0.05, 0.1, 0.4), RDQuery(0.05, 0.2, 0.4),
              RDQuery(0.1, 0.3, 0.4), RDQuery(0.1, 0.3, 0.4), RDQuery(0.2, 0.3, 0.4)]
-        chains = solver_mod._chains(prob_cor, q, solver_mod.DEFAULT_OPTIONS)
-        assert [c[1] for c in chains] == [q[:3], q[3:4], q[4:]]
+        assert solver_mod._chains(q) == [q[:3], q[3:4], q[4:]]
 
     def test_stalled_warm_multipliers_solve_again_from_zero(self, monkeypatch):
         # from (d1, ds) = (0.4, 0.25) the inherited semantic multiplier (about
@@ -1183,8 +1185,7 @@ class TestChains:
             (0.3, 0.0, 0.35), (0.3, 0.0, 0.45),
             (0.2, 0.0, 0.3), (0.2, 0.0, 0.4), (0.9, 0.0, 0.4),
         )]
-        chains = solver_mod._chains(obs, queries, solver_mod.DEFAULT_OPTIONS)
-        assert [len(c[1]) for c in chains] == [3, 2, 3]
+        assert [len(c) for c in solver_mod._chains(queries)] == [3, 2, 3]
         failing, solve_dual = (0.3, 0.0, 0.35), solver_mod._ConstrainedBA._solve_dual
 
         def rising(self, M, kernel, targets, tol):

@@ -98,6 +98,13 @@ VALID_BASE = {
     "params": {"p": 0.25, "p1": 0.25, "p2": 0.25},
     "grid": {"d1": [0.05], "d2": [0.1], "ds": [0.3]},
 }
+GAUSSIAN_DOC = {
+    "kind": "gaussian",
+    "params": {
+        "var_s": 2, "var_x1": 2, "var_x2": 2, "var_y": 2, "cov_sx1": 1, "cov_x1y": 1, "cov_x2y": 1,
+    },
+    "grid": {"d1": [0.5], "d2": [1.0], "ds": [1.7]},
+}
 
 
 class TestConfigParsing:
@@ -141,6 +148,7 @@ class TestConfigParsing:
             (lambda d: d.update(solver={"lambda_cap": 5}), "solver.lambda_cap"),
             (lambda d: d.update(workers=0), "workers"),
             (lambda d: d.update(base="nats"), "base"),
+            (lambda d: d.update(methd="ba"), "methd: unknown field"),
         ],
     )
     def test_field_path_errors(self, mutate, path):
@@ -162,31 +170,28 @@ class TestConfigParsing:
             parse_config(doc)
 
     def test_gaussian_kind(self):
-        doc = {
-            "kind": "gaussian",
-            "params": {
-                "var_s": 2, "var_x1": 2, "var_x2": 2, "var_y": 2,
-                "cov_sx1": 1, "cov_x1y": 1, "cov_x2y": 1,
-            },
-            "grid": {"d1": [0.5], "d2": [1.0], "ds": [1.7]},
-        }
-        cfg = parse_config(doc)
+        cfg = parse_config(GAUSSIAN_DOC)
         # routed: the closed form in nats at every target, no solver instance
         assert cfg.model.build is None and cfg.model.in_region is None
-        spec = GaussianSpec(**doc["params"])
+        spec = GaussianSpec(**GAUSSIAN_DOC["params"])
         assert cfg.model.closed_form(0.5, 1.0, 1.7) == gaussian_rate(spec, 0.5, 1.0, 1.7).rate_nats
 
+    @pytest.mark.parametrize("doc", [
+        GAUSSIAN_DOC,
+        dict(VALID_BASE, method="closed_form"),
+        dict(VALID_BASE, kind="binary_independent", params={"p": 0.25, "p2": 0.25, "p3": 0.25}),
+    ], ids=["gaussian", "closed_form", "independent_auto"])
+    @pytest.mark.parametrize("key,value", [("workers", 2), ("solver", {"max_iters": 3})])
+    def test_solver_fields_rejected_where_nothing_is_solved(self, doc, key, value):
+        parse_config(doc)
+        with pytest.raises(ConfigError, match=rf"^{key}: .* never runs the solver"):
+            parse_config(dict(doc, **{key: value}))
+        if doc["kind"] != "gaussian":  # under ba the same model is solved
+            parse_config(dict(doc, method="ba", **{key: value}))
+
     def test_gaussian_rejects_ba(self):
-        doc = {
-            "kind": "gaussian", "method": "ba",
-            "params": {
-                "var_s": 2, "var_x1": 2, "var_x2": 2, "var_y": 2,
-                "cov_sx1": 1, "cov_x1y": 1, "cov_x2y": 1,
-            },
-            "grid": {"d1": [0.5], "d2": [1.0], "ds": [1.7]},
-        }
         with pytest.raises(ConfigError, match="method"):
-            parse_config(doc)
+            parse_config(dict(GAUSSIAN_DOC, method="ba"))
 
     def test_custom_kind(self):
         doc = {
