@@ -113,17 +113,20 @@ Two numerical details matter:
   rate-distortion curve: each slope's run started from the previous slope's
   output marginal. :func:`solve_cells` cuts the batch into chains, maximal
   runs of consecutive queries (on a split problem, of distinct part queries)
-  each differing from the previous one in exactly one target. A chain's first
-  run starts from the uniform marginal at zero multipliers; each later run
-  starts from the previous run's final BA marginal, mixed with 0.1% of the
-  uniform one (BA never revives a zero atom), and its multiplier solve from
-  the previous run's multipliers. A zero-rate, failed or unconverged point
-  restarts its chain cold. An inherited multiplier can saturate where the
-  new target is slack enough: its cost's variance underflows, Newton cannot
-  move it and the multiplier solve stops above its tolerance. Any solve that
-  stalls from nonzero multipliers, at any step, is repeated from zero
-  multipliers at the same marginal, and the larger of the two dual values is
-  kept: both are lower bounds on F(q).
+  each differing from the previous one in exactly one target, and each chain
+  into pieces of at most floor(sqrt(q)) consecutive queries, q being the
+  queries of its side (the problem, or one part of a split problem); a piece
+  is a chain of its own. A chain's first run starts from the uniform
+  marginal at zero multipliers; each later run starts from the previous
+  run's final BA marginal, mixed with 0.1% of the uniform one (BA never
+  revives a zero atom), and its multiplier solve from the previous run's
+  multipliers. A zero-rate, failed or unconverged point restarts its chain
+  cold. An inherited multiplier can saturate where the new target is slack
+  enough: its cost's variance underflows, Newton cannot move it and the
+  multiplier solve stops above its tolerance. Any solve that stalls from
+  nonzero multipliers, at any step, is repeated from zero multipliers at the
+  same marginal, and the larger of the two dual values is kept: both are
+  lower bounds on F(q).
 
   The chains of a batch run in lockstep (:class:`_ConstrainedBA`). Each
   chain owns a slot of one batch, a slot holds one cell (one run) at a time,
@@ -136,6 +139,17 @@ Two numerical details matter:
   one after another. Chains depend on the queries only (:func:`_points`),
   and the process pool of a sweep takes runs of whole chains, one batch per
   run, so a pooled batch returns exactly the serial points too.
+
+  The cut into pieces trades two costs. A batch step costs little more for
+  more cells, so a batch takes about as many steps as its longest chain
+  takes one after another; every extra piece adds a cold head, whose run
+  takes more cell steps than a warm one. Pieces of about sqrt(q) queries
+  balance the two: a side of q queries runs about sqrt(q) pieces side by
+  side. A square grid's chains are that long already and stay whole; a side
+  whose queries form one chain, as on a curve or on the background side of
+  a split sweep (its distinct d2 values), runs side by side too, not one
+  query at a time. One-query pieces, all cold, cost more cell steps than
+  they save batch steps on large alphabets.
 
 * A source whose observation and background are independent given the side
   information (the chain X1 - Y - X2, p(x1, x2, y) = p(x1|y) p(x2|y) p(y)) is
@@ -396,8 +410,9 @@ def _row_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (index, distinct): index[r, j] is the group of values[r, j] and
     distinct[r, k] the value of group k, for k below the largest number of
-    groups in any row. A row with fewer groups repeats its smallest value in
-    the padding slots, which hold no letter."""
+    groups in any row. Groups are numbered by increasing value, so group 0
+    holds the row's least. A row with fewer groups repeats its smallest value
+    in the padding slots, which hold no letter."""
     rows = np.arange(len(values))[:, None]
     order = np.argsort(values, axis=1, kind="stable")
     ordered = values[rows, order]
@@ -730,10 +745,12 @@ class _ConstrainedBA:
     def _kernel(self, lam: list[list[float]]) -> _Kernel:
         """The kernel of each cell at its multipliers lam[b]."""
         ws = self.ws
-        # log w[b, x, k] = shift[b, x] - lam[b].c(x, k), shift being row x's least cost
+        # log w[b, x, k] = shift[b, x] - lam[b].c(x, k), shift being row x's least
+        # cost: that of group 0, which holds the least of each table's row
+        # (:func:`_row_groups`), as lam >= 0
         n = len(lam)
         log_w = (np.array(lam)[:, None, :] @ ws.flat).reshape(n, ws.nx, ws.K)
-        shift = np.minimum.reduce(log_w, axis=2)
+        shift = log_w[:, :, 0].copy()
         np.subtract(shift[:, :, None], log_w, out=log_w)
         p_shift = (shift.reshape(n, 1, -1) @ ws.p_x_col).ravel().tolist()
         return _Kernel(lam, p_shift, log_w, np.exp(log_w))
@@ -1166,6 +1183,15 @@ def _chains(queries: Sequence[RDQuery]) -> list[list[RDQuery]]:
     return chains
 
 
+def _pieces(chains: Sequence[Sequence[RDQuery]]) -> list[Sequence[RDQuery]]:
+    """Each chain cut into consecutive pieces of at most floor(sqrt(q))
+    queries, q being the queries of all the chains: a side of q queries runs
+    about sqrt(q) pieces of about sqrt(q) queries side by side. Chains no
+    longer than that stay whole, as on a square grid."""
+    size = math.isqrt(sum(len(c) for c in chains))
+    return [c[i:i + size] for c in chains for i in range(0, len(c), size)]
+
+
 def _solve_chains(problem: RDProblem, chains: Sequence[Sequence[RDQuery]],
                   opts: SolverOptions) -> list[RDPoint | SemrdError]:
     """One point or error per query of each chain, in order, the chains in one
@@ -1206,9 +1232,12 @@ def _points(problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions,
     become batches. The sides are the problem itself or, on a split problem,
     its observation part under each distinct (d1, ds) and its background
     part under each distinct d2, whose points are composed. Each side's
-    chains are one batch; with ``workers`` > 1 and at least two chains in
-    all, each side's chains are cut into runs of ceil(chains / workers)
-    consecutive chains, each a batch in one process pool."""
+    chains (:func:`_chains`) are cut into pieces of at most floor(sqrt(q))
+    queries, q the side's query count (:func:`_pieces`), and its pieces are
+    one batch. With ``workers`` > 1 and at least two uncut chains in all,
+    each side's pieces are cut into runs of ceil(pieces / workers)
+    consecutive pieces, each a batch in one process pool; a query list that
+    forms one chain never starts the pool."""
     split = problem.split
     if split is None:
         sides = [(problem, queries)]
@@ -1218,7 +1247,9 @@ def _points(problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions,
         sides = [(split[0], [RDQuery(d1, 0.0, ds) for d1, ds in obs_keys]),
                  (split[1], [RDQuery(0.0, d2, 0.0) for d2 in bg_keys])]
     sides = [(part, _chains(qs)) for part, qs in sides if qs]
-    if workers is None or workers == 1 or sum(len(c) for _, c in sides) < 2:
+    serial = workers is None or workers == 1 or sum(len(c) for _, c in sides) < 2
+    sides = [(part, _pieces(c)) for part, c in sides]
+    if serial:
         points = [p for part, c in sides for p in _solve_chains(part, c, opts)]
     else:
         parts, runs = [], []
@@ -1257,19 +1288,21 @@ def solve_cells(
     """Solve each query and yield one cell per query, in order. Per-cell
     failures are yielded as flagged cells, not raised.
 
-    The queries are solved by continuation along chains of neighbours, the
-    chains in lockstep (see the module docstring): each run after a chain's
-    first starts from its predecessor's final marginal and multipliers, which
-    saves steps and moves rates only by rounding against a lone
-    :func:`solve_rd_point` call, a batch of one that starts cold. Each answer
-    is one :func:`solve_rd_point` call through the module attribute, once per
-    query or, on a split problem, once per distinct part query; a call
-    advances the shared batch until its own query is done, and its point's
-    ``iterations`` are that query's own steps. ``workers`` > 1 cuts each
-    side's chains into runs of consecutive chains, each solved as its own
-    batch in a process of one pool, with the points of a serial run, when
-    there are at least two chains (:func:`_points`). ``workers`` must be None
-    or an int >= 1, else :class:`ProbabilityError` is raised.
+    The queries are solved by continuation along chains of neighbours, each
+    cut into pieces of at most floor(sqrt(q)) queries on a side of q queries,
+    the pieces in lockstep (see the module docstring): each run after a
+    piece's first starts from its predecessor's final marginal and
+    multipliers, which saves steps and moves rates only by rounding against
+    a lone :func:`solve_rd_point` call, a batch of one that starts cold. Each
+    answer is one :func:`solve_rd_point` call through the module attribute,
+    once per query or, on a split problem, once per distinct part query; a
+    call advances the shared batch until its own query is done, and its
+    point's ``iterations`` are that query's own steps. ``workers`` > 1 cuts
+    each side's pieces into runs of consecutive pieces, each solved as its
+    own batch in a process of one pool, with the points of a serial run,
+    when there are at least two chains before the cut (:func:`_points`).
+    ``workers`` must be None or an int >= 1, else :class:`ProbabilityError`
+    is raised.
     """
     if not _valid_workers(workers):
         raise ProbabilityError(f"workers must be None or an int >= 1, got {workers!r}")

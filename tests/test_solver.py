@@ -460,6 +460,31 @@ class TestGroupedDual:
         ]
         assert np.max(np.abs(M.reshape(len(Q), -1) - expect)) <= 1e-15
 
+    @pytest.mark.parametrize("build", GROUPED_WORKSPACES + [
+        lambda: sources.correlated_problem(SPEC_COR),
+        lambda: sources.classification_problem(0.25, 0.25, 8),
+        lambda: sources.conditionally_independent_problem(SPEC_IND).split[0],
+        lambda: sources.conditionally_independent_problem(SPEC_IND).split[1],
+        lambda: sources.classification_problem(0.25, 0.25, 64).split[0],
+    ], ids=GROUPED_IDS + ["correlated", "classification8", "independent_observation",
+                          "independent_background", "classification64_observation"])
+    def test_shift_is_the_least_group_cost(self, build):
+        # the kernel's shift, lam.c of the row's group 0, is the least of
+        # lam.c(x, k) over the row's groups bit for bit, at multipliers over
+        # seven decades, zeros included, and batch sizes 1-20
+        ws = solver_mod._Workspace(build())
+        assert np.array_equal(ws.group_costs[:, :, 0], ws.group_costs.min(axis=2))
+        cba = solver_mod._ConstrainedBA(ws, solver_mod.DEFAULT_OPTIONS)
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 5, 8, 13, 20):
+            lam = 10.0 ** rng.uniform(-3.0, 4.0, (n, 3))
+            lam[rng.random((n, 3)) < 0.3] = 0.0
+            costs = (lam[:, None, :] @ ws.flat).reshape(n, ws.nx, ws.K)
+            least = np.minimum.reduce(costs, axis=2)
+            kernel = cba._kernel(lam.tolist())
+            assert np.array_equal(least[:, :, None] - costs, kernel.log_w)
+            assert kernel.p_shift == (least.reshape(n, 1, -1) @ ws.p_x_col).ravel().tolist()
+
     def test_classification_has_eight_groups_per_row(self, prob_cls):
         ws = solver_mod._Workspace(prob_cls)
         assert (ws.nx, ws.nh, ws.K) == (128, 256, 8)
@@ -953,7 +978,8 @@ class TestSweepSurface:
         # start (ds 0.298 against 0.449 at (0.02, 0.1, 0.45) when cells of a
         # chain were mapped apart). Four chains of the correlated problem in
         # two runs; the split problem's two observation chains in a run each,
-        # and its one background chain in a run of its own.
+        # and its one background chain, cut into two pieces of one target, in
+        # a run each.
         pooled, pool = [], solver_mod._solve_in_pool
 
         def recording(parts, runs, opts, workers):
@@ -970,7 +996,7 @@ class TestSweepSurface:
             assert serial.points == parallel.points
         obs, bg = prob_ind.split
         assert pooled == [[(prob_cor, [2, 2]), (prob_cor, [2, 2])],
-                          [(obs, [2]), (obs, [2]), (bg, [2])]]
+                          [(obs, [2]), (obs, [2]), (bg, [1]), (bg, [1])]]
 
 
 class TestClassicalForms:
@@ -1028,12 +1054,14 @@ def separable_grids():
 class TestSeparability:
     def test_reduced_problems_sum_to_joint(self):
         # the split answers (sums of the two reduced problems' points) agree
-        # with the joint solve on every cell
+        # with the joint solve on every cell. The joint references run as one
+        # batch on the unsplit problem, along the queries' chains
         for problem, queries in separable_grids():
             assert problem.split is not None
             split = list(solver_mod.solve_cells(problem, queries))
-            for q, cell in zip(queries, split):
-                joint = solver_mod.solve_joint_point(problem, q)
+            references = solver_mod._solve_chains(problem, solver_mod._chains(queries),
+                                                  solver_mod.DEFAULT_OPTIONS)
+            for q, cell, joint in zip(queries, split, references, strict=True):
                 assert abs(cell.point.rate - joint.rate) <= 1e-9, q
                 assert cell.point.converged == joint.converged, q
 
@@ -1076,6 +1104,17 @@ def chain_grids():
     return separable_grids() + [(sources.correlated_problem(SPEC_COR), correlated)]
 
 
+def curve_grids():
+    """Two one-chain sides, each cut into pieces: a 20-point correlated curve
+    along ds at (d1, d2) = (0.03, 0.5), whose head lies below the semantic
+    floor, and a split sweep along d2 whose background side is ten targets
+    and whose observation side is one."""
+    ds_curve = [RDQuery(0.03, 0.5, ds) for ds in np.linspace(0.2, 0.5, 20).tolist()]
+    background = [RDQuery(0.1, d2, 0.4) for d2 in np.linspace(0.02, 0.23, 10).tolist()]
+    return [(sources.correlated_problem(SPEC_COR), ds_curve),
+            (sources.conditionally_independent_problem(SPEC_IND), background)]
+
+
 def part_queries(problem, queries):
     """The distinct queries of each part a batch on ``problem`` solves."""
     if problem.split is None:
@@ -1086,12 +1125,14 @@ def part_queries(problem, queries):
 
 
 class TestChains:
-    @pytest.mark.parametrize("grid", range(3), ids=["independent", "classification8", "correlated"])
+    @pytest.mark.parametrize("grid", range(5), ids=["independent", "classification8", "correlated",
+                                                    "correlated_ds_curve", "background_curve"])
     def test_warm_chains_change_answers_only_by_rounding(self, grid, monkeypatch):
         # a batch calls solve_rd_point through the module attribute once per
-        # distinct part query, along its chain (the benchmark's per-point
-        # spans wrap it); a call of its own is a batch of one and starts cold
-        problem, queries = chain_grids()[grid]
+        # distinct part query, along its piece of a chain (the benchmark's
+        # per-point spans wrap it); a call of its own is a batch of one and
+        # starts cold
+        problem, queries = (chain_grids() + curve_grids())[grid]
         calls = []  # (part, query, point or error)
 
         def recording(part, q, *args, **kwargs):
@@ -1124,12 +1165,46 @@ class TestChains:
              RDQuery(0.1, 0.3, 0.4), RDQuery(0.1, 0.3, 0.4), RDQuery(0.2, 0.3, 0.4)]
         assert solver_mod._chains(q) == [q[:3], q[3:4], q[4:]]
 
+    def test_pieces_are_square(self):
+        # a side of q queries runs pieces of at most floor(sqrt(q)) queries:
+        # one chain of ten is cut 3 + 3 + 3 + 1, the six chains of a 6 x 6
+        # grid stay whole, and five background targets are cut 2 + 2 + 1
+        line = [RDQuery(0.05, 0.1, ds) for ds in np.linspace(0.3, 0.5, 10).tolist()]
+        assert [len(c) for c in solver_mod._pieces(solver_mod._chains(line))] == [3, 3, 3, 1]
+        square = [RDQuery(d1, 0.1, ds) for d1, ds in itertools.product(
+            np.linspace(0.02, 0.1, 6).tolist(), np.linspace(0.3, 0.5, 6).tolist())]
+        chains = solver_mod._chains(square)
+        assert [len(c) for c in chains] == [6] * 6
+        assert solver_mod._pieces(chains) == chains
+        background = [RDQuery(0.0, d2, 0.0) for d2 in np.linspace(0.02, 0.23, 5).tolist()]
+        assert [len(c) for c in solver_mod._pieces([background])] == [2, 2, 1]
+
+    def test_pieces_take_fewer_batch_steps_than_one_chain(self, monkeypatch):
+        # the 20-point ds curve as pieces of four against the same queries as
+        # one chain: the pieces advance side by side
+        masses, group_masses = [], solver_mod._Workspace.group_masses
+
+        def counting(self, Q):
+            masses.append(len(Q))
+            return group_masses(self, Q)
+
+        monkeypatch.setattr(solver_mod._Workspace, "group_masses", counting)
+        problem, queries = curve_grids()[0]
+        pieced = list(solver_mod.solve_cells(problem, queries))
+        pieced_steps = len(masses)
+        masses.clear()
+        chained = solver_mod._solve_chains(problem, [queries], solver_mod.DEFAULT_OPTIONS)
+        assert len(pieced) == len(chained) == 20
+        assert max(masses) == 1
+        assert pieced_steps < len(masses)
+
     def test_stalled_warm_multipliers_solve_again_from_zero(self, monkeypatch):
         # from (d1, ds) = (0.4, 0.25) the inherited semantic multiplier (about
         # 76.9) saturates at (0.4, 0.3): the semantic cost's variance
         # underflows, Newton cannot move it and the solve stops at a KKT
         # residual of 0.05 with F = -3.007, against 0.589 at the next step,
-        # which raised "constrained objective increased"
+        # which raised "constrained objective increased". Along a chain of
+        # four queries the pair stays one piece
         stalls, newton = [], solver_mod._ConstrainedBA._newton
 
         def spying(self, M, d, *args):
@@ -1141,7 +1216,8 @@ class TestChains:
 
         monkeypatch.setattr(solver_mod._ConstrainedBA, "_newton", spying)
         obs = sources.classification_problem(0.25, 0.25, 8).split[0]
-        queries = [RDQuery(0.4, 0.0, 0.25), RDQuery(0.4, 0.0, 0.3)]
+        queries = [RDQuery(0.4, 0.0, ds) for ds in (0.25, 0.3, 0.35, 0.4)]
+        assert solver_mod._pieces(solver_mod._chains(queries)) == [queries[:2], queries[2:]]
         cells = list(solver_mod.solve_cells(obs, queries))
         assert len(stalls) == 1
         step, lam_s, kkt = stalls[0]
@@ -1175,10 +1251,11 @@ class TestChains:
         assert d.kernel.lam[0][2] < 10.0
 
     def test_batch_matches_lone_solves(self, monkeypatch):
-        # one batch of three chains on the N = 8 observation side: an
-        # infeasible head before the stall pair, a head patched to fail on a
-        # rise of F, and a chain ending at zero rate. Each cell answers as a
-        # lone cold solve does, and the batch takes fewer steps than its cells
+        # one batch of three chains on the N = 8 observation side, cut into
+        # pieces of at most two queries: an infeasible head, a head patched
+        # to fail on a rise of F, and a chain ending at zero rate. Each cell
+        # answers as a lone cold solve does, and the batch takes fewer steps
+        # than its cells
         obs = sources.classification_problem(0.25, 0.25, 8).split[0]
         queries = [RDQuery(*q) for q in (
             (0.4, 0.0, 0.2), (0.4, 0.0, 0.25), (0.4, 0.0, 0.3),
@@ -1186,6 +1263,7 @@ class TestChains:
             (0.2, 0.0, 0.3), (0.2, 0.0, 0.4), (0.9, 0.0, 0.4),
         )]
         assert [len(c) for c in solver_mod._chains(queries)] == [3, 2, 3]
+        assert [len(c) for c in solver_mod._pieces(solver_mod._chains(queries))] == [2, 1, 2, 2, 1]
         failing, solve_dual = (0.3, 0.0, 0.35), solver_mod._ConstrainedBA._solve_dual
 
         def rising(self, M, kernel, targets, tol):
@@ -1207,7 +1285,8 @@ class TestChains:
         monkeypatch.setattr(solver_mod._Workspace, "group_masses", counting)
         cells = list(solver_mod.solve_cells(obs, queries))
         batch_steps = len(masses)
-        assert max(masses) == 3
+        # four pieces run: the zero-rate query needs no run
+        assert max(masses) == 4
         errors = [c.error.split(":")[0] if c.error else None for c in cells]
         assert errors == ["InfeasibleDistortionError", None, None, "SolverError"] + [None] * 4
         assert "at step 2" in cells[3].error
@@ -1227,8 +1306,10 @@ class TestChains:
     def test_answers_go_to_their_queries(self, prob_cor, monkeypatch):
         # a wrapper of solve_rd_point that answers one query without the
         # batch leaves that query's answer waiting there: the next call, for
-        # a later query of the chain, is refused rather than handed it
-        queries = [RDQuery(0.05, 0.1, ds) for ds in (0.3, 0.4, 0.5)]
+        # a later query of the chain, is refused rather than handed it. Three
+        # chains of three queries are three pieces, each a whole chain
+        queries = [RDQuery(d1, 0.1, ds) for d1 in (0.05, 0.1, 0.2) for ds in (0.3, 0.4, 0.5)]
+        assert solver_mod._pieces(solver_mod._chains(queries)) == solver_mod._chains(queries)
         original = solver_mod.solve_rd_point
 
         def skipping(problem, query, *args, **kwargs):
@@ -1238,9 +1319,9 @@ class TestChains:
 
         monkeypatch.setattr(solver_mod, "solve_rd_point", skipping)
         cells = list(solver_mod.solve_cells(prob_cor, queries))
-        assert [c.error is None for c in cells] == [True, True, False]
+        assert [c.error is None for c in cells] == [True, True, False] + [True] * 6
         assert cells[2].error.startswith("SolverError: query (0.05, 0.1, 0.5) is not the next")
-        batch = solver_mod._Batch(prob_cor, [queries], solver_mod.DEFAULT_OPTIONS)
+        batch = solver_mod._Batch(prob_cor, [queries[:3]], solver_mod.DEFAULT_OPTIONS)
         with pytest.raises(SolverError, match="is not the next query"):
             batch.result(sources.correlated_problem(SPEC_COR), queries[0], 0)
         assert batch.result(prob_cor, queries[0], 0).converged
