@@ -60,13 +60,23 @@ Two numerical details matter:
 
   The marginal sequence converges linearly, slowly where an atom sits at its
   support threshold or a multiplier tends to zero. Anderson acceleration
-  (Walker & Ni, SIAM J. Numer. Anal. 2011) fits the last five differences of
-  the residuals r = Q_next - Q to r by least squares and proposes Q_next
-  minus the same blend of differences of Q_next, shortened so that no atom
-  falls below a tenth of its BA image, and renormalised. Its step is kept
-  unless F rises beyond rounding; then the history is cleared and a plain
-  step follows: the restarts and monotonicity control of Henderson &
-  Varadhan ("Damped Anderson acceleration ...", JCGS 2019).
+  (Walker & Ni, SIAM J. Numer. Anal. 2011) fits differences of the
+  residuals r = Q_next - Q, among the last five, to r by least squares and
+  proposes Q_next minus the same blend of differences of Q_next, shortened
+  so that no atom falls below a tenth of its BA image, and renormalised.
+  The history is often singular to working precision: on a symmetric
+  source a side's marginal has fewer degrees of freedom than the history
+  has differences. So the fit factors the differences' Gram by Cholesky,
+  newest first, and keeps only the differences before the first pivot that
+  is not above machine epsilon times the largest diagonal entry so far:
+  Walker & Ni's remedy of dropping the old differences that add nothing
+  but rounding. A fit whose step does not advance along r
+  (delta.r >= r.r) drops its oldest kept difference and is solved again
+  from the leading block of the same factor; a history with no difference
+  left proposes nothing. A proposal's step is kept unless F rises beyond
+  rounding; then the history is cleared and a plain step follows: the
+  restarts and monotonicity control of Henderson & Varadhan ("Damped
+  Anderson acceleration ...", JCGS 2019).
 
   The multiplier solve runs on cost groups, not on letters. Within one
   source row x, reproduction letters with the same cost triple
@@ -188,6 +198,7 @@ import collections
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -211,7 +222,7 @@ class SolverOptions:
     ``max_iters`` caps the steps of a run. It leaves headroom for the slow
     regime where a reproduction atom sits near its support threshold: the
     certificate then decays sublinearly. With Anderson acceleration a target
-    solve there takes tens of steps (27 at the correlated example's query
+    solve there takes tens of steps (21 at the correlated example's query
     (0.05, 0.23, 0.45)). A run that exhausts the cap is reported with
     converged=False.
     """
@@ -671,31 +682,80 @@ class _Step:
 class _Anderson:
     """Rows of dR, dG: the last _MEMORY differences of the residuals r = Q_next - Q
     and images g = Q_next of one cell's accepted steps, ``count`` since the last
-    clear. A cell's history starts at its first step, whose (Q, Q_next) it takes."""
+    clear, difference k in ring slot k % _MEMORY. ``rows`` holds r above the
+    rows of dR, so that one product gives the Gram of r and the differences.
+    The buffers start zeroed; slots past ``count`` hold zeros or a cleared
+    history's differences, and the fit gives them no weight. A cell's history
+    starts at its first step, whose (Q, Q_next) it takes."""
 
     def __init__(self, Q: np.ndarray, Q_next: np.ndarray):
-        self.dR, self.dG = np.empty((2, _MEMORY, Q.size))
-        self.count, self.r, self.g = 0, (Q_next - Q).ravel(), Q_next
+        self.rows, self.dG = np.zeros((_MEMORY + 1, Q.size)), np.zeros((_MEMORY, Q.size))
+        self.r, self.dR = self.rows[0], self.rows[1:]
+        np.subtract(Q_next.ravel(), Q.ravel(), out=self.r)
+        self.count, self.g = 0, Q_next
 
     def push(self, Q: np.ndarray, Q_next: np.ndarray) -> None:
         r, i = (Q_next - Q).ravel(), self.count % _MEMORY
         np.subtract(r, self.r, out=self.dR[i])
         np.subtract(Q_next.ravel(), self.g.ravel(), out=self.dG[i])
-        self.count, self.r, self.g = self.count + 1, r, Q_next
+        self.r[:] = r
+        self.count, self.g = self.count + 1, Q_next
 
     def propose(self) -> np.ndarray | None:
         """g minus the image differences weighted by the least-squares fit of the
         residual differences to r, shortened so that every atom keeps _FLOOR of g
-        (0 stays 0), renormalised; None without history, on a singular fit or no advance."""
-        if not self.count:
+        (0 stays 0), renormalised; None without history.
+
+        The fit takes the newest differences that working precision resolves:
+        the Cholesky factor of their Gram, newest first, stops at the first
+        pivot that is not above machine epsilon times the largest diagonal
+        entry so far. A fit whose step does not advance along r (delta.r >=
+        r.r, or not finite) drops the oldest difference it kept and is solved
+        again from the leading block of the same factor; None once no
+        difference is left. The blend weights cover every ring slot, 0 on
+        the slots left out."""
+        n = min(self.count, _MEMORY)
+        if not n:
             return None
-        dR, dG, r, g = self.dR[:self.count], self.dG[:self.count], self.r, self.g
-        try:
-            delta = np.linalg.solve(dR @ dR.T, dR @ r) @ dG
-        except np.linalg.LinAlgError:
+        G = (self.rows @ self.rows.T).tolist()
+        rr, eps = G[0][0], sys.float_info.epsilon
+        # rows of G, newest difference first
+        order = [1 + (self.count - 1 - j) % _MEMORY for j in range(n)]
+        # L L^T: the Gram of the kept differences in that order, each row of L
+        # ending at its diagonal; L y: their products with r
+        L: list[list[float]] = []
+        y: list[float] = []
+        top = 0.0
+        for j, a in enumerate(order):
+            Ga = G[a]
+            row, pivot, rhs = [Ga[c] for c in order[:j]], Ga[a], G[0][a]
+            for i, Li in enumerate(L):
+                v = row[i]
+                for k in range(i):
+                    v -= row[k] * Li[k]
+                row[i] = v = v / Li[i]
+                pivot -= v * v
+                rhs -= v * y[i]
+            top = max(top, Ga[a])
+            if not pivot > eps * top:
+                break
+            row.append(math.sqrt(pivot))
+            y.append(rhs / row[j])
+            L.append(row)
+        for m in range(len(L), 0, -1):
+            # back-substitution on the leading m x m block: the newest m differences
+            x, gamma = y[:m], [0.0] * _MEMORY
+            for j in range(m - 1, -1, -1):
+                for k in range(j + 1, m):
+                    x[j] -= L[k][j] * x[k]
+                x[j] /= L[j][j]
+                gamma[order[j] - 1] = x[j]
+            delta = np.dot(gamma, self.dG)
+            if np.dot(delta, self.r) < rr:
+                break
+        else:
             return None
-        if not np.dot(delta, r) < np.dot(r, r):
-            return None  # the secant of a residual that grows along itself, or not finite
+        g = self.g
         delta, live = delta.reshape(g.shape), g > 0.0
         # the largest share t <= 1 of the step that leaves g - t delta >= _FLOOR g
         over = np.divide(delta, g, out=np.zeros(g.shape), where=live).max()

@@ -268,7 +268,7 @@ class TestBaAgainstReference:
 
 def test_fixed_multipliers_at_the_support_point_converge(prob_cor, support_multipliers):
     # plain BA is slowest at these multipliers. SQUAREM took 414 steps;
-    # Anderson takes 31, and 63 when a proposal with a nonpositive atom is
+    # Anderson takes 26, and 63 when a proposal with a nonpositive atom is
     # dropped instead of shortened
     pt = ba_fixed_multipliers(prob_cor, *support_multipliers)
     assert pt.converged
@@ -317,6 +317,71 @@ class TestAnderson:
         # a cleared history proposes nothing: the next step is plain
         history.count = 0
         assert history.propose() is None
+
+    @staticmethod
+    def history_of(residuals, images):
+        """The history of steps (g - r, g) for the residuals r and images g:
+        its differences are those of the residuals and of the images."""
+        history = solver_mod._Anderson(images[0] - residuals[0], images[0])
+        for r, g in zip(residuals[1:], images[1:]):
+            history.push(g - r, g)
+        return history
+
+    # orthogonal residual directions on a 2 x 4 marginal, rows summing to 0;
+    # every value below is dyadic, so differences and products are exact
+    A = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]) / 16
+    B = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 0.0, 0.0]]) / 32
+    E = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, -1.0, -1.0]]) / 64
+
+    def test_repeated_difference_is_cut(self):
+        # residual differences A, B, A: the oldest repeats the newest, so the
+        # Gram is singular (np.linalg.solve raises on it). The fit drops the
+        # oldest and proposes what the history of the newer two proposes
+        r0 = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, 0.0, 0.0]]) / 64
+        residuals = [r0, r0 + self.A, r0 + self.A + self.B, r0 + 2 * self.A + self.B]
+        images = [np.full((2, 4), 0.25) + r for r in residuals]
+        history = self.history_of(residuals, images)
+        assert history.count == 3
+        assert np.array_equal(history.dR[0], history.dR[2])
+        Q = history.propose()
+        assert Q is not None
+        self.assert_admissible(Q, images[-1])
+        newer = self.history_of(residuals[1:], images[1:])
+        np.testing.assert_allclose(Q, newer.propose(), rtol=0.0, atol=1e-16)
+        # the images move with the residuals, so the step removes r's
+        # component in the span of A and B
+        r = residuals[-1].ravel()
+        inside = sum(np.dot(r, d.ravel()) / np.dot(d.ravel(), d.ravel()) * d for d in (self.A, self.B))
+        np.testing.assert_allclose(Q, images[-1] - inside, rtol=0.0, atol=1e-16)
+
+    def test_fit_without_advance_is_refit_on_fewer_differences(self):
+        # residual differences B (oldest) then A, and r = A/2 + B + E: the full
+        # fit weighs B's image difference, 2 r, by 1, so its step runs past r
+        # (delta.r >= r.r); the refit on A alone is the secant along A
+        r2 = self.A / 2 + self.B + self.E
+        r1 = r2 - self.A
+        residuals = [r1 - self.B, r1, r2]
+        g2 = np.full((2, 4), 0.25)
+        images = [g2 - self.A - 2 * r2, g2 - self.A, g2]
+        history = self.history_of(residuals, images)
+        dR, dG = history.dR[:2], history.dG[:2]
+        full = np.linalg.solve(dR @ dR.T, dR @ r2.ravel()) @ dG
+        assert np.dot(full, r2.ravel()) >= np.dot(r2.ravel(), r2.ravel())
+        Q = history.propose()
+        self.assert_admissible(Q, g2)
+        np.testing.assert_allclose(Q, g2 - self.A / 2, rtol=0.0, atol=1e-16)
+
+    def test_one_difference_gives_the_scalar_secant(self):
+        # one difference d of the residuals and e of the images: the fit is
+        # the scalar secant d.r / d.d, and the step too short to be shortened
+        rng = np.random.default_rng(7)
+        images = [rng.dirichlet(np.full(5, 20.0), size=3) for _ in range(2)]
+        residuals = [0.01 * (rng.dirichlet(np.ones(5), size=3) - 0.2) for _ in range(2)]
+        history = self.history_of(residuals, images)
+        d, e, r = residuals[1] - residuals[0], images[1] - images[0], residuals[1]
+        secant = np.sum(d * r) / np.sum(d * d)
+        assert abs(secant) * np.max(np.abs(e) / images[1]) < 1.0 - solver_mod._FLOOR
+        np.testing.assert_allclose(history.propose(), images[1] - secant * e, rtol=1e-13)
 
     @pytest.mark.parametrize("case", ["support", "classification", "underflow"])
     def test_runs_propose_admissibly_and_never_raise_F(self, case, monkeypatch, prob_cor, prob_cls):
@@ -787,7 +852,7 @@ class TestSolveRdPoint:
         # with the background target at its floor, reproduction atoms of the
         # marginal fall by about 15 orders of magnitude per step (to exactly
         # 0 once they underflow); Anderson proposals must keep coming, with
-        # such atoms held at or above a tenth of their image (27 steps)
+        # such atoms held at or above a tenth of their image (30 steps)
         problem = random_table_problem(25)
         pt = solve_rd_point(problem, between_floors(problem, (0.5, 0.0, 0.5)),
                             SolverOptions(max_iters=2000))
@@ -1335,6 +1400,31 @@ class TestChains:
         queries = [RDQuery(0.05, 0.1, ds) for ds in (0.3, 0.4, 0.5)]
         cells = list(solver_mod.solve_cells(prob_cor, queries, workers=2))
         assert all(c.point.converged for c in cells)
+
+
+@pytest.mark.parametrize("grid", ["independent", "classification64"])
+def test_benchmark_grids_cell_steps(grid, prob_ind, prob_cls, monkeypatch):
+    # the seed-0 grids of the sweep_independent and cli_classification
+    # benchmarks, solved serially: the cell steps (cells advanced, summed over
+    # batch steps) are deterministic. The rank-aware Anderson fit takes 160
+    # and 245; a fit on every difference in the history took 217 and 282
+    problem, bound, axes = {
+        "independent": (prob_ind, 175, (np.linspace(0.02, 0.23, 5), np.linspace(0.02, 0.23, 5),
+                                        np.linspace(0.26, 0.49, 4))),
+        "classification64": (prob_cls, 265, (np.linspace(0.02, 0.40, 6), [0.1, 0.35],
+                                             np.linspace(0.26, 0.49, 6))),
+    }[grid]
+    masses, group_masses = [], solver_mod._Workspace.group_masses
+
+    def counting(self, Q):
+        masses.append(len(Q))
+        return group_masses(self, Q)
+
+    monkeypatch.setattr(solver_mod._Workspace, "group_masses", counting)
+    queries = [RDQuery(*map(float, q)) for q in itertools.product(*axes)]
+    cells = list(solver_mod.solve_cells(problem, queries))
+    assert all(c.point is not None and c.point.converged for c in cells)
+    assert sum(masses) <= bound
 
 
 class TestProblemValidation:
