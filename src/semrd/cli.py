@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("figure_id", choices=FIGURE_IDS)
     fig.add_argument("--out", required=True, help="output directory")
     fig.add_argument("--grid", type=int, default=None, help="grid resolution override")
-    fig.add_argument("--base", choices=("bits", "nats"), default=None)
+    fig.add_argument("--base", choices=("bits", "nats"), default=None,
+                     help="rate unit of fig4-fig7 (default bits); fig8/fig9 write both")
 
     sw = sub.add_parser("sweep", help="run a configured distortion-grid sweep")
     sw.add_argument("--config", required=True, help="JSON config path")

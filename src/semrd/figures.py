@@ -14,11 +14,13 @@ The presets cover the toolkit's standard study plots:
   in the closed form's proven region, so the router serves every cell from
   the closed form.
 * ``fig8``  -- rate surface for the Gaussian model (variances 2,
-  covariances 1, background distortion 1), in nats by default.
+  covariances 1, background distortion 1), in both units; no ``base``.
 * ``fig9``  -- fig8's surface plus the equal-rate locus separating the
   observation-pinned and semantic-pinned regimes.
 
-Figures are emitted as data only. CSVs carry 9 significant digits, enough to
+Every fig5-fig9 cell is answered by :func:`models.route`; fig4's curves are
+closed forms of a single-source problem that no model covers. Figures are
+emitted as data only. CSVs carry 9 significant digits, enough to
 round-trip the stated tolerances.
 """
 
@@ -51,7 +53,7 @@ from .gaussian import (
     var_x1_given_y,
     var_x2_given_y,
 )
-from .models import Row, classification_model, correlated_model, route
+from .models import classification_model, correlated_model, gaussian_model, route
 from .prob import BinarySourceSpec
 from .semantic import ds0
 from .solver import (
@@ -105,32 +107,36 @@ def _axis_spec(values: np.ndarray) -> dict:
     return {"start": float(values[0]), "stop": float(values[-1]), "num": int(values.size)}
 
 
-def _correlated_stats(spec: BinarySourceSpec, d2: float, rows: list[Row]) -> dict:
+def _routed_surface(path, model, d1_values, ds_values, d2, units, header, cells):
+    """Route the (d1, ds) grid at ``d2`` through ``model`` (method auto) and
+    write one CSV row per cell: d1, ds, d2, the rate in ``units`` (its column
+    suffix and the scale from the model's unit), then ``cells(row)`` under
+    ``header``. A flagged row has no rate and writes an empty cell for it.
+
+    Returns the file entry, the stats (the counts of the methods that occur,
+    the converged and failed cells, and the rate range) and the routed rows.
+    """
+    unit, scale = units
+    queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
+    rows = route(model, queries, "auto")
+    rates = [None if r.rate is None else r.rate * scale for r in rows]
+    count = _write_csv(
+        path,
+        ("d1", "ds", "d2", f"rate_{unit}", *header),
+        ((r.query.d1, r.query.ds, d2, rate, *cells(r)) for r, rate in zip(rows, rates)),
+    )
     methods: dict[str, int] = {}
-    converged = 0
-    failed = 0
-    divergence = 0.0
-    rates = []
-    for row in rows:
-        methods[row.method] = methods.get(row.method, 0) + 1
-        if row.error:
-            failed += 1
-            continue
-        if row.converged:
-            converged += 1
-        rates.append(row.rate)
-        if row.method == "ba":
-            q = row.query
-            extension = correlated_expression(spec, q.d1, d2, q.ds)
-            divergence = max(divergence, abs(row.rate - extension))
-    return {
+    for r in rows:
+        methods[r.method] = methods.get(r.method, 0) + 1
+    served = [rate for rate in rates if rate is not None]
+    stats = {
         "method_counts": methods,
-        "converged_cells": converged,
-        "failed_cells": failed,
-        "min_rate_bits": min(rates) if rates else None,
-        "max_rate_bits": max(rates) if rates else None,
-        "max_divergence_from_formula_extension_bits": divergence,
+        "converged_cells": sum(r.converged for r in rows),
+        "failed_cells": sum(r.error is not None for r in rows),
+        f"min_rate_{unit}": min(served, default=None),
+        f"max_rate_{unit}": max(served, default=None),
     }
+    return {"name": os.path.basename(path), "rows": count}, stats, rows
 
 
 def _build_fig4(out_dir, grid_n, base):
@@ -169,44 +175,25 @@ def _fig5_like(out_dir, grid_shape, d1_values, ds_values, file_name, base):
     unit, scale = _unit(base)
     spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
     d2 = 0.5
-    queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
-    rows = route(correlated_model(spec), queries, "auto")
-    header = (
-        "d1",
-        "ds",
-        "d2",
-        f"rate_{unit}",
-        "method",
-        "converged",
-        "cs_residual",
-        f"formula_extension_{unit}",
-        "error",
+
+    def extension(r):
+        return correlated_expression(spec, r.query.d1, d2, r.query.ds)
+
+    entry, stats, rows = _routed_surface(
+        os.path.join(out_dir, file_name), correlated_model(spec), d1_values, ds_values, d2,
+        (unit, scale), ("method", "converged", "cs_residual", f"formula_extension_{unit}", "error"),
+        lambda r: (r.method, r.converged, r.cs_residual, extension(r) * scale, r.error),
     )
-    path = os.path.join(out_dir, file_name)
-    count = _write_csv(
-        path,
-        header,
-        (
-            (
-                r.query.d1,
-                r.query.ds,
-                d2,
-                None if r.rate is None else r.rate * scale,
-                r.method,
-                r.converged,
-                r.cs_residual,
-                correlated_expression(spec, r.query.d1, d2, r.query.ds) * scale,
-                r.error,
-            )
-            for r in rows
-        ),
+    stats["max_divergence_from_formula_extension_bits"] = max(
+        (abs(r.rate - extension(r)) for r in rows if r.method == "ba" and not r.error),
+        default=0.0,
     )
     return {
         "base": unit,
         "parameters": {"p": BINARY_P, "p1": BINARY_P, "p2": BINARY_P, "d2": d2},
         "grid": grid_shape,
-        "files": [{"name": os.path.basename(path), "rows": count}],
-        "stats": _correlated_stats(spec, d2, rows),
+        "files": [entry],
+        "stats": stats,
         "notes": [
             "background distortion 0.5 exceeds the correlated closed form's proven "
             "region bound (d2 <= p1), so out-of-region cells carry solver values; "
@@ -250,7 +237,6 @@ def _build_fig6(which: str):
 
 
 def _build_fig7(out_dir, grid_n, base):
-    unit, scale = _unit(base)
     p = BINARY_P
     p2 = BINARY_P
     n_alpha = 8
@@ -258,43 +244,25 @@ def _build_fig7(out_dir, grid_n, base):
     n = grid_n or DEFAULT_SURFACE_GRID
     d1_values = np.linspace(0.0, classification_region_bound(p2, n_alpha), n)
     ds_values = np.linspace(p, 0.5, n)
-    queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
-    routed = route(classification_model(p, p2, n_alpha), queries, "auto")
-    rows = [
-        (r.query.d1, r.query.ds, d2, None if r.rate is None else r.rate * scale,
-         r.method, r.converged,
-         "semantic" if ds0(r.query.ds, p) < r.query.d1 else "observation")
-        for r in routed
-    ]
-    path = os.path.join(out_dir, "fig7_surface.csv")
-    count = _write_csv(
-        path,
-        ("d1", "ds", "d2", f"rate_{unit}", "method", "converged", "binding"),
-        rows,
+    units = _unit(base)
+    entry, stats, _ = _routed_surface(
+        os.path.join(out_dir, "fig7_surface.csv"), classification_model(p, p2, n_alpha),
+        d1_values, ds_values, d2, units, ("method", "converged", "binding"),
+        lambda r: (r.method, r.converged,
+                   "semantic" if ds0(r.query.ds, p) < r.query.d1 else "observation"),
     )
-    ba_count = sum(r.method == "ba" for r in routed)
-    rates = [r[3] for r in rows if r[3] is not None]
     return {
-        "base": unit,
+        "base": units[0],
         "parameters": {"p": p, "p2": p2, "n": n_alpha, "d2": d2},
         "grid": {"d1": _axis_spec(d1_values), "ds": _axis_spec(ds_values)},
-        "files": [{"name": os.path.basename(path), "rows": count}],
-        "stats": {
-            "method_counts": {"closed_form": count - ba_count, "ba": ba_count},
-            "converged_cells": sum(r.converged for r in routed),
-            "failed_cells": sum(r.error is not None for r in routed),
-            f"min_rate_{unit}": min(rates),
-            f"max_rate_{unit}": max(rates),
-        },
+        "files": [entry],
+        "stats": stats,
         "notes": [
             "cells with binding = 'semantic' evaluate the expression literally; "
             "its linear term keeps the raw observation target there, which the "
             "closed-vs-solver verification suite reports on rather than asserts",
         ],
     }
-
-
-_GAUSS_HEADER = ("d1", "ds", "d2", "rate_nats", "rate_bits", "term_x1_branch", "method")
 
 
 def _gaussian_surface(out_dir, grid_n, figure_id):
@@ -304,24 +272,16 @@ def _gaussian_surface(out_dir, grid_n, figure_id):
     d2 = 1.0
     d1_values = np.linspace(0.1, 1.6, n)
     ds_values = np.linspace(1.52, 1.92, n)
-    rows = []
-    for d1 in d1_values:
-        for ds in ds_values:
-            res = gaussian_rate(GAUSS_SPEC, float(d1), d2, float(ds))
-            rows.append(
-                (
-                    float(d1),
-                    float(ds),
-                    d2,
-                    res.rate_nats,
-                    nats_to_bits(res.rate_nats),
-                    res.term_x1_branch,
-                    "closed_form",
-                )
-            )
-    path = os.path.join(out_dir, f"{figure_id}_surface.csv")
-    count = _write_csv(path, _GAUSS_HEADER, rows)
-    rates = [r[3] for r in rows]
+
+    def branch(r):
+        return gaussian_rate(GAUSS_SPEC, r.query.d1, d2, r.query.ds).term_x1_branch
+
+    entry, stats, _ = _routed_surface(
+        os.path.join(out_dir, f"{figure_id}_surface.csv"), gaussian_model(GAUSS_SPEC, "nats"),
+        d1_values, ds_values, d2, ("nats", 1.0), ("rate_bits", "term_x1_branch", "method"),
+        lambda r: (None, None, r.method) if r.rate is None
+        else (nats_to_bits(r.rate), branch(r), r.method),
+    )
     return {
         "parameters": {
             **dataclasses.asdict(GAUSS_SPEC),
@@ -332,14 +292,8 @@ def _gaussian_surface(out_dir, grid_n, figure_id):
             "background_rate_nats": r_x2_given_y(GAUSS_SPEC, d2),
         },
         "grid": {"d1": _axis_spec(d1_values), "ds": _axis_spec(ds_values)},
-        "files": [{"name": os.path.basename(path), "rows": count}],
-        "stats": {
-            "method_counts": {"closed_form": len(rows)},
-            "converged_cells": len(rows),
-            "failed_cells": 0,
-            "min_rate_nats": min(rates),
-            "max_rate_nats": max(rates),
-        },
+        "files": [entry],
+        "stats": stats,
         "notes": [
             "rates are natural-log based; the bits column is a unit conversion",
         ],
@@ -347,12 +301,12 @@ def _gaussian_surface(out_dir, grid_n, figure_id):
 
 
 def _build_fig8(out_dir, grid_n, base):
-    del base
+    del base  # None: generate_figure rejects a base for the two-unit Gaussian figures
     return _gaussian_surface(out_dir, grid_n, "fig8")
 
 
 def _build_fig9(out_dir, grid_n, base):
-    del base
+    del base  # None, as in fig8
     manifest = _gaussian_surface(out_dir, grid_n, "fig9")
     n = grid_n or DEFAULT_SURFACE_GRID
     locus_d1 = np.linspace(0.1, var_x1_given_y(GAUSS_SPEC), max(2, n))
@@ -388,15 +342,27 @@ def generate_figure(
     cells the router sends to the solver run in this process, with the
     default solver options, which the manifest records.
 
+    ``grid_n`` (an int >= 2) overrides the preset's resolution. ``base``
+    ("bits" by default, or "nats") sets the rate unit of fig4-fig7; fig8 and
+    fig9 write both units and reject it. Bad arguments, and an output
+    directory that cannot be created, raise :class:`ConfigError` before any
+    file is written.
+
     Returns the manifest dict (also written as ``<figure_id>_manifest.json``).
     """
     if figure_id not in _BUILDERS:
         raise ConfigError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
-    if grid_n is not None and grid_n < 2:
-        raise ConfigError(f"grid must be >= 2, got {grid_n}")
+    if grid_n is not None and (not isinstance(grid_n, int) or isinstance(grid_n, bool)
+                               or grid_n < 2):
+        raise ConfigError(f"grid must be an integer >= 2, got {grid_n!r}")
     if base not in (None, "bits", "nats"):
         raise ConfigError(f"base must be 'bits' or 'nats', got {base!r}")
-    os.makedirs(out_dir, exist_ok=True)
+    if base is not None and figure_id in ("fig8", "fig9"):
+        raise ConfigError(f"base: {figure_id} writes both rate_nats and rate_bits; omit it")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir!r} is not writable")
     manifest = _BUILDERS[figure_id](out_dir, grid_n, base)

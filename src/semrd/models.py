@@ -5,9 +5,10 @@ its closed form or None, and the predicate of the region on which that
 closed form is proven. :func:`route` answers a batch of target queries for a
 model: the closed form inside its region, the solver everywhere else. Sweeps
 of all five kinds (the three binary and parity models, the Gaussian model and
-custom tables) and figures go through it, so the choice between the two, and
-which methods a model supports (:func:`check_method`), are decided here and
-nowhere else.
+custom tables) and every cell of figures fig5-fig9 go through it, so the
+choice between the two, and which methods a model supports
+(:func:`check_method`), are decided here and nowhere else. fig4's curves are
+closed forms of a single-source problem, which no model covers.
 """
 
 from __future__ import annotations

@@ -78,7 +78,7 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ProbabilityError("alphabet name must be a non-empty string")
-        if not isinstance(self.size, int) or self.size < 1:
+        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
             raise ProbabilityError(f"alphabet size must be a positive integer, got {self.size!r}")
         labels = tuple(str(s) for s in self.symbol_labels)
         if not labels:

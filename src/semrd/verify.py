@@ -33,7 +33,7 @@ from .closed_form import (
     rate_correlated,
     semantic_binary_rd,
 )
-from .errors import RegionError, SemrdError
+from .errors import ConfigError, RegionError, SemrdError
 from .models import Model, Row, classification_model, correlated_model, independent_model, route
 from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF
 from .semantic import check_distortion_equivalence, ds0, modified_distortion
@@ -562,5 +562,5 @@ SUITES = {
 
 def run_suite(name: str) -> SuiteReport:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name]()

@@ -54,7 +54,8 @@ class TestFigureGeneration:
             assert hi <= lo + 1e-6  # non-increasing in the semantic target
 
     def test_fig7_closed_form_cells(self, tmp_path):
-        generate_figure("fig7", str(tmp_path), grid_n=6)
+        manifest = generate_figure("fig7", str(tmp_path), grid_n=6)
+        assert manifest["stats"]["method_counts"] == {"closed_form": 36}
         rows = read_csv(tmp_path / "fig7_surface.csv")
         assert len(rows) == 36
         for r in rows:
@@ -78,6 +79,58 @@ class TestFigureGeneration:
         locus = read_csv(tmp_path / "fig9_equal_rate_locus.csv")
         for r in locus:
             assert float(r["ds"]) == pytest.approx(1.5 + 0.25 * float(r["d1"]), abs=1e-9)
+
+    @pytest.mark.parametrize("figure_id,batches", [
+        ("fig4", 0), ("fig5", 1), ("fig6a", 1), ("fig6b", 1), ("fig7", 1), ("fig8", 1), ("fig9", 1),
+    ])
+    def test_surfaces_route_one_batch(self, tmp_path, monkeypatch, figure_id, batches):
+        import semrd.figures
+
+        calls = []
+        original = semrd.figures.route
+
+        def counting(model, queries, method):
+            calls.append(len(queries))
+            return original(model, queries, method)
+
+        monkeypatch.setattr(semrd.figures, "route", counting)
+        generate_figure(figure_id, str(tmp_path), grid_n=3)
+        assert len(calls) == batches
+
+    def test_nats_stats_match_the_csv(self, tmp_path):
+        manifest = generate_figure("fig5", str(tmp_path), grid_n=5, base="nats")
+        rates = [float(r["rate_nats"]) for r in read_csv(tmp_path / "fig5_surface.csv")]
+        stats = manifest["stats"]
+        assert "min_rate_bits" not in stats
+        assert stats["min_rate_nats"] == pytest.approx(min(rates), rel=1e-8)
+        assert stats["max_rate_nats"] == pytest.approx(max(rates), rel=1e-8)
+
+    @pytest.mark.parametrize("figure_id,kwargs", [
+        ("fig8", {"base": "bits"}),
+        ("fig9", {"base": "nats"}),
+        ("fig4", {"grid_n": 2.5}),
+        ("fig4", {"grid_n": True}),
+        ("fig4", {"grid_n": 1}),
+        ("fig4", {"grid_n": "11"}),
+    ])
+    def test_bad_arguments_write_nothing(self, tmp_path, figure_id, kwargs):
+        from semrd.errors import ConfigError
+
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="base|grid"):
+            generate_figure(figure_id, str(out), **kwargs)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_under_a_file_is_config_error(self, tmp_path, sub):
+        from semrd.errors import ConfigError
+
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        with pytest.raises(ConfigError, match="cannot create output directory"):
+            generate_figure("fig4", str(blocker / sub), grid_n=11)
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+        assert blocker.read_text() == "keep"
 
     def test_unknown_figure(self, tmp_path):
         from semrd.errors import ConfigError
@@ -114,6 +167,22 @@ class TestCli:
         assert rc == USAGE_ERROR
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "fig4_manifest.json").exists()
+
+    @pytest.mark.parametrize("args,out,message", [
+        (["fig8", "--base", "bits"], "out", "base: fig8"),
+        (["fig4", "--grid", "1"], "out", "grid must be an integer >= 2"),
+        (["fig4", "--grid", "2.5"], "out", "invalid int value"),
+        (["fig4"], "blocker", "cannot create output directory"),
+        (["fig4"], "blocker/sub", "cannot create output directory"),
+    ])
+    def test_figure_bad_arguments_write_nothing(self, tmp_path, args, out, message, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        assert main(["figure", *args, "--out", str(tmp_path / out)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+        assert blocker.read_text() == "keep"
 
     def test_sweep_closed_form(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -326,6 +395,13 @@ class TestCli:
         assert main(["verify", suite, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["suite"], report["passed"]) == (suite, True)
+
+    def test_unknown_suite_is_config_error(self):
+        from semrd.errors import ConfigError
+        from semrd.verify import run_suite
+
+        with pytest.raises(ConfigError, match="unknown suite 'nope'"):
+            run_suite("nope")
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         import semrd.verify as verify_mod

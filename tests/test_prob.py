@@ -83,8 +83,9 @@ class TestAlphabet:
             Alphabet("x", 2, ("a", "a"))
 
     def test_size_positive(self):
-        with pytest.raises(ProbabilityError):
-            Alphabet("x", 0)
+        for size in (0, True):  # a bool is not a size, though True == 1
+            with pytest.raises(ProbabilityError):
+                Alphabet("x", size)
 
     def test_integers(self):
         a = Alphabet.integers("n", 4)
