@@ -60,7 +60,7 @@ def _sweep_rows(cfg: SweepConfig) -> Iterator[tuple]:
     before any cell is solved."""
     grid = cfg.grid
     queries = [RDQuery(*q) for q in itertools.product(grid["d1"], grid["d2"], grid["ds"])]
-    for row in route(cfg.model, queries, cfg.method, cfg.solver_options, cfg.workers):
+    for row in route(cfg.model, queries, cfg.method, cfg.solver_options):
         yield (*row.query.as_tuple(), row.rate, row.method, row.converged, row.cs_residual,
                row.error)
 

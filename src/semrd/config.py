@@ -16,11 +16,10 @@ model's closed form on its proven region and solves the rest; "closed_form"
 flags the points outside the region; "ba" always solves), and a method the
 kind's model does not support is rejected (:func:`semrd.models.check_method`).
 Optional ``solver``: {"max_iters": int}, the one solver option (the
-tolerances are constants of :mod:`semrd.solver`). Optional ``workers``
-(processes for the cells that use the solver). ``solver`` and ``workers``
-apply only where the solver runs: a kind and method that never reach it
+tolerances are constants of :mod:`semrd.solver`). ``solver`` applies only
+where the solver runs: a kind and method that never reach it
 (:func:`semrd.models.reaches_solver`: the gaussian kind, ``closed_form``,
-and ``binary_independent`` under ``auto``) reject them. Optional ``base``
+and ``binary_independent`` under ``auto``) reject it. Optional ``base``
 ("bits"/"nats", gaussian only). Any other top-level field is rejected.
 
 ``custom`` params: {"alphabets": {name: [labels...]}, "source": {"axes":
@@ -52,7 +51,7 @@ from .models import (
     independent_model,
     reaches_solver,
 )
-from .solver import RDProblem, SolverOptions, _valid_workers
+from .solver import RDProblem, SolverOptions
 from . import sources
 
 KINDS = ("binary_independent", "binary_correlated", "classification", "gaussian", "custom")
@@ -102,7 +101,6 @@ class SweepConfig:
     method: str
     grid: dict[str, tuple[float, ...]]
     solver_options: SolverOptions
-    workers: int | None
     model: Model
 
 
@@ -186,7 +184,7 @@ def _parse_custom(params: Any, path: str) -> RDProblem:
 def parse_config(doc: Any) -> SweepConfig:
     if not isinstance(doc, Mapping):
         _fail("", f"config root must be an object, got {type(doc).__name__}")
-    fields = ("kind", "method", "params", "grid", "solver", "workers", "base")
+    fields = ("kind", "method", "params", "grid", "solver", "base")
     for key in doc:
         if key not in fields:
             _fail(key, f"unknown field; allowed: {list(fields)}")
@@ -206,9 +204,6 @@ def parse_config(doc: Any) -> SweepConfig:
             _fail(f"grid.{key}", "missing required field")
         grid[key] = _grid_axis(grid_obj[key], f"grid.{key}")
     opts = _parse_solver_options(doc.get("solver"), "solver")
-    workers = doc.get("workers")
-    if not _valid_workers(workers):
-        _fail("workers", f"must be a positive integer, got {workers!r}")
     base = _get(doc, "", "base", required=False, default="nats" if kind == "gaussian" else "bits")
     if base not in ("bits", "nats"):
         _fail("base", f"must be 'bits' or 'nats', got {base!r}")
@@ -220,11 +215,9 @@ def parse_config(doc: Any) -> SweepConfig:
         _fail("params", "must be an object")
     model = _parse_model(kind, params, base)
     check_method(model, method)
-    if not reaches_solver(model, method):
-        for key in ("solver", "workers"):
-            if key in doc:
-                _fail(key, f"the {kind} kind under method {method!r} never runs the solver")
-    return SweepConfig(method, grid, opts, workers, model)
+    if "solver" in doc and not reaches_solver(model, method):
+        _fail("solver", f"the {kind} kind under method {method!r} never runs the solver")
+    return SweepConfig(method, grid, opts, model)
 
 
 def _parse_model(kind: str, params: Any, base: str) -> Model:

@@ -127,15 +127,14 @@ def route(
     queries: Sequence[RDQuery],
     method: str = "auto",
     opts: SolverOptions = DEFAULT_OPTIONS,
-    workers: int | None = None,
 ) -> list[Row]:
     """One row per query, in order.
 
     ``auto`` serves the closed form on its region and solves the rest;
     ``closed_form`` flags the queries outside the region instead; ``ba``
     solves every query. A closed form that raises :class:`SemrdError` gives a
-    flagged row. The queries left to the solver go to
-    :func:`solver.solve_cells` in one batch, on one problem built for it.
+    flagged row. The queries left to the solver go to one
+    :func:`solver.solve_cells` call in this process, on one problem built for it.
     A method the model does not support raises :class:`ConfigError`
     (:func:`check_method`).
     """
@@ -155,7 +154,7 @@ def route(
     pending = [i for i, row in enumerate(rows) if row is None]
     if pending:
         # through the module attribute, so that a caller may wrap the batch
-        cells = solver.solve_cells(model.build(), [queries[i] for i in pending], opts, workers)
+        cells = solver.solve_cells(model.build(), [queries[i] for i in pending], opts)
         for i, cell in zip(pending, cells):
             p = cell.point
             rows[i] = (

@@ -146,9 +146,7 @@ Two numerical details matter:
   query; a lone solve is a batch of one. Every sum over one cell's arrays is
   a stack of per-cell products, so a cell's numbers do not depend on the
   cells beside it: a batch returns bit for bit the points of its chains run
-  one after another. Chains depend on the queries only (:func:`_points`),
-  and the process pool of a sweep takes runs of whole chains, one batch per
-  run, so a pooled batch returns exactly the serial points too.
+  one after another.
 
   The cut into pieces trades two costs. A batch step costs little more for
   more cells, so a batch takes about as many steps as its longest chain
@@ -299,10 +297,6 @@ class RDProblem:
         if not np.allclose(probs, product, rtol=1e-12, atol=0.0):
             return None
         return observation_side_problem(self), background_side_problem(self)
-
-    def __getstate__(self) -> dict:
-        # the cached values are rebuilt where the problem is unpickled
-        return {k: v for k, v in self.__dict__.items() if k not in ("split", "_workspace")}
 
     @functools.cached_property
     def _workspace(self) -> _Workspace:
@@ -1036,9 +1030,10 @@ def ba_fixed_multipliers(
     :func:`solve_rd_point` does; coordinates with zero multiplier keep
     whatever (rate-free) reproduction the alternating minimization settles on.
     """
+    for name, v in (("lambda1", lambda1), ("lambda2", lambda2), ("lambda_s", lambda_s)):
+        if not (is_finite_real(v) and v >= 0.0):
+            raise ProbabilityError(f"multiplier {name} must be finite and >= 0, got {v!r}")
     lam = (float(lambda1), float(lambda2), float(lambda_s))
-    if any(not math.isfinite(l) or l < 0.0 for l in lam):
-        raise ProbabilityError(f"multipliers must be finite and >= 0, got {lam}")
     ws = problem._workspace
     run = _FixedBA(ws, opts)
     run.add(0, (0.0, 0.0, 0.0), lam)
@@ -1168,7 +1163,7 @@ def solve_rd_point(
         return batch.result(problem, query, slot)
     if problem.split is None:
         return solve_joint_point(problem, query, opts)
-    (point,) = _points(problem, [query], opts, None)
+    (point,) = _points(problem, [query], opts)
     if isinstance(point, SemrdError):
         raise point
     return point
@@ -1221,13 +1216,6 @@ def semantic_rd(
         log_base=2.0,
     )
     return solve_rd_point(problem, RDQuery(0.0, 0.0, Ds), opts)
-
-
-def _valid_workers(workers: object) -> bool:
-    """A process count is None (serial) or an int >= 1; bools are rejected."""
-    return workers is None or (
-        isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1
-    )
 
 
 def _chains(queries: Sequence[RDQuery]) -> list[list[RDQuery]]:
@@ -1286,18 +1274,15 @@ def _compose(obs: RDPoint | SemrdError, bg: RDPoint | SemrdError) -> RDPoint | S
     )
 
 
-def _points(problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions,
-            workers: int | None) -> list[RDPoint | SemrdError]:
+def _points(problem: RDProblem, queries: Sequence[RDQuery],
+            opts: SolverOptions) -> list[RDPoint | SemrdError]:
     """One point or error per query, in order: the one place where queries
     become batches. The sides are the problem itself or, on a split problem,
     its observation part under each distinct (d1, ds) and its background
     part under each distinct d2, whose points are composed. Each side's
     chains (:func:`_chains`) are cut into pieces of at most floor(sqrt(q))
     queries, q the side's query count (:func:`_pieces`), and its pieces are
-    one batch. With ``workers`` > 1 and at least two uncut chains in all,
-    each side's pieces are cut into runs of ceil(pieces / workers)
-    consecutive pieces, each a batch in one process pool; a query list that
-    forms one chain never starts the pool."""
+    one batch, solved in this process."""
     split = problem.split
     if split is None:
         sides = [(problem, queries)]
@@ -1306,19 +1291,8 @@ def _points(problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions,
         bg_keys = list(dict.fromkeys(q.d2 for q in queries))
         sides = [(split[0], [RDQuery(d1, 0.0, ds) for d1, ds in obs_keys]),
                  (split[1], [RDQuery(0.0, d2, 0.0) for d2 in bg_keys])]
-    sides = [(part, _chains(qs)) for part, qs in sides if qs]
-    serial = workers is None or workers == 1 or sum(len(c) for _, c in sides) < 2
-    sides = [(part, _pieces(c)) for part, c in sides]
-    if serial:
-        points = [p for part, c in sides for p in _solve_chains(part, c, opts)]
-    else:
-        parts, runs = [], []
-        for part, c in sides:
-            size = -(-len(c) // workers)
-            for i in range(0, len(c), size):
-                parts.append(part)
-                runs.append(c[i:i + size])
-        points = _solve_in_pool(parts, runs, opts, workers)
+    points = [p for part, qs in sides if qs
+              for p in _solve_chains(part, _pieces(_chains(qs)), opts)]
     if split is None:
         return points
     obs_points = dict(zip(obs_keys, points))
@@ -1326,47 +1300,25 @@ def _points(problem: RDProblem, queries: Sequence[RDQuery], opts: SolverOptions,
     return [_compose(obs_points[q.d1, q.ds], bg_points[q.d2]) for q in queries]
 
 
-def _solve_in_pool(parts: Sequence[RDProblem], runs: Sequence[Sequence[Sequence[RDQuery]]],
-                   opts: SolverOptions, workers: int) -> list[RDPoint | SemrdError]:
-    """Each run of chains solved on its part (:func:`_solve_chains`) in a
-    spawn pool of at most ``workers`` processes; the answers in order."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=min(workers, len(runs)), mp_context=ctx) as pool:
-        answers = pool.map(_solve_chains, parts, runs, itertools.repeat(opts))
-        return [a for run in answers for a in run]
-
-
 def solve_cells(
     problem: RDProblem,
     queries: Sequence[RDQuery],
     opts: SolverOptions = DEFAULT_OPTIONS,
-    workers: int | None = None,
 ) -> Iterator[SurfaceCell]:
     """Solve each query and yield one cell per query, in order. Per-cell
     failures are yielded as flagged cells, not raised.
 
-    The queries are solved by continuation along chains of neighbours, each
-    cut into pieces of at most floor(sqrt(q)) queries on a side of q queries,
-    the pieces in lockstep (see the module docstring): each run after a
-    piece's first starts from its predecessor's final marginal and
-    multipliers, which saves steps and moves rates only by rounding against
-    a lone :func:`solve_rd_point` call, a batch of one that starts cold. Each
-    answer is one :func:`solve_rd_point` call through the module attribute,
-    once per query or, on a split problem, once per distinct part query; a
-    call advances the shared batch until its own query is done, and its
-    point's ``iterations`` are that query's own steps. ``workers`` > 1 cuts
-    each side's pieces into runs of consecutive pieces, each solved as its
-    own batch in a process of one pool, with the points of a serial run,
-    when there are at least two chains before the cut (:func:`_points`).
-    ``workers`` must be None or an int >= 1, else :class:`ProbabilityError`
-    is raised.
+    The queries are solved by continuation, in one lockstep batch per side
+    (:func:`_points`; see the module docstring): each run after a piece's
+    first starts from its predecessor's final marginal and multipliers, which
+    saves steps and moves rates only by rounding against a lone
+    :func:`solve_rd_point` call, a batch of one that starts cold. Each answer
+    is one :func:`solve_rd_point` call through the module attribute, once per
+    query or, on a split problem, once per distinct part query; a call
+    advances the shared batch until its own query is done, and its point's
+    ``iterations`` are that query's own steps.
     """
-    if not _valid_workers(workers):
-        raise ProbabilityError(f"workers must be None or an int >= 1, got {workers!r}")
-    points = _points(problem, queries, opts, workers)
+    points = _points(problem, queries, opts)
     return (
         SurfaceCell(q, p) if isinstance(p, RDPoint)
         else SurfaceCell(q, None, error=f"{type(p).__name__}: {p}")
@@ -1378,20 +1330,26 @@ def sweep_surface(
     problem: RDProblem,
     grid: Mapping[str, Sequence[float]],
     opts: SolverOptions = DEFAULT_OPTIONS,
-    workers: int | None = None,
 ) -> RDSurface:
     """Solve one point per grid cell (Cartesian product of the three target
     lists), as one batch (:func:`solve_cells`). Per-cell failures are
-    returned as flagged cells, not raised.
-
-    ``workers`` > 1 solves runs of the cells' chains in the processes of a
-    pool (see :func:`solve_cells`).
+    returned as flagged cells, not raised. Keys other than d1, d2 and ds, or
+    an axis that is not a list of finite reals, raise :class:`ProbabilityError`.
     """
     keys = ("d1", "d2", "ds")
     if set(grid.keys()) != set(keys):
         raise ProbabilityError(f"grid must have exactly the keys {keys}, got {tuple(grid.keys())}")
-    axes = [[float(v) for v in grid[k]] for k in keys]
+    axes = []
+    for k in keys:
+        try:
+            values = list(grid[k])
+        except TypeError:
+            raise ProbabilityError(f"grid {k} must be a list of values, got {grid[k]!r}") from None
+        for v in values:
+            if not is_finite_real(v):
+                raise ProbabilityError(f"grid {k} values must be finite reals, got {v!r}")
+        axes.append([float(v) for v in values])
     if not all(axes):
         raise ProbabilityError("empty grid")
     queries = [RDQuery(*t) for t in itertools.product(*axes)]
-    return RDSurface(tuple(solve_cells(problem, queries, opts, workers)))
+    return RDSurface(tuple(solve_cells(problem, queries, opts)))

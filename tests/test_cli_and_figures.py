@@ -222,11 +222,9 @@ class TestCli:
         expect = binary_entropy(0.25) - binary_entropy(0.03)
         assert float(row["rate"]) == pytest.approx(expect, abs=1e-3)
 
-    def test_sweep_workers_csv_identical(self, tmp_path, monkeypatch):
+    def test_sweep_ba_flags_only_infeasible_rows(self, tmp_path):
         # the correlated source is solved jointly; the classification source
-        # splits, so its pool runs the observation and background batches
-        import semrd.solver
-
+        # splits into an observation and a background batch
         docs = {
             "correlated": {
                 "kind": "binary_correlated",
@@ -245,26 +243,12 @@ class TestCli:
             "correlated": ["InfeasibleDistortionError", "", "InfeasibleDistortionError", ""],
             "classification": ["InfeasibleDistortionError", ""] * 4,
         }
-        seen = []
-        original = semrd.solver.solve_cells
-
-        def recording(problem, queries, opts, workers):
-            seen.append(workers)
-            return original(problem, queries, opts, workers)
-
-        monkeypatch.setattr(semrd.solver, "solve_cells", recording)
         for kind, doc in docs.items():
-            seen.clear()
-            outputs = []
-            for name, extra in (("serial", {}), ("pool", {"workers": 2})):
-                cfg = tmp_path / f"{kind}_{name}.json"
-                cfg.write_text(json.dumps({**doc, **extra}))
-                out = tmp_path / f"{kind}_{name}.csv"
-                assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-                outputs.append(out.read_bytes())
-            assert seen == [None, 2]
-            assert outputs[0] == outputs[1]
-            rows = read_csv(tmp_path / f"{kind}_pool.csv")
+            cfg = tmp_path / f"{kind}.json"
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / f"{kind}.csv"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            rows = read_csv(out)
             assert [r["error"].split(":")[0] for r in rows] == errors[kind]
             assert all(r["converged"] == "true" for r in rows if not r["error"])
 

@@ -135,8 +135,7 @@ RESULT_CLASSES = {
 
 @pytest.mark.parametrize("class_name", RESULT_CLASSES)
 def test_result_fields_read(class_name):
-    # a field that nothing reads is carried (and pickled across the process
-    # pool) for nothing
+    # a field that nothing reads is carried for nothing
     module, roots = RESULT_CLASSES[class_name]
     paths = [p for root in roots for p in sorted((ROOT / root).rglob("*.py"))]
     fields, unread = unread_fields(module, class_name, paths)

@@ -191,6 +191,17 @@ class TestFixedMultipliers:
         with pytest.raises(ProbabilityError):
             ba_fixed_multipliers(prob_cor, -1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("lam,match", [
+        (("x", 1, 1), "multiplier lambda1 .* got 'x'"),
+        ((True, 1, 1), "multiplier lambda1 .* got True"),
+        ((1, "2", 1), "multiplier lambda2 .* got '2'"),
+        ((1, 1, None), "multiplier lambda_s .* got None"),
+        ((1, 1, math.nan), "multiplier lambda_s .* got nan"),
+    ])
+    def test_bad_multipliers_rejected(self, prob_cor, lam, match):
+        with pytest.raises(ProbabilityError, match=match):
+            ba_fixed_multipliers(prob_cor, *lam)
+
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
 def test_max_iters_caps_the_steps(prob_cor, cap):
@@ -1031,37 +1042,50 @@ class TestSweepSurface:
 
     @pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2"])
     def test_bad_workers_rejected(self, prob_cor, workers):
+        # every batch is solved in this process; workers is not a keyword at all
         queries = [RDQuery(0.05, 0.1, 0.3)]
-        with pytest.raises(ProbabilityError, match="workers"):
+        with pytest.raises(TypeError, match="workers"):
             solver_mod.solve_cells(prob_cor, queries, workers=workers)
-        with pytest.raises(ProbabilityError, match="workers"):
+        with pytest.raises(TypeError, match="workers"):
             sweep_surface(prob_cor, {"d1": [0.05], "d2": [0.1], "ds": [0.3]}, workers=workers)
 
-    def test_parallel_matches_serial(self, prob_cor, prob_ind, monkeypatch):
-        # the pool maps whole chains, so every cell starts where it does in a
-        # serial run: the achieved value of a slack coordinate depends on the
-        # start (ds 0.298 against 0.449 at (0.02, 0.1, 0.45) when cells of a
-        # chain were mapped apart). Four chains of the correlated problem in
-        # two runs; the split problem's two observation chains in a run each,
-        # and its one background chain, cut into two pieces of one target, in
-        # a run each.
-        pooled, pool = [], solver_mod._solve_in_pool
+    @pytest.mark.parametrize("axis,match", [
+        (["x"], r"grid d1 values must be finite reals, got 'x'"),
+        ([None], r"grid d1 values must be finite reals, got None"),
+        ([True], r"grid d1 values must be finite reals, got True"),
+        ([0.05, math.inf], r"grid d1 values must be finite reals, got inf"),
+        (0.1, r"grid d1 must be a list of values, got 0\.1"),
+    ])
+    def test_bad_grid_values_rejected(self, prob_cor, axis, match):
+        with pytest.raises(ProbabilityError, match=match):
+            sweep_surface(prob_cor, {"d1": axis, "d2": [0.1], "ds": [0.3]})
 
-        def recording(parts, runs, opts, workers):
-            pooled.append([(part, [len(c) for c in run]) for part, run in zip(parts, runs)])
-            return pool(parts, runs, opts, workers)
-
-        monkeypatch.setattr(solver_mod, "_solve_in_pool", recording)
-        grid = {"d1": [0.02, 0.05], "d2": [0.1, 0.2], "ds": [0.3, 0.45]}
-        for problem in (prob_cor, prob_ind):
-            serial = sweep_surface(problem, grid)
-            parallel = sweep_surface(problem, grid, workers=2)
-            assert len(serial.points) == 8
-            assert all(c.point.converged for c in serial.points)
-            assert serial.points == parallel.points
+    def test_cells_do_not_depend_on_their_neighbours(self, prob_cor, prob_ind):
+        # each side's pieces solved as one batch, and again cut into two runs
+        # of consecutive pieces, each run its own batch: every cell starts
+        # where it does in the whole batch, and its numbers are the same. The
+        # achieved value of a slack coordinate depends on the start (ds 0.298
+        # against 0.449 at (0.02, 0.1, 0.45) when cells of a chain were solved
+        # apart), so a run keeps whole pieces. Four chains of the correlated
+        # problem; the split problem's two observation chains, and its one
+        # background chain, cut into two pieces of one target.
         obs, bg = prob_ind.split
-        assert pooled == [[(prob_cor, [2, 2]), (prob_cor, [2, 2])],
-                          [(obs, [2]), (obs, [2]), (bg, [1]), (bg, [1])]]
+        targets = (0.02, 0.05), (0.1, 0.2), (0.3, 0.45)
+        sides = [
+            (prob_cor, [RDQuery(*t) for t in itertools.product(*targets)], [2, 2, 2, 2]),
+            (obs, [RDQuery(d1, 0.0, ds) for d1 in targets[0] for ds in targets[2]], [2, 2]),
+            (bg, [RDQuery(0.0, d2, 0.0) for d2 in targets[1]], [1, 1]),
+        ]
+        opts = solver_mod.DEFAULT_OPTIONS
+        for part, queries, sizes in sides:
+            pieces = solver_mod._pieces(solver_mod._chains(queries))
+            assert [len(c) for c in pieces] == sizes
+            whole = solver_mod._solve_chains(part, pieces, opts)
+            cut = len(pieces) // 2
+            runs = (solver_mod._solve_chains(part, pieces[:cut], opts)
+                    + solver_mod._solve_chains(part, pieces[cut:], opts))
+            assert all(p.converged for p in whole)
+            assert whole == runs
 
 
 class TestClassicalForms:
@@ -1390,16 +1414,6 @@ class TestChains:
         with pytest.raises(SolverError, match="is not the next query"):
             batch.result(sources.correlated_problem(SPEC_COR), queries[0], 0)
         assert batch.result(prob_cor, queries[0], 0).converged
-
-    def test_one_chain_is_solved_in_process(self, prob_cor, monkeypatch):
-        # a pool cannot share one chain's work, so a batch of one chain skips it
-        def no_pool(*args):
-            raise AssertionError("pool started")
-
-        monkeypatch.setattr(solver_mod, "_solve_in_pool", no_pool)
-        queries = [RDQuery(0.05, 0.1, ds) for ds in (0.3, 0.4, 0.5)]
-        cells = list(solver_mod.solve_cells(prob_cor, queries, workers=2))
-        assert all(c.point.converged for c in cells)
 
 
 @pytest.mark.parametrize("grid", ["independent", "classification64"])
