@@ -13,33 +13,31 @@ Model summary (all distortions Hamming):
 * ``rate_conditionally_independent`` -- observation + background independent
   given side information (separate compression is optimal).
 * ``rate_correlated`` -- side information coupled to the background only
-  through the observation; proven on the small-distortion region
-  ``in_region_correlated``. ``correlated_expression`` is the same
-  expression without the region check, for comparison columns only.
+  through the observation, on the small-distortion region
+  ``in_region_correlated``: min{D1, Ds0} <= p1 p2 and D2 <= p1. It is tight
+  only where its noise construction also exists
+  (``test_channels.correlated_construction_exists``), a lower bound elsewhere,
+  so the router (``models.correlated_model``) serves it only there.
+  ``correlated_expression`` is the expression without the region check.
 * ``rate_classification`` -- integer observation in [1:N], binary parity
-  semantics; proven on ``in_region_classification``.
+  semantics, on ``in_region_classification``: D1 <= 2(N-1)p2/N and
+  D2 <= 0.5.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ProbabilityError, RegionError
-from .prob import BinarySourceSpec, binary_entropy, is_finite_real
+from .errors import RegionError
+from .prob import BinarySourceSpec, binary_entropy, check_real
 from .semantic import ds0
-
-
-def _check_distortion(name: str, value: float) -> float:
-    if not is_finite_real(value) or value < 0.0:
-        raise ProbabilityError(f"{name} must be a finite nonnegative real, got {value!r}")
-    return float(value)
+from .sources import check_parity_n
 
 
 def conditional_binary_rd(p0: float, D: float) -> float:
     """[h(p0) - h(D)] for 0 <= D <= p0, else 0."""
-    if not is_finite_real(p0) or p0 < 0.0 or p0 > 0.5:
-        raise ProbabilityError(f"p0 must lie in [0, 0.5], got {p0!r}")
-    D = _check_distortion("D", D)
+    p0 = check_real(p0, "p0", 0.0, 0.5)
+    D = check_real(D, "D", 0.0)
     if D > p0:
         return 0.0
     return binary_entropy(p0) - binary_entropy(D)
@@ -51,7 +49,7 @@ def semantic_binary_rd(p: float, Ds: float) -> float:
     A target below p is unattainable by any code: even a lossless copy of the
     observation leaves residual semantic distortion p.
     """
-    Ds = _check_distortion("Ds", Ds)
+    Ds = check_real(Ds, "Ds", 0.0)
     if Ds > 0.5:
         return 0.0
     d0 = ds0(Ds, p)  # raises InfeasibleDistortionError for Ds < p
@@ -72,9 +70,9 @@ def rate_conditionally_independent(
     Needs spec fields p, p2, p3 (p1 is implied by the Markov structure).
     """
     spec.require("p", "p2", "p3")
-    D1 = _check_distortion("D1", D1)
-    D2 = _check_distortion("D2", D2)
-    Ds = _check_distortion("Ds", Ds)
+    D1 = check_real(D1, "D1", 0.0)
+    D2 = check_real(D2, "D2", 0.0)
+    Ds = check_real(Ds, "Ds", 0.0)
     m = effective_observation_distortion(spec.p, D1, Ds)
     term_x2 = binary_entropy(spec.p3) - binary_entropy(D2) if D2 <= spec.p3 else 0.0
     term_x1 = binary_entropy(spec.p2) - binary_entropy(m) if m <= spec.p2 else 0.0
@@ -85,9 +83,9 @@ def in_region_correlated(spec: BinarySourceSpec, D1: float, D2: float, Ds: float
     """Small-distortion region of the correlated model:
     min{D1, Ds0} <= p1*p2 and D2 <= p1 (all nonnegative)."""
     spec.require("p", "p1", "p2")
-    D1 = _check_distortion("D1", D1)
-    D2 = _check_distortion("D2", D2)
-    Ds = _check_distortion("Ds", Ds)
+    D1 = check_real(D1, "D1", 0.0)
+    D2 = check_real(D2, "D2", 0.0)
+    Ds = check_real(Ds, "Ds", 0.0)
     m = effective_observation_distortion(spec.p, D1, Ds)
     return 0.0 <= m <= spec.p1 * spec.p2 and 0.0 <= D2 <= spec.p1
 
@@ -116,29 +114,22 @@ def rate_correlated(spec: BinarySourceSpec, D1: float, D2: float, Ds: float) -> 
     return correlated_expression(spec, D1, D2, Ds)
 
 
-def _check_classification_params(p: float, p2: float, N: int) -> None:
-    for name, v in (("p", p), ("p2", p2)):
-        if not is_finite_real(v) or v < 0.0 or v > 0.5:
-            raise ProbabilityError(f"{name} must lie in [0, 0.5], got {v!r}")
-    if not isinstance(N, int) or N < 4 or N % 2 != 0:
-        raise ProbabilityError(f"N must be an even integer >= 4, got {N!r}")
-
-
 def classification_region_bound(p2: float, N: int) -> float:
-    """Upper limit 2(N-1)p2/N on min{D1, Ds0} for the integer-parity model."""
+    """Upper limit 2(N-1)p2/N on D1 for the integer-parity model."""
     return 2.0 * (N - 1) * p2 / N
 
 
 def in_region_classification(
     p: float, p2: float, N: int, D1: float, D2: float, Ds: float
 ) -> bool:
-    """min{D1, Ds0} <= 2(N-1)p2/N and D2 <= 0.5 (all nonnegative)."""
-    _check_classification_params(p, p2, N)
-    D1 = _check_distortion("D1", D1)
-    D2 = _check_distortion("D2", D2)
-    Ds = _check_distortion("Ds", Ds)
-    m = effective_observation_distortion(p, D1, Ds)
-    return 0.0 <= m <= classification_region_bound(p2, N) and 0.0 <= D2 <= 0.5
+    """D1 <= 2(N-1)p2/N and D2 <= 0.5 (all nonnegative, Ds >= p). The bound
+    holds on D1 itself: the semantic target limits only the parity part of
+    the observation error, so a small Ds0 does not admit a larger D1."""
+    bound = classification_region_bound(check_real(p2, "p2", 0.0, 0.5), check_parity_n(N, "N"))
+    D1 = check_real(D1, "D1", 0.0)
+    D2 = check_real(D2, "D2", 0.0)
+    ds0(check_real(Ds, "Ds", 0.0), p)  # checks p; raises for Ds < p
+    return D1 <= bound and D2 <= 0.5
 
 
 def rate_classification(
@@ -154,7 +145,7 @@ def rate_classification(
     if not in_region_classification(p, p2, N, D1, D2, Ds):
         raise RegionError(
             f"(D1={D1}, D2={D2}, Ds={Ds}) lies outside the proven region "
-            f"(min{{D1, Ds0}} <= {classification_region_bound(p2, N)}, D2 <= 0.5); "
+            f"(D1 <= {classification_region_bound(p2, N)}, D2 <= 0.5); "
             "use the numerical solver for this point"
         )
     m = effective_observation_distortion(p, D1, Ds)
@@ -162,7 +153,7 @@ def rate_classification(
         binary_entropy(p2)
         + math.log2(N / 2)
         - binary_entropy(m)
-        - D1 * math.log2(N - 1)
+        - float(D1) * math.log2(N - 1)
     )
     term_x2 = 1.0 - binary_entropy(D2)
     return term_x1 + term_x2

@@ -39,7 +39,8 @@ from typing import Any, Mapping, NoReturn
 import numpy as np
 
 from .errors import ConfigError
-from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, ProbabilityError, is_finite_real
+from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, ProbabilityError
+from .prob import check_int, check_real
 from .gaussian import GaussianSpec
 from .models import (
     Model,
@@ -69,14 +70,16 @@ def _get(obj: Mapping, path: str, key: str, required: bool = True, default: Any 
     return obj[key]
 
 
+def _checked(check, value: Any, path: str, *bounds) -> Any:
+    """``check(value, path + ":", *bounds)``, raising a :class:`ConfigError`."""
+    try:
+        return check(value, f"{path}:", *bounds)
+    except ProbabilityError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _real(value: Any, path: str, lo: float | None = None, hi: float | None = None) -> float:
-    if not is_finite_real(value):
-        _fail(path, f"must be a finite number, got {value!r}")
-    if lo is not None and value < lo:
-        _fail(path, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        _fail(path, f"must be <= {hi}, got {value}")
-    return float(value)
+    return _checked(check_real, value, path, lo, hi)
 
 
 def _grid_axis(value: Any, path: str) -> tuple[float, ...]:
@@ -86,9 +89,8 @@ def _grid_axis(value: Any, path: str) -> tuple[float, ...]:
             _fail(f"{path}.linspace", "must be [start, stop, num]")
         start = _real(spec[0], f"{path}.linspace[0]", lo=0.0)
         stop = _real(spec[1], f"{path}.linspace[1]", lo=0.0)
-        if not isinstance(spec[2], int) or isinstance(spec[2], bool) or spec[2] < 1:
-            _fail(f"{path}.linspace[2]", f"must be a positive integer, got {spec[2]!r}")
-        return tuple(float(v) for v in np.linspace(start, stop, spec[2]))
+        num = _checked(check_int, spec[2], f"{path}.linspace[2]", 1)
+        return tuple(float(v) for v in np.linspace(start, stop, num))
     if isinstance(value, (list, tuple)):
         if not value:
             _fail(path, "empty grid")
@@ -221,27 +223,21 @@ def parse_config(doc: Any) -> SweepConfig:
 
 
 def _parse_model(kind: str, params: Any, base: str) -> Model:
+    def crossovers(*names: str):
+        return (_real(_get(params, "params", k), f"params.{k}", 0.0, 0.5) for k in names)
+
     if kind == "binary_independent":
-        p = _real(_get(params, "params", "p"), "params.p", 0.0, 0.5)
-        p2 = _real(_get(params, "params", "p2"), "params.p2", 0.0, 0.5)
-        p3 = _real(_get(params, "params", "p3"), "params.p3", 0.0, 0.5)
-        return independent_model(BinarySourceSpec.conditionally_independent(p, p2, p3))
+        spec = BinarySourceSpec.conditionally_independent(*crossovers("p", "p2", "p3"))
+        return independent_model(spec)
     if kind == "binary_correlated":
-        p = _real(_get(params, "params", "p"), "params.p", 0.0, 0.5)
-        p1 = _real(_get(params, "params", "p1"), "params.p1", 0.0, 0.5)
-        p2 = _real(_get(params, "params", "p2"), "params.p2", 0.0, 0.5)
-        return correlated_model(BinarySourceSpec.correlated(p, p1, p2))
+        return correlated_model(BinarySourceSpec.correlated(*crossovers("p", "p1", "p2")))
     if kind == "classification":
-        p = _real(_get(params, "params", "p"), "params.p", 0.0, 0.5)
-        p2 = _real(_get(params, "params", "p2"), "params.p2", 0.0, 0.5)
-        n = _get(params, "params", "n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 4 or n % 2:
-            _fail("params.n", f"must be an even integer >= 4, got {n!r}")
+        p, p2 = crossovers("p", "p2")
+        n = _checked(sources.check_parity_n, _get(params, "params", "n"), "params.n")
         return classification_model(p, p2, n)
     if kind == "gaussian":
-        kwargs = {}
-        for fname in ("var_s", "var_x1", "var_x2", "var_y", "cov_sx1", "cov_x1y", "cov_x2y"):
-            kwargs[fname] = _real(_get(params, "params", fname), f"params.{fname}")
+        kwargs = {f: _real(_get(params, "params", f), f"params.{f}") for f in (
+            "var_s", "var_x1", "var_x2", "var_y", "cov_sx1", "cov_x1y", "cov_x2y")}
         try:
             return gaussian_model(GaussianSpec(**kwargs), base)
         except ProbabilityError as exc:

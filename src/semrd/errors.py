@@ -20,8 +20,8 @@ class InfeasibleDistortionError(SemrdError, ValueError):
 class RegionError(SemrdError, ValueError):
     """Closed-form expression queried outside its proven validity region.
 
-    The numerical solver remains applicable; callers doing figure/sweep work
-    should route such points to `semrd.solver.solve_rd_point`.
+    The numerical solver remains applicable: figure/sweep callers should send
+    queries through :func:`semrd.models.route`, which solves what it leaves out.
     """
 
 

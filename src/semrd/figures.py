@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -42,7 +43,7 @@ from .closed_form import (
     correlated_expression,
     semantic_binary_rd,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ProbabilityError
 from .gaussian import (
     GaussianSpec,
     equal_rate_semantic_target,
@@ -53,8 +54,8 @@ from .gaussian import (
     var_x1_given_y,
     var_x2_given_y,
 )
-from .models import classification_model, correlated_model, gaussian_model, route
-from .prob import BinarySourceSpec
+from .models import Model, classification_model, correlated_model, route
+from .prob import BinarySourceSpec, check_int
 from .semantic import ds0
 from .solver import (
     CERT_TOL, CONSTRAINT_TOL, DEFAULT_OPTIONS, LAMBDA_CAP, RATE_TOL, RDQuery,
@@ -265,22 +266,23 @@ def _build_fig7(out_dir, grid_n, base):
     }
 
 
-def _gaussian_surface(out_dir, grid_n, figure_id):
-    """The Gaussian surface of fig8 and fig9: its grid, its rows written to
+def _gaussian_surface(out_dir, grid_n, base, figure_id="fig8"):
+    """fig8, and the Gaussian surface of fig9: its grid, its rows written to
     ``<figure_id>_surface.csv``, and the manifest over them."""
+    del base  # None: generate_figure rejects a base for the two-unit Gaussian figures
     n = grid_n or DEFAULT_SURFACE_GRID
     d2 = 1.0
     d1_values = np.linspace(0.1, 1.6, n)
     ds_values = np.linspace(1.52, 1.92, n)
 
-    def branch(r):
-        return gaussian_rate(GAUSS_SPEC, r.query.d1, d2, r.query.ds).term_x1_branch
-
+    # gaussian_model(GAUSS_SPEC, "nats"), its one evaluation per cell kept for the branch
+    result = functools.lru_cache(maxsize=None)(functools.partial(gaussian_rate, GAUSS_SPEC))
     entry, stats, _ = _routed_surface(
-        os.path.join(out_dir, f"{figure_id}_surface.csv"), gaussian_model(GAUSS_SPEC, "nats"),
+        os.path.join(out_dir, f"{figure_id}_surface.csv"),
+        Model(None, lambda *q: result(*q).rate_nats),
         d1_values, ds_values, d2, ("nats", 1.0), ("rate_bits", "term_x1_branch", "method"),
         lambda r: (None, None, r.method) if r.rate is None
-        else (nats_to_bits(r.rate), branch(r), r.method),
+        else (nats_to_bits(r.rate), result(*r.query.as_tuple()).term_x1_branch, r.method),
     )
     return {
         "parameters": {
@@ -300,14 +302,8 @@ def _gaussian_surface(out_dir, grid_n, figure_id):
     }
 
 
-def _build_fig8(out_dir, grid_n, base):
-    del base  # None: generate_figure rejects a base for the two-unit Gaussian figures
-    return _gaussian_surface(out_dir, grid_n, "fig8")
-
-
 def _build_fig9(out_dir, grid_n, base):
-    del base  # None, as in fig8
-    manifest = _gaussian_surface(out_dir, grid_n, "fig9")
+    manifest = _gaussian_surface(out_dir, grid_n, base, "fig9")
     n = grid_n or DEFAULT_SURFACE_GRID
     locus_d1 = np.linspace(0.1, var_x1_given_y(GAUSS_SPEC), max(2, n))
     locus_rows = [(float(d1), equal_rate_semantic_target(GAUSS_SPEC, float(d1))) for d1 in locus_d1]
@@ -327,7 +323,7 @@ _BUILDERS: dict[str, Callable] = {
     "fig6a": _build_fig6("fig6a"),
     "fig6b": _build_fig6("fig6b"),
     "fig7": _build_fig7,
-    "fig8": _build_fig8,
+    "fig8": _gaussian_surface,
     "fig9": _build_fig9,
 }
 
@@ -352,9 +348,11 @@ def generate_figure(
     """
     if figure_id not in _BUILDERS:
         raise ConfigError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
-    if grid_n is not None and (not isinstance(grid_n, int) or isinstance(grid_n, bool)
-                               or grid_n < 2):
-        raise ConfigError(f"grid must be an integer >= 2, got {grid_n!r}")
+    if grid_n is not None:
+        try:
+            grid_n = check_int(grid_n, "grid", 2)
+        except ProbabilityError as exc:
+            raise ConfigError(str(exc)) from None
     if base not in (None, "bits", "nats"):
         raise ConfigError(f"base must be 'bits' or 'nats', got {base!r}")
     if base is not None and figure_id in ("fig8", "fig9"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleDistortionError, ProbabilityError
-from .prob import is_finite_real
+from .prob import check_int, check_real
 
 
 def nats_to_bits(x: float) -> float:
@@ -25,7 +25,8 @@ def nats_to_bits(x: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Second-order description of (latent, observation, background, side info)."""
+    """Second-order description of (latent, observation, background, side info):
+    finite reals (:mod:`semrd.prob`) stored as Python floats, the variances positive."""
 
     var_s: float
     var_x1: float
@@ -37,23 +38,15 @@ class GaussianSpec:
 
     def __post_init__(self) -> None:
         for name in ("var_s", "var_x1", "var_x2", "var_y"):
-            v = getattr(self, name)
-            if not is_finite_real(v) or v <= 0.0:
-                raise ProbabilityError(f"{name} must be a positive real, got {v!r}")
-        for name in ("cov_sx1", "cov_x1y", "cov_x2y"):
-            v = getattr(self, name)
-            if not is_finite_real(v):
-                raise ProbabilityError(f"{name} must be a finite real, got {v!r}")
-        checks = (
-            ("cov_sx1", self.cov_sx1, self.var_s, self.var_x1),
-            ("cov_x1y", self.cov_x1y, self.var_x1, self.var_y),
-            ("cov_x2y", self.cov_x2y, self.var_x2, self.var_y),
-        )
-        for name, cov, va, vb in checks:
+            object.__setattr__(self, name, check_real(getattr(self, name), name, gt=0.0))
+        for name, va, vb in (("cov_sx1", self.var_s, self.var_x1),
+                             ("cov_x1y", self.var_x1, self.var_y),
+                             ("cov_x2y", self.var_x2, self.var_y)):
+            cov = check_real(getattr(self, name), name)
+            object.__setattr__(self, name, cov)
             if cov * cov > va * vb:
                 raise ProbabilityError(
-                    f"{name}^2 = {cov * cov} exceeds {va * vb}; 2x2 block not PSD"
-                )
+                    f"{name}^2 = {cov * cov} exceeds {va * vb}; 2x2 block not PSD")
 
 
 def mmse(spec: GaussianSpec) -> float:
@@ -69,12 +62,6 @@ def var_x2_given_y(spec: GaussianSpec) -> float:
     return spec.var_x2 - spec.cov_x2y**2 / spec.var_y
 
 
-def _check_positive(name: str, v: float) -> float:
-    if not is_finite_real(v) or v <= 0.0:
-        raise ProbabilityError(f"{name} must be a positive real, got {v!r}")
-    return float(v)
-
-
 def _half_log(ratio: float) -> float:
     """(1/2) ln(ratio), clamped at 0. A ratio of at most 1 gives 0 without
     taking the log: a ratio of 0 (a part known from y) has rate 0."""
@@ -83,13 +70,13 @@ def _half_log(ratio: float) -> float:
 
 def r_x2_given_y(spec: GaussianSpec, D2: float) -> float:
     """(1/2) ln(var(x2|y) / D2), clamped at 0. Nats."""
-    D2 = _check_positive("D2", D2)
+    D2 = check_real(D2, "D2", gt=0.0)
     return _half_log(var_x2_given_y(spec) / D2)
 
 
 def r_x1_given_y(spec: GaussianSpec, D1: float) -> float:
     """(1/2) ln(var(x1|y) / D1), clamped at 0. Nats."""
-    D1 = _check_positive("D1", D1)
+    D1 = check_real(D1, "D1", gt=0.0)
     return _half_log(var_x1_given_y(spec) / D1)
 
 
@@ -104,8 +91,7 @@ def _semantic_ratio(spec: GaussianSpec, Ds: float) -> tuple[float, float]:
     argument of the semantic term. Ds <= mmse is infeasible (no estimator
     beats the irreducible error)."""
     m = mmse(spec)
-    if not is_finite_real(Ds):
-        raise ProbabilityError(f"Ds must be a finite real, got {Ds!r}")
+    Ds = check_real(Ds, "Ds")
     if Ds <= m:
         raise InfeasibleDistortionError(
             f"semantic target {Ds} does not exceed the estimation floor mmse={m}"
@@ -129,8 +115,8 @@ class GaussianRDResult:
 def gaussian_rate(spec: GaussianSpec, D1: float, D2: float, Ds: float) -> GaussianRDResult:
     """Total rate: background term plus the max of the observation and
     semantic terms, each clamped at zero. Nats."""
-    D1 = _check_positive("D1", D1)
-    D2 = _check_positive("D2", D2)
+    D1 = check_real(D1, "D1", gt=0.0)
+    D2 = check_real(D2, "D2", gt=0.0)
     arg_sem, m = _semantic_ratio(spec, Ds)
     arg_obs = var_x1_given_y(spec) / D1
     branch = "observation" if arg_obs >= arg_sem else "semantic"
@@ -143,7 +129,7 @@ def equal_rate_semantic_target(spec: GaussianSpec, D1: float) -> float:
     """Semantic target making the two x1-term arguments equal:
     Ds = mmse + (cov_sx1^2 / var_x1^2) D1. The locus separating the regimes
     where one constraint alone pins the rate."""
-    D1 = _check_positive("D1", D1)
+    D1 = check_real(D1, "D1", gt=0.0)
     return mmse(spec) + spec.cov_sx1**2 * D1 / spec.var_x1**2
 
 
@@ -212,13 +198,13 @@ def monte_carlo_decomposition_check(
     The generator is numpy's default PCG64 seeded with ``seed``; results are
     reproducible bit-for-bit for a fixed (seed, n_samples) in serial use.
     """
-    if not isinstance(n_samples, int) or n_samples < 10_000:
-        raise ProbabilityError(f"n_samples must be an integer >= 1e4, got {n_samples!r}")
+    n_samples = check_int(n_samples, "n_samples", 10_000)
     if spec.cov_sx1 == 0.0:
         raise ProbabilityError("cov_sx1 = 0 leaves the latent unobservable; no estimator order")
     m = mmse(spec)
     v1y = var_x1_given_y(spec)
-    D1 = _check_positive("D1", D1)
+    D1 = check_real(D1, "D1", gt=0.0)
+    Ds = check_real(Ds, "Ds")
     if D1 > v1y:
         raise ProbabilityError(f"D1={D1} exceeds var(x1|y)={v1y}; no rate is needed there")
     if Ds <= m:

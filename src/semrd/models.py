@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 from . import solver, sources
 from .closed_form import (
+    effective_observation_distortion,
     in_region_classification,
     in_region_correlated,
     rate_classification,
@@ -29,6 +30,7 @@ from .errors import ConfigError, SemrdError
 from .gaussian import GaussianSpec, gaussian_rate, nats_to_bits
 from .prob import BinarySourceSpec
 from .solver import DEFAULT_OPTIONS, RDProblem, RDQuery, SolverOptions
+from .test_channels import correlated_construction_exists
 
 METHODS = ("auto", "closed_form", "ba")
 OUTSIDE_REGION = "RegionError: outside the closed form's proven region"
@@ -69,11 +71,15 @@ def independent_model(spec: BinarySourceSpec) -> Model:
 
 
 def correlated_model(spec: BinarySourceSpec) -> Model:
-    return Model(
-        lambda: sources.correlated_problem(spec),
-        functools.partial(rate_correlated, spec),
-        functools.partial(in_region_correlated, spec),
-    )
+    """The closed form on its region where its noise construction exists;
+    elsewhere in the region it is only a lower bound, so those are solved."""
+
+    def in_region(d1: float, d2: float, ds: float) -> bool:
+        return in_region_correlated(spec, d1, d2, ds) and correlated_construction_exists(
+            spec.p1, spec.p2, effective_observation_distortion(spec.p, d1, ds), d2)
+
+    return Model(lambda: sources.correlated_problem(spec), functools.partial(rate_correlated, spec),
+                 in_region)
 
 
 def classification_model(p: float, p2: float, n: int) -> Model:

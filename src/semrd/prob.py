@@ -15,11 +15,19 @@ Conventions: ``0 * log 0 == 0`` throughout; entropies and informations take an
 explicit ``log_base`` (default 2, i.e. bits); pmfs must sum to 1 within
 ``NORMALIZATION_TOL`` at construction time and are rejected rather than
 silently renormalized.
+
+The number rule, for every scalar argument: a real is a finite
+``numbers.Real`` other than a bool (numpy real scalars and ``Fraction``
+included; ``True`` and ``np.bool_`` are flags, not numbers), and an integer a
+``numbers.Integral`` other than a bool. :func:`check_real` and
+:func:`check_int` apply it, return a Python float or int, and raise
+:class:`ProbabilityError` naming the argument; no other module repeats it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -33,15 +41,35 @@ NORMALIZATION_TOL = 1e-12
 NEGATIVE_DUST_TOL = -1e-15
 
 
-def is_finite_real(v: object) -> bool:
-    """True for a finite int or float. Bools are rejected, even though
-    True == 1: a flag is not a number."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+def check_real(value: object, name: str, lo: float | None = None, hi: float | None = None, *,
+               gt: float | None = None, lt: float | None = None) -> float:
+    """``value`` as a Python float, if it is a real (the module docstring's
+    rule) within the bounds given: lo <= value <= hi and gt < value < lt."""
+    # a float skips the type tests: a sweep checks each query's targets
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        v = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ProbabilityError(f"{name} must be a finite real, got {value!r}")
+    if ((lo is not None and v < lo) or (hi is not None and v > hi)
+            or (gt is not None and v <= gt) or (lt is not None and v >= lt)):
+        rule = " and ".join(f"{op} {bound}" for op, bound in (
+            (">=", lo), (">", gt), ("<=", hi), ("<", lt)) if bound is not None)
+        raise ProbabilityError(f"{name} must be {rule}, got {value!r}")
+    return v
 
 
-def _check_log_base(log_base: float) -> None:
-    if not (is_finite_real(log_base) and log_base > 1):
-        raise ProbabilityError(f"log_base must be a finite real > 1, got {log_base!r}")
+def check_int(value: object, name: str, lo: int) -> int:
+    """``value`` as a Python int, if it is an integer (the module docstring's rule) >= lo."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise ProbabilityError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
+def _check_log_base(log_base: float) -> float:
+    return check_real(log_base, "log_base", gt=1.0)
 
 
 def binary_entropy(q: float, log_base: float = 2.0) -> float:
@@ -49,22 +77,18 @@ def binary_entropy(q: float, log_base: float = 2.0) -> float:
 
     Raises ProbabilityError for q outside [0, 1].
     """
-    _check_log_base(log_base)
-    if not is_finite_real(q):
-        raise ProbabilityError(f"q must be a finite real, got {q!r}")
-    if q < 0.0 or q > 1.0:
-        raise ProbabilityError(f"q must lie in [0, 1], got {q}")
+    log_base = _check_log_base(log_base)
+    q = check_real(q, "q", 0.0, 1.0)
     if q == 0.0 or q == 1.0:
         return 0.0
-    return float(-(q * math.log(q) + (1.0 - q) * math.log(1.0 - q)) / math.log(log_base))
+    return -(q * math.log(q) + (1.0 - q) * math.log(1.0 - q)) / math.log(log_base)
 
 
 def star(a: float, b: float) -> float:
     """Binary convolution a*b = a(1-b) + b(1-a) of two crossover probabilities."""
-    for name, v in (("a", a), ("b", b)):
-        if not is_finite_real(v) or v < 0.0 or v > 1.0:
-            raise ProbabilityError(f"{name} must lie in [0, 1], got {v!r}")
-    return float(a * (1.0 - b) + b * (1.0 - a))
+    a = check_real(a, "a", 0.0, 1.0)
+    b = check_real(b, "b", 0.0, 1.0)
+    return a * (1.0 - b) + b * (1.0 - a)
 
 
 @dataclass(frozen=True)
@@ -78,8 +102,7 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ProbabilityError("alphabet name must be a non-empty string")
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
-            raise ProbabilityError(f"alphabet size must be a positive integer, got {self.size!r}")
+        object.__setattr__(self, "size", check_int(self.size, "alphabet size", 1))
         labels = tuple(str(s) for s in self.symbol_labels)
         if not labels:
             labels = tuple(str(i) for i in range(self.size))
@@ -329,8 +352,7 @@ class DistortionMatrix:
 
 def make_dsbs(p0: float, name_a: str = "x", name_b: str = "y") -> JointPMF:
     """Doubly symmetric binary source: uniform binary pair disagreeing w.p. p0."""
-    if not is_finite_real(p0) or p0 < 0.0 or p0 > 0.5:
-        raise ProbabilityError(f"DSBS parameter must lie in [0, 0.5], got {p0!r}")
+    p0 = check_real(p0, "DSBS parameter p0", 0.0, 0.5)
     probs = np.array(
         [[(1.0 - p0) / 2.0, p0 / 2.0], [p0 / 2.0, (1.0 - p0) / 2.0]]
     )
@@ -358,10 +380,8 @@ class BinarySourceSpec:
     def __post_init__(self) -> None:
         for fname in ("p", "p1", "p2", "p3"):
             v = getattr(self, fname)
-            if v is None:
-                continue
-            if not is_finite_real(v) or v < 0.0 or v > 0.5:
-                raise ProbabilityError(f"{fname} must lie in [0, 0.5], got {v!r}")
+            if v is not None:
+                object.__setattr__(self, fname, check_real(v, fname, 0.0, 0.5))
 
     @classmethod
     def conditionally_independent(cls, p: float, p2: float, p3: float) -> "BinarySourceSpec":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InfeasibleDistortionError, ProbabilityError
-from .prob import DistortionMatrix, JointPMF, is_finite_real
+from .prob import DistortionMatrix, JointPMF, check_real
 
 MARKOV_CHECK_TOL = 1e-10
 
@@ -60,10 +60,8 @@ def modified_distortion(joint_sx1: JointPMF, ds: DistortionMatrix) -> Distortion
 def ds0(Ds: float, p: float) -> float:
     """Convert a semantic Hamming target into the equivalent observation-level
     target (Ds - p) / (1 - 2p), defined for Ds >= p and p < 0.5."""
-    if not is_finite_real(p) or p < 0.0 or p >= 0.5:
-        raise ProbabilityError(f"p must lie in [0, 0.5), got {p!r}")
-    if not is_finite_real(Ds):
-        raise ProbabilityError(f"Ds must be a finite real, got {Ds!r}")
+    p = check_real(p, "p", 0.0, lt=0.5)
+    Ds = check_real(Ds, "Ds")
     if Ds < p:
         raise InfeasibleDistortionError(
             f"semantic distortion {Ds} is below the irreducible floor {p}"

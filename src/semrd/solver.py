@@ -203,7 +203,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleDistortionError, ProbabilityError, SemrdError, SolverError
-from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base, is_finite_real
+from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base, check_int, check_real
 
 _COORDS = (0, 1, 2)
 
@@ -228,11 +228,8 @@ class SolverOptions:
     max_iters: int = 50000
 
     def __post_init__(self) -> None:
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int) or (
-            self.max_iters < 1
-        ):
-            raise ProbabilityError(f"solver option max_iters must be an int >= 1, "
-                                   f"got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters",
+                           check_int(self.max_iters, "solver option max_iters", 1))
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -250,7 +247,7 @@ class RDProblem:
     log_base: float = 2.0
 
     def __post_init__(self) -> None:
-        _check_log_base(self.log_base)
+        object.__setattr__(self, "log_base", _check_log_base(self.log_base))
         if len(self.source.axes) != 3:
             raise ProbabilityError(
                 f"source must have exactly 3 axes (observation, background, side info); "
@@ -347,8 +344,9 @@ def background_side_problem(problem: RDProblem) -> RDProblem:
 
 @dataclass(frozen=True)
 class RDQuery:
-    """Target distortions. ``ds`` is the raw semantic target; the constraint
-    enforced is E d's(X1, Sh) <= ds."""
+    """Target distortions, each a finite real >= 0 (the number rule of
+    :mod:`semrd.prob`) stored as a Python float. ``ds`` is the raw semantic
+    target; the constraint enforced is E d's(X1, Sh) <= ds."""
 
     d1: float
     d2: float
@@ -357,8 +355,8 @@ class RDQuery:
     def __post_init__(self) -> None:
         for name in ("d1", "d2", "ds"):
             v = getattr(self, name)
-            if not (is_finite_real(v) and v >= 0.0):
-                raise ProbabilityError(f"query {name} must be finite and >= 0, got {v!r}")
+            if (checked := check_real(v, name, 0.0)) is not v:  # a float comes back as itself
+                object.__setattr__(self, name, checked)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.d1, self.d2, self.ds)
@@ -1030,10 +1028,8 @@ def ba_fixed_multipliers(
     :func:`solve_rd_point` does; coordinates with zero multiplier keep
     whatever (rate-free) reproduction the alternating minimization settles on.
     """
-    for name, v in (("lambda1", lambda1), ("lambda2", lambda2), ("lambda_s", lambda_s)):
-        if not (is_finite_real(v) and v >= 0.0):
-            raise ProbabilityError(f"multiplier {name} must be finite and >= 0, got {v!r}")
-    lam = (float(lambda1), float(lambda2), float(lambda_s))
+    lam = tuple(check_real(v, f"multiplier {name}", 0.0) for name, v in (
+        ("lambda1", lambda1), ("lambda2", lambda2), ("lambda_s", lambda_s)))
     ws = problem._workspace
     run = _FixedBA(ws, opts)
     run.add(0, (0.0, 0.0, 0.0), lam)
@@ -1345,10 +1341,13 @@ def sweep_surface(
             values = list(grid[k])
         except TypeError:
             raise ProbabilityError(f"grid {k} must be a list of values, got {grid[k]!r}") from None
+        axis = []
         for v in values:
-            if not is_finite_real(v):
-                raise ProbabilityError(f"grid {k} values must be finite reals, got {v!r}")
-        axes.append([float(v) for v in values])
+            try:
+                axis.append(check_real(v, k))
+            except ProbabilityError:
+                raise ProbabilityError(f"grid {k} values must be finite reals, got {v!r}") from None
+        axes.append(axis)
     if not all(axes):
         raise ProbabilityError("empty grid")
     queries = [RDQuery(*t) for t in itertools.product(*axes)]

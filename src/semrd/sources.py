@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ProbabilityError
-from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, make_dsbs
+from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, check_int, make_dsbs
 from .semantic import modified_distortion
 from .solver import RDProblem
 
@@ -48,12 +48,19 @@ def parity_bit(value: int) -> int:
     return value % 2
 
 
+def check_parity_n(n: int, name: str) -> int:
+    """The parity model's alphabet size: an even integer >= 4, as an int."""
+    n = check_int(n, name, 4)
+    if n % 2:
+        raise ProbabilityError(f"{name} must be even, got {n!r}")
+    return n
+
+
 def classification_source(p2: float, n: int) -> JointPMF:
     """Uniform integer observation on [1:n]; binary side info equals the
     observation's parity bit through a crossover-p2 channel; background is an
     independent fair bit."""
-    if not isinstance(n, int) or n < 4 or n % 2 != 0:
-        raise ProbabilityError(f"n must be an even integer >= 4, got {n!r}")
+    n = check_parity_n(n, "n")
     x1 = Alphabet.integers(X1, n)
     probs = np.zeros((n, 2, 2))
     for i in range(n):
@@ -136,7 +143,6 @@ def custom_problem(
     log_base: float = 2.0,
 ) -> RDProblem:
     """Assemble a solver instance from explicit tables (used by the sweep CLI)."""
-    x1, x2, _y = source.axes
     return RDProblem(
         source=source,
         repro_alphabets=(d1.repro_axis, d2.repro_axis, ds_mod.repro_axis),

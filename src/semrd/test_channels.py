@@ -11,13 +11,12 @@ independently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ProbabilityError, RegionError
-from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF
+from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, check_real
 from .semantic import ds0
 from .sources import (
     S_HAT,
@@ -26,6 +25,7 @@ from .sources import (
     X2,
     X2_HAT,
     Y,
+    check_parity_n,
     classification_source,
     parity_bit,
 )
@@ -66,6 +66,15 @@ def correlated_q_unclipped(p1: float, p2: float, D1: float, D2: float) -> np.nda
     b = (p1 + p2 - 2.0 * p1 * p2) - D2
     w = p2 * (1.0 - 2.0 * p1) * (1.0 - p2)
     return np.array([u * a + w, u * b - w, v * a - w, v * b + w]) / denom
+
+
+def correlated_construction_exists(p1: float, p2: float, D1: float, D2: float) -> bool:
+    """Whether the construction exists at (D1, D2), i.e. :func:`correlated_q_vector`
+    returns a law: the inversion is not degenerate and its law is nonnegative up to dust."""
+    try:
+        return float(correlated_q_unclipped(p1, p2, D1, D2).min()) >= Q_NEGATIVE_DUST
+    except ProbabilityError:
+        return False
 
 
 def correlated_q_vector(p1: float, p2: float, D1: float, D2: float) -> np.ndarray:
@@ -167,8 +176,7 @@ class ClassificationChannel:
 def build_classification_channel(p2: float, n: int, D1: float) -> ClassificationChannel:
     """Uniform reproduction on [1:n], symbol-error channel at distortion D1,
     side info attached through the reproduction's parity."""
-    if not isinstance(n, int) or n < 4 or n % 2 != 0:
-        raise ProbabilityError(f"n must be an even integer >= 4, got {n!r}")
+    n = check_parity_n(n, "n")
     bound = classification_region_bound(p2, n)
     if D1 < 0.0 or D1 > bound:
         raise RegionError(
@@ -262,11 +270,10 @@ def verify_achievability(
     repro_names = tuple(n for n in joint.axis_names if n not in source_names)
     src_group = tuple(n for n in source_names if n != side_info_axis)
     rate = joint.conditional_mutual_information(src_group, repro_names, (side_info_axis,))
-    if not math.isfinite(expected_rate):
-        raise ProbabilityError(f"expected_rate must be finite, got {expected_rate!r}")
+    expected_rate = check_real(expected_rate, "expected_rate")
     return AchievabilityReport(
         marginal_residual=residual,
         achieved=achieved,
         rate=rate,
-        rate_gap=abs(rate - float(expected_rate)),
+        rate_gap=abs(rate - expected_rate),
     )

@@ -6,9 +6,10 @@ Three suites back the ``semrd verify`` command and the acceptance tests:
   evaluator on grids inside the proven regions, plus recorded (never
   asserted) comparisons where the expression is disputed: the correlated
   model outside its noise construction and the integer model's
-  semantically-bound subregion. Both sides of every comparison come from
-  :func:`semrd.models.route`, under ``closed_form`` and under ``ba``, so a
-  model's closed form and region are written once, in ``models``.
+  semantically-bound subregion. The solver side, and the closed-form side of
+  the asserted grids, come from :func:`semrd.models.route` (the recorded
+  ones take the model's expression as is), so a model's closed form and
+  region are written once, in ``models``.
 * ``channels_suite`` -- the explicit achievability constructions: induced
   source laws, exact distortions, and rates against the closed forms.
 * ``properties_suite`` -- structural properties of the solver and the
@@ -33,8 +34,8 @@ from .closed_form import (
     rate_correlated,
     semantic_binary_rd,
 )
-from .errors import ConfigError, RegionError, SemrdError
-from .models import Model, Row, classification_model, correlated_model, independent_model, route
+from .errors import ConfigError
+from .models import Model, classification_model, correlated_model, independent_model, route
 from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF
 from .semantic import check_distortion_equivalence, ds0, modified_distortion
 from .solver import RDQuery, semantic_rd, solve_joint_point, solve_rd_point
@@ -42,9 +43,9 @@ from .test_channels import (
     build_classification_channel,
     build_correlated_binary_channel,
     classification_source_marginal,
+    correlated_construction_exists,
     correlated_noise_law,
     correlated_q_unclipped,
-    correlated_q_vector,
     verify_achievability,
 )
 
@@ -92,20 +93,15 @@ class SuiteReport:
 # closed form vs solver
 
 
-def _routed(model: Model, points) -> list[tuple[Row, Row]]:
-    """(closed form, solver) rows at each (d1, d2, ds) point, both answered
-    by the router."""
-    queries = [RDQuery(*pt) for pt in points]
-    return list(zip(route(model, queries, "closed_form"), route(model, queries, "ba")))
-
-
 def _grid_check(name: str, model: Model, points, tol: float) -> Check:
-    """Asserted: the solver within tol of the closed form at every point. A
+    """Asserted: the solver within tol of the closed form at every point,
+    both answered by the router (under ``closed_form`` and under ``ba``). A
     flagged row on either side, or a solver row that did not converge, fails
     the check."""
+    queries = [RDQuery(*pt) for pt in points]
     worst = 0.0
     ok = True
-    for cf, ba in _routed(model, points):
+    for cf, ba in zip(route(model, queries, "closed_form"), route(model, queries, "ba")):
         ok = ok and cf.converged and ba.converged
         if cf.rate is not None and ba.rate is not None:
             worst = max(worst, abs(ba.rate - cf.rate))
@@ -113,16 +109,18 @@ def _grid_check(name: str, model: Model, points, tol: float) -> Check:
 
 
 def _gap_report(name: str, model: Model, points, label, formula_key: str) -> Check:
-    """Recorded only: the solver's gap to the closed form at each point, keyed
-    by ``label(d1, d2, ds)``; the gap of a flagged row is None."""
-    gaps = {
-        label(*cf.query.as_tuple()): {
+    """Recorded only: the solver's gap to the closed-form expression, which
+    the router may not serve here, at each point, keyed by
+    ``label(d1, d2, ds)``; the gap of a flagged solver row is None."""
+    queries = [RDQuery(*pt) for pt in points]
+    gaps = {}
+    for q, ba in zip(queries, route(model, queries, "ba")):
+        formula = model.closed_form(*q.as_tuple())
+        gaps[label(*q.as_tuple())] = {
             "solver_rate": ba.rate,
-            formula_key: cf.rate,
-            "gap_bits": None if None in (cf.rate, ba.rate) else ba.rate - cf.rate,
+            formula_key: formula,
+            "gap_bits": None if ba.rate is None else ba.rate - formula,
         }
-        for cf, ba in _routed(model, points)
-    }
     worst = max((abs(g["gap_bits"]) for g in gaps.values() if g["gap_bits"] is not None), default=0.0)
     return Check(name, True, worst, None, recorded_only=True, details=gaps)
 
@@ -136,14 +134,6 @@ def independent_grid_check(shape: tuple[int, int, int] = (3, 3, 2), tol: float =
         np.linspace(0.26, 0.49, shape[2]).tolist(),
     ))
     return _grid_check("independent_parts_grid", independent_model(spec), points, tol)
-
-
-def _q_valid(p1: float, p2: float, d1: float, d2: float) -> bool:
-    try:
-        correlated_q_vector(p1, p2, d1, d2)
-        return True
-    except (RegionError, SemrdError):
-        return False
 
 
 def _correlated_region_points(n_points: int, seed: int = 7) -> list[tuple[float, float, float]]:
@@ -166,7 +156,7 @@ def _correlated_region_points(n_points: int, seed: int = 7) -> list[tuple[float,
         if lo >= 0.5:
             continue
         ds = float(rng.uniform(lo, 0.5))
-        if not _q_valid(spec.p1, spec.p2, d1, d2):
+        if not correlated_construction_exists(spec.p1, spec.p2, d1, d2):
             continue
         pts.append((d1, d2, ds))
     return pts
@@ -193,7 +183,8 @@ def correlated_outside_construction_report(n_points: int = 4) -> Check:
         (0.04, 0.24, 0.42),
         (0.06, 0.22, 0.48),
     ][:n_points]
-    assert not any(_q_valid(spec.p1, spec.p2, min(d1, ds0(ds, spec.p)), d2) for d1, d2, ds in pts)
+    assert not any(correlated_construction_exists(spec.p1, spec.p2, min(d1, ds0(ds, spec.p)), d2)
+                   for d1, d2, ds in pts)
     return _gap_report(
         "correlated_formula_outside_construction",
         correlated_model(spec),
@@ -365,7 +356,7 @@ def noise_law_check(n_points: int = 20, seed: int = 13) -> Check:
         p = 0.2
         lo = p + d1 * (1 - 2 * p) + 0.005
         ds = float(rng.uniform(lo, min(0.5, lo + 0.2)))
-        if not _q_valid(p1, p2, d1, d2):
+        if not correlated_construction_exists(p1, p2, d1, d2):
             continue
         ch = build_correlated_binary_channel(p, p1, p2, d1, d2, ds)
         # noise pair law: z_i = y xor x_i

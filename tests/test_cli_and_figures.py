@@ -9,7 +9,9 @@ import pytest
 
 from semrd.cli import USAGE_ERROR, main
 from semrd.closed_form import rate_classification, semantic_binary_rd
+from semrd import figures, models
 from semrd.figures import generate_figure
+from semrd.gaussian import gaussian_rate
 from semrd.prob import binary_entropy
 from semrd.verify import SUITES
 
@@ -73,6 +75,23 @@ class TestFigureGeneration:
             assert float(r["rate_bits"]) == pytest.approx(
                 float(r["rate_nats"]) / math.log(2), abs=1e-8
             )
+
+    @pytest.mark.parametrize("figure_id", ["fig8", "fig9"])
+    def test_gaussian_rate_once_per_cell(self, tmp_path, monkeypatch, figure_id):
+        # the term_x1_branch column comes from the evaluation that gives the rate
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gaussian_rate(*args)
+
+        for module in (figures, models):  # each module that imports it
+            monkeypatch.setattr(module, "gaussian_rate", counting)
+        generate_figure(figure_id, str(tmp_path), grid_n=10)
+        assert len(calls) == 100 and len(set(calls)) == 100
+        rows = read_csv(tmp_path / f"{figure_id}_surface.csv")
+        for r, args in zip(rows, calls):
+            assert r["term_x1_branch"] == gaussian_rate(*args).term_x1_branch
 
     def test_fig9_locus(self, tmp_path):
         generate_figure("fig9", str(tmp_path), grid_n=8)

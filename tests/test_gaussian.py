@@ -197,7 +197,7 @@ class TestMonteCarloCheck:
         assert sem_first.semantic_distortion == pytest.approx(1.7, abs=0.02)
 
     def test_sample_floor(self):
-        with pytest.raises(ProbabilityError, match="1e4"):
+        with pytest.raises(ProbabilityError, match="n_samples"):
             monte_carlo_decomposition_check(STD, 100, seed=1, D1=1.0, Ds=1.7)
 
     def test_applicability_guards(self):

@@ -141,3 +141,23 @@ def test_result_fields_read(class_name):
     fields, unread = unread_fields(module, class_name, paths)
     assert fields
     assert unread == []
+
+
+def isfinite_callers(paths) -> list[str]:
+    """Modules that call ``math.isfinite`` or import it from ``math``."""
+    callers = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                    and isinstance(node.value, ast.Name) and node.value.id == "math") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and any(alias.name == "isfinite" for alias in node.names)):
+                callers.append(path.name)
+                break
+    return callers
+
+
+def test_only_prob_tests_finiteness():
+    # the number rule lives in prob.check_real and check_int; a module that
+    # tests a scalar for finiteness itself has copied the rule
+    assert isfinite_callers(sorted(SRC.glob("*.py"))) == ["prob.py"]

@@ -3,15 +3,29 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 import semrd.solver as solver_mod
 import semrd.sources as sources
 import semrd.verify as verify
-from semrd.closed_form import in_region_correlated, rate_correlated
+from semrd.closed_form import (
+    classification_region_bound,
+    in_region_correlated,
+    rate_classification,
+    rate_correlated,
+)
 from semrd.errors import ConfigError, SolverError
-from semrd.models import OUTSIDE_REGION, Model, correlated_model, custom_model, route
+from semrd.models import (
+    OUTSIDE_REGION,
+    Model,
+    classification_model,
+    correlated_model,
+    custom_model,
+    route,
+)
 from semrd.prob import BinarySourceSpec
+from semrd.semantic import ds0
 from semrd.solver import RDQuery
 
 SPEC = BinarySourceSpec.correlated(0.25, 0.25, 0.25)
@@ -119,7 +133,9 @@ def test_verify_grid_check_fails_on_bad_solver_rows(monkeypatch, patch):
     """An asserted closed-form-vs-solver check fails, without raising, when a
     solver row did not converge or was flagged; a recorded report gives a
     flagged row's gap as None."""
-    points = [(0.03, 0.1, 0.45), (0.05, 0.2, 0.45)]
+    # both points in the region and where the noise construction exists, so
+    # that the router serves the closed form there
+    points = [(0.03, 0.1, 0.45), (0.05, 0.15, 0.45)]
     model = correlated_model(SPEC)
     assert verify._grid_check("grid", model, points, 2e-3).passed
     monkeypatch.setattr(solver_mod, "solve_rd_point", patch)
@@ -128,3 +144,54 @@ def test_verify_grid_check_fails_on_bad_solver_rows(monkeypatch, patch):
     assert check.details == {"points": 2}
     gaps = verify._gap_report("gaps", model, points, lambda *q: q, "formula").details
     assert all((g["gap_bits"] is None) == (patch is _failing) for g in gaps.values())
+
+
+def test_classification_region_bounds_d1_itself(calls):
+    # D1 past 2(N-1)p2/N = 0.4375 with a semantic target small enough that
+    # min{D1, Ds0} lies under the bound: the literal form is off by -0.53 to
+    # +0.43 bits on this grid, so none of it is served
+    counts, _ = calls
+    model = classification_model(0.25, 0.25, 8)
+    grid = itertools.product(np.linspace(0.45, 0.9, 6), [0.3], np.linspace(0.26, 0.30, 6))
+    queries = [RDQuery(*q) for q in grid]
+    assert all(ds0(q.ds, 0.25) < classification_region_bound(0.25, 8) for q in queries)
+    rows = route(model, queries, "closed_form")
+    assert [r.error for r in rows] == [OUTSIDE_REGION] * 36
+    assert counts == {"batches": 0, "solves": 0, "builds": 0}
+    # at the bound itself, with the semantic target binding, it is served
+    (row,) = route(model, [RDQuery(0.4375, 0.3, 0.27)], "closed_form")
+    assert row.converged and row.rate == rate_classification(0.25, 0.25, 8, 0.4375, 0.3, 0.27)
+
+
+# in the correlated region, where the noise construction does not exist: the
+# expression lies 0.0045, 0.0158 and 0.0059 bits below the solver there
+NO_CONSTRUCTION = [(0.05, 0.23, 0.45), (0.0625, 0.25, 0.5), (0.06, 0.22, 0.48)]
+
+
+def test_correlated_closed_form_needs_its_construction(calls):
+    counts, model = calls
+    queries = [RDQuery(*q) for q in NO_CONSTRUCTION]
+    assert all(in_region_correlated(SPEC, *q.as_tuple()) for q in queries)
+    assert [r.error for r in route(model, queries, "closed_form")] == [OUTSIDE_REGION] * 3
+    assert counts["solves"] == 0
+    assert [r.method for r in route(model, queries)] == ["ba"] * 3
+
+
+def test_correlated_closed_form_rows_match_the_solver():
+    # seeded in-region draws over three specs: every row auto serves from
+    # the closed form agrees with the solver, and some are solved instead
+    rng = np.random.default_rng(0)
+    served = solved = 0
+    for p1, p2 in ((0.25, 0.25), (0.2, 0.35), (0.4, 0.15)):
+        spec = BinarySourceSpec.correlated(0.2, p1, p2)
+        queries = [RDQuery(rng.uniform(0.0, p1 * p2), rng.uniform(0.0, p1), rng.uniform(0.3, 0.5))
+                   for _ in range(12)]
+        model = correlated_model(spec)
+        for auto, ba in zip(route(model, queries), route(model, queries, "ba")):
+            assert ba.converged
+            if auto.method == "closed_form":
+                served += 1
+                assert abs(auto.rate - ba.rate) < 1e-9
+            else:
+                solved += 1
+    assert served and solved
