@@ -21,7 +21,8 @@ Model summary (all distortions Hamming):
   ``correlated_expression`` is the expression without the region check.
 * ``rate_classification`` -- integer observation in [1:N], binary parity
   semantics, on ``in_region_classification``: D1 <= 2(N-1)p2/N and
-  D2 <= 0.5.
+  D2 <= 0.5. The parity-split form: the semantic target limits only the
+  parity flips of the observation error, a = min{Ds0, D1 N/(2(N-1))}.
 """
 
 from __future__ import annotations
@@ -135,12 +136,18 @@ def in_region_classification(
 def rate_classification(
     p: float, p2: float, N: int, D1: float, D2: float, Ds: float
 ) -> float:
-    """[h(p2) + log2(N/2) - h(min{D1, Ds0}) - D1 log2(N-1)] + [1 - h(D2)].
+    """h(p2) + log2(N/2) - H(X1|X1h) + [1 - h(D2)], the parity-split form, where
 
-    Transcribed literally: the linear term uses D1 itself even when Ds0 is the
-    smaller of the pair. On the Ds0 < D1 subregion the expression is therefore
-    a transcription, not an independently verified value; cross-checks against
-    the numerical solver report the gap there rather than asserting it away.
+    H(X1|X1h) = H(1-D1, a, D1-a) + a log2(N/2) + (D1-a) log2(N/2-1) and
+    a = min{Ds0, D1 N/(2(N-1))}.
+
+    Given the reproduction X1h (and Y), X1's error has three parts: a parity
+    flip with probability a, uniform over the N/2 opposite-parity symbols; a
+    same-parity change with probability D1 - a, uniform over the N/2 - 1
+    others; and no change otherwise. The semantic target bounds only the
+    parity flips (a <= Ds0); at a = D1 N/(2(N-1)) the error is uniform over
+    the N - 1 other symbols and the x1 term is h(p2) + log2(N/2) - h(D1) -
+    D1 log2(N-1). ``test_channels.build_classification_channel`` realizes it.
     """
     if not in_region_classification(p, p2, N, D1, D2, Ds):
         raise RegionError(
@@ -148,12 +155,8 @@ def rate_classification(
             f"(D1 <= {classification_region_bound(p2, N)}, D2 <= 0.5); "
             "use the numerical solver for this point"
         )
-    m = effective_observation_distortion(p, D1, Ds)
-    term_x1 = (
-        binary_entropy(p2)
-        + math.log2(N / 2)
-        - binary_entropy(m)
-        - float(D1) * math.log2(N - 1)
-    )
-    term_x2 = 1.0 - binary_entropy(D2)
-    return term_x1 + term_x2
+    D1, N = float(D1), int(N)  # both checked by the region test
+    a = min(ds0(Ds, p), D1 * N / (2.0 * (N - 1)))
+    error = (-sum(q * math.log2(q) for q in (1.0 - D1, a, D1 - a) if q > 0.0)
+             + a * math.log2(N / 2) + (D1 - a) * math.log2(N / 2 - 1))
+    return binary_entropy(p2) + math.log2(N / 2) - error + 1.0 - binary_entropy(D2)

@@ -1341,13 +1341,7 @@ def sweep_surface(
             values = list(grid[k])
         except TypeError:
             raise ProbabilityError(f"grid {k} must be a list of values, got {grid[k]!r}") from None
-        axis = []
-        for v in values:
-            try:
-                axis.append(check_real(v, k))
-            except ProbabilityError:
-                raise ProbabilityError(f"grid {k} values must be finite reals, got {v!r}") from None
-        axes.append(axis)
+        axes.append([check_real(v, f"grid {k}") for v in values])
     if not all(axes):
         raise ProbabilityError("empty grid")
     queries = [RDQuery(*t) for t in itertools.product(*axes)]

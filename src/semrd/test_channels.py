@@ -173,9 +173,19 @@ class ClassificationChannel:
     joint: JointPMF  # axes (x1, y, x1_hat, s_hat), s_hat = parity(x1_hat)
 
 
-def build_classification_channel(p2: float, n: int, D1: float) -> ClassificationChannel:
-    """Uniform reproduction on [1:n], symbol-error channel at distortion D1,
-    side info attached through the reproduction's parity."""
+def build_classification_channel(
+    p2: float, n: int, D1: float, a: float | None = None
+) -> ClassificationChannel:
+    """The parity-split backward channel of ``closed_form.rate_classification``.
+
+    The reproduction is uniform on [1:n]. Given it, X1 flips parity with
+    probability ``a``, uniform over the n/2 opposite-parity symbols; changes
+    within its parity class with probability D1 - a, uniform over the
+    n/2 - 1 others; and stays otherwise. ``a`` lies in [0, D1 n/(2(n-1))] and
+    defaults to its top, where the error is uniform over the n - 1 other
+    symbols. Side info is attached through the reproduction's parity, with
+    the crossover that makes it a crossover-p2 view of X1's parity.
+    """
     n = check_parity_n(n, "n")
     bound = classification_region_bound(p2, n)
     if D1 < 0.0 or D1 > bound:
@@ -183,29 +193,26 @@ def build_classification_channel(p2: float, n: int, D1: float) -> Classification
             f"D1={D1} outside [0, {bound}]: the side-information table would go negative"
         )
     t = n * D1 / (2.0 * (n - 1.0))
-    denom = 1.0 - 2.0 * t
+    a = t if a is None else check_real(a, "a", 0.0, t)
+    denom = 1.0 - 2.0 * a
     if denom < DEGENERATE_FLIP_TOL:
         raise ProbabilityError(f"D1={D1} makes the side-information table degenerate")
-    mismatch = (p2 - t) / denom
-    match = (1.0 - p2 - t) / denom
+    mismatch = (p2 - a) / denom
+    match = (1.0 - p2 - a) / denom
     if mismatch < Q_NEGATIVE_DUST:
         raise RegionError(f"side-information table entry {mismatch:.3e} is negative")
     mismatch = max(mismatch, 0.0)
 
-    p_y_given_x1h = np.zeros((2, n))
-    for j in range(n):
-        par = parity_bit(j + 1)
-        for y in range(2):
-            p_y_given_x1h[y, j] = match if y == par else mismatch
-
-    x1_channel = np.full((n, n), D1 / (n - 1.0))
+    parity = np.array([parity_bit(j + 1) for j in range(n)])
+    p_y_given_x1h = np.where(np.arange(2)[:, None] == parity[None, :], match, mismatch)
+    same = parity[:, None] == parity[None, :]
+    x1_channel = np.where(same, (D1 - a) / (n / 2 - 1.0), a / (n / 2))
     np.fill_diagonal(x1_channel, 1.0 - D1)
 
     probs = np.zeros((n, 2, n, 2))  # (x1, y, x1h, sh)
     for j in range(n):
-        sh = parity_bit(j + 1)
         for y in range(2):
-            probs[:, y, j, sh] = (1.0 / n) * p_y_given_x1h[y, j] * x1_channel[j, :]
+            probs[:, y, j, parity[j]] = (1.0 / n) * p_y_given_x1h[y, j] * x1_channel[j, :]
     axes = (
         Alphabet.integers(X1, n),
         Alphabet.binary(Y),

@@ -3,13 +3,11 @@
 Three suites back the ``semrd verify`` command and the acceptance tests:
 
 * ``closed_vs_ba_suite`` -- the numerical solver against every closed-form
-  evaluator on grids inside the proven regions, plus recorded (never
-  asserted) comparisons where the expression is disputed: the correlated
-  model outside its noise construction and the integer model's
-  semantically-bound subregion. The solver side, and the closed-form side of
-  the asserted grids, come from :func:`semrd.models.route` (the recorded
-  ones take the model's expression as is), so a model's closed form and
-  region are written once, in ``models``.
+  evaluator on grids inside the proven regions, and the router's contract
+  on seeded random specs and targets: every value ``auto`` serves from a
+  closed form matches the solver. Both sides come from
+  :func:`semrd.models.route`, so a model's closed form and region are
+  written once, in ``models``.
 * ``channels_suite`` -- the explicit achievability constructions: induced
   source laws, exact distortions, and rates against the closed forms.
 * ``properties_suite`` -- structural properties of the solver and the
@@ -37,7 +35,7 @@ from .closed_form import (
 from .errors import ConfigError
 from .models import Model, classification_model, correlated_model, independent_model, route
 from .prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF
-from .semantic import check_distortion_equivalence, ds0, modified_distortion
+from .semantic import check_distortion_equivalence, modified_distortion
 from .solver import RDQuery, semantic_rd, solve_joint_point, solve_rd_point
 from .test_channels import (
     build_classification_channel,
@@ -58,7 +56,6 @@ class Check:
     passed: bool
     residual: float | None = None
     tolerance: float | None = None
-    recorded_only: bool = False
     details: dict = field(default_factory=dict)
 
 
@@ -69,7 +66,7 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed or c.recorded_only for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -81,7 +78,7 @@ class SuiteReport:
     def summary_lines(self) -> list[str]:
         lines = []
         for c in self.checks:
-            status = "RECORDED" if c.recorded_only else ("PASS" if c.passed else "FAIL")
+            status = "PASS" if c.passed else "FAIL"
             res = "" if c.residual is None else f" residual={c.residual:.3e}"
             tol = "" if c.tolerance is None else f" tol={c.tolerance:.0e}"
             lines.append(f"[{status}] {self.suite}/{c.name}{res}{tol}")
@@ -106,23 +103,6 @@ def _grid_check(name: str, model: Model, points, tol: float) -> Check:
         if cf.rate is not None and ba.rate is not None:
             worst = max(worst, abs(ba.rate - cf.rate))
     return Check(name, ok and worst < tol, worst, tol, details={"points": len(points)})
-
-
-def _gap_report(name: str, model: Model, points, label, formula_key: str) -> Check:
-    """Recorded only: the solver's gap to the closed-form expression, which
-    the router may not serve here, at each point, keyed by
-    ``label(d1, d2, ds)``; the gap of a flagged solver row is None."""
-    queries = [RDQuery(*pt) for pt in points]
-    gaps = {}
-    for q, ba in zip(queries, route(model, queries, "ba")):
-        formula = model.closed_form(*q.as_tuple())
-        gaps[label(*q.as_tuple())] = {
-            "solver_rate": ba.rate,
-            formula_key: formula,
-            "gap_bits": None if ba.rate is None else ba.rate - formula,
-        }
-    worst = max((abs(g["gap_bits"]) for g in gaps.values() if g["gap_bits"] is not None), default=0.0)
-    return Check(name, True, worst, None, recorded_only=True, details=gaps)
 
 
 def independent_grid_check(shape: tuple[int, int, int] = (3, 3, 2), tol: float = 2e-3) -> Check:
@@ -168,72 +148,61 @@ def correlated_grid_check(n_points: int = 8, tol: float = 2e-3) -> Check:
     return _grid_check("correlated_grid", correlated_model(spec), points, tol)
 
 
-def correlated_outside_construction_report(n_points: int = 4) -> Check:
-    """Recorded-only: solver vs the closed form on documented-region points
-    where the noise construction is invalid (negative reproduction-noise
-    entries). The expression is a valid lower bound there, but the solver
-    (cross-checked against an independent convex program) sits strictly
-    above it, so no tolerance is asserted."""
-    spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
-    pts = [
-        (0.0625, 0.25, 0.5),
-        (0.05, 0.25, 0.45),
-        (0.0625, 0.20, 0.40),
-        (0.05, 0.23, 0.45),
-        (0.04, 0.24, 0.42),
-        (0.06, 0.22, 0.48),
-    ][:n_points]
-    assert not any(correlated_construction_exists(spec.p1, spec.p2, min(d1, ds0(ds, spec.p)), d2)
-                   for d1, d2, ds in pts)
-    return _gap_report(
-        "correlated_formula_outside_construction",
-        correlated_model(spec),
-        pts,
-        lambda d1, d2, ds: f"d1={d1},d2={d2},ds={ds}",
-        "closed_form_lower_bound",
-    )
-
-
 def classification_points(
     n_points: int, p: float = BINARY_P, p2: float = BINARY_P, n_alpha: int = 8
 ) -> list[tuple[float, float, float]]:
-    """Points of the integer model's region with the observation target
-    binding (d1 <= transformed semantic target)."""
+    """Points of the integer model's region, d1 from 0.02 to min{bound, 0.38},
+    each at two semantic targets: one where the observation target binds
+    (Ds0 = d1 + 0.06, capped below 0.5) and one where the semantic target
+    bounds the parity flips (Ds0 half of d1 N/(2(N-1)))."""
     bound = classification_region_bound(p2, n_alpha)
-    d1_values = np.linspace(0.02, min(bound, 0.38), n_points)
     pts = []
-    for i, d1 in enumerate(d1_values):
+    for i, d1 in enumerate(np.linspace(0.02, min(bound, 0.38), n_points).tolist()):
         d2 = 0.1 if i % 2 == 0 else 0.35
-        ds = min(p + (1.0 - 2.0 * p) * float(d1) + 0.03, 0.499)
-        pts.append((float(d1), d2, ds))
+        flips = d1 * n_alpha / (2.0 * (n_alpha - 1))
+        pts.append((d1, d2, min(p + (1.0 - 2.0 * p) * d1 + 0.03, 0.499)))
+        pts.append((d1, d2, p + (1.0 - 2.0 * p) * flips / 2))
     return pts
 
 
 def classification_grid_check(n_points: int = 4, tol: float = 5e-3) -> Check:
     points = classification_points(n_points)
-    assert all(ds0(ds, BINARY_P) >= d1 for d1, _, ds in points)
     model = classification_model(BINARY_P, BINARY_P, 8)
     return _grid_check("classification_grid", model, points, tol)
 
 
-def classification_switched_report(n_points: int = 3) -> Check:
-    """Recorded-only comparison on the subregion where the semantic target is
-    the binding one. The literal expression keeps the raw observation target
-    in its linear term there; whether that is the true rate is open, so gaps
-    are reported, never asserted."""
-    p = BINARY_P
-    # transformed target d1 - 0.15 < d1
-    pts = [
-        (d1, 0.1, p + (1.0 - 2.0 * p) * (d1 - 0.15))
-        for d1 in np.linspace(0.2, 0.42, n_points).tolist()
-    ]
-    return _gap_report(
-        "classification_semantic_bound_subregion",
-        classification_model(BINARY_P, BINARY_P, 8),
-        pts,
-        lambda d1, d2, ds: f"d1={d1:.3f},ds={ds:.4f}",
-        "literal_formula",
-    )
+def router_contract_check() -> Check:
+    """Asserted: every rate ``auto`` serves from a closed form lies within
+    1e-9 of a converged ``ba`` row, on 8 seeded random specs of each model
+    with a closed form. Crossovers are drawn from [0.05, 0.45] and N from
+    {4, 6, 8, 16, 64}; 12 targets per spec from the whole box (d1 and d2 in
+    [0, 0.5], ds in [p, 0.5]), not only the regions. Each spec's targets are
+    routed as one batch under ``auto``, and its closed-form rows as one under
+    ``ba``. ``details`` gives each model's closed-form share."""
+    specs, targets, tol = 8, 12, 1e-9
+    rng = np.random.default_rng(29)
+    builders = {
+        "independent": lambda p, a, b: independent_model(
+            BinarySourceSpec.conditionally_independent(p, a, b)),
+        "correlated": lambda p, a, b: correlated_model(BinarySourceSpec.correlated(p, a, b)),
+        "classification": lambda p, a, b: classification_model(
+            p, a, int(rng.choice((4, 6, 8, 16, 64)))),
+    }
+    worst, ok, details = 0.0, True, {}
+    for kind, build in builders.items():
+        served = 0
+        for _ in range(specs):
+            p, a, b = rng.uniform(0.05, 0.45, 3).tolist()
+            model = build(p, a, b)
+            queries = [RDQuery(*rng.uniform((0.0, 0.0, p), 0.5).tolist()) for _ in range(targets)]
+            closed = [r for r in route(model, queries) if r.method == "closed_form" and r.converged]
+            served += len(closed)
+            for cf, ba in zip(closed, route(model, [r.query for r in closed], "ba")):
+                ok = ok and ba.converged
+                if ba.rate is not None:
+                    worst = max(worst, abs(ba.rate - cf.rate))
+        details[f"{kind}_closed_form_share"] = served / (specs * targets)
+    return Check("router_contract", ok and worst < tol, worst, tol, details=details)
 
 
 def semantic_rate_check(
@@ -260,9 +229,8 @@ def closed_vs_ba_suite() -> SuiteReport:
     checks = [
         independent_grid_check(),
         correlated_grid_check(),
-        correlated_outside_construction_report(),
         classification_grid_check(),
-        classification_switched_report(),
+        router_contract_check(),
         semantic_rate_check(),
     ]
     return SuiteReport("closed-vs-ba", checks)
@@ -318,25 +286,38 @@ def correlated_channel_checks(n_points: int = 20, seed: int = 11) -> list[Check]
 
 
 def classification_channel_checks(n_points: int = 20) -> list[Check]:
-    p2, n_alpha = BINARY_P, 8
+    """The parity-split channel against ``rate_classification``: at Ds = 0.5,
+    where the error is uniform, on ``n_points`` values of d1; and at each
+    nonzero one of them again with the semantic target bounding the parity
+    flips (Ds0 half of d1 N/(2(N-1))), where the channel must also meet Ds."""
+    p, p2, n_alpha = BINARY_P, BINARY_P, 8
     declared = classification_source_marginal(p2, n_alpha)
     d1_tab = DistortionMatrix.hamming(
         Alphabet.integers(sources.X1, n_alpha), Alphabet.integers(sources.X1_HAT, n_alpha)
     )
+    ds_tab = modified_distortion(
+        sources.parity_semantic_joint(p, n_alpha),
+        DistortionMatrix.hamming(Alphabet.binary(sources.S), Alphabet.binary(sources.S_HAT)),
+    )
     bound = classification_region_bound(p2, n_alpha)
-    worst = {"marginal": 0.0, "distortion": 0.0, "rate": 0.0}
-    d1_values = np.linspace(0.0, bound * 0.995, n_points)
-    for d1 in d1_values:
-        ch = build_classification_channel(p2, n_alpha, float(d1))
-        expected = rate_classification(BINARY_P, p2, n_alpha, float(d1), 0.5, 0.5)
-        rep = verify_achievability(ch.joint, declared, expected, d1=d1_tab)
+    worst = {"marginal": 0.0, "distortion": 0.0, "semantic": 0.0, "rate": 0.0}
+    points = [(d1, None, 0.5) for d1 in np.linspace(0.0, bound * 0.995, n_points).tolist()]
+    for d1, _, _ in points[1:]:
+        a = d1 * n_alpha / (4.0 * (n_alpha - 1))
+        points.append((d1, a, p + (1.0 - 2.0 * p) * a))
+    for d1, a, ds in points:
+        ch = build_classification_channel(p2, n_alpha, d1, a)
+        expected = rate_classification(p, p2, n_alpha, d1, 0.5, ds)
+        rep = verify_achievability(ch.joint, declared, expected, d1=d1_tab, ds_mod=ds_tab)
         worst["marginal"] = max(worst["marginal"], rep.marginal_residual)
-        worst["distortion"] = max(worst["distortion"], abs(rep.achieved[0] - float(d1)))
+        worst["distortion"] = max(worst["distortion"], abs(rep.achieved[0] - d1))
+        worst["semantic"] = max(worst["semantic"], rep.achieved[2] - ds)
         worst["rate"] = max(worst["rate"], rep.rate_gap)
-    details = {"points": n_points}
+    details = {"points": len(points)}
     return [
         Check("classification_source_marginal", worst["marginal"] < 1e-12, worst["marginal"], 1e-12, details=details),
         Check("classification_distortion_exact", worst["distortion"] < 1e-12, worst["distortion"], 1e-12, details=details),
+        Check("classification_semantic_distortion", worst["semantic"] < 1e-12, worst["semantic"], 1e-12, details=details),
         Check("classification_rate_match", worst["rate"] < 1e-9, worst["rate"], 1e-9, details=details),
     ]
 
@@ -372,37 +353,30 @@ def noise_law_check(n_points: int = 20, seed: int = 13) -> Check:
 
 
 def q_nonnegativity_scan(grid_n: int = 25) -> Check:
-    """Recorded-only scan of the documented region for negative entries in
-    the reproduction-noise law. The region definition does not guarantee the
-    construction exists everywhere: for the standard symmetric parameters a
-    band near the background-distortion cap already fails, so counterexamples
-    are reported with the worst entry rather than asserted away."""
+    """Asserted: on a (d1, d2) scan of the correlated region at ds = 0.5, the
+    router flags under ``closed_form`` exactly the points where the
+    reproduction-noise law has a negative entry, so that the closed form is
+    served only where its construction exists. The residual counts the
+    points where the two disagree; the details record the scan."""
     spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
     cap = spec.p1 * spec.p2
-    bad = 0
-    total = 0
-    worst_entry = 0.0
-    worst_point = None
-    for d1 in np.linspace(1e-4, cap, grid_n):
-        for d2 in np.linspace(1e-4, spec.p1 - 1e-4, grid_n):
-            total += 1
-            q = correlated_q_unclipped(spec.p1, spec.p2, d1, d2)
-            if float(q.min()) < -1e-12:
-                bad += 1
-                if q.min() < worst_entry:
-                    worst_entry = float(q.min())
-                    worst_point = (float(d1), float(d2))
+    points = list(itertools.product(
+        np.linspace(1e-4, cap, grid_n).tolist(), np.linspace(1e-4, spec.p1 - 1e-4, grid_n).tolist()))
+    laws = [correlated_q_unclipped(spec.p1, spec.p2, d1, d2) for d1, d2 in points]
+    rows = route(correlated_model(spec), [RDQuery(d1, d2, 0.5) for d1, d2 in points], "closed_form")
+    negative = [float(q.min()) < -1e-12 for q in laws]
+    mismatches = sum((r.error is not None) != bad for r, bad in zip(rows, negative))
+    worst = min(range(len(points)), key=lambda k: float(laws[k].min()))
     return Check(
         "q_nonnegativity_scan",
-        True,
-        abs(worst_entry),
-        None,
-        recorded_only=True,
+        mismatches == 0,
+        float(mismatches),
+        0.0,
         details={
-            "region_points_scanned": total,
-            "points_with_negative_entries": bad,
-            "worst_entry": worst_entry,
-            "worst_point_d1_d2": worst_point,
+            "region_points_scanned": len(points),
+            "points_with_negative_entries": sum(negative),
+            "worst_entry": min(float(laws[worst].min()), 0.0),
+            "worst_point_d1_d2": points[worst] if negative[worst] else None,
             "p1": spec.p1,
             "p2": spec.p2,
         },

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semrd.closed_form import rate_correlated
+from semrd.closed_form import classification_region_bound, rate_classification, rate_correlated
 from semrd.errors import ProbabilityError, RegionError
 from semrd.prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF, binary_entropy
 from semrd.semantic import modified_distortion
@@ -215,6 +215,38 @@ class TestClassificationChannel:
         e_sem = ch.joint.expected_distortion(ds_mod, X1, S_HAT)
         t = 8 * d1 / (2 * 7)  # probability the reproduction flips parity
         assert e_sem == pytest.approx(p + t * (1 - 2 * p), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 8, 64])
+    def test_parity_split_meets_the_targets_at_the_rate(self, n):
+        # the semantic target bounds the parity flips: a = Ds0 below the
+        # uniform channel's D1 n/(2(n-1)); the channel meets D1 and Ds exactly
+        # and its information is the parity-split form's rate
+        from semrd.sources import parity_semantic_joint
+
+        p = 0.25
+        d1 = 0.6 * classification_region_bound(0.25, n)
+        a = 0.4 * d1 * n / (2 * (n - 1))
+        ds = p + (1 - 2 * p) * a
+        ch = build_classification_channel(0.25, n, d1, a)
+        ds_mod = modified_distortion(
+            parity_semantic_joint(p, n),
+            DistortionMatrix.hamming(Alphabet.binary("s"), Alphabet.binary(S_HAT)),
+        )
+        d1_tab = DistortionMatrix.hamming(Alphabet.integers(X1, n), Alphabet.integers(X1_HAT, n))
+        expected = rate_classification(p, 0.25, n, d1, 0.5, ds)
+        rep = verify_achievability(
+            ch.joint, classification_source_marginal(0.25, n), expected, d1=d1_tab, ds_mod=ds_mod
+        )
+        assert rep.marginal_residual < 1e-12
+        assert rep.achieved[0] == pytest.approx(d1, abs=1e-12)
+        assert rep.achieved[2] == pytest.approx(ds, abs=1e-12)
+        assert rep.rate_gap < 1e-9
+        # the binding semantic target costs rate over the slack one
+        assert expected > rate_classification(p, 0.25, n, d1, 0.5, 0.5)
+
+    def test_parity_flips_above_uniform_rejected(self):
+        with pytest.raises(ProbabilityError, match="a must be"):
+            build_classification_channel(0.25, 8, 0.05, 0.03)
 
     def test_bound_violation_rejected(self):
         with pytest.raises(RegionError):

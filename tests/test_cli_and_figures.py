@@ -1,6 +1,7 @@
 """CLI end-to-end tests and figure-data checks (small grids)."""
 
 import csv
+import functools
 import json
 import math
 
@@ -394,10 +395,20 @@ class TestCli:
         assert "q_nonnegativity_scan" in names
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
-    def test_verify_suite_json(self, suite, capsys):
+    def test_verify_suite_json(self, suite, capsys, monkeypatch):
+        import semrd.cli
+
+        # both reports print one run of the suite
+        monkeypatch.setattr(semrd.cli, "run_suite", functools.cache(semrd.cli.run_suite))
         assert main(["verify", suite, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["suite"], report["passed"]) == (suite, True)
+        # the text report: every check passed, and there is no other status
+        assert main(["verify", suite]) == 0
+        *checks, last = capsys.readouterr().out.splitlines()
+        assert len(checks) == len(report["checks"])
+        assert all(line.startswith(f"[PASS] {suite}/") for line in checks)
+        assert last == f"suite {suite}: PASS"
 
     def test_unknown_suite_is_config_error(self):
         from semrd.errors import ConfigError

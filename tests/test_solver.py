@@ -1050,12 +1050,12 @@ class TestSweepSurface:
             sweep_surface(prob_cor, {"d1": [0.05], "d2": [0.1], "ds": [0.3]}, workers=workers)
 
     @pytest.mark.parametrize("axis,match", [
-        (["x"], r"grid d1 values must be finite reals, got 'x'"),
-        ([None], r"grid d1 values must be finite reals, got None"),
-        ([True], r"grid d1 values must be finite reals, got True"),
-        ([0.05, math.inf], r"grid d1 values must be finite reals, got inf"),
+        (["x"], r"grid d1 must be a finite real, got 'x'"),
+        ([None], r"grid d1 must be a finite real, got None"),
+        ([True], r"grid d1 must be a finite real, got True"),
+        ([0.05, math.inf], r"grid d1 must be a finite real, got inf"),
         (0.1, r"grid d1 must be a list of values, got 0\.1"),
-    ])
+    ], ids=["string", "none", "bool", "inf", "scalar"])
     def test_bad_grid_values_rejected(self, prob_cor, axis, match):
         with pytest.raises(ProbabilityError, match=match):
             sweep_surface(prob_cor, {"d1": axis, "d2": [0.1], "ds": [0.3]})
