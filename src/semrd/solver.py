@@ -78,6 +78,38 @@ Two numerical details matter:
   restarts and monotonicity control of Henderson & Varadhan ("Damped
   Anderson acceleration ...", JCGS 2019).
 
+  Active set (Blahut 1972; Yu, "Squeezing the Arimoto-Blahut algorithm for
+  faster convergence", IEEE TIT 2010). Near a support threshold the mass of a
+  letter the optimum does not use decays only geometrically, and the
+  certificate waits for it. At fixed multipliers the objective separates over
+  y, and each part f(q) = -sum_x P(x|y) log sum_h q(h) W(x, h) is convex in q,
+  with gradient -c and sum_h q(h) c(h) = 1. For an optimum q*, convexity and
+  f(q*) <= f(q) give sum_h c(h) q*(h) >= 1 + f(q) - f(q*) >= 1, so
+  1 <= c(h) q*(h) + c_max (1 - q*(h)) and
+
+      q*(h) <= (c_max - 1) / (c_max - c(h))     for each letter h with c(h) < c_max.
+
+  After each kept step, a letter whose bound is below ``_TAU`` in its row is
+  dropped: the next start puts it at 0 and renormalises the row. A drop is a
+  proposal, refused as an Anderson proposal is when F rises beyond rounding,
+  or when the target solve then ends above the KKT gate of a converged point;
+  the cell continues from its undropped image, and those letters are pinned:
+  never dropped again in that run. A drop is not proposed if a source row
+  would lose its whole normaliser, if g at the current multipliers already
+  exceeds the last kept F, or if the cost covariance turns singular on the
+  free multipliers: a support whose costs are collinear makes the dual linear
+  along a direction, where the Newton solve stalls. The bound holds at the
+  step's multipliers, which still move, so a dropped letter may be needed
+  after all. It is revived, at the mass it had when dropped, once its c
+  exceeds 1 + CERT_TOL; every dropped letter is revived when a cell whose
+  certificate is below CERT_TOL has not met its targets. A revival is a
+  proposal too, but a refused one halves the masses it puts back rather than
+  giving them up, and a cell with a revival pending does not stop. Revived
+  letters are pinned. A start's zero letters count as dropped at the uniform
+  mass. The stop is unchanged: the certificate runs over every letter,
+  dropped ones included, and bounds F(q) minus the optimum at any q, so a
+  wrong drop costs steps, never a wrong rate.
+
   The multiplier solve runs on cost groups, not on letters. Within one
   source row x, reproduction letters with the same cost triple
   (d1, d2, d's) share one kernel value w(x, k) = exp(shift - l.c), so with
@@ -128,15 +160,16 @@ Two numerical details matter:
   queries of its side (the problem, or one part of a split problem); a piece
   is a chain of its own. A chain's first run starts from the uniform
   marginal at zero multipliers; each later run starts from the previous
-  run's final BA marginal, mixed with 0.1% of the uniform one (BA never
-  revives a zero atom), and its multiplier solve from the previous run's
-  multipliers. A zero-rate, failed or unconverged point restarts its chain
-  cold. An inherited multiplier can saturate where the new target is slack
-  enough: its cost's variance underflows, Newton cannot move it and the
-  multiplier solve stops above its tolerance. Any solve that stalls from
-  nonzero multipliers, at any step, is repeated from zero multipliers at the
-  same marginal, and the larger of the two dual values is kept: both are
-  lower bounds on F(q).
+  run's final BA marginal, mixed with 0.1% of the uniform one (the BA update
+  never revives a zero atom, and the active set revives one only once its c
+  exceeds 1: without the mix some sweeps take more steps), and its
+  multiplier solve from the previous run's multipliers. A zero-rate, failed
+  or unconverged point restarts its chain cold. An inherited multiplier can
+  saturate where the new target is slack enough: its cost's variance
+  underflows, Newton cannot move it and the multiplier solve stops above its
+  tolerance. Any solve that stalls from nonzero multipliers, at any step, is
+  repeated from zero multipliers at the same marginal, and the larger of the
+  two dual values is kept: both are lower bounds on F(q).
 
   The chains of a batch run in lockstep (:class:`_ConstrainedBA`). Each
   chain owns a slot of one batch, a slot holds one cell (one run) at a time,
@@ -220,7 +253,7 @@ class SolverOptions:
     ``max_iters`` caps the steps of a run. It leaves headroom for the slow
     regime where a reproduction atom sits near its support threshold: the
     certificate then decays sublinearly. With Anderson acceleration a target
-    solve there takes tens of steps (21 at the correlated example's query
+    solve there takes tens of steps (20 at the correlated example's query
     (0.05, 0.23, 0.45)). A run that exhausts the cap is reported with
     converged=False.
     """
@@ -575,6 +608,10 @@ _SINGULAR = 1e-12
 # Anderson acceleration: secant pairs kept, least share of its image an atom keeps
 _MEMORY = 5
 _FLOOR = 0.1
+# active set: a letter drops once its optimal mass is bounded below _TAU; a
+# revival's masses are halved at most _HALVINGS times before its step
+_TAU = 5e-2
+_HALVINGS = 60
 # share of the uniform marginal mixed into a chain's warm start
 _WARM_MIX = 1e-3
 
@@ -588,12 +625,12 @@ def _kkt_residual(lam: Sequence[float], grad: Sequence[float]) -> float:
 
 
 def _newton_direction(
-    cov: np.ndarray, grad: Sequence[float], free: Sequence[bool]
-) -> list[float]:
+    cov: np.ndarray, grad: Sequence[float], free: Sequence[bool], least_norm: bool = True
+) -> list[float] | None:
     """The step s with cov[F, F] s[F] = grad[F] on the free coordinates F and
     s = 0 elsewhere. The free block (1x1, 2x2 or 3x3, symmetric PSD) is solved
     in closed form; a block that is singular to working precision gets the
-    least-norm solution instead."""
+    least-norm solution instead, or None without ``least_norm``."""
     idx = [i for i in _COORDS if free[i]]
     c = cov.tolist()
     step = [0.0, 0.0, 0.0]
@@ -626,6 +663,8 @@ def _newton_direction(
                 (c01 * g0 + c11 * g1 + c12 * g2) * inv,
                 (c02 * g0 + c12 * g1 + c22 * g2) * inv,
             ]
+    if not least_norm:
+        return None
     mask = np.array(free)
     sol = np.linalg.lstsq(cov * (mask[:, None] & mask), np.array(grad) * mask, rcond=None)[0]
     return (sol * mask).tolist()
@@ -748,10 +787,15 @@ class _Anderson:
         else:
             return None
         g = self.g
-        delta, live = delta.reshape(g.shape), g > 0.0
-        # the largest share t <= 1 of the step that leaves g - t delta >= _FLOOR g
-        over = np.divide(delta, g, out=np.zeros(g.shape), where=live).max()
-        Q = np.where(live, g - (1.0 - _FLOOR) / max(over, 1.0 - _FLOOR) * delta, 0.0)
+        delta = delta.reshape(g.shape)
+        # the largest share t <= 1 of the step that leaves g - t delta >= _FLOOR g;
+        # the masking is needed only where g has a zero letter
+        if g.min() > 0.0:
+            Q = g - (1.0 - _FLOOR) / max((delta / g).max(), 1.0 - _FLOOR) * delta
+        else:
+            live = g > 0.0
+            over = np.divide(delta, g, out=np.zeros(g.shape), where=live).max()
+            Q = np.where(live, g - (1.0 - _FLOOR) / max(over, 1.0 - _FLOOR) * delta, 0.0)
         return Q / np.add.reduce(Q, axis=1, keepdims=True)
 
 
@@ -762,7 +806,12 @@ class _Cell:
     multipliers, BA image, F and certificate, where its next step starts; its
     Anderson history; and the error that stopped it, if one did. Before the
     first step ``lam`` and ``Q_next`` hold the start, and F and the
-    certificate are infinite: no step exceeds them."""
+    certificate are infinite: no step exceeds them.
+
+    The active set (:meth:`_ConstrainedBA._active_set`): ``saved`` holds the
+    mass each dropped letter had at its drop and 0 elsewhere, ``pinned`` the
+    letters never dropped again, and ``drop`` (the letters) or ``revive``
+    (their masses) what the next start changes; None stands for none."""
 
     slot: int
     targets: tuple[float, ...]
@@ -775,6 +824,10 @@ class _Cell:
     iterations: int = 0
     history: _Anderson | None = None
     error: SolverError | None = None
+    saved: np.ndarray | None = None
+    pinned: np.ndarray | None = None
+    drop: np.ndarray | None = None
+    revive: np.ndarray | None = None
 
 
 class _ConstrainedBA:
@@ -786,11 +839,16 @@ class _ConstrainedBA:
     covers them all, and only the few scalars of each cell are handled one
     cell at a time. A lone solve is a batch of one."""
 
+    # a step's multipliers are solved to meet the cells' targets
+    _targeted = True
+
     def __init__(self, ws: _Workspace, opts: SolverOptions):
         self.ws = ws
         self.opts = opts
         self.cells: list[_Cell] = []
         self._last_kernel: _Kernel | None = None
+        # per cell, the value above which advance's multiplier solve stops
+        self._ceiling: list[float] | None = None
 
     # ---- the dual at fixed Q ----------------------------------------------
 
@@ -844,17 +902,22 @@ class _ConstrainedBA:
         return second - B.reshape(n, -1, 3).swapaxes(1, 2) @ m1.reshape(n, -1, 3)
 
     def _newton(self, M: np.ndarray, d: _Dual, targets: Sequence[Sequence[float]],
-                tol: list[float]) -> tuple[_Dual, list[int]]:
+                tol: list[float], ceiling: list[float] | None = None
+                ) -> tuple[_Dual, list[int]]:
         """Projected Newton on each cell's g_Q over 0 <= lam <= LAMBDA_CAP from
         d, to a KKT residual of its tol, or of the rounding in g where that is
-        larger, but never above _KKT_TOL. Returns the final duals, and the
-        cells that stopped above that residual (out of Newton or backtracking
-        steps): the stalled ones.
+        larger, but never above _KKT_TOL; a cell whose g exceeds its
+        ``ceiling`` beyond rounding stops there. Returns the final duals, and
+        the cells that stopped above that residual (out of Newton or
+        backtracking steps): the stalled ones.
 
         Every evaluation covers every cell; a cell that is done, or whose
         backtracking is, keeps its multipliers and so its dual."""
 
         def unsolved(d: _Dual, b: int) -> bool:
+            v = d.value[b]
+            if ceiling is not None and v > ceiling[b] + 1e-11 * (1.0 + abs(v)):
+                return False
             return (_kkt_residual(d.kernel.lam[b], d.grad[b])
                     > min(_KKT_TOL, max(tol[b], d.rounding[b])))
 
@@ -913,8 +976,9 @@ class _ConstrainedBA:
         at the same Q, and keeps the multipliers of the larger of the two
         values: both are lower bounds on F(Q). An inherited multiplier stalls
         this way where the new target is slack enough: its cost's variance
-        underflows and Newton cannot move it."""
-        d, stalled = self._newton(M, self._evaluate(M, k, targets), targets, tol)
+        underflows and Newton cannot move it. Within :meth:`advance` a cell
+        stops at its ``_ceiling``."""
+        d, stalled = self._newton(M, self._evaluate(M, k, targets), targets, tol, self._ceiling)
         retry = sorted(b for b in stalled if any(k.lam[b]))
         if retry:
             Mr, tr = M[retry], [targets[b] for b in retry]
@@ -944,24 +1008,37 @@ class _ConstrainedBA:
             Q: np.ndarray | None = None) -> None:
         """A new cell, joining the batch at its next step: that step starts
         from the marginal Q (uniform when None) with its multiplier solve
-        warm-started at lam."""
-        self.cells.append(_Cell(slot, tuple(targets), [float(l) for l in lam],
-                                self.ws.initial_marginal() if Q is None else Q))
+        warm-started at lam. A letter Q leaves at 0 counts as dropped at the
+        uniform mass 1 / nh, where its revival puts it back."""
+        cell = _Cell(slot, tuple(targets), [float(l) for l in lam],
+                     self.ws.initial_marginal() if Q is None else Q)
+        if Q is not None and not Q.all():
+            cell.saved = np.where(Q > 0.0, 0.0, 1.0 / self.ws.nh)
+        self.cells.append(cell)
 
     def advance(self) -> list[_Cell]:
         """One step of every live cell: from its Anderson proposal, or else
-        from its last BA image. A cell whose step raises F beyond rounding
-        drops a proposal and its history, or fails on a plain step; a cell
-        stops once its certificate is below CERT_TOL or it has taken
-        ``max_iters`` steps. Returns the cells that stopped, in slot order,
-        and removes them from the batch: a cell converged when its
+        from its last BA image, with its pending drop or revival applied. A
+        cell whose step raises F beyond rounding refuses what was proposed: a
+        drop's letters are pinned, and otherwise the history goes and a
+        revival's masses are halved; a plain step that raises F fails. A
+        drop whose target solve ends above the KKT gate is refused too. A
+        cell stops once its
+        certificate is below CERT_TOL with no revival pending, or it has
+        taken ``max_iters`` steps. Returns the cells that stopped, in slot
+        order, and removes them from the batch: a cell converged when its
         certificate is below CERT_TOL, and the final step's channel Q W / Z
         meets its targets up to its dual's KKT residual."""
         cells, proposed, start = self.cells, [], []
         for cell in cells:
             P = None if cell.history is None else cell.history.propose()
-            proposed.append(P is not None)
-            start.append(cell.Q_next if P is None else P)
+            Q = cell.Q_next if P is None else P
+            change = cell.drop is not None or cell.revive is not None
+            if change:
+                Q = np.where(cell.drop, 0.0, Q) if cell.drop is not None else Q + cell.revive
+                Q = Q / np.add.reduce(Q, axis=1, keepdims=True)
+            proposed.append(P is not None or change)
+            start.append(Q)
             cell.iterations += 1
         Q, lam = np.array(start), [cell.lam for cell in cells]
         # the last evaluation's kernel, while the cells keep its multipliers
@@ -969,34 +1046,140 @@ class _ConstrainedBA:
         if k is None or k.lam != lam:
             k = self._kernel(lam)
         # the dual to a tenth of the last certificate where that is below
-        # _KKT_TOL: multipliers frozen inside the _KKT_TOL band stall it
+        # _KKT_TOL: multipliers frozen inside the _KKT_TOL band stall it. A
+        # proposal's solve stops once g_Q exceeds the last kept F: F(Q) >= g_Q,
+        # so the step is refused anyway
+        self._ceiling = [cell.value if p else math.inf for cell, p in zip(cells, proposed)]
         d = self._solve_dual(self.ws.group_masses(Q), k, [cell.targets for cell in cells],
                              [cell.cert / 10.0 for cell in cells])
+        self._ceiling = None
         self._last_kernel = d.kernel
         s = _Step(Q, d, *self._update(Q, d))
-        live, out, cap = [], [], self.opts.max_iters
+        kept = []
         for b, cell in enumerate(cells):
             v = d.value[b]
-            if v > cell.value + 1e-11 * (1.0 + abs(v)):
-                # a rise beyond rounding drops a proposal and the history; a plain step fails
-                if proposed[b]:
-                    cell.history.count = 0
-                else:
+            if v > cell.value + 1e-11 * (1.0 + abs(v)) or (
+                    cell.drop is not None and self._stalled(d, b)):
+                # a rise beyond rounding, or a drop that leaves the targets
+                # unmet, refuses a proposal; a plain step fails
+                if not proposed[b]:
                     cell.error = SolverError(f"constrained objective increased from {cell.value!r}"
                                              f" to {v!r} at step {cell.iterations}")
-            else:
-                if cell.history is None:
-                    cell.history = _Anderson(Q[b], s.Q_next[b])
+                elif cell.drop is not None:
+                    # the history stays: the next start is the same proposal, undropped
+                    cell.pinned = cell.drop if cell.pinned is None else cell.pinned | cell.drop
+                    cell.drop = None
                 else:
-                    cell.history.push(Q[b], s.Q_next[b])
-                cell.step, cell.row, cell.lam, cell.Q_next = s, b, d.kernel.lam[b], s.Q_next[b]
-                cell.value, cell.cert = v, s.cert[b]
-            if cell.error is None and cell.cert >= CERT_TOL and cell.iterations < cap:
+                    cell.history.count = 0
+                    if cell.revive is not None:
+                        cell.revive *= 0.5
+                continue
+            if cell.drop is not None:
+                # each dropped letter keeps the mass it had at its drop
+                dropped = np.where(cell.drop, cell.Q_next, 0.0)
+                cell.saved = dropped if cell.saved is None else cell.saved + dropped
+                cell.drop = None
+            elif cell.revive is not None:
+                back = cell.revive > 0.0
+                cell.pinned = back if cell.pinned is None else cell.pinned | back
+                rest = np.where(back, 0.0, cell.saved)
+                cell.saved = rest if rest.any() else None
+                cell.revive = None
+            if cell.history is None:
+                cell.history = _Anderson(Q[b], s.Q_next[b])
+            else:
+                cell.history.push(Q[b], s.Q_next[b])
+            cell.step, cell.row, cell.lam, cell.Q_next = s, b, d.kernel.lam[b], s.Q_next[b]
+            cell.value, cell.cert = v, s.cert[b]
+            kept.append(b)
+        self._active_set(s, kept)
+        live, out, cap = [], [], self.opts.max_iters
+        for cell in cells:
+            if cell.error is None and cell.iterations < cap and (
+                    cell.cert >= CERT_TOL or cell.revive is not None):
                 live.append(cell)
             else:
                 out.append(cell)
         self.cells = live
         return out
+
+    def _stalled(self, d: _Dual, b: int) -> bool:
+        """Whether cell b's multiplier solve ended above the KKT gate of
+        :meth:`_Batch._point`: its targets are not met."""
+        return self._targeted and _kkt_residual(d.kernel.lam[b], d.grad[b]) > 5.0 * CONSTRAINT_TOL
+
+    def _active_set(self, s: _Step, kept: list[int]) -> None:
+        """The drops and revivals of the cells whose step was just kept (rows
+        ``kept`` of step s), for their next start.
+
+        In each row y a letter whose bound (c_max - 1) / (c_max - c) on its
+        optimal mass is below _TAU is dropped, unless it is pinned or
+        :meth:`_admits` refuses its drop; a dropped letter whose c exceeds
+        1 + CERT_TOL is revived at its saved mass, and every dropped letter
+        is revived when a cell that would stop has not met its targets. The
+        tests run on the whole step's arrays; only the cells they flag are
+        handled one at a time."""
+        cells, c, Q = self.cells, s.c, s.Q_next
+        # the bound is below _TAU where c < top - (top - 1) / _TAU; a row whose
+        # top is below 1 (rounding) flags every letter but its top ones
+        top = np.maximum.reduce(c, axis=2, keepdims=True)
+        drop = c < np.minimum(top, top * (1.0 - 1.0 / _TAU) + 1.0 / _TAU)
+        drop &= Q > 0.0
+        flagged = np.logical_or.reduce(drop, axis=(1, 2)).tolist()
+        rising = None
+        for b in kept:
+            cell = cells[b]
+            if cell.saved is not None:
+                if cell.cert < CERT_TOL and self._stalled(s.dual, b):
+                    back = cell.saved > 0.0
+                else:
+                    if rising is None:
+                        rising = c > 1.0 + CERT_TOL
+                    back = rising[b] & (cell.saved > 0.0)
+                if back.any():
+                    # halved while g at the current multipliers exceeds F
+                    masses = np.where(back, cell.saved, 0.0)
+                    for _ in range(_HALVINGS):
+                        if self._trial(cell, Q[b] + masses, s.dual.kernel, b) is not None:
+                            break
+                        masses *= 0.5
+                    cell.revive = masses
+                    continue
+            if not flagged[b] or cell.cert < CERT_TOL:  # a cell that stops drops nothing
+                continue
+            mask = drop[b] if cell.pinned is None else drop[b] & ~cell.pinned
+            if not mask.any():
+                continue
+            if self._admits(cell, np.where(mask, 0.0, Q[b]), s.dual.kernel, b):
+                cell.drop = mask
+            else:
+                cell.pinned = mask if cell.pinned is None else cell.pinned | mask
+
+    def _trial(self, cell: _Cell, Q: np.ndarray, k: _Kernel, b: int) -> _Dual | None:
+        """g at the multipliers of row b of k from the cell's start Q,
+        renormalised here; None where a source row loses its whole
+        normaliser, or where g already exceeds the cell's last kept F, so
+        that F(Q) >= g does too and the step would be refused."""
+        M = self.ws.group_masses((Q / np.add.reduce(Q, axis=1, keepdims=True))[None])
+        if not np.all(np.add.reduce(M * k.w[b], axis=3) > 0.0):
+            return None
+        row = _Kernel([k.lam[b]], [k.p_shift[b]], k.log_w[b:b + 1], k.w[b:b + 1])
+        d = self._evaluate(M, row, [cell.targets])
+        v = d.value[0]
+        return None if v > cell.value + 1e-11 * (1.0 + abs(v)) else d
+
+    def _admits(self, cell: _Cell, Q: np.ndarray, k: _Kernel, b: int) -> bool:
+        """Whether the cell's next start may drop to Q: it passes
+        :meth:`_trial`, and a target solve's covariance stays regular on its
+        free coordinates. Where the support left makes two costs collinear,
+        the dual is linear along a direction and the multiplier solve would
+        stall."""
+        d = self._trial(cell, Q, k, b)
+        if d is None or not self._targeted:
+            return d is not None
+        free = [l > 0.0 or g > 0.0 for l, g in zip(cell.lam, d.grad[0])]
+        return not any(free) or _newton_direction(
+            self._covariance(d)[0], d.grad[0], free, least_norm=False) is not None
 
     def run(self) -> _Cell:
         """Advance a batch of one cell until it stops."""
@@ -1010,6 +1193,8 @@ class _FixedBA(_ConstrainedBA):
     each step evaluates g_Q there in place of the multiplier solve. With zero
     targets g_Q is the Lagrangian, so its monotonicity check, the
     acceleration and the certificate carry over unchanged."""
+
+    _targeted = False
 
     def _solve_dual(self, M, k, targets, tol) -> _Dual:
         return self._evaluate(M, k, targets)
@@ -1049,8 +1234,8 @@ class _Batch:
     answered there and the slot moves on. Each run starts where its chain's
     previous one ended: a run that converges at a positive rate leaves its
     final step's multipliers and BA marginal, mixed with _WARM_MIX of the
-    uniform marginal because BA never revives a zero atom; every other
-    outcome leaves a cold start.
+    uniform marginal (see the module docstring); every other outcome leaves
+    a cold start.
 
     :meth:`result` hands out one chain's answers in order, advancing the
     batch only until the next one is ready; answers of the other chains wait

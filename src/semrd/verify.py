@@ -176,9 +176,12 @@ def router_contract_check() -> Check:
     1e-9 of a converged ``ba`` row, on 8 seeded random specs of each model
     with a closed form. Crossovers are drawn from [0.05, 0.45] and N from
     {4, 6, 8, 16, 64}; 12 targets per spec from the whole box (d1 and d2 in
-    [0, 0.5], ds in [p, 0.5]), not only the regions. Each spec's targets are
-    routed as one batch under ``auto``, and its closed-form rows as one under
-    ``ba``. ``details`` gives each model's closed-form share."""
+    [0, 0.5], ds in [p, 0.5]), not only the regions. A correlated spec draws
+    every other target from the box of its small-distortion region (d1 up to
+    p1 p2, d2 up to p1), so the construction gate and the support changes
+    near the region are exercised. Each spec's targets are routed as one
+    batch under ``auto``, and its closed-form rows as one under ``ba``.
+    ``details`` gives each model's closed-form share."""
     specs, targets, tol = 8, 12, 1e-9
     rng = np.random.default_rng(29)
     builders = {
@@ -194,7 +197,9 @@ def router_contract_check() -> Check:
         for _ in range(specs):
             p, a, b = rng.uniform(0.05, 0.45, 3).tolist()
             model = build(p, a, b)
-            queries = [RDQuery(*rng.uniform((0.0, 0.0, p), 0.5).tolist()) for _ in range(targets)]
+            tops = [(a * b, a, 0.5) if kind == "correlated" and i % 2 == 0 else (0.5, 0.5, 0.5)
+                    for i in range(targets)]
+            queries = [RDQuery(*rng.uniform((0.0, 0.0, p), top).tolist()) for top in tops]
             closed = [r for r in route(model, queries) if r.method == "closed_form" and r.converged]
             served += len(closed)
             for cf, ba in zip(closed, route(model, [r.query for r in closed], "ba")):

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is referenced in that module,
 every module-level private function or class is referenced somewhere, every
-solver option is read by the package, and every field of a result or config
+solver option is read by the package, every field of a result or config
 class is read by the package, the benchmark or (for the checks' results) the
-tests.
+tests, and no module reads the environment.
 
 No lint tool is part of the toolchain, so this walks each module's syntax
 tree. ``from __future__`` imports and names re-exported through ``__all__``
@@ -161,3 +161,25 @@ def test_only_prob_tests_finiteness():
     # the number rule lives in prob.check_real and check_int; a module that
     # tests a scalar for finiteness itself has copied the rule
     assert isfinite_callers(sorted(SRC.glob("*.py"))) == ["prob.py"]
+
+
+def environment_reads(paths) -> list[str]:
+    """Modules that read ``os.environ`` or call ``os.getenv``, by attribute
+    or by importing either name from ``os``."""
+    names = {"environ", "getenv"}
+    readers = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and isinstance(node.value, ast.Name) and node.value.id == "os") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(alias.name in names for alias in node.names)):
+                readers.append(path.name)
+                break
+    return readers
+
+
+def test_no_module_reads_the_environment():
+    # the solver's settings are its options and module constants: a switch
+    # in the environment would change results without showing in a config
+    assert environment_reads(sorted(SRC.glob("*.py"))) == []

@@ -445,6 +445,77 @@ class TestAnderson:
             assert F <= prev + 1e-11 * (1.0 + abs(F))
 
 
+# the hard_correlated benchmark's six seed-0 points (bench/workloads.py): the
+# support-threshold point, the four points outside the noise construction and
+# the named failure
+HARD_CORRELATED_POINTS = (
+    (0.05, 0.23, 0.45),
+    (0.0625, 0.25, 0.5), (0.05, 0.25, 0.45), (0.0625, 0.20, 0.40), (0.04, 0.24, 0.42),
+    (0.06, 0.22, 0.48),
+)
+
+
+class TestActiveSet:
+    """Letters whose optimal mass is bounded below _TAU leave the marginal,
+    and come back when the data show they are needed."""
+
+    def test_drop_bound_holds_along_a_fixed_multiplier_run(self, prob_cor):
+        # at fixed multipliers every optimum q* has q*(h) <= (c_max - 1) /
+        # (c_max - c(h)) at any q, so along plain BA iterates from uniform the
+        # bound never cuts below the converged marginal
+        lam = np.array([2.0, 1.0, 0.5])
+        run = solver_mod._FixedBA(prob_cor._workspace, solver_mod.DEFAULT_OPTIONS)
+        run.add(0, (0.0, 0.0, 0.0), lam.tolist())
+        done = run.run()
+        assert done.cert < solver_mod.CERT_TOL
+        optimum = done.step.Q_next[done.row]
+        ws = prob_cor._workspace
+        e = -np.tensordot(lam, dense_costs(prob_cor), axes=1)
+        W = np.exp(e - e.max(axis=1)[:, None])
+        Q, cut = ws.initial_marginal(), 0
+        for _ in range(60):
+            c = (ws.P / (Q @ W.T)) @ W
+            top = c.max(axis=1, keepdims=True)
+            below = c < top
+            bound = np.where(below, (top - 1.0) / np.where(below, top - c, 1.0), 1.0)
+            assert np.all(optimum <= bound + 1e-12)
+            cut += int(np.sum(bound < solver_mod._TAU))
+            Q = Q * c
+            Q /= Q.sum(axis=1, keepdims=True)
+        assert cut  # the bound does single out letters to drop
+
+    def test_hard_correlated_points_take_fewer_steps(self):
+        # 124 steps in all before the active set; every point still converges,
+        # the support point to its cross-checked value
+        problem = sources.correlated_problem(SPEC_COR)
+        points = {q: solve_rd_point(problem, RDQuery(*q)) for q in HARD_CORRELATED_POINTS}
+        assert all(pt.converged for pt in points.values())
+        assert abs(points[0.05, 0.23, 0.45].rate - 0.5626384) <= 2e-5
+        assert sum(pt.iterations for pt in points.values()) <= 95
+
+    @pytest.mark.parametrize("query", [(0.05, 0.23, 0.45), (0.0625, 0.2, 0.4)])
+    def test_needed_letters_come_back(self, query, prob_cor):
+        # a start with one needed (x1h, x2h) pair at 0 in each y: the pair
+        # (0, 1) in y = 0 and (1, 0) in y = 1, letters h = (2 x1h + x2h) 2 + sh.
+        # A zero letter stays 0 under the BA update, so without revival the
+        # certificate stalls (9.3e-3 and 0.70 after 500 steps)
+        ws = prob_cor._workspace
+        Q = ws.initial_marginal()
+        Q[0, 2:4] = Q[1, 4:6] = 0.0
+        Q /= Q.sum(axis=1, keepdims=True)
+        run = solver_mod._ConstrainedBA(ws, SolverOptions(max_iters=500))
+        run.add(0, query, Q=Q)
+        done = run.run()
+        assert done.error is None and done.iterations < 500
+        assert done.cert < solver_mod.CERT_TOL
+        (final,) = done.step.Q_next[done.row:done.row + 1]
+        assert np.all(final[0, 2:4] > 0.0) and np.all(final[1, 4:6] > 0.0)
+        lam, grad = done.step.dual.kernel.lam[done.row], done.step.dual.grad[done.row]
+        assert solver_mod._kkt_residual(lam, grad) <= 5.0 * solver_mod.CONSTRAINT_TOL
+        cold = solve_rd_point(prob_cor, RDQuery(*query))
+        assert abs(ws.rate(done.step, done.row) - cold.rate) <= 1e-9
+
+
 def reference_dual_step(problem, targets, Q, lam):
     """The dense multiplier-solve formulas over every (x, h) letter pair:
     the dual value and gradient, the cost covariance, the certificate and the
