@@ -1,8 +1,11 @@
 """Command-line front end.
 
-    semrd figure <id> --out DIR [--grid N] [--base bits|nats]
+    semrd figure <id> --out DIR [--grid N]
     semrd sweep --config FILE --out FILE
     semrd verify <suite> [--json]
+
+Rates follow the unit rule of :mod:`semrd`: bits, nats for the Gaussian
+model; no command takes a unit.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 verification failure.
 """
@@ -41,8 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("figure_id", choices=FIGURE_IDS)
     fig.add_argument("--out", required=True, help="output directory")
     fig.add_argument("--grid", type=int, default=None, help="grid resolution override")
-    fig.add_argument("--base", choices=("bits", "nats"), default=None,
-                     help="rate unit of fig4-fig7 (default bits); fig8/fig9 write both")
 
     sw = sub.add_parser("sweep", help="run a configured distortion-grid sweep")
     sw.add_argument("--config", required=True, help="JSON config path")
@@ -60,7 +61,7 @@ def _sweep_rows(cfg: SweepConfig) -> Iterator[tuple]:
     before any cell is solved."""
     grid = cfg.grid
     queries = [RDQuery(*q) for q in itertools.product(grid["d1"], grid["d2"], grid["ds"])]
-    for row in route(cfg.model, queries, cfg.method, cfg.solver_options):
+    for row in route(cfg.model, queries, cfg.method):
         yield (*row.query.as_tuple(), row.rate, row.method, row.converged, row.cs_residual,
                row.error)
 
@@ -72,8 +73,8 @@ def cmd_sweep(config_path: str, out_path: str) -> int:
     return 0
 
 
-def cmd_figure(figure_id, out_dir, grid, base) -> int:
-    manifest = generate_figure(figure_id, out_dir, grid_n=grid, base=base)
+def cmd_figure(figure_id, out_dir, grid) -> int:
+    manifest = generate_figure(figure_id, out_dir, grid_n=grid)
     files = ", ".join(f["name"] for f in manifest["files"])
     print(f"{figure_id}: wrote {files} + {figure_id}_manifest.json in {out_dir}")
     return 0
@@ -94,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "figure":
-            return cmd_figure(args.figure_id, args.out, args.grid, args.base)
+            return cmd_figure(args.figure_id, args.out, args.grid)
         if args.command == "sweep":
             return cmd_sweep(args.config, args.out)
         if args.command == "verify":

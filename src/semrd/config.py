@@ -1,6 +1,6 @@
 """Sweep configuration: a single JSON document with a ``kind`` discriminator.
 
-Kinds and their ``params``:
+Kinds and their ``params`` (:data:`PARAMS`):
 
 * ``binary_independent`` -- {p, p2, p3}
 * ``binary_correlated``  -- {p, p1, p2}
@@ -8,33 +8,31 @@ Kinds and their ``params``:
 * ``gaussian``           -- {var_s, var_x1, var_x2, var_y, cov_sx1, cov_x1y, cov_x2y}
 * ``custom``             -- inline pmf and distortion tables (see below)
 
-Common fields: ``grid`` with entries ``d1``/``d2``/``ds``, each either an
+The other fields: ``grid`` with entries ``d1``/``d2``/``ds``, each either an
 explicit list of values or {"linspace": [start, stop, num]}; every grid value
 must be nonnegative. Optional ``method``: every kind, Gaussian sweeps
 included, is answered by :func:`semrd.models.route` ("auto" serves each
 model's closed form on its proven region and solves the rest; "closed_form"
 flags the points outside the region; "ba" always solves), and a method the
 kind's model does not support is rejected (:func:`semrd.models.check_method`).
-Optional ``solver``: {"max_iters": int}, the one solver option (the
-tolerances are constants of :mod:`semrd.solver`). ``solver`` applies only
-where the solver runs: a kind and method that never reach it
-(:func:`semrd.models.reaches_solver`: the gaussian kind, ``closed_form``,
-and ``binary_independent`` under ``auto``) reject it. Optional ``base``
-("bits"/"nats", gaussian only). Any other top-level field is rejected.
+Rates follow the unit rule of :mod:`semrd`: bits, nats for the gaussian kind.
 
 ``custom`` params: {"alphabets": {name: [labels...]}, "source": {"axes":
-[names], "probs": nested}, "repro_axes": [names], "d1"/"d2"/"ds_mod":
-{"source_axis": name, "repro_axis": name, "values": nested}, "log_base"}.
-Custom sweeps always use the solver; Gaussian sweeps never do.
+[names], "probs": nested}, "d1"/"d2"/"ds_mod": {"source_axis": name,
+"repro_axis": name, "values": nested}}; each reproduction axis is its
+table's ``repro_axis``, and every entry of ``probs`` and ``values`` is a real
+by the number rule of :mod:`semrd.prob`. Custom sweeps always use the solver;
+Gaussian sweeps never do.
 
-Schema violations raise ConfigError with the offending field path.
+Schema violations raise ConfigError with the offending field path; a field
+not named here, at any level but the alphabet names, is one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Mapping, NoReturn
+from typing import Any, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -50,24 +48,35 @@ from .models import (
     custom_model,
     gaussian_model,
     independent_model,
-    reaches_solver,
 )
-from .solver import RDProblem, SolverOptions
+from .solver import RDProblem
 from . import sources
 
-KINDS = ("binary_independent", "binary_correlated", "classification", "gaussian", "custom")
+PARAMS = {
+    "binary_independent": ("p", "p2", "p3"),
+    "binary_correlated": ("p", "p1", "p2"),
+    "classification": ("p", "p2", "n"),
+    "gaussian": ("var_s", "var_x1", "var_x2", "var_y", "cov_sx1", "cov_x1y", "cov_x2y"),
+    "custom": ("alphabets", "source", "d1", "d2", "ds_mod"),
+}
+KINDS = tuple(PARAMS)
 
 
 def _fail(path: str, msg: str) -> NoReturn:
     raise ConfigError(f"{path}: {msg}")
 
 
-def _get(obj: Mapping, path: str, key: str, required: bool = True, default: Any = None) -> Any:
+def _get(obj: Mapping, path: str, key: str) -> Any:
     if key not in obj:
-        if required:
-            _fail(f"{path}.{key}" if path else key, "missing required field")
-        return default
+        _fail(f"{path}.{key}" if path else key, "missing required field")
     return obj[key]
+
+
+def _check_keys(obj: Mapping, path: str, allowed: Sequence[str]) -> None:
+    """Reject the first key of ``obj`` that ``allowed`` does not list."""
+    for key in obj:
+        if key not in allowed:
+            _fail(f"{path}.{key}" if path else key, f"unknown field; allowed: {list(allowed)}")
 
 
 def _checked(check, value: Any, path: str, *bounds) -> Any:
@@ -82,8 +91,23 @@ def _real(value: Any, path: str, lo: float | None = None, hi: float | None = Non
     return _checked(check_real, value, path, lo, hi)
 
 
+def _reals(value: Any, path: str) -> np.ndarray:
+    """A nested list of reals as an array, each entry checked by :func:`_real`."""
+    def leaves(v: Any, p: str) -> Any:
+        if isinstance(v, (list, tuple)):
+            return [leaves(e, f"{p}[{i}]") for i, e in enumerate(v)]
+        return _real(v, p)
+
+    nested = leaves(value, path)
+    try:
+        return np.asarray(nested, dtype=float)
+    except ValueError as exc:  # ragged lists
+        _fail(path, str(exc))
+
+
 def _grid_axis(value: Any, path: str) -> tuple[float, ...]:
     if isinstance(value, Mapping):
+        _check_keys(value, path, ("linspace",))
         spec = _get(value, path, "linspace")
         if not isinstance(spec, (list, tuple)) or len(spec) != 3:
             _fail(f"{path}.linspace", "must be [start, stop, num]")
@@ -102,23 +126,7 @@ def _grid_axis(value: Any, path: str) -> tuple[float, ...]:
 class SweepConfig:
     method: str
     grid: dict[str, tuple[float, ...]]
-    solver_options: SolverOptions
     model: Model
-
-
-def _parse_solver_options(obj: Any, path: str) -> SolverOptions:
-    if obj is None:
-        return SolverOptions()
-    if not isinstance(obj, Mapping):
-        _fail(path, "must be an object")
-    allowed = {f.name for f in dataclasses.fields(SolverOptions)}
-    for key in obj:
-        if key not in allowed:
-            _fail(f"{path}.{key}", f"unknown solver option; allowed: {sorted(allowed)}")
-    try:
-        return SolverOptions(**obj)
-    except (ProbabilityError, TypeError) as exc:
-        _fail(path, str(exc))
 
 
 def _parse_alphabets(obj: Any, path: str) -> dict[str, Alphabet]:
@@ -140,45 +148,41 @@ def _parse_table(
 ) -> DistortionMatrix:
     if not isinstance(obj, Mapping):
         _fail(path, "must be an object")
+    _check_keys(obj, path, ("source_axis", "repro_axis", "values"))
     src = _get(obj, path, "source_axis")
     rep = _get(obj, path, "repro_axis")
     for key, val in (("source_axis", src), ("repro_axis", rep)):
         if val not in alphabets:
             _fail(f"{path}.{key}", f"unknown alphabet {val!r}")
-    values = _get(obj, path, "values")
+    values = _reals(_get(obj, path, "values"), f"{path}.values")
     try:
-        return DistortionMatrix(alphabets[src], alphabets[rep], np.asarray(values, dtype=float))
-    except (ProbabilityError, ValueError) as exc:
+        return DistortionMatrix(alphabets[src], alphabets[rep], values)
+    except ProbabilityError as exc:
         _fail(f"{path}.values", str(exc))
 
 
-def _parse_custom(params: Any, path: str) -> RDProblem:
-    if not isinstance(params, Mapping):
-        _fail(path, "must be an object")
+def _parse_custom(params: Mapping, path: str) -> RDProblem:
     alphabets = _parse_alphabets(_get(params, path, "alphabets"), f"{path}.alphabets")
     src_obj = _get(params, path, "source")
     if not isinstance(src_obj, Mapping):
         _fail(f"{path}.source", "must be an object")
+    _check_keys(src_obj, f"{path}.source", ("axes", "probs"))
     axes = _get(src_obj, f"{path}.source", "axes")
     if not isinstance(axes, (list, tuple)) or len(axes) != 3:
         _fail(f"{path}.source.axes", "must list exactly 3 axis names (x1, x2, y roles)")
     for i, name in enumerate(axes):
         if name not in alphabets:
             _fail(f"{path}.source.axes[{i}]", f"unknown alphabet {name!r}")
+    probs = _reals(_get(src_obj, f"{path}.source", "probs"), f"{path}.source.probs")
     try:
-        source = JointPMF(
-            tuple(alphabets[n] for n in axes),
-            np.asarray(_get(src_obj, f"{path}.source", "probs"), dtype=float),
-        )
-    except (ProbabilityError, ValueError) as exc:
+        source = JointPMF(tuple(alphabets[n] for n in axes), probs)
+    except ProbabilityError as exc:
         _fail(f"{path}.source.probs", str(exc))
     d1 = _parse_table(_get(params, path, "d1"), f"{path}.d1", alphabets)
     d2 = _parse_table(_get(params, path, "d2"), f"{path}.d2", alphabets)
     ds_mod = _parse_table(_get(params, path, "ds_mod"), f"{path}.ds_mod", alphabets)
-    log_base = _real(_get(params, path, "log_base", required=False, default=2.0),
-                     f"{path}.log_base")
     try:
-        return sources.custom_problem(source, d1, d2, ds_mod, log_base)
+        return sources.custom_problem(source, d1, d2, ds_mod)
     except ProbabilityError as exc:
         _fail(path, str(exc))
 
@@ -186,43 +190,28 @@ def _parse_custom(params: Any, path: str) -> RDProblem:
 def parse_config(doc: Any) -> SweepConfig:
     if not isinstance(doc, Mapping):
         _fail("", f"config root must be an object, got {type(doc).__name__}")
-    fields = ("kind", "method", "params", "grid", "solver", "base")
-    for key in doc:
-        if key not in fields:
-            _fail(key, f"unknown field; allowed: {list(fields)}")
+    _check_keys(doc, "", ("kind", "method", "params", "grid"))
     kind = _get(doc, "", "kind")
     if kind not in KINDS:
         _fail("kind", f"must be one of {KINDS}, got {kind!r}")
-    method = _get(doc, "", "method", required=False, default="auto")
+    method = doc.get("method", "auto")
     grid_obj = _get(doc, "", "grid")
     if not isinstance(grid_obj, Mapping):
         _fail("grid", "must be an object with d1/d2/ds entries")
-    extra = set(grid_obj) - {"d1", "d2", "ds"}
-    if extra:
-        _fail("grid", f"unknown axes {sorted(extra)}")
-    grid = {}
-    for key in ("d1", "d2", "ds"):
-        if key not in grid_obj:
-            _fail(f"grid.{key}", "missing required field")
-        grid[key] = _grid_axis(grid_obj[key], f"grid.{key}")
-    opts = _parse_solver_options(doc.get("solver"), "solver")
-    base = _get(doc, "", "base", required=False, default="nats" if kind == "gaussian" else "bits")
-    if base not in ("bits", "nats"):
-        _fail("base", f"must be 'bits' or 'nats', got {base!r}")
-    if base == "nats" and kind != "gaussian":
-        _fail("base", "nats output is only supported for the gaussian kind")
+    _check_keys(grid_obj, "grid", ("d1", "d2", "ds"))
+    grid = {key: _grid_axis(_get(grid_obj, "grid", key), f"grid.{key}")
+            for key in ("d1", "d2", "ds")}
 
     params = _get(doc, "", "params")
-    if not isinstance(params, Mapping) and kind != "custom":
+    if not isinstance(params, Mapping):
         _fail("params", "must be an object")
-    model = _parse_model(kind, params, base)
+    _check_keys(params, "params", PARAMS[kind])
+    model = _parse_model(kind, params)
     check_method(model, method)
-    if "solver" in doc and not reaches_solver(model, method):
-        _fail("solver", f"the {kind} kind under method {method!r} never runs the solver")
-    return SweepConfig(method, grid, opts, model)
+    return SweepConfig(method, grid, model)
 
 
-def _parse_model(kind: str, params: Any, base: str) -> Model:
+def _parse_model(kind: str, params: Mapping) -> Model:
     def crossovers(*names: str):
         return (_real(_get(params, "params", k), f"params.{k}", 0.0, 0.5) for k in names)
 
@@ -236,10 +225,9 @@ def _parse_model(kind: str, params: Any, base: str) -> Model:
         n = _checked(sources.check_parity_n, _get(params, "params", "n"), "params.n")
         return classification_model(p, p2, n)
     if kind == "gaussian":
-        kwargs = {f: _real(_get(params, "params", f), f"params.{f}") for f in (
-            "var_s", "var_x1", "var_x2", "var_y", "cov_sx1", "cov_x1y", "cov_x2y")}
+        kwargs = {f: _real(_get(params, "params", f), f"params.{f}") for f in PARAMS[kind]}
         try:
-            return gaussian_model(GaussianSpec(**kwargs), base)
+            return gaussian_model(GaussianSpec(**kwargs))
         except ProbabilityError as exc:
             _fail("params", str(exc))
     return custom_model(_parse_custom(params, "params"))

@@ -27,9 +27,9 @@ from .closed_form import (
     rate_correlated,
 )
 from .errors import ConfigError, SemrdError
-from .gaussian import GaussianSpec, gaussian_rate, nats_to_bits
+from .gaussian import GaussianSpec, gaussian_rate
 from .prob import BinarySourceSpec
-from .solver import DEFAULT_OPTIONS, RDProblem, RDQuery, SolverOptions
+from .solver import RDProblem, RDQuery
 from .test_channels import correlated_construction_exists
 
 METHODS = ("auto", "closed_form", "ba")
@@ -39,9 +39,10 @@ OUTSIDE_REGION = "RegionError: outside the closed form's proven region"
 @dataclass(frozen=True)
 class Model:
     """``build()`` returns the solver instance (None: the model is never
-    solved); ``closed_form(d1, d2, ds)`` the rate (in bits on the discrete
-    models), valid where ``in_region(d1, d2, ds)`` holds (at every target
-    when it is None). A model without a closed form is always solved."""
+    solved); ``closed_form(d1, d2, ds)`` the rate (in the model's unit, by the
+    unit rule of :mod:`semrd`), valid where ``in_region(d1, d2, ds)`` holds
+    (at every target when it is None). A model without a closed form is always
+    solved."""
 
     build: Callable[[], RDProblem] | None
     closed_form: Callable[[float, float, float], float] | None = None
@@ -95,15 +96,10 @@ def custom_model(problem: RDProblem) -> Model:
     return Model(lambda: problem)
 
 
-def gaussian_model(spec: GaussianSpec, base: str) -> Model:
-    """The jointly Gaussian model: a closed form at every target, in nats or
-    (``base`` "bits") in bits, and no solver instance."""
-
-    def rate(d1: float, d2: float, ds: float) -> float:
-        nats = gaussian_rate(spec, d1, d2, ds).rate_nats
-        return nats if base == "nats" else nats_to_bits(nats)
-
-    return Model(None, rate)
+def gaussian_model(spec: GaussianSpec) -> Model:
+    """The jointly Gaussian model: a closed form in nats at every target, and
+    no solver instance."""
+    return Model(None, lambda d1, d2, ds: gaussian_rate(spec, d1, d2, ds).rate_nats)
 
 
 def check_method(model: Model, method: str) -> None:
@@ -118,22 +114,7 @@ def check_method(model: Model, method: str) -> None:
         raise ConfigError("method: the gaussian kind has no solver route; use closed_form/auto")
 
 
-def reaches_solver(model: Model, method: str) -> bool:
-    """Whether :func:`route` can send any query of ``model`` under ``method``
-    to the solver: never without a solver instance or under ``closed_form``,
-    always under ``ba``, and under ``auto`` unless the closed form holds at
-    every target."""
-    if model.build is None or method == "closed_form":
-        return False
-    return method == "ba" or model.closed_form is None or model.in_region is not None
-
-
-def route(
-    model: Model,
-    queries: Sequence[RDQuery],
-    method: str = "auto",
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> list[Row]:
+def route(model: Model, queries: Sequence[RDQuery], method: str = "auto") -> list[Row]:
     """One row per query, in order.
 
     ``auto`` serves the closed form on its region and solves the rest;
@@ -160,7 +141,7 @@ def route(
     pending = [i for i, row in enumerate(rows) if row is None]
     if pending:
         # through the module attribute, so that a caller may wrap the batch
-        cells = solver.solve_cells(model.build(), [queries[i] for i in pending], opts)
+        cells = solver.solve_cells(model.build(), [queries[i] for i in pending])
         for i, cell in zip(pending, cells):
             p = cell.point
             rows[i] = (

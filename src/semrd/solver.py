@@ -216,8 +216,8 @@ Two numerical details matter:
   problem, the reference the split is checked against.
 
 Exponent underflow is handled by shifting each cost row by its maximum before
-exponentiation. Rates are returned in ``problem.log_base`` units; multipliers
-are natural-log based (they appear inside exp).
+exponentiation. Rates are in bits (the unit rule of :mod:`semrd`);
+multipliers are natural-log based (they appear inside exp).
 
 The tolerances are module constants, not options; :class:`SolverOptions`
 holds the one option, ``max_iters``.
@@ -236,18 +236,20 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleDistortionError, ProbabilityError, SemrdError, SolverError
-from .prob import Alphabet, DistortionMatrix, JointPMF, _check_log_base, check_int, check_real
+from .prob import Alphabet, DistortionMatrix, JointPMF, check_int, check_real
 
 _COORDS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The one option of the alternating minimization, shared by target
-    solves and fixed-multiplier runs; its tolerances are the module
-    constants ``CERT_TOL``, ``CONSTRAINT_TOL``, ``RATE_TOL`` and
-    ``LAMBDA_CAP``. A run starts from the uniform marginal, or, along a chain
-    of a batch (:func:`solve_cells`), from its predecessor's final step; the
+    """The one option of the alternating minimization, taken by the two
+    entries a caller sets it on: :func:`solve_rd_point` and
+    :func:`ba_fixed_multipliers`. Every other entry runs with
+    ``DEFAULT_OPTIONS``. Its tolerances are the module constants
+    ``CERT_TOL``, ``CONSTRAINT_TOL``, ``RATE_TOL`` and ``LAMBDA_CAP``. A run
+    starts from the uniform marginal, or, along a chain of a batch
+    (:func:`solve_cells`), from its predecessor's final step; the
     certificate stop makes the rate independent of the start up to rounding.
 
     ``max_iters`` caps the steps of a run. It leaves headroom for the slow
@@ -277,10 +279,8 @@ class RDProblem:
     d1: DistortionMatrix  # x1 x x1h
     d2: DistortionMatrix  # x2 x x2h
     ds_mod: DistortionMatrix  # x1 x sh (posterior-averaged semantic table)
-    log_base: float = 2.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "log_base", _check_log_base(self.log_base))
         if len(self.source.axes) != 3:
             raise ProbabilityError(
                 f"source must have exactly 3 axes (observation, background, side info); "
@@ -352,7 +352,6 @@ def observation_side_problem(problem: RDProblem) -> RDProblem:
         d1=problem.d1,
         d2=DistortionMatrix.zero(bg, bg_hat),
         ds_mod=problem.ds_mod,
-        log_base=problem.log_base,
     )
 
 
@@ -371,7 +370,6 @@ def background_side_problem(problem: RDProblem) -> RDProblem:
         d1=DistortionMatrix.zero(obs, obs_hat),
         d2=problem.d2,
         ds_mod=DistortionMatrix.zero(obs, sem_hat),
-        log_base=problem.log_base,
     )
 
 
@@ -397,22 +395,21 @@ class RDQuery:
 
 @dataclass(frozen=True)
 class RDPoint:
-    """A solved point, as numbers only: the rate (log_base units/symbol) and
-    the achieved distortions of one channel, the multipliers used
-    (natural-log based), and solver diagnostics. On both solver paths the
-    channel is the final BA step's, so a coordinate with multiplier 0
-    reports what that channel achieves (at most its target, up to the KKT
-    residual), which depends on where the run started: the final channel is
-    one of the optimal channels, and a slack coordinate does not single one
-    out. The rate and the multipliers of a solved point move only by rounding
-    with the start (:func:`solve_cells`). On the zero-rate path the channel
-    is the best channel of y alone, and ``achieved`` holds the zero-rate
-    floors. ``iterations`` counts the point's own steps, Anderson proposals
-    included, on both paths (a target solve's steps each solve for the
-    multipliers, a fixed-multiplier run's hold them): in a batch each step
-    advances several cells, and each counts it once. It is 0 on the
-    zero-rate path. ``cs_residual`` bounds
-    |rate - optimum| via complementary slackness.
+    """A solved point, as numbers only: the rate (bits/symbol, the unit rule
+    of :mod:`semrd`) and the achieved distortions of one channel, the
+    multipliers used (natural-log based), and solver diagnostics. On both
+    solver paths the channel is the final BA step's, so a coordinate with
+    multiplier 0 reports what that channel achieves (at most its target, up to
+    the KKT residual), which depends on where the run started: the final
+    channel is one of the optimal channels, and a slack coordinate does not
+    single one out. The rate and the multipliers of a solved point move only
+    by rounding with the start (:func:`solve_cells`). On the zero-rate path
+    the channel is the best channel of y alone, and ``achieved`` holds the
+    zero-rate floors. ``iterations`` counts the point's own steps, Anderson
+    proposals included, on both paths (a target solve's steps each solve for
+    the multipliers, a fixed-multiplier run's hold them): in a batch each step
+    advances several cells, and each counts it once. It is 0 on the zero-rate
+    path. ``cs_residual`` bounds |rate - optimum| via complementary slackness.
 
     On a split problem (:attr:`RDProblem.split`) the point composes its two
     parts' points: the rate is their sum, ``achieved`` and ``multipliers``
@@ -480,7 +477,6 @@ class _Workspace:
     (``RDProblem._workspace``), and holds each coordinate's floors."""
 
     def __init__(self, problem: RDProblem):
-        self.log_base = problem.log_base
         x1, x2, y = problem.source.axes
         h1, h2, hs = problem.repro_alphabets
         self.nx1, self.nx2, self.ny = x1.size, x2.size, y.size
@@ -556,7 +552,7 @@ class _Workspace:
         return np.full((len(self.p_y), self.nh), 1.0 / self.nh)
 
     def rate(self, s: _Step, b: int) -> float:
-        """I(X1, X2; X1h, X2h, Sh | Y) in ``log_base`` units of the channel
+        """I(X1, X2; X1h, X2h, Sh | Y) in bits of the channel
         T = Q W / Z of cell b of a step, the form of every BA channel.
 
         Within a source row T / Q = w / Z is constant on each cost group, so
@@ -571,7 +567,7 @@ class _Workspace:
         log_c = np.log(c, out=np.zeros_like(c), where=Q_out > 0.0)
         nats = (float(np.vdot(self.Pw, kl_rows))
                 - float(np.dot(self.p_y, np.add.reduce(Q_out * log_c, axis=1))))
-        value = nats / math.log(self.log_base)
+        value = nats / math.log(2.0)
         if value < -1e-12:
             raise SolverError(f"rate evaluated to {value:.3e} < -1e-12")
         return max(value, 0.0)
@@ -1282,7 +1278,7 @@ class _Batch:
         lam, grad = tuple(s.dual.kernel.lam[b]), s.dual.grad[b]
         achieved = tuple(g + t for g, t in zip(grad, targets))
         cs = sum(l * abs(g) for l, g in zip(lam, grad))
-        cs /= math.log(self.ws.log_base)
+        cs /= math.log(2.0)
         try:
             rate = self.ws.rate(s, b)
         except SolverError as exc:
@@ -1335,39 +1331,31 @@ def solve_rd_point(
     achieved distortions satisfy the query up to ``CONSTRAINT_TOL``.
 
     A split problem (:attr:`RDProblem.split`) is solved through its two
-    parts (:func:`_points`); every other problem by :func:`solve_joint_point`.
-    ``_batch`` is private to :func:`_solve_chains`: the shared batch and the
-    chain whose next answer this call returns.
+    parts (:func:`_points`); every other problem by one joint solve, as
+    :func:`solve_joint_point` does. ``opts`` caps the steps of each run
+    (:class:`SolverOptions`). ``_batch`` is private to :func:`_solve_chains`:
+    the shared batch and the chain whose next answer this call returns.
     """
     if _batch is not None:
         batch, slot = _batch
         return batch.result(problem, query, slot)
     if problem.split is None:
-        return solve_joint_point(problem, query, opts)
+        return _Batch(problem, [[query]], opts).result(problem, query, 0)
     (point,) = _points(problem, [query], opts)
     if isinstance(point, SemrdError):
         raise point
     return point
 
 
-def solve_joint_point(
-    problem: RDProblem,
-    query: RDQuery,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> RDPoint:
+def solve_joint_point(problem: RDProblem, query: RDQuery) -> RDPoint:
     """:func:`solve_rd_point` as one joint solve over all three constraints,
-    whether or not the source splits: the solver of every problem that does
-    not split, and the reference for those that do. It is a batch of one
-    chain of one query."""
-    return _Batch(problem, [[query]], opts).result(problem, query, 0)
+    whether or not the source splits: what :func:`solve_rd_point` does on a
+    problem that does not split, and the reference for those that do. It is
+    a batch of one chain of one query."""
+    return _Batch(problem, [[query]], DEFAULT_OPTIONS).result(problem, query, 0)
 
 
-def semantic_rd(
-    joint_sx1: JointPMF,
-    ds: DistortionMatrix,
-    Ds: float,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> RDPoint:
+def semantic_rd(joint_sx1: JointPMF, ds: DistortionMatrix, Ds: float) -> RDPoint:
     """Semantic-only rate: reconstruct just the latent variable, no side
     information, observation unconstrained.
 
@@ -1394,9 +1382,8 @@ def semantic_rd(
         d1=DistortionMatrix.zero(x1_alpha, obs_hat),
         d2=DistortionMatrix.zero(bg, bg_hat),
         ds_mod=ds_mod,
-        log_base=2.0,
     )
-    return solve_rd_point(problem, RDQuery(0.0, 0.0, Ds), opts)
+    return solve_rd_point(problem, RDQuery(0.0, 0.0, Ds))
 
 
 def _chains(queries: Sequence[RDQuery]) -> list[list[RDQuery]]:
@@ -1481,11 +1468,7 @@ def _points(problem: RDProblem, queries: Sequence[RDQuery],
     return [_compose(obs_points[q.d1, q.ds], bg_points[q.d2]) for q in queries]
 
 
-def solve_cells(
-    problem: RDProblem,
-    queries: Sequence[RDQuery],
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> Iterator[SurfaceCell]:
+def solve_cells(problem: RDProblem, queries: Sequence[RDQuery]) -> Iterator[SurfaceCell]:
     """Solve each query and yield one cell per query, in order. Per-cell
     failures are yielded as flagged cells, not raised.
 
@@ -1499,7 +1482,7 @@ def solve_cells(
     advances the shared batch until its own query is done, and its point's
     ``iterations`` are that query's own steps.
     """
-    points = _points(problem, queries, opts)
+    points = _points(problem, queries, DEFAULT_OPTIONS)
     return (
         SurfaceCell(q, p) if isinstance(p, RDPoint)
         else SurfaceCell(q, None, error=f"{type(p).__name__}: {p}")
@@ -1507,11 +1490,7 @@ def solve_cells(
     )
 
 
-def sweep_surface(
-    problem: RDProblem,
-    grid: Mapping[str, Sequence[float]],
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> RDSurface:
+def sweep_surface(problem: RDProblem, grid: Mapping[str, Sequence[float]]) -> RDSurface:
     """Solve one point per grid cell (Cartesian product of the three target
     lists), as one batch (:func:`solve_cells`). Per-cell failures are
     returned as flagged cells, not raised. Keys other than d1, d2 and ds, or
@@ -1530,4 +1509,4 @@ def sweep_surface(
     if not all(axes):
         raise ProbabilityError("empty grid")
     queries = [RDQuery(*t) for t in itertools.product(*axes)]
-    return RDSurface(tuple(solve_cells(problem, queries, opts)))
+    return RDSurface(tuple(solve_cells(problem, queries)))

@@ -136,11 +136,7 @@ def classification_problem(p: float, p2: float, n: int) -> RDProblem:
 
 
 def custom_problem(
-    source: JointPMF,
-    d1: DistortionMatrix,
-    d2: DistortionMatrix,
-    ds_mod: DistortionMatrix,
-    log_base: float = 2.0,
+    source: JointPMF, d1: DistortionMatrix, d2: DistortionMatrix, ds_mod: DistortionMatrix
 ) -> RDProblem:
     """Assemble a solver instance from explicit tables (used by the sweep CLI)."""
     return RDProblem(
@@ -149,5 +145,4 @@ def custom_problem(
         d1=d1,
         d2=d2,
         ds_mod=ds_mod,
-        log_base=log_base,
     )

@@ -117,15 +117,8 @@ class TestFigureGeneration:
         generate_figure(figure_id, str(tmp_path), grid_n=3)
         assert len(calls) == batches
 
-    def test_nats_stats_match_the_csv(self, tmp_path):
-        manifest = generate_figure("fig5", str(tmp_path), grid_n=5, base="nats")
-        rates = [float(r["rate_nats"]) for r in read_csv(tmp_path / "fig5_surface.csv")]
-        stats = manifest["stats"]
-        assert "min_rate_bits" not in stats
-        assert stats["min_rate_nats"] == pytest.approx(min(rates), rel=1e-8)
-        assert stats["max_rate_nats"] == pytest.approx(max(rates), rel=1e-8)
-
     @pytest.mark.parametrize("figure_id,kwargs", [
+        # no figure takes a unit: the keyword itself is rejected
         ("fig8", {"base": "bits"}),
         ("fig9", {"base": "nats"}),
         ("fig4", {"grid_n": 2.5}),
@@ -137,7 +130,8 @@ class TestFigureGeneration:
         from semrd.errors import ConfigError
 
         out = tmp_path / "out"
-        with pytest.raises(ConfigError, match="base|grid"):
+        error = TypeError if "base" in kwargs else ConfigError
+        with pytest.raises(error, match="base|grid"):
             generate_figure(figure_id, str(out), **kwargs)
         assert not out.exists()
 
@@ -165,15 +159,6 @@ class TestFigureGeneration:
             generate_figure("fig4", str(tmp_path), grid_n=11, workers=workers)
         assert not (tmp_path / "fig4_manifest.json").exists()
 
-    def test_base_nats_column(self, tmp_path):
-        generate_figure("fig4", str(tmp_path), grid_n=11, base="nats")
-        rows = read_csv(tmp_path / "fig4_rate_curves.csv")
-        assert "rate_source_nats" in rows[0]
-        by_d = {r["d"]: r for r in rows}
-        assert float(by_d["0.2"]["rate_source_nats"]) == pytest.approx(
-            (1 - binary_entropy(0.2)) * math.log(2), abs=1e-8
-        )
-
 
 class TestCli:
     def test_figure_command(self, tmp_path):
@@ -189,7 +174,7 @@ class TestCli:
         assert not (tmp_path / "fig4_manifest.json").exists()
 
     @pytest.mark.parametrize("args,out,message", [
-        (["fig8", "--base", "bits"], "out", "base: fig8"),
+        (["fig4", "--base", "nats"], "out", "unrecognized arguments: --base nats"),
         (["fig4", "--grid", "1"], "out", "grid must be an integer >= 2"),
         (["fig4", "--grid", "2.5"], "out", "invalid int value"),
         (["fig4"], "blocker", "cannot create output directory"),

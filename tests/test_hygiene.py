@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is referenced in that module,
-every module-level private function or class is referenced somewhere, every
-solver option is read by the package, every field of a result or config
-class is read by the package, the benchmark or (for the checks' results) the
-tests, and no module reads the environment.
+every module-level private function, class or constant is referenced
+somewhere, every solver option is read by the package, only two entries
+take solver options and only ``prob`` takes a unit, every field of a result
+or config class is read by the package, the benchmark or (for the checks'
+results) the tests, and no module reads the environment.
 
 No lint tool is part of the toolchain, so this walks each module's syntax
 tree. ``from __future__`` imports and names re-exported through ``__all__``
@@ -50,11 +51,12 @@ def test_no_unused_imports(path):
 
 
 def referenced_names(paths) -> set[str]:
-    """Every identifier read as a name, an attribute or an imported name."""
+    """Every identifier read as a name, an attribute or an imported name; a
+    name that is only assigned is not read."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -63,16 +65,24 @@ def referenced_names(paths) -> set[str]:
     return names
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or a class's
+    name, or each plain name an assignment binds (``_X = ...``, ``_X: int = ...``)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def unreferenced_private_definitions(src: Path, roots) -> list[str]:
     used = referenced_names(p for root in roots for p in sorted(root.rglob("*.py")))
     return sorted(
-        f"{path.name}: {node.name}"
+        f"{path.name}: {name}"
         for path in sorted(src.glob("*.py"))
         for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in used
+        for name in defined_names(node)
+        if name.startswith("_") and not name.startswith("__") and name not in used
     )
 
 
@@ -110,6 +120,38 @@ def test_solver_options_read():
     fields, unread = unread_fields("solver.py", "SolverOptions", sorted(SRC.glob("*.py")))
     assert fields == {"max_iters"}
     assert unread == []
+
+
+def settable_names(paths) -> dict[str, set[str]]:
+    """``module.name``: the parameters of each public module-level function,
+    and the annotated fields (a dataclass's constructor parameters) of each
+    public module-level class."""
+    out = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            elif isinstance(node, ast.ClassDef):
+                names = {n.target.id for n in node.body if isinstance(n, ast.AnnAssign)}
+            else:
+                continue
+            if not node.name.startswith("_"):
+                out[f"{path.stem}.{node.name}"] = names
+    return out
+
+
+def test_unit_and_solver_options_only_where_passed():
+    # rates follow the package's unit rule, so only prob's information
+    # measures take a unit; solver options go only to the two entries that
+    # callers set them on
+    settable = settable_names(sorted(SRC.glob("*.py")))
+
+    def taking(*names):
+        return sorted(k for k, v in settable.items() if v & set(names))
+
+    assert taking("opts") == ["solver.ba_fixed_multipliers", "solver.solve_rd_point"]
+    assert taking("base", "log_base") == ["prob.binary_entropy"]
 
 
 # each result or config class, with the package module that defines it and

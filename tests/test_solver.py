@@ -224,7 +224,7 @@ def dense_costs(problem):
 def reference_ba(problem, lam, cert_tol):
     """Plain BA at fixed multipliers on the dense costs, from the uniform
     marginal until Blahut's certificate is below cert_tol: no cost groups, no
-    extrapolation. Returns the rate (log_base units) and the distortions of
+    extrapolation. Returns the rate (bits) and the distortions of
     its channel, each summed over every (y, x, h) letter."""
     ws = problem._workspace
     costs = dense_costs(problem)
@@ -244,7 +244,7 @@ def reference_ba(problem, lam, cert_tol):
     J = ws.Pw[:, :, None] * T
     Q_out = J.sum(axis=1) / ws.p_y[:, None]
     log_ratio = np.log(np.where(J > 0.0, T / Q_out[:, None, :], 1.0))
-    rate = float((J * log_ratio).sum()) / math.log(problem.log_base)
+    rate = float((J * log_ratio).sum()) / math.log(2.0)
     return rate, tuple(float((J * c[None]).sum()) for c in costs)
 
 
@@ -840,9 +840,7 @@ class TestSolveRdPoint:
             joint.expected_distortion(problem.ds_mod, names[0], names[5]),
         )
         assert np.max(np.abs(np.subtract(recomputed, pt.achieved))) <= 1e-12
-        rate = joint.conditional_mutual_information(
-            names[:2], names[3:], names[2:3], problem.log_base
-        )
+        rate = joint.conditional_mutual_information(names[:2], names[3:], names[2:3])
         assert abs(rate - pt.rate) <= 1e-12
 
     def test_zero_rate_when_targets_slack(self, prob_cor):

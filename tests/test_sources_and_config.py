@@ -1,5 +1,8 @@
 """Model-source builders and sweep-config validation."""
 
+import copy
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,23 @@ GAUSSIAN_DOC = {
     },
     "grid": {"d1": [0.5], "d2": [1.0], "ds": [1.7]},
 }
+CUSTOM_DOC = {
+    "kind": "custom",
+    "params": {
+        "alphabets": {
+            "x1": ["0", "1"], "x2": ["0", "1"], "y": ["0", "1"],
+            "x1_hat": ["0", "1"], "x2_hat": ["0", "1"], "s_hat": ["0", "1"],
+        },
+        "source": {
+            "axes": ["x1", "x2", "y"],
+            "probs": (np.full((2, 2, 2), 0.125)).tolist(),
+        },
+        "d1": {"source_axis": "x1", "repro_axis": "x1_hat", "values": [[0, 1], [1, 0]]},
+        "d2": {"source_axis": "x2", "repro_axis": "x2_hat", "values": [[0, 1], [1, 0]]},
+        "ds_mod": {"source_axis": "x1", "repro_axis": "s_hat", "values": [[0.2, 0.8], [0.8, 0.2]]},
+    },
+    "grid": {"d1": [0.1], "d2": [0.1], "ds": [0.3]},
+}
 
 
 class TestConfigParsing:
@@ -131,21 +151,27 @@ class TestConfigParsing:
             (lambda d: d["grid"].pop("ds"), "grid.ds"),
             (lambda d: d["grid"].update(dz=[0.1]), "grid"),
             (lambda d: d.update(method="magic"), "method"),
-            (lambda d: d.update(solver={"bogus": 1}), "solver.bogus"),
-            # the Gauss-Seidel round cap no longer exists; setting it is an error
-            (lambda d: d.update(solver={"max_rounds": 3}), "solver.max_rounds"),
-            # options of the deleted fixed-multiplier loop
-            (lambda d: d.update(solver={"tol": 1e-10}), "solver.tol"),
-            (lambda d: d.update(solver={"stall_cert": 1e-8}), "solver.stall_cert"),
-            (lambda d: d.update(solver={"stall_drift_tol": 1e-12}), "solver.stall_drift_tol"),
-            # every run starts from the uniform marginal; no seed to set
-            (lambda d: d.update(solver={"init_seed": 0}), "solver.init_seed"),
-            (lambda d: d.update(solver={"max_iters": 0}), "solver: solver option max_iters"),
-            # the tolerances are solver constants; setting one is an error
-            (lambda d: d.update(solver={"cert_tol": 1e-10}), "solver.cert_tol"),
-            (lambda d: d.update(solver={"constraint_tol": 1e-8}), "solver.constraint_tol"),
-            (lambda d: d.update(solver={"rate_tol": 1e-3}), "solver.rate_tol"),
-            (lambda d: d.update(solver={"lambda_cap": 5}), "solver.lambda_cap"),
+            # a config sets no solver option: the tolerances are solver
+            # constants and the step cap is set only through the solver's API,
+            # so every option that once failed on its own path now fails as
+            # the unknown field `solver`; each case keeps its old id
+            *[
+                pytest.param(lambda d, opt=opt: d.update(solver=opt), "solver: unknown field",
+                             id=f"<lambda>-{old_path}")
+                for old_path, opt in [
+                    ("solver.bogus", {"bogus": 1}),
+                    ("solver.max_rounds", {"max_rounds": 3}),
+                    ("solver.tol", {"tol": 1e-10}),
+                    ("solver.stall_cert", {"stall_cert": 1e-8}),
+                    ("solver.stall_drift_tol", {"stall_drift_tol": 1e-12}),
+                    ("solver.init_seed", {"init_seed": 0}),
+                    ("solver: solver option max_iters", {"max_iters": 0}),
+                    ("solver.cert_tol", {"cert_tol": 1e-10}),
+                    ("solver.constraint_tol", {"constraint_tol": 1e-8}),
+                    ("solver.rate_tol", {"rate_tol": 1e-3}),
+                    ("solver.lambda_cap", {"lambda_cap": 5}),
+                ]
+            ],
             # batches are solved in this process; there is no process count
             (lambda d: d.update(workers=2), "workers: unknown field"),
             (lambda d: d.update(base="nats"), "base"),
@@ -184,37 +210,18 @@ class TestConfigParsing:
     ], ids=["gaussian", "closed_form", "independent_auto"])
     def test_solver_fields_rejected_where_nothing_is_solved(self, doc):
         parse_config(doc)
-        with pytest.raises(ConfigError, match=r"^solver: .* never runs the solver"):
+        with pytest.raises(ConfigError, match=r"^solver: unknown field"):
             parse_config(dict(doc, solver={"max_iters": 3}))
-        if doc["kind"] != "gaussian":  # under ba the same model is solved
-            parse_config(dict(doc, method="ba", solver={"max_iters": 3}))
+        if doc["kind"] != "gaussian":  # under ba the same model is solved, and still no field
+            with pytest.raises(ConfigError, match=r"^solver: unknown field"):
+                parse_config(dict(doc, method="ba", solver={"max_iters": 3}))
 
     def test_gaussian_rejects_ba(self):
         with pytest.raises(ConfigError, match="method"):
             parse_config(dict(GAUSSIAN_DOC, method="ba"))
 
     def test_custom_kind(self):
-        doc = {
-            "kind": "custom",
-            "params": {
-                "alphabets": {
-                    "x1": ["0", "1"], "x2": ["0", "1"], "y": ["0", "1"],
-                    "x1_hat": ["0", "1"], "x2_hat": ["0", "1"], "s_hat": ["0", "1"],
-                },
-                "source": {
-                    "axes": ["x1", "x2", "y"],
-                    "probs": (np.full((2, 2, 2), 0.125)).tolist(),
-                },
-                "d1": {"source_axis": "x1", "repro_axis": "x1_hat",
-                       "values": [[0, 1], [1, 0]]},
-                "d2": {"source_axis": "x2", "repro_axis": "x2_hat",
-                       "values": [[0, 1], [1, 0]]},
-                "ds_mod": {"source_axis": "x1", "repro_axis": "s_hat",
-                           "values": [[0.2, 0.8], [0.8, 0.2]]},
-            },
-            "grid": {"d1": [0.1], "d2": [0.1], "ds": [0.3]},
-        }
-        cfg = parse_config(doc)
+        cfg = parse_config(CUSTOM_DOC)
         assert cfg.model.closed_form is None
         assert cfg.model.build().source.axis_names == ("x1", "x2", "y")
 
@@ -244,3 +251,61 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="valid JSON"):
             load_config(str(path))
+
+
+UNKNOWN_FIELDS = [
+    # removed: rates follow the unit rule, and the step cap is an API option
+    (VALID_BASE, lambda d: d.update(base="bits"), "base"),
+    (GAUSSIAN_DOC, lambda d: d.update(base="nats"), "base"),
+    (GAUSSIAN_DOC, lambda d: d.update(solver={"max_iters": 3}), "solver"),
+    (CUSTOM_DOC, lambda d: d["params"].update(log_base=2.718281828459045), "params.log_base"),
+    (VALID_BASE, lambda d: d["params"].update(typo_p=3), "params.typo_p"),
+    (GAUSSIAN_DOC, lambda d: d["params"].update(cov_sy=0.5), "params.cov_sy"),
+    (VALID_BASE, lambda d: d["grid"].update(dz=[0.1]), "grid.dz"),
+    (VALID_BASE, lambda d: d["grid"].update(d1={"linspace": [0, 0.1, 3], "num": 3}),
+     "grid.d1.num"),
+    # a table's reproduction axis is its repro_axis; there is no separate list
+    (CUSTOM_DOC, lambda d: d["params"].update(repro_axes=["x1_hat", "x2_hat", "s_hat"]),
+     "params.repro_axes"),
+    (CUSTOM_DOC, lambda d: d["params"]["source"].update(normalize=True),
+     "params.source.normalize"),
+    (CUSTOM_DOC, lambda d: d["params"]["d2"].update(scale=2), "params.d2.scale"),
+]
+
+
+def _set(nested, index, value):
+    for i in index[:-1]:
+        nested = nested[i]
+    nested[index[-1]] = value
+
+
+class TestNoUnreadField:
+    """Every key of a config is read or rejected, at every level but the
+    alphabet names; an entry of a custom table is a real by the number rule."""
+
+    @pytest.mark.parametrize("doc,mutate,path", UNKNOWN_FIELDS,
+                             ids=[f"{d['kind']}-{p}" for d, _, p in UNKNOWN_FIELDS])
+    def test_unknown_field_named_by_path(self, doc, mutate, path):
+        doc = copy.deepcopy(doc)
+        parse_config(doc)
+        mutate(doc)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: unknown field"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("table,index,value,path", [
+        ("d1", (0, 1), True, "params.d1.values[0][1]"),
+        ("d2", (1, 0), "1", "params.d2.values[1][0]"),
+        ("ds_mod", (0, 0), {"v": 0.2}, "params.ds_mod.values[0][0]"),
+        ("source", (1, 0, 1), "0.125", "params.source.probs[1][0][1]"),
+    ])
+    def test_array_entries_follow_the_number_rule(self, table, index, value, path):
+        doc = copy.deepcopy(CUSTOM_DOC)
+        _set(doc["params"][table]["probs" if table == "source" else "values"], index, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be a finite real"):
+            parse_config(doc)
+
+    def test_ragged_table_named_by_path(self):
+        doc = copy.deepcopy(CUSTOM_DOC)
+        doc["params"]["d1"]["values"] = [[0, 1], [1]]
+        with pytest.raises(ConfigError, match=r"^params\.d1\.values: "):
+            parse_config(doc)
