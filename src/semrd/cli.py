@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .config import SweepConfig, load_config
 from .errors import ConfigError, SemrdError
-from .figures import FIGURE_IDS, _write_csv, generate_figure
+from .figures import FIGURE_IDS, generate_figure, write_csv
 from .models import route
 from .solver import RDQuery
 from .verify import SUITES, run_suite
@@ -69,7 +69,7 @@ def _sweep_rows(cfg: SweepConfig) -> Iterator[tuple]:
 def cmd_sweep(config_path: str, out_path: str) -> int:
     cfg = load_config(config_path)
     header = ("d1", "d2", "ds", "rate", "method", "converged", "cs_residual", "error")
-    _write_csv(out_path, header, _sweep_rows(cfg))
+    write_csv(out_path, header, _sweep_rows(cfg))
     return 0
 
 

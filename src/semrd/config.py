@@ -19,10 +19,10 @@ Rates follow the unit rule of :mod:`semrd`: bits, nats for the gaussian kind.
 
 ``custom`` params: {"alphabets": {name: [labels...]}, "source": {"axes":
 [names], "probs": nested}, "d1"/"d2"/"ds_mod": {"source_axis": name,
-"repro_axis": name, "values": nested}}; each reproduction axis is its
-table's ``repro_axis``, and every entry of ``probs`` and ``values`` is a real
-by the number rule of :mod:`semrd.prob`. Custom sweeps always use the solver;
-Gaussian sweeps never do.
+"repro_axis": name, "values": nested}}; each label is a string, each
+reproduction axis is its table's ``repro_axis``, and every entry of ``probs``
+and ``values`` is a real by the number rule of :mod:`semrd.prob`. Custom
+sweeps always use the solver; Gaussian sweeps never do.
 
 Schema violations raise ConfigError with the offending field path; a field
 not named here, at any level but the alphabet names, is one.
@@ -136,8 +136,11 @@ def _parse_alphabets(obj: Any, path: str) -> dict[str, Alphabet]:
     for name, labels in obj.items():
         if not isinstance(labels, (list, tuple)) or not labels:
             _fail(f"{path}.{name}", "must be a non-empty list of labels")
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                _fail(f"{path}.{name}[{i}]", "must be a string")
         try:
-            out[name] = Alphabet(name, len(labels), tuple(str(l) for l in labels))
+            out[name] = Alphabet(name, len(labels), tuple(labels))
         except ProbabilityError as exc:
             _fail(f"{path}.{name}", str(exc))
     return out

@@ -81,8 +81,11 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    """Write the rows under ``header``, the file opened before the first row is drawn."""
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write ``header`` and then ``rows`` to the CSV file ``path``, each value
+    as ``_fmt`` renders it, and return the number of rows. The file is opened
+    before the first row is drawn, so an unwritable path raises
+    :class:`ConfigError` before any row is computed."""
     count = 0
     try:
         fh = open(path, "w", newline="", encoding="utf-8")
@@ -112,7 +115,7 @@ def _routed_surface(path, model, d1_values, ds_values, d2, unit, header, cells):
     """
     queries = [RDQuery(float(d1), d2, float(ds)) for d1 in d1_values for ds in ds_values]
     rows = route(model, queries, "auto")
-    count = _write_csv(
+    count = write_csv(
         path,
         ("d1", "ds", "d2", f"rate_{unit}", *header),
         ((r.query.d1, r.query.ds, d2, r.rate, *cells(r)) for r in rows),
@@ -141,7 +144,7 @@ def _build_fig4(out_dir, grid_n):
         semantic = semantic_binary_rd(p, float(d)) if d >= p else None
         rows.append((d, direct, semantic, "closed_form"))
     path = os.path.join(out_dir, "fig4_rate_curves.csv")
-    count = _write_csv(path, ("d", "rate_source_bits", "rate_semantic_bits", "method"), rows)
+    count = write_csv(path, ("d", "rate_source_bits", "rate_semantic_bits", "method"), rows)
     return {
         "base": "bits",
         "parameters": {"p": p},
@@ -260,6 +263,7 @@ def _gaussian_surface(out_dir, grid_n, figure_id="fig8"):
         else (nats_to_bits(r.rate), result(*r.query.as_tuple()).term_x1_branch, r.method),
     )
     return {
+        "base": "nats",
         "parameters": {
             **dataclasses.asdict(GAUSS_SPEC),
             "d2": d2,
@@ -283,7 +287,7 @@ def _build_fig9(out_dir, grid_n):
     locus_d1 = np.linspace(0.1, var_x1_given_y(GAUSS_SPEC), max(2, n))
     locus_rows = [(float(d1), equal_rate_semantic_target(GAUSS_SPEC, float(d1))) for d1 in locus_d1]
     locus_path = os.path.join(out_dir, "fig9_equal_rate_locus.csv")
-    locus_count = _write_csv(locus_path, ("d1", "ds"), locus_rows)
+    locus_count = write_csv(locus_path, ("d1", "ds"), locus_rows)
     manifest["files"].append({"name": os.path.basename(locus_path), "rows": locus_count})
     manifest["notes"].append(
         "the locus file traces ds = mmse + (cov_sx1/var_x1)^2 d1, where the "

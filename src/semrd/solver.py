@@ -50,9 +50,10 @@ Two numerical details matter:
   ``CONSTRAINT_TOL`` band make the certificate stall; once the certificate
   is below 1e-11 the residual goes to a tenth of the previous step's
   certificate (never below the rounding in g), because multipliers frozen
-  inside the 1e-12 band stall it in its last digits. Its direction solves
-  the free block of the covariance (1x1, 2x2 or 3x3) in closed form; a
-  block singular to working precision gets the least-norm solution. The step
+  inside the 1e-12 band stall it in its last digits. Its direction is one
+  closed-form 3x3 solve of the covariance, each fixed coordinate's row and
+  column replaced by the identity's and its gradient by 0; a free block
+  singular to working precision gets the least-norm solution. The step
   then takes the BA marginal update at those multipliers. Its value
   F(q) = max_l g_q(l) never increases from step to step; an increase beyond
   rounding raises :class:`SolverError`. The certificate above, read at the
@@ -112,8 +113,8 @@ Two numerical details matter:
 
   The multiplier solve runs on cost groups, not on letters. Within one
   source row x, reproduction letters with the same cost triple
-  (d1, d2, d's) share one kernel value w(x, k) = exp(shift - l.c), so with
-  M(y, x, k) the mass q_y puts on group k of row x,
+  (d1, d2, d's) share one kernel value w(x, k) = exp(-l.(c(x, k) - c(x, 0))),
+  so with M(y, x, k) the mass q_y puts on group k of row x,
   Z(y, x) = sum_k M(y, x, k) w(x, k); the dual value, its gradient and the
   covariance are sums over the same groups. The dual therefore depends on q
   only through M, and the grouped solve is exact: only the order of
@@ -123,8 +124,7 @@ Two numerical details matter:
   N = 64, all 8 letters on the binary models. Each step sums q to M once,
   in one product with the 0/1 matrix of letter-in-group membership
   (nh x nx K). The BA marginal update, the certificate and the
-  acceleration stay per letter, with the letter kernel gathered from w; the
-  kernel is rebuilt only when the multipliers change.
+  acceleration stay per letter, with the letter kernel gathered from w.
 
   A coordinate whose multiplier solves to 0 meets its target through the
   KKT conditions: its gradient E d_i - D_i is at most the residual, so the
@@ -215,9 +215,11 @@ Two numerical details matter:
   background side once. :func:`solve_joint_point` is the joint solve on any
   problem, the reference the split is checked against.
 
-Exponent underflow is handled by shifting each cost row by its maximum before
-exponentiation. Rates are in bits (the unit rule of :mod:`semrd`);
-multipliers are natural-log based (they appear inside exp).
+The workspace stores each cost group's costs less those of its row's group 0,
+the row's least, once: the kernel's exponent l.(c(x, 0) - c(x, k)) is then at
+most 0, 0 on group 0, and one product with nothing to cancel, and the dual adds
+l.E c(X, 0) back as three terms. Rates are in bits (the unit rule of
+:mod:`semrd`); multipliers are natural-log based (they appear inside exp).
 
 The tolerances are module constants, not options; :class:`SolverOptions`
 holds the one option, ``max_iters``.
@@ -529,16 +531,18 @@ class _Workspace:
         # one-hot membership of letter h in the flat group (x, k), for every x
         self.members = np.zeros((self.nh, self.nx * self.K))
         self.members[np.arange(self.nh), self.letter_group] = 1.0
-        # the group costs flat over (x, k) and over (y, x, k), the same
-        # weighted by p(y, x), and as one (k, i) table per source row; the
-        # weights of the dual's sums as columns
-        self.flat = self.group_costs.reshape(3, -1)
+        # the kernel's exponents per multiplier: each group's costs less its
+        # row's least, those of group 0 (which holds the least of each table's
+        # row), flat over (x, k); the least costs weighted by p(x)
+        self.drops = (self.group_costs[:, :, :1] - self.group_costs).reshape(3, -1)
+        self.least = (self.group_costs[:, :, 0] @ self.p_x).tolist()
+        # the group costs over (y, x, k), the same weighted by p(y, x), and as
+        # one (k, i) table per source row; the weights of the dual's sums as columns
         shape = (3, len(self.p_y), self.nx, self.K)
         self.costs_yxk = np.broadcast_to(self.group_costs[:, None], shape).reshape(3, -1)
         self.weighted = (self.Pw[None, :, :, None] * self.group_costs[:, None]).reshape(3, -1)
         self.costs_xki = np.ascontiguousarray(self.group_costs.transpose(1, 2, 0))
-        self.Pw_col, self.p_x_col = self.Pw.reshape(-1, 1), self.p_x[:, None]
-        self.p_y_col = self.p_y[:, None]
+        self.Pw_col, self.p_y_col = self.Pw.reshape(-1, 1), self.p_y[:, None]
 
     def group_masses(self, Q: np.ndarray) -> np.ndarray:
         """M[..., y, x, k]: the mass Q[..., y, h] puts on group k of source
@@ -562,7 +566,7 @@ class _Workspace:
         of nonnegative terms, so nothing cancels at large multipliers."""
         Q, d, c = s.Q[b], s.dual, s.c[b]
         # R / M = w / Z on every group that R charges
-        kl_rows = np.add.reduce(d.R[b] * (d.kernel.log_w[b] - np.log(d.Z[b])[:, :, None]), axis=2)
+        kl_rows = np.add.reduce(d.R[b] * (d.log_w[b] - np.log(d.Z[b])[:, :, None]), axis=2)
         Q_out = Q * c
         log_c = np.log(c, out=np.zeros_like(c), where=Q_out > 0.0)
         nats = (float(np.vdot(self.Pw, kl_rows))
@@ -624,41 +628,26 @@ def _newton_direction(
     cov: np.ndarray, grad: Sequence[float], free: Sequence[bool], least_norm: bool = True
 ) -> list[float] | None:
     """The step s with cov[F, F] s[F] = grad[F] on the free coordinates F and
-    s = 0 elsewhere. The free block (1x1, 2x2 or 3x3, symmetric PSD) is solved
-    in closed form; a block that is singular to working precision gets the
-    least-norm solution instead, or None without ``least_norm``."""
-    idx = [i for i in _COORDS if free[i]]
-    c = cov.tolist()
-    step = [0.0, 0.0, 0.0]
-    if len(idx) == 1:
-        (i,) = idx
-        a = c[i][i]
-        if a > 0.0:  # the determinant test, det and diagonal both being a
-            step[i] = grad[i] / a
-            return step
-    elif len(idx) == 2:
-        i, j = idx
-        a, b, e = c[i][i], c[i][j], c[j][j]
-        det = a * e - b * b
-        if det > _SINGULAR * a * e:
-            inv = 1.0 / det
-            step[i] = (e * grad[i] - b * grad[j]) * inv
-            step[j] = (a * grad[j] - b * grad[i]) * inv
-            return step
-    elif len(idx) == 3:
-        (a, b, e), (_, f, h), (_, _, k) = c
-        # cofactors of [[a, b, e], [b, f, h], [e, h, k]]
-        c00, c01, c02 = f * k - h * h, e * h - b * k, b * h - e * f
-        c11, c12, c22 = a * k - e * e, b * e - a * h, a * f - b * b
-        det = a * c00 + b * c01 + e * c02
-        if det > _SINGULAR * a * f * k:
-            g0, g1, g2 = grad
-            inv = 1.0 / det
-            return [
-                (c00 * g0 + c01 * g1 + c02 * g2) * inv,
-                (c01 * g0 + c11 * g1 + c12 * g2) * inv,
-                (c02 * g0 + c12 * g1 + c22 * g2) * inv,
-            ]
+    s = 0 elsewhere, by one closed-form 3x3 solve in which each fixed
+    coordinate's row and column of cov are the identity's and its gradient is
+    0. A free block (symmetric PSD) that is singular to working precision gets
+    the least-norm solution instead, or None without ``least_norm``."""
+    (a, b, e), (_, f, h), (_, _, k) = cov.tolist()
+    f0, f1, f2 = free
+    a, f, k = (a if f0 else 1.0), (f if f1 else 1.0), (k if f2 else 1.0)
+    b, e, h = (b if f0 and f1 else 0.0), (e if f0 and f2 else 0.0), (h if f1 and f2 else 0.0)
+    g0, g1, g2 = (grad[0] if f0 else 0.0), (grad[1] if f1 else 0.0), (grad[2] if f2 else 0.0)
+    # cofactors of [[a, b, e], [b, f, h], [e, h, k]]
+    c00, c01, c02 = f * k - h * h, e * h - b * k, b * h - e * f
+    c11, c12, c22 = a * k - e * e, b * e - a * h, a * f - b * b
+    det = a * c00 + b * c01 + e * c02
+    if det > _SINGULAR * a * f * k:
+        inv = 1.0 / det
+        return [
+            (c00 * g0 + c01 * g1 + c02 * g2) * inv,
+            (c01 * g0 + c11 * g1 + c12 * g2) * inv,
+            (c02 * g0 + c12 * g1 + c22 * g2) * inv,
+        ]
     if not least_norm:
         return None
     mask = np.array(free)
@@ -667,25 +656,16 @@ def _newton_direction(
 
 
 @dataclass
-class _Kernel:
-    """exp(shift - lam.c) per cost group and cell, shift being each source
-    row's least cost: ``w[b, x, k]``, its log ``log_w``, and ``p_shift[b]`` =
-    p(x).shift, at the multipliers ``lam[b]``."""
-
-    lam: list[list[float]]
-    p_shift: list[float]
-    log_w: np.ndarray
-    w: np.ndarray
-
-
-@dataclass
 class _Dual:
-    """The dual g_Q of each cell at its multipliers: its value and a bound on
-    the rounding in it, the gradient E[d] - D, with the kernel, the
+    """The dual g_Q of each cell at its multipliers ``lam[b]``: the kernel
+    w[b, x, k] = exp(lam[b].drops(x, k)) per cost group and its log, the
+    value and a bound on the rounding in it, the gradient E[d] - D, the
     normaliser Z[b, y, x] and the law R[b, y, x, k] of the cost group given
     (y, x)."""
 
-    kernel: _Kernel
+    lam: list[list[float]]
+    log_w: np.ndarray
+    w: np.ndarray
     value: list[float]
     rounding: list[float]
     grad: list[list[float]]
@@ -842,49 +822,37 @@ class _ConstrainedBA:
         self.ws = ws
         self.opts = opts
         self.cells: list[_Cell] = []
-        self._last_kernel: _Kernel | None = None
-        # per cell, the value above which advance's multiplier solve stops
-        self._ceiling: list[float] | None = None
 
     # ---- the dual at fixed Q ----------------------------------------------
 
-    def _kernel(self, lam: list[list[float]]) -> _Kernel:
-        """The kernel of each cell at its multipliers lam[b]."""
-        ws = self.ws
-        # log w[b, x, k] = shift[b, x] - lam[b].c(x, k), shift being row x's least
-        # cost: that of group 0, which holds the least of each table's row
-        # (:func:`_row_groups`), as lam >= 0
-        n = len(lam)
-        log_w = (np.array(lam)[:, None, :] @ ws.flat).reshape(n, ws.nx, ws.K)
-        shift = log_w[:, :, 0].copy()
-        np.subtract(shift[:, :, None], log_w, out=log_w)
-        p_shift = (shift.reshape(n, 1, -1) @ ws.p_x_col).ravel().tolist()
-        return _Kernel(lam, p_shift, log_w, np.exp(log_w))
-
-    def _letters(self, k: _Kernel) -> np.ndarray:
+    def _letters(self, d: _Dual) -> np.ndarray:
         """The kernel per letter, W[b, x, h]."""
-        return np.take(k.w.reshape(len(k.w), -1), self.ws.letter_group, axis=1)
+        return np.take(d.w.reshape(len(d.w), -1), self.ws.letter_group, axis=1)
 
-    def _evaluate(self, M: np.ndarray, k: _Kernel, targets: Sequence[Sequence[float]]) -> _Dual:
-        """g_Q of each cell at its kernel's multipliers, from the group masses
+    def _evaluate(self, M: np.ndarray, lam: list[list[float]],
+                  targets: Sequence[Sequence[float]]) -> _Dual:
+        """g_Q of each cell at its multipliers lam[b], from the group masses
         M[b] of its Q."""
         ws = self.ws
         n = len(M)
-        R = M * k.w[:, None]
+        log_w = (np.array(lam)[:, None, :] @ ws.drops).reshape(n, ws.nx, ws.K)
+        w = np.exp(log_w)
+        R = M * w[:, None]
         Z = np.add.reduce(R, axis=3)  # (n, ny, nx)
         R /= Z[:, :, :, None]
-        # g = p.shift - sum p log Z - lam.D; with large multipliers the first
+        # g = lam.least - sum p log Z - lam.D; with large multipliers the first
         # and last terms nearly cancel, so rounding scales with their size
         # (both are nonnegative, as costs and multipliers are)
         log_z = (np.log(Z).reshape(n, 1, -1) @ ws.Pw_col).ravel().tolist()
         mean = (ws.weighted @ R.reshape(n, -1, 1)).tolist()
-        value, rounding, grad = [], [], []
-        for s, z, l, t, ((m0,), (m1,), (m2,)) in zip(k.p_shift, log_z, k.lam, targets, mean):
+        (c0, c1, c2), value, rounding, grad = ws.least, [], [], []
+        for l, z, t, ((m0,), (m1,), (m2,)) in zip(lam, log_z, targets, mean):
+            s = l[0] * c0 + l[1] * c1 + l[2] * c2
             ld = l[0] * t[0] + l[1] * t[1] + l[2] * t[2]
             value.append(s - z - ld)
             rounding.append(1e-14 * (1.0 + (abs(s) + abs(z) + abs(ld))))
             grad.append([m0 - t[0], m1 - t[1], m2 - t[2]])
-        return _Dual(k, value, rounding, grad, Z, R)
+        return _Dual(lam, log_w, w, value, rounding, grad, Z, R)
 
     def _covariance(self, d: _Dual) -> np.ndarray:
         """The cost covariance behind each cell's dual, averaged over (y, x):
@@ -898,23 +866,18 @@ class _ConstrainedBA:
         return second - B.reshape(n, -1, 3).swapaxes(1, 2) @ m1.reshape(n, -1, 3)
 
     def _newton(self, M: np.ndarray, d: _Dual, targets: Sequence[Sequence[float]],
-                tol: list[float], ceiling: list[float] | None = None
-                ) -> tuple[_Dual, list[int]]:
+                tol: list[float]) -> tuple[_Dual, list[int]]:
         """Projected Newton on each cell's g_Q over 0 <= lam <= LAMBDA_CAP from
         d, to a KKT residual of its tol, or of the rounding in g where that is
-        larger, but never above _KKT_TOL; a cell whose g exceeds its
-        ``ceiling`` beyond rounding stops there. Returns the final duals, and
-        the cells that stopped above that residual (out of Newton or
-        backtracking steps): the stalled ones.
+        larger, but never above _KKT_TOL. Returns the final duals, and the
+        cells that stopped above that residual (out of Newton or backtracking
+        steps): the stalled ones.
 
         Every evaluation covers every cell; a cell that is done, or whose
         backtracking is, keeps its multipliers and so its dual."""
 
         def unsolved(d: _Dual, b: int) -> bool:
-            v = d.value[b]
-            if ceiling is not None and v > ceiling[b] + 1e-11 * (1.0 + abs(v)):
-                return False
-            return (_kkt_residual(d.kernel.lam[b], d.grad[b])
+            return (_kkt_residual(d.lam[b], d.grad[b])
                     > min(_KKT_TOL, max(tol[b], d.rounding[b])))
 
         active = [b for b in range(len(M)) if unsolved(d, b)]
@@ -924,7 +887,7 @@ class _ConstrainedBA:
                 break
             # Newton direction on the free coordinates; the others stay put. No
             # coordinate moves by more than max(1, lam_i)
-            lam, grad, value, rounding = d.kernel.lam, d.grad, d.value, d.rounding
+            lam, grad, value, rounding = d.lam, d.grad, d.value, d.rounding
             cov, at, steps = self._covariance(d), list(lam), {}
             for b in active:
                 l, g = lam[b], grad[b]
@@ -940,7 +903,7 @@ class _ConstrainedBA:
             # every cell still backtracking has failed the same shares t before
             t, pending = 1.0, active
             for _ in range(_BACKTRACKS):
-                new = self._evaluate(M, self._kernel(at), targets)
+                new = self._evaluate(M, at, targets)
                 # Armijo, up to rounding in g once the gain is that small
                 failed = []
                 for b in pending:
@@ -958,34 +921,33 @@ class _ConstrainedBA:
                 # out of backtracking steps: those cells stay where they are
                 for b in pending:
                     at[b] = lam[b]
-                new = self._evaluate(M, self._kernel(at), targets)
+                new = self._evaluate(M, at, targets)
                 stalled += pending
             d = new
             active = [b for b in active if b not in pending and unsolved(d, b)]
         return d, stalled + active
 
-    def _solve_dual(self, M: np.ndarray, k: _Kernel, targets: Sequence[Sequence[float]],
-                    tol: list[float]) -> _Dual:
-        """Maximise each cell's g_Q by :meth:`_newton`, warm-started at the
-        kernel's multipliers; M holds the group masses of the cells' Q. A
-        cell that stalls from nonzero multipliers is solved again from zero
-        at the same Q, and keeps the multipliers of the larger of the two
-        values: both are lower bounds on F(Q). An inherited multiplier stalls
-        this way where the new target is slack enough: its cost's variance
-        underflows and Newton cannot move it. Within :meth:`advance` a cell
-        stops at its ``_ceiling``."""
-        d, stalled = self._newton(M, self._evaluate(M, k, targets), targets, tol, self._ceiling)
-        retry = sorted(b for b in stalled if any(k.lam[b]))
+    def _solve_dual(self, M: np.ndarray, lam: list[list[float]],
+                    targets: Sequence[Sequence[float]], tol: list[float]) -> _Dual:
+        """Maximise each cell's g_Q by :meth:`_newton`, warm-started at its
+        multipliers lam[b]; M holds the group masses of the cells' Q. A cell
+        that stalls from nonzero multipliers is solved again from zero at the
+        same Q, and keeps the multipliers of the larger of the two values:
+        both are lower bounds on F(Q). An inherited multiplier stalls this way
+        where the new target is slack enough: its cost's variance underflows
+        and Newton cannot move it."""
+        d, stalled = self._newton(M, self._evaluate(M, lam, targets), targets, tol)
+        retry = sorted(b for b in stalled if any(lam[b]))
         if retry:
             Mr, tr = M[retry], [targets[b] for b in retry]
-            zero = self._evaluate(Mr, self._kernel([[0.0, 0.0, 0.0] for _ in retry]), tr)
+            zero = self._evaluate(Mr, [[0.0, 0.0, 0.0] for _ in retry], tr)
             again, _ = self._newton(Mr, zero, tr, [tol[b] for b in retry])
-            lam = list(d.kernel.lam)
+            best = list(d.lam)
             for i, b in enumerate(retry):
                 if again.value[i] > d.value[b]:
-                    lam[b] = again.kernel.lam[i]
-            if lam != d.kernel.lam:
-                d = self._evaluate(M, self._kernel(lam), targets)
+                    best[b] = again.lam[i]
+            if best != d.lam:
+                d = self._evaluate(M, best, targets)
         return d
 
     # ---- steps ---------------------------------------------------------------
@@ -993,7 +955,7 @@ class _ConstrainedBA:
     def _update(self, Q: np.ndarray, d: _Dual) -> tuple[list[float], np.ndarray, np.ndarray]:
         """Per cell: the certificate at d, the BA update of Q and its factor
         c, per letter."""
-        c = (self.ws.P / d.Z) @ self._letters(d.kernel)
+        c = (self.ws.P / d.Z) @ self._letters(d)
         gap = np.maximum(np.maximum.reduce(c, axis=2) - 1.0, 0.0)
         Q_next = Q * c
         Q_next /= np.add.reduce(Q_next, axis=2, keepdims=True)
@@ -1036,20 +998,11 @@ class _ConstrainedBA:
             proposed.append(P is not None or change)
             start.append(Q)
             cell.iterations += 1
-        Q, lam = np.array(start), [cell.lam for cell in cells]
-        # the last evaluation's kernel, while the cells keep its multipliers
-        k = self._last_kernel
-        if k is None or k.lam != lam:
-            k = self._kernel(lam)
+        Q = np.array(start)
         # the dual to a tenth of the last certificate where that is below
-        # _KKT_TOL: multipliers frozen inside the _KKT_TOL band stall it. A
-        # proposal's solve stops once g_Q exceeds the last kept F: F(Q) >= g_Q,
-        # so the step is refused anyway
-        self._ceiling = [cell.value if p else math.inf for cell, p in zip(cells, proposed)]
-        d = self._solve_dual(self.ws.group_masses(Q), k, [cell.targets for cell in cells],
-                             [cell.cert / 10.0 for cell in cells])
-        self._ceiling = None
-        self._last_kernel = d.kernel
+        # _KKT_TOL: multipliers frozen inside the _KKT_TOL band stall it
+        d = self._solve_dual(self.ws.group_masses(Q), [cell.lam for cell in cells],
+                             [cell.targets for cell in cells], [cell.cert / 10.0 for cell in cells])
         s = _Step(Q, d, *self._update(Q, d))
         kept = []
         for b, cell in enumerate(cells):
@@ -1085,7 +1038,7 @@ class _ConstrainedBA:
                 cell.history = _Anderson(Q[b], s.Q_next[b])
             else:
                 cell.history.push(Q[b], s.Q_next[b])
-            cell.step, cell.row, cell.lam, cell.Q_next = s, b, d.kernel.lam[b], s.Q_next[b]
+            cell.step, cell.row, cell.lam, cell.Q_next = s, b, d.lam[b], s.Q_next[b]
             cell.value, cell.cert = v, s.cert[b]
             kept.append(b)
         self._active_set(s, kept)
@@ -1102,7 +1055,7 @@ class _ConstrainedBA:
     def _stalled(self, d: _Dual, b: int) -> bool:
         """Whether cell b's multiplier solve ended above the KKT gate of
         :meth:`_Batch._point`: its targets are not met."""
-        return self._targeted and _kkt_residual(d.kernel.lam[b], d.grad[b]) > 5.0 * CONSTRAINT_TOL
+        return self._targeted and _kkt_residual(d.lam[b], d.grad[b]) > 5.0 * CONSTRAINT_TOL
 
     def _active_set(self, s: _Step, kept: list[int]) -> None:
         """The drops and revivals of the cells whose step was just kept (rows
@@ -1136,7 +1089,7 @@ class _ConstrainedBA:
                     # halved while g at the current multipliers exceeds F
                     masses = np.where(back, cell.saved, 0.0)
                     for _ in range(_HALVINGS):
-                        if self._trial(cell, Q[b] + masses, s.dual.kernel, b) is not None:
+                        if self._trial(cell, Q[b] + masses, s.dual, b) is not None:
                             break
                         masses *= 0.5
                     cell.revive = masses
@@ -1146,36 +1099,35 @@ class _ConstrainedBA:
             mask = drop[b] if cell.pinned is None else drop[b] & ~cell.pinned
             if not mask.any():
                 continue
-            if self._admits(cell, np.where(mask, 0.0, Q[b]), s.dual.kernel, b):
+            if self._admits(cell, np.where(mask, 0.0, Q[b]), s.dual, b):
                 cell.drop = mask
             else:
                 cell.pinned = mask if cell.pinned is None else cell.pinned | mask
 
-    def _trial(self, cell: _Cell, Q: np.ndarray, k: _Kernel, b: int) -> _Dual | None:
-        """g at the multipliers of row b of k from the cell's start Q,
-        renormalised here; None where a source row loses its whole
+    def _trial(self, cell: _Cell, Q: np.ndarray, d: _Dual, b: int) -> _Dual | None:
+        """g at the multipliers of cell b of the dual d from the cell's start
+        Q, renormalised here; None where a source row loses its whole
         normaliser, or where g already exceeds the cell's last kept F, so
         that F(Q) >= g does too and the step would be refused."""
         M = self.ws.group_masses((Q / np.add.reduce(Q, axis=1, keepdims=True))[None])
-        if not np.all(np.add.reduce(M * k.w[b], axis=3) > 0.0):
+        if not np.all(np.add.reduce(M * d.w[b], axis=3) > 0.0):
             return None
-        row = _Kernel([k.lam[b]], [k.p_shift[b]], k.log_w[b:b + 1], k.w[b:b + 1])
-        d = self._evaluate(M, row, [cell.targets])
-        v = d.value[0]
-        return None if v > cell.value + 1e-11 * (1.0 + abs(v)) else d
+        trial = self._evaluate(M, [d.lam[b]], [cell.targets])
+        v = trial.value[0]
+        return None if v > cell.value + 1e-11 * (1.0 + abs(v)) else trial
 
-    def _admits(self, cell: _Cell, Q: np.ndarray, k: _Kernel, b: int) -> bool:
+    def _admits(self, cell: _Cell, Q: np.ndarray, d: _Dual, b: int) -> bool:
         """Whether the cell's next start may drop to Q: it passes
         :meth:`_trial`, and a target solve's covariance stays regular on its
         free coordinates. Where the support left makes two costs collinear,
         the dual is linear along a direction and the multiplier solve would
         stall."""
-        d = self._trial(cell, Q, k, b)
-        if d is None or not self._targeted:
-            return d is not None
-        free = [l > 0.0 or g > 0.0 for l, g in zip(cell.lam, d.grad[0])]
-        return not any(free) or _newton_direction(
-            self._covariance(d)[0], d.grad[0], free, least_norm=False) is not None
+        trial = self._trial(cell, Q, d, b)
+        if trial is None or not self._targeted:
+            return trial is not None
+        free = [l > 0.0 or g > 0.0 for l, g in zip(cell.lam, trial.grad[0])]
+        return _newton_direction(self._covariance(trial)[0], trial.grad[0], free,
+                                 least_norm=False) is not None
 
     def run(self) -> _Cell:
         """Advance a batch of one cell until it stops."""
@@ -1192,8 +1144,8 @@ class _FixedBA(_ConstrainedBA):
 
     _targeted = False
 
-    def _solve_dual(self, M, k, targets, tol) -> _Dual:
-        return self._evaluate(M, k, targets)
+    def _solve_dual(self, M, lam, targets, tol) -> _Dual:
+        return self._evaluate(M, lam, targets)
 
 
 def ba_fixed_multipliers(
@@ -1275,7 +1227,7 @@ class _Batch:
         if done.error is not None:
             return done.error
         s, b, targets = done.step, done.row, done.targets
-        lam, grad = tuple(s.dual.kernel.lam[b]), s.dual.grad[b]
+        lam, grad = tuple(s.dual.lam[b]), s.dual.grad[b]
         achieved = tuple(g + t for g, t in zip(grad, targets))
         cs = sum(l * abs(g) for l, g in zip(lam, grad))
         cs /= math.log(2.0)

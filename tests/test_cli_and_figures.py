@@ -100,6 +100,15 @@ class TestFigureGeneration:
         for r in locus:
             assert float(r["ds"]) == pytest.approx(1.5 + 0.25 * float(r["d1"]), abs=1e-9)
 
+    @pytest.mark.parametrize("figure_id", figures.FIGURE_IDS)
+    def test_manifest_states_its_unit(self, tmp_path, figure_id):
+        # the unit rule: bits, and nats for the Gaussian surfaces of fig8/fig9
+        manifest = generate_figure(figure_id, str(tmp_path), grid_n=3)
+        expected = "nats" if figure_id in ("fig8", "fig9") else "bits"
+        assert manifest["base"] == expected
+        written = json.loads((tmp_path / f"{figure_id}_manifest.json").read_text(encoding="utf-8"))
+        assert written["base"] == expected
+
     @pytest.mark.parametrize("figure_id,batches", [
         ("fig4", 0), ("fig5", 1), ("fig6a", 1), ("fig6b", 1), ("fig7", 1), ("fig8", 1), ("fig9", 1),
     ])

@@ -3,7 +3,8 @@ every module-level private function, class or constant is referenced
 somewhere, every solver option is read by the package, only two entries
 take solver options and only ``prob`` takes a unit, every field of a result
 or config class is read by the package, the benchmark or (for the checks'
-results) the tests, and no module reads the environment.
+results) the tests, no module imports another module's private name, and no
+module reads the environment.
 
 No lint tool is part of the toolchain, so this walks each module's syntax
 tree. ``from __future__`` imports and names re-exported through ``__all__``
@@ -48,6 +49,23 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def private_imports(path: Path) -> list[str]:
+    """Each private name (one leading underscore, not a dunder) that the
+    module imports from another module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "semrd"):
+            found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_imported_across_modules(path):
+    assert private_imports(path) == []
 
 
 def referenced_names(paths) -> set[str]:

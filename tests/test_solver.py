@@ -510,7 +510,7 @@ class TestActiveSet:
         assert done.cert < solver_mod.CERT_TOL
         (final,) = done.step.Q_next[done.row:done.row + 1]
         assert np.all(final[0, 2:4] > 0.0) and np.all(final[1, 4:6] > 0.0)
-        lam, grad = done.step.dual.kernel.lam[done.row], done.step.dual.grad[done.row]
+        lam, grad = done.step.dual.lam[done.row], done.step.dual.grad[done.row]
         assert solver_mod._kkt_residual(lam, grad) <= 5.0 * solver_mod.CONSTRAINT_TOL
         cold = solve_rd_point(prob_cor, RDQuery(*query))
         assert abs(ws.rate(done.step, done.row) - cold.rate) <= 1e-9
@@ -574,12 +574,12 @@ class TestGroupedDual:
         Q, lam = cold, [0.0, 0.0, 0.0]
         for _ in range(7):
             M = ws.group_masses(Q[None])
-            d = cba._solve_dual(M, cba._kernel([lam]), targets[None], [solver_mod._KKT_TOL])
-            mid, Q, lam = Q, cba._update(Q[None], d)[1][0], d.kernel.lam[0]
+            d = cba._solve_dual(M, [lam], targets[None], [solver_mod._KKT_TOL])
+            mid, Q, lam = Q, cba._update(Q[None], d)[1][0], d.lam[0]
         for Q in (cold, mid):
             for lam in (np.array([2.0, 1.0, 0.5]), np.array([2.0, 0.0, 0.5])):
                 value, grad, cov, cert, Q_next = reference_dual_step(problem, targets, Q, lam)
-                d = cba._evaluate(ws.group_masses(Q[None]), cba._kernel([lam.tolist()]),
+                d = cba._evaluate(ws.group_masses(Q[None]), [lam.tolist()],
                                   targets[None])
                 got_cert, got_Q_next, _ = cba._update(Q[None], d)
                 # relative to the size of the terms: g and the gradient are
@@ -616,21 +616,54 @@ class TestGroupedDual:
     ], ids=GROUPED_IDS + ["correlated", "classification8", "independent_observation",
                           "independent_background", "classification64_observation"])
     def test_shift_is_the_least_group_cost(self, build):
-        # the kernel's shift, lam.c of the row's group 0, is the least of
-        # lam.c(x, k) over the row's groups bit for bit, at multipliers over
-        # seven decades, zeros included, and batch sizes 1-20
+        # the costs are stored less their row's least, group 0's: the drops
+        # are at most 0 and 0 on group 0, the kernel is exp(lam.drops), and
+        # p.shift, shift being the row's least of lam.c(x, k), is lam.least,
+        # at multipliers over seven decades, zeros included, and batch sizes 1-20
         ws = solver_mod._Workspace(build())
         assert np.array_equal(ws.group_costs[:, :, 0], ws.group_costs.min(axis=2))
+        drops = ws.drops.reshape(3, ws.nx, ws.K)
+        assert np.all(drops <= 0.0) and np.all(drops[:, :, 0] == 0.0)
         cba = solver_mod._ConstrainedBA(ws, solver_mod.DEFAULT_OPTIONS)
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 5, 8, 13, 20):
             lam = 10.0 ** rng.uniform(-3.0, 4.0, (n, 3))
             lam[rng.random((n, 3)) < 0.3] = 0.0
-            costs = (lam[:, None, :] @ ws.flat).reshape(n, ws.nx, ws.K)
-            least = np.minimum.reduce(costs, axis=2)
-            kernel = cba._kernel(lam.tolist())
-            assert np.array_equal(least[:, :, None] - costs, kernel.log_w)
-            assert kernel.p_shift == (least.reshape(n, 1, -1) @ ws.p_x_col).ravel().tolist()
+            M = ws.group_masses(np.array([jittered_marginal(ws, rng) for _ in range(n)]))
+            d = cba._evaluate(M, lam.tolist(), np.zeros((n, 3)))
+            assert np.array_equal(d.log_w, (lam[:, None, :] @ ws.drops).reshape(n, ws.nx, ws.K))
+            assert np.array_equal(d.w, np.exp(d.log_w))
+            assert np.all(d.log_w[:, :, 0] == 0.0)
+            costs = (lam[:, None, :] @ ws.group_costs.reshape(3, -1)).reshape(n, ws.nx, ws.K)
+            p_shift = np.minimum.reduce(costs, axis=2) @ ws.p_x
+            lam_least = lam @ ws.least
+            assert np.all(np.abs(lam_least - p_shift) <= 1e-14 * p_shift)
+            # with zero targets, g = lam.least - sum p log Z
+            log_z = np.log(d.Z).reshape(n, -1) @ ws.Pw.ravel()
+            assert np.all(np.abs(d.value - (lam_least - log_z)) <= 1e-14 * (1.0 + lam_least))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the reference needs an extended-precision long double")
+    @pytest.mark.parametrize("top", [1e4, solver_mod.LAMBDA_CAP], ids=["1e4", "cap"])
+    @pytest.mark.parametrize("build", [
+        lambda: sources.correlated_problem(SPEC_COR),
+        lambda: sources.classification_problem(0.25, 0.25, 8),
+    ], ids=["correlated", "classification8"])
+    def test_kernel_is_accurate_at_large_multipliers(self, build, top):
+        # log w against a long double reference from the group costs, at
+        # multipliers up to top: within 1e-15 relative to max(|log w|, 1). A
+        # kernel that subtracts the row's least lam.c after the product
+        # loses digits to cancellation (1.1e-13 up to 1e4 and 2.6e-10 up to
+        # the cap on these draws)
+        ws = solver_mod._Workspace(build())
+        cba = solver_mod._ConstrainedBA(ws, solver_mod.DEFAULT_OPTIONS)
+        lam = 10.0 ** np.random.default_rng(11).uniform(-3.0, math.log10(top), (20, 3))
+        M = ws.group_masses(np.broadcast_to(ws.initial_marginal(), (20, len(ws.p_y), ws.nh)))
+        log_w = cba._evaluate(M, lam.tolist(), np.zeros((20, 3))).log_w
+        c = ws.group_costs.astype(np.longdouble)
+        ref = np.einsum("bi,ixk->bxk", lam.astype(np.longdouble), c[:, :, :1] - c)
+        err = np.abs(log_w - ref) / np.maximum(np.abs(ref), 1.0)
+        assert err.max() <= 1e-15
 
     def test_classification_has_eight_groups_per_row(self, prob_cls):
         ws = solver_mod._Workspace(prob_cls)
@@ -720,10 +753,10 @@ class TestNewtonDirection:
         Q[0, 0, 0] = 1.0
         M = ws.group_masses(Q)
         lam = [[0.0, 1.0, 1.0]]
-        assert np.all(cba._covariance(cba._evaluate(M, cba._kernel(lam), targets)) == 0.0)
-        d = cba._solve_dual(M, cba._kernel(lam), targets, [solver_mod._KKT_TOL])
-        assert solver_mod._kkt_residual(d.kernel.lam[0], d.grad[0]) <= solver_mod._KKT_TOL
-        assert d.kernel.lam == lam
+        assert np.all(cba._covariance(cba._evaluate(M, lam, targets)) == 0.0)
+        d = cba._solve_dual(M, lam, targets, [solver_mod._KKT_TOL])
+        assert solver_mod._kkt_residual(d.lam[0], d.grad[0]) <= solver_mod._KKT_TOL
+        assert d.lam == lam
 
     def test_zero_variance_coordinates_take_the_fallback(self):
         # d2 and d's are zero tables: their rows of the covariance vanish while
@@ -733,9 +766,9 @@ class TestNewtonDirection:
         ws = solver_mod._Workspace(single_source_problem())
         cba = solver_mod._ConstrainedBA(ws, solver_mod.DEFAULT_OPTIONS)
         d = cba._solve_dual(ws.group_masses(ws.initial_marginal()[None]),
-                            cba._kernel([[0.0, 1.0, 1.0]]), np.array([[0.2, 0.0, 0.0]]),
+                            [[0.0, 1.0, 1.0]], np.array([[0.2, 0.0, 0.0]]),
                             [solver_mod._KKT_TOL])
-        (lam,) = d.kernel.lam
+        (lam,) = d.lam
         assert solver_mod._kkt_residual(lam, d.grad[0]) <= solver_mod._KKT_TOL
         assert lam[0] == pytest.approx(math.log(4.0), abs=1e-12)
         assert lam[1:] == [1.0, 1.0]
@@ -806,7 +839,7 @@ class TestSolveRdPoint:
             for cba, cell in runs:
                 if cba.ws is part._workspace:
                     s, d, b = cell.step, cell.step.dual, cell.row
-                    return (s.Q[b][:, None, :] * cba._letters(d.kernel)[b][None, :, :]
+                    return (s.Q[b][:, None, :] * cba._letters(d)[b][None, :, :]
                             / d.Z[b][:, :, None])
             return y_only_channel(part._workspace)
 
@@ -1357,56 +1390,65 @@ class TestChains:
         assert pieced_steps < len(masses)
 
     def test_stalled_warm_multipliers_solve_again_from_zero(self, monkeypatch):
-        # from (d1, ds) = (0.4, 0.25) the inherited semantic multiplier (about
-        # 76.9) saturates at (0.4, 0.3): the semantic cost's variance
-        # underflows, Newton cannot move it and the solve stops at a KKT
-        # residual of 0.05 with F = -3.007, against 0.589 at the next step,
-        # which raised "constrained objective increased". Along a chain of
-        # four queries the pair stays one piece
-        stalls, newton = [], solver_mod._ConstrainedBA._newton
+        # a chain hands its multipliers on: the run for (d1, ds) = (0.4, 0.3)
+        # starts from those of (0.4, 0.25), whose semantic multiplier (about
+        # 75) is raised to 200 on the way. There the semantic cost's variance
+        # underflows, Newton cannot move the multiplier and the solve stops at
+        # a KKT residual of 0.05; solved again from zero it converges. Along a
+        # chain of four queries the pair stays one piece
+        stalls, newton, point = [], solver_mod._ConstrainedBA._newton, solver_mod._Batch._point
 
         def spying(self, M, d, *args):
             new, stalled = newton(self, M, d, *args)
             for b in stalled:
-                kkt = solver_mod._kkt_residual(new.kernel.lam[b], new.grad[b])
-                stalls.append((self.cells[b].iterations, d.kernel.lam[b][2], kkt))
+                kkt = solver_mod._kkt_residual(new.lam[b], new.grad[b])
+                stalls.append((self.cells[b].iterations, d.lam[b][2], kkt))
             return new, stalled
 
+        def saturating(self, done):
+            answer = point(self, done)
+            if done.targets == (0.4, 0.0, 0.25):
+                (l1, l2, _), Q = self.starts[done.slot]
+                self.starts[done.slot] = ((l1, l2, 200.0), Q)
+            return answer
+
         monkeypatch.setattr(solver_mod._ConstrainedBA, "_newton", spying)
+        monkeypatch.setattr(solver_mod._Batch, "_point", saturating)
         obs = sources.classification_problem(0.25, 0.25, 8).split[0]
         queries = [RDQuery(0.4, 0.0, ds) for ds in (0.25, 0.3, 0.35, 0.4)]
         assert solver_mod._pieces(solver_mod._chains(queries)) == [queries[:2], queries[2:]]
         cells = list(solver_mod.solve_cells(obs, queries))
         assert len(stalls) == 1
         step, lam_s, kkt = stalls[0]
-        assert step == 1 and lam_s > 70.0 and kkt > 1e-3
+        assert step == 1 and lam_s == 200.0 and kkt > 1e-3
         for q, cell in zip(queries, cells):
             assert cell.error is None and cell.point.converged
             assert abs(cell.point.rate - solve_rd_point(obs, q).rate) <= 1e-9
 
     def test_stalled_dual_is_solved_again_from_zero(self):
-        # the retry lives in the multiplier solve, whatever the step: from the
-        # saturated semantic multiplier of (0.4, 0.25) (about 76.9), Newton
-        # stalls at the marginal the run for (0.4, 0.3) starts from, at a KKT
-        # residual of 0.05 and F = -3.007; solved again from 0 it converges,
-        # and the larger of the two values is kept
+        # the retry lives in the multiplier solve, whatever the step: from a
+        # saturated semantic multiplier of 200, Newton stalls at the marginal
+        # the run for (0.4, 0.3) starts from after (0.4, 0.25), at a KKT
+        # residual of 0.05 and F = -9.16; solved again from 0 it converges
+        # (the semantic multiplier near 2.49), and the larger of the two
+        # values is kept
         obs = sources.classification_problem(0.25, 0.25, 8).split[0]
         ws = obs._workspace
         cba = solver_mod._ConstrainedBA(ws, solver_mod.DEFAULT_OPTIONS)
         cba.add(0, (0.4, 0.0, 0.25))
         first = cba.run()
-        lam = first.step.dual.kernel.lam
-        assert lam[0][2] > 70.0
+        ((l1, _, l_s),) = first.step.dual.lam
+        assert l_s > 70.0
         Q = (1.0 - solver_mod._WARM_MIX) * first.step.Q_next + solver_mod._WARM_MIX / ws.nh
         M, targets, tol = ws.group_masses(Q), np.array([[0.4, 0.0, 0.3]]), [solver_mod._KKT_TOL]
-        kernel = cba._kernel(lam)
-        stuck, stalled = cba._newton(M, cba._evaluate(M, kernel, targets), targets, tol)
+        lam = [[l1, 0.0, 200.0]]
+        stuck, stalled = cba._newton(M, cba._evaluate(M, lam, targets), targets, tol)
         assert stalled == [0]
-        assert solver_mod._kkt_residual(stuck.kernel.lam[0], stuck.grad[0]) > 1e-3
-        d = cba._solve_dual(M, kernel, targets, tol)
-        assert solver_mod._kkt_residual(d.kernel.lam[0], d.grad[0]) <= solver_mod._KKT_TOL
+        assert solver_mod._kkt_residual(stuck.lam[0], stuck.grad[0]) > 1e-3
+        d = cba._solve_dual(M, lam, targets, tol)
+        assert solver_mod._kkt_residual(d.lam[0], d.grad[0]) <= solver_mod._KKT_TOL
         assert d.value[0] > stuck.value[0] + 1.0
-        assert d.kernel.lam[0][2] < 10.0
+        assert d.lam[0][2] < 10.0
 
     def test_batch_matches_lone_solves(self, monkeypatch):
         # one batch of three chains on the N = 8 observation side, cut into
@@ -1424,9 +1466,9 @@ class TestChains:
         assert [len(c) for c in solver_mod._pieces(solver_mod._chains(queries))] == [2, 1, 2, 2, 1]
         failing, solve_dual = (0.3, 0.0, 0.35), solver_mod._ConstrainedBA._solve_dual
 
-        def rising(self, M, kernel, targets, tol):
+        def rising(self, M, lam, targets, tol):
             # F of the failing cell rises by 1 at every step
-            d = solve_dual(self, M, kernel, targets, tol)
+            d = solve_dual(self, M, lam, targets, tol)
             for b, t in enumerate(targets):
                 if tuple(t) == failing:
                     self.rises = getattr(self, "rises", 0) + 1

@@ -304,6 +304,17 @@ class TestNoUnreadField:
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be a finite real"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("labels,path", [
+        ([True, None], "params.alphabets.x1[0]"),
+        (["0", 1], "params.alphabets.x1[1]"),
+        ([[1, 2], {"a": 1}], "params.alphabets.x1[0]"),
+    ])
+    def test_alphabet_labels_are_strings(self, labels, path):
+        doc = copy.deepcopy(CUSTOM_DOC)
+        doc["params"]["alphabets"]["x1"] = labels
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be a string"):
+            parse_config(doc)
+
     def test_ragged_table_named_by_path(self):
         doc = copy.deepcopy(CUSTOM_DOC)
         doc["params"]["d1"]["values"] = [[0, 1], [1]]
