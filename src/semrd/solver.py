@@ -45,8 +45,10 @@ Two numerical details matter:
   concave dual g_q(l) = -sum p(x, y) log Z_l(x, y) - l.D over l >= 0, whose
   gradient is E_l[d] - D and whose Hessian is minus the (y, x)-averaged 3x3
   covariance of the costs. The solve is a projected Newton iteration with
-  Armijo backtracking, warm-started at the previous multipliers, run to a
-  KKT residual of 1e-12, because multipliers left anywhere inside the
+  Armijo backtracking (a direction that is not an ascent direction, as
+  rounding makes one where the costs are nearly collinear on the support,
+  stalls the solve at once), warm-started at the previous multipliers, run
+  to a KKT residual of 1e-12, because multipliers left anywhere inside the
   ``CONSTRAINT_TOL`` band make the certificate stall; once the certificate
   is below 1e-11 the residual goes to a tenth of the previous step's
   certificate (never below the rounding in g), because multipliers frozen
@@ -170,6 +172,19 @@ Two numerical details matter:
   tolerance. Any solve that stalls from nonzero multipliers, at any step, is
   repeated from zero multipliers at the same marginal, and the larger of the
   two dual values is kept: both are lower bounds on F(q).
+
+  A query needs no run where every target in which it differs from its
+  chain's last answer P, a converged point, has multiplier 0 in P and is at
+  least what P achieves in it: P is its answer, with no step of its own, and
+  the chain keeps its warm start for its next run (Boyd & Vandenberghe,
+  "Convex Optimization", 2004, section 5.6: loosening a constraint whose
+  multiplier is 0 leaves the optimum where it is). Proof: with l_i = 0 the
+  dual g_q(l) does not contain D_i, and its i-gradient at l is
+  E d_i - D'_i <= 0 for the new target D'_i, so the same l is KKT-optimal
+  for the new targets at the same q; F(q), the certificate and the channel
+  q W / Z are those P already reports, and P's convergence gates hold at
+  the new targets. On a (d1, ds) sweep, where the semantic target is slack
+  over much of the grid, most cells are answered this way.
 
   The chains of a batch run in lockstep (:class:`_ConstrainedBA`). Each
   chain owns a slot of one batch, a slot holds one cell (one run) at a time,
@@ -411,7 +426,10 @@ class RDPoint:
     proposals included, on both paths (a target solve's steps each solve for
     the multipliers, a fixed-multiplier run's hold them): in a batch each step
     advances several cells, and each counts it once. It is 0 on the zero-rate
-    path. ``cs_residual`` bounds |rate - optimum| via complementary slackness.
+    path, and on an answer a batch takes from its chain's last answer without
+    a run (:func:`solve_cells`), which then carries that answer's rate,
+    ``achieved``, multipliers and ``cs_residual``. ``cs_residual`` bounds
+    |rate - optimum| via complementary slackness.
 
     On a split problem (:attr:`RDProblem.split`) the point composes its two
     parts' points: the rate is their sum, ``achieved`` and ``multipliers``
@@ -871,7 +889,8 @@ class _ConstrainedBA:
         d, to a KKT residual of its tol, or of the rounding in g where that is
         larger, but never above _KKT_TOL. Returns the final duals, and the
         cells that stopped above that residual (out of Newton or backtracking
-        steps): the stalled ones.
+        steps, or at once along a direction that is not an ascent direction,
+        where g falls for every share t): the stalled ones.
 
         Every evaluation covers every cell; a cell that is done, or whose
         backtracking is, keeps its multipliers and so its dual."""
@@ -899,9 +918,13 @@ class _ConstrainedBA:
                 if reach < 1.0:
                     step = [y * reach for y in step]
                 steps[b] = step
-                at[b] = [min(LAMBDA_CAP, max(0.0, x + y)) for x, y in zip(l, step)]
+                x = at[b] = [min(LAMBDA_CAP, max(0.0, v + y)) for v, y in zip(l, step)]
+                if g[0] * (x[0] - l0) + g[1] * (x[1] - l1) + g[2] * (x[2] - l2) <= 0.0:
+                    # not an ascent direction: no share of it passes Armijo
+                    at[b] = l
+                    stalled.append(b)
             # every cell still backtracking has failed the same shares t before
-            t, pending = 1.0, active
+            t, pending = 1.0, [b for b in active if b not in stalled]
             for _ in range(_BACKTRACKS):
                 new = self._evaluate(M, at, targets)
                 # Armijo, up to rounding in g once the gain is that small
@@ -924,7 +947,7 @@ class _ConstrainedBA:
                 new = self._evaluate(M, at, targets)
                 stalled += pending
             d = new
-            active = [b for b in active if b not in pending and unsolved(d, b)]
+            active = [b for b in active if b not in stalled and unsolved(d, b)]
         return d, stalled + active
 
     def _solve_dual(self, M: np.ndarray, lam: list[list[float]],
@@ -1179,11 +1202,14 @@ class _Batch:
     by one :class:`_ConstrainedBA`: each chain owns a slot, and each slot
     holds one live cell at a time. When a slot's cell stops, the slot takes
     the next query of its chain; a query below a floor or at zero rate is
-    answered there and the slot moves on. Each run starts where its chain's
-    previous one ended: a run that converges at a positive rate leaves its
-    final step's multipliers and BA marginal, mixed with _WARM_MIX of the
-    uniform marginal (see the module docstring); every other outcome leaves
-    a cold start.
+    answered there and the slot moves on, and so is a query whose changed
+    targets are slack at the slot's last answer, a converged point (their
+    multipliers 0 there, the targets at least what it achieves): that
+    answer stands, with no step (see the module docstring). Each run starts
+    where its chain's previous one ended: a run that converges at a positive
+    rate leaves its final step's multipliers and BA marginal, mixed with
+    _WARM_MIX of the uniform marginal (see the module docstring), which an
+    answer without a run keeps; every other outcome leaves a cold start.
 
     :meth:`result` hands out one chain's answers in order, advancing the
     batch only until the next one is ready; answers of the other chains wait
@@ -1197,6 +1223,7 @@ class _Batch:
         self.queries = [iter(chain) for chain in chains]
         self.ready: list[collections.deque] = [collections.deque() for _ in chains]
         self.starts: list[tuple] = [() for _ in chains]
+        self.last: list[tuple | None] = [None for _ in chains]
         for slot in range(len(chains)):
             self._take(slot)
 
@@ -1205,25 +1232,40 @@ class _Batch:
         the first one that does."""
         ws = self.ws
         for query in self.queries[slot]:
-            start, self.starts[slot] = self.starts[slot], ()
-            targets = query.as_tuple()
+            targets, last = query.as_tuple(), self.last[slot]
             for coord, floor in enumerate(ws.absolute_floors):
                 if targets[coord] < floor - 1e-12:
-                    self.ready[slot].append((targets, InfeasibleDistortionError(
+                    answer = InfeasibleDistortionError(
                         f"constraint {coord}: target {targets[coord]} is below the "
-                        f"full-information floor {floor}")))
+                        f"full-information floor {floor}")
                     break
             else:
                 floors = ws.zero_rate_floors
-                if not all(t >= f - 1e-15 for t, f in zip(targets, floors)):
+                if all(t >= f - 1e-15 for t, f in zip(targets, floors)):
+                    # zero rate: each reproduction is the best function of y alone
+                    answer = RDPoint(0.0, floors, (0.0, 0.0, 0.0), 0, True)
+                elif last is not None and all(
+                        t == u or (l == 0.0 and t >= a)
+                        for t, u, l, a in zip(targets, last[0], last[1].multipliers,
+                                              last[1].achieved)):
+                    # every changed target is slack at the last answer, which
+                    # stands; the chain keeps its warm start
+                    p = last[1]
+                    self.last[slot] = (targets, RDPoint(p.rate, p.achieved, p.multipliers, 0,
+                                                        True, p.cs_residual))
+                    self.ready[slot].append(self.last[slot])
+                    continue
+                else:
+                    start, self.starts[slot], self.last[slot] = self.starts[slot], (), None
                     self.cba.add(slot, targets, *start)
                     return
-                # zero rate: each reproduction is the best function of y alone
-                self.ready[slot].append((targets, RDPoint(0.0, floors, (0.0, 0.0, 0.0), 0, True)))
+            self.starts[slot], self.last[slot] = (), None
+            self.ready[slot].append((targets, answer))
 
     def _point(self, done: _Cell) -> RDPoint | SemrdError:
         """The point of a stopped cell, or its error; a converged point at a
-        positive rate becomes the warm start of its chain's next run."""
+        positive rate becomes the warm start of its chain's next run and its
+        chain's last answer."""
         if done.error is not None:
             return done.error
         s, b, targets = done.step, done.row, done.targets
@@ -1241,10 +1283,12 @@ class _Batch:
             and cs <= RATE_TOL
             and all(a <= t + 10.0 * CONSTRAINT_TOL for a, t in zip(achieved, targets))
         )
+        point = RDPoint(rate, achieved, lam, done.iterations, ok, cs)
         if ok:
             Q = s.Q_next[b]
             self.starts[done.slot] = (lam, (1.0 - _WARM_MIX) * Q + _WARM_MIX / Q.shape[1])
-        return RDPoint(rate, achieved, lam, done.iterations, ok, cs)
+            self.last[done.slot] = (targets, point)
+        return point
 
     def result(self, problem: RDProblem, query: RDQuery, slot: int) -> RDPoint:
         """The answer to ``query``, the next query of chain ``slot``: its
@@ -1428,7 +1472,10 @@ def solve_cells(problem: RDProblem, queries: Sequence[RDQuery]) -> Iterator[Surf
     (:func:`_points`; see the module docstring): each run after a piece's
     first starts from its predecessor's final marginal and multipliers, which
     saves steps and moves rates only by rounding against a lone
-    :func:`solve_rd_point` call, a batch of one that starts cold. Each answer
+    :func:`solve_rd_point` call, a batch of one that starts cold. A query
+    whose changed targets are slack at its predecessor's converged answer
+    (multipliers 0, targets at least the achieved distortions) takes that
+    answer with no run and ``iterations`` 0. Each answer
     is one :func:`solve_rd_point` call through the module attribute, once per
     query or, on a split problem, once per distinct part query; a call
     advances the shared batch until its own query is done, and its point's

@@ -916,6 +916,24 @@ class TestSolveRdPoint:
         assert pt.iterations < 40
         assert abs(pt.rate - 0.562638443444521) <= 1e-9
 
+    def test_non_ascent_newton_direction_stalls_at_once(self, prob_cor, monkeypatch):
+        # fig5's cell (d1[17], 0.26, 0.25): where the costs are nearly
+        # collinear on the support, a Newton direction can point downhill by
+        # rounding. Backtracking along it passed Armijo only after about 35
+        # halvings, once the negative gain let g fall, on each Newton
+        # iteration: 2,894 dual evaluations in 6 steps. Stalled at once and
+        # solved again from zero, the point takes 80
+        evaluations, evaluate = [], solver_mod._ConstrainedBA._evaluate
+
+        def counting(self, *args):
+            evaluations.append(1)
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "_evaluate", counting)
+        pt = solve_rd_point(prob_cor, RDQuery(float(np.linspace(0.0, 0.0625, 50)[17]), 0.26, 0.25))
+        assert pt.converged
+        assert len(evaluations) <= 200
+
     def test_named_failure_converges(self, prob_cor):
         # a query on the correlated model's documented region where the
         # closed form is only a lower bound (negative q-vector)
@@ -1371,8 +1389,10 @@ class TestChains:
         assert [len(c) for c in solver_mod._pieces([background])] == [2, 2, 1]
 
     def test_pieces_take_fewer_batch_steps_than_one_chain(self, monkeypatch):
-        # the 20-point ds curve as pieces of four against the same queries as
-        # one chain: the pieces advance side by side
+        # the ten background targets of the d2 curve as pieces of three
+        # against the same queries as one chain: the pieces advance side by
+        # side. Each d2 target binds; on the ds curve the slack tail needs no
+        # runs, so pieces and chain take the same steps there
         masses, group_masses = [], solver_mod._Workspace.group_masses
 
         def counting(self, Q):
@@ -1380,14 +1400,73 @@ class TestChains:
             return group_masses(self, Q)
 
         monkeypatch.setattr(solver_mod._Workspace, "group_masses", counting)
-        problem, queries = curve_grids()[0]
-        pieced = list(solver_mod.solve_cells(problem, queries))
+        problem, queries = curve_grids()[1]
+        bg = problem.split[1]
+        queries = [RDQuery(0.0, q.d2, 0.0) for q in queries]
+        pieced = list(solver_mod.solve_cells(bg, queries))
         pieced_steps = len(masses)
         masses.clear()
-        chained = solver_mod._solve_chains(problem, [queries], solver_mod.DEFAULT_OPTIONS)
-        assert len(pieced) == len(chained) == 20
+        chained = solver_mod._solve_chains(bg, [queries], solver_mod.DEFAULT_OPTIONS)
+        assert len(pieced) == len(chained) == 10
+        assert all(p.point.iterations > 0 for p in pieced)
         assert max(masses) == 1
         assert pieced_steps < len(masses)
+
+    def test_slack_tail_of_a_curve_needs_no_run(self):
+        # along the ds curve at (0.03, 0.5) as one chain, the first answer
+        # whose semantic multiplier is 0 stands for every later query: each
+        # later target is above the semantic distortion it achieves, so
+        # each answer is that one, with no step of its own. Each still
+        # matches its lone cold solve
+        problem, queries = curve_grids()[0]
+        chained = solver_mod._solve_chains(problem, [queries], solver_mod.DEFAULT_OPTIONS)
+        first = next(i for i, p in enumerate(chained)
+                     if isinstance(p, solver_mod.RDPoint) and p.multipliers[2] == 0.0)
+        assert chained[first].iterations > 0 and first < len(queries) - 5
+        for q, p in zip(queries[first + 1:], chained[first + 1:]):
+            assert p.iterations == 0 and p.rate == chained[first].rate, q
+            assert p.multipliers == chained[first].multipliers, q
+        for q, p in zip(queries[first:], chained[first:]):
+            lone = solve_rd_point(problem, q)
+            assert abs(p.rate - lone.rate) <= 1e-9, q
+            assert p.converged == lone.converged, q
+
+    def test_binding_or_tightened_target_gets_a_run(self, prob_cor):
+        # along one chain at d2 = 0.5: loosening ds from 0.4, where its
+        # multiplier is 0, needs no run; a change of d1, whose multiplier is
+        # positive, does, and so does a ds target below the semantic
+        # distortion the last answer achieves, though its multiplier is 0
+        queries = [RDQuery(0.03, 0.5, 0.4), RDQuery(0.03, 0.5, 0.45), RDQuery(0.04, 0.5, 0.45)]
+        head = solve_rd_point(prob_cor, queries[0])
+        assert head.multipliers[0] > 0.0 and head.multipliers[2] == 0.0
+        queries.append(RDQuery(0.04, 0.5, head.achieved[2] - 0.01))
+        chained = solver_mod._solve_chains(prob_cor, [queries], solver_mod.DEFAULT_OPTIONS)
+        assert [p.iterations > 0 for p in chained] == [True, False, True, True]
+        assert chained[1].rate == chained[0].rate
+        assert chained[2].multipliers[2] == 0.0 and chained[2].achieved[2] > queries[3].ds
+        for q, p in zip(queries, chained):
+            lone = solve_rd_point(prob_cor, q)
+            assert abs(p.rate - lone.rate) <= 1e-9, q
+            assert p.converged == lone.converged, q
+
+    def test_answer_without_a_run_keeps_the_warm_start(self, prob_cor, monkeypatch):
+        # the run after an answer that needed none starts from the last
+        # run's multipliers and final marginal, not cold
+        added, add = [], solver_mod._ConstrainedBA.add
+
+        def spying(self, slot, targets, *start):
+            added.append((targets, start))
+            return add(self, slot, targets, *start)
+
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "add", spying)
+        queries = [RDQuery(0.03, 0.5, 0.4), RDQuery(0.03, 0.5, 0.45), RDQuery(0.04, 0.5, 0.45)]
+        chained = solver_mod._solve_chains(prob_cor, [queries], solver_mod.DEFAULT_OPTIONS)
+        assert [targets for targets, _ in added] == [queries[0].as_tuple(), queries[2].as_tuple()]
+        assert added[0][1] == ()
+        lam, Q = added[1][1]
+        assert lam == chained[0].multipliers and lam[0] > 0.0
+        assert Q.shape == prob_cor._workspace.initial_marginal().shape
+        assert all(p.converged for p in chained)
 
     def test_stalled_warm_multipliers_solve_again_from_zero(self, monkeypatch):
         # a chain hands its multipliers on: the run for (d1, ds) = (0.4, 0.3)
@@ -1530,13 +1609,14 @@ class TestChains:
 @pytest.mark.parametrize("grid", ["independent", "classification64"])
 def test_benchmark_grids_cell_steps(grid, prob_ind, prob_cls, monkeypatch):
     # the seed-0 grids of the sweep_independent and cli_classification
-    # benchmarks, solved serially: the cell steps (cells advanced, summed over
-    # batch steps) are deterministic. The rank-aware Anderson fit takes 160
-    # and 245; a fit on every difference in the history took 217 and 282
+    # benchmarks, solved serially: the cell steps (rows through group_masses,
+    # summed over batch steps) are deterministic. They take 130 and 128 with
+    # a query whose changed target is slack at its chain's last answer
+    # answered without a run, 168 and 234 with every such query run
     problem, bound, axes = {
-        "independent": (prob_ind, 175, (np.linspace(0.02, 0.23, 5), np.linspace(0.02, 0.23, 5),
+        "independent": (prob_ind, 143, (np.linspace(0.02, 0.23, 5), np.linspace(0.02, 0.23, 5),
                                         np.linspace(0.26, 0.49, 4))),
-        "classification64": (prob_cls, 265, (np.linspace(0.02, 0.40, 6), [0.1, 0.35],
+        "classification64": (prob_cls, 141, (np.linspace(0.02, 0.40, 6), [0.1, 0.35],
                                              np.linspace(0.26, 0.49, 6))),
     }[grid]
     masses, group_masses = [], solver_mod._Workspace.group_masses
