@@ -14,11 +14,11 @@ Submodules:
 * ``figures``/``verify``/``cli`` -- data-file generation and check suites
 
 The unit rule: every rate is in bits, except on the jointly Gaussian model
-(scenario iii), whose rates are in nats. The solver and the closed forms of
-the binary, parity and custom models report bits, ``gaussian`` reports
-nats, and the Gaussian figures fig8/fig9 add a bits column beside them. No
-entry takes a unit but the information measures of ``prob``, whose
-``log_base`` defaults to 2; multipliers are natural-log based.
+(scenario iii), whose rates are in nats. The solver, the closed forms of
+the binary, parity and custom models and the information measures of
+``prob`` report bits, ``gaussian`` reports nats, and the Gaussian figures
+fig8/fig9 add a bits column beside them. No entry takes a unit;
+multipliers are natural-log based.
 """
 
 from .errors import (

@@ -11,8 +11,8 @@ achievability channels) is built on three value types defined here:
 All types are immutable after construction and all operations are pure, so
 they are safe to share across threads/processes.
 
-Conventions: ``0 * log 0 == 0`` throughout; entropies and informations take an
-explicit ``log_base`` (default 2, i.e. bits); pmfs must sum to 1 within
+Conventions: ``0 * log 0 == 0`` throughout; entropies and informations are
+in bits (the unit rule of :mod:`semrd`); pmfs must sum to 1 within
 ``NORMALIZATION_TOL`` at construction time and are rejected rather than
 silently renormalized.
 
@@ -68,20 +68,15 @@ def check_int(value: object, name: str, lo: int) -> int:
     return int(value)
 
 
-def _check_log_base(log_base: float) -> float:
-    return check_real(log_base, "log_base", gt=1.0)
-
-
-def binary_entropy(q: float, log_base: float = 2.0) -> float:
-    """Entropy of a Bernoulli(q) variable in the given base.
+def binary_entropy(q: float) -> float:
+    """Entropy of a Bernoulli(q) variable in bits.
 
     Raises ProbabilityError for q outside [0, 1].
     """
-    log_base = _check_log_base(log_base)
     q = check_real(q, "q", 0.0, 1.0)
     if q == 0.0 or q == 1.0:
         return 0.0
-    return -(q * math.log(q) + (1.0 - q) * math.log(1.0 - q)) / math.log(log_base)
+    return -(q * math.log(q) + (1.0 - q) * math.log(1.0 - q)) / math.log(2.0)
 
 
 def star(a: float, b: float) -> float:
@@ -238,34 +233,25 @@ class JointPMF:
         pos = arr[arr > 0.0]
         return float(-(pos * np.log(pos)).sum())
 
-    def entropy(self, axis_names: Iterable[str] | None = None, log_base: float = 2.0) -> float:
+    def entropy(self, axis_names: Iterable[str] | None = None) -> float:
         """Joint entropy of the named axes (all axes when None)."""
-        _check_log_base(log_base)
-        return self._entropy_nats(axis_names) / math.log(log_base)
+        return self._entropy_nats(axis_names) / math.log(2.0)
 
-    def conditional_entropy(
-        self, target: Iterable[str], given: Iterable[str], log_base: float = 2.0
-    ) -> float:
-        _check_log_base(log_base)
+    def conditional_entropy(self, target: Iterable[str], given: Iterable[str]) -> float:
         target = tuple(target)
         given = tuple(given)
         if set(target) & set(given):
             raise ProbabilityError("target and conditioning axes must be disjoint")
         if not given:
-            return self.entropy(target, log_base)
+            return self.entropy(target)
         h_joint = self._entropy_nats(target + given)
         h_given = self._entropy_nats(given)
-        return (h_joint - h_given) / math.log(log_base)
+        return (h_joint - h_given) / math.log(2.0)
 
     def conditional_mutual_information(
-        self,
-        group_a: Iterable[str],
-        group_b: Iterable[str],
-        cond: Iterable[str] = (),
-        log_base: float = 2.0,
+        self, group_a: Iterable[str], group_b: Iterable[str], cond: Iterable[str] = ()
     ) -> float:
         """I(A; B | C) computed from the joint; clamped to 0 at float dust level."""
-        _check_log_base(log_base)
         a, b, c = tuple(group_a), tuple(group_b), tuple(cond)
         if not a or not b:
             raise ProbabilityError("group_a and group_b must be non-empty")
@@ -279,7 +265,7 @@ class JointPMF:
         h_bc = self._entropy_nats(b + c)
         h_abc = self._entropy_nats(groups)
         h_c = self._entropy_nats(c) if c else 0.0
-        value = (h_ac + h_bc - h_abc - h_c) / math.log(log_base)
+        value = (h_ac + h_bc - h_abc - h_c) / math.log(2.0)
         if value < -1e-12:
             raise ProbabilityError(
                 f"conditional mutual information evaluated to {value:.3e} < -1e-12; "
@@ -287,10 +273,8 @@ class JointPMF:
             )
         return max(value, 0.0)
 
-    def mutual_information(
-        self, group_a: Iterable[str], group_b: Iterable[str], log_base: float = 2.0
-    ) -> float:
-        return self.conditional_mutual_information(group_a, group_b, (), log_base)
+    def mutual_information(self, group_a: Iterable[str], group_b: Iterable[str]) -> float:
+        return self.conditional_mutual_information(group_a, group_b)
 
     def expected_distortion(
         self, d: "DistortionMatrix", source_axis: str, repro_axis: str

@@ -148,10 +148,13 @@ Two numerical details matter:
   multipliers. The achieved distortions are the final dual's gradient plus
   the targets, E d_i = sum p(x, y) R(k | x, y) c_i(x, k) over groups.
 
-  A problem's workspace (flattened law, cost tables, cost groups, and each
-  coordinate's two floors) is built on the problem object's first solve and
-  kept on the object (``RDProblem._workspace``): every later solve of that
-  object shares it, and the two parts of a split problem keep one each.
+  A problem's workspace (flattened law, cost groups, and each coordinate's
+  two floors) is built on the problem object's first solve and kept on the
+  object (``RDProblem._workspace``): every later solve of that object shares
+  it, and the two parts of a split problem keep one each. The
+  full-information floor sum_x p(x) min_h c_i(x, h) is the p(x)-weighted
+  least the dual adds back (below); the zero-rate floor
+  sum_y min_h sum_x p(y, x) c_i(x, h) is read off coordinate i's own table.
 
 * A batch of queries is solved by continuation, as Blahut (1972) traced a
   rate-distortion curve: each slope's run started from the previous slope's
@@ -165,13 +168,15 @@ Two numerical details matter:
   run's final BA marginal, mixed with 0.1% of the uniform one (the BA update
   never revives a zero atom, and the active set revives one only once its c
   exceeds 1: without the mix some sweeps take more steps), and its
-  multiplier solve from the previous run's multipliers. A zero-rate, failed
-  or unconverged point restarts its chain cold. An inherited multiplier can
-  saturate where the new target is slack enough: its cost's variance
-  underflows, Newton cannot move it and the multiplier solve stops above its
-  tolerance. Any solve that stalls from nonzero multipliers, at any step, is
-  repeated from zero multipliers at the same marginal, and the larger of the
-  two dual values is kept: both are lower bounds on F(q).
+  multiplier solve from the previous run's multipliers. Every converged
+  run leaves that start, at any rate; a query answered below a floor or at
+  zero rate without a run, and a failed or unconverged run, restart the
+  chain cold. An inherited multiplier can saturate where the new target is
+  slack enough: its cost's variance underflows, Newton cannot move it and
+  the multiplier solve stops above its tolerance. Any solve that stalls
+  from nonzero multipliers, at any step, is repeated from zero multipliers
+  at the same marginal, and the larger of the two dual values is kept: both
+  are lower bounds on F(q).
 
   A query needs no run where every target in which it differs from its
   chain's last answer P, a converged point, has multiplier 0 in P and is at
@@ -247,15 +252,13 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleDistortionError, ProbabilityError, SemrdError, SolverError
 from .prob import Alphabet, DistortionMatrix, JointPMF, check_int, check_real
-
-_COORDS = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -494,7 +497,9 @@ class _Workspace:
     Tables with no repeated values give K = nh.
 
     One workspace serves every solve of its problem object
-    (``RDProblem._workspace``), and holds each coordinate's floors."""
+    (``RDProblem._workspace``), and holds each coordinate's floors:
+    ``absolute_floors`` (full information) and ``zero_rate_floors`` (y
+    alone)."""
 
     def __init__(self, problem: RDProblem):
         x1, x2, y = problem.source.axes
@@ -515,15 +520,12 @@ class _Workspace:
         self.Pw = self.p_y[:, None] * self.P
         self.p_x = self.Pw.sum(axis=0)
 
-        # per-coordinate small tables indexed by composite x, used by the floors
-        d1x = np.broadcast_to(problem.d1.values[:, None, :], (self.nx1, self.nx2, self.nh1))
-        d2x = np.broadcast_to(problem.d2.values[None, :, :], (self.nx1, self.nx2, self.nh2))
-        dsx = np.broadcast_to(problem.ds_mod.values[:, None, :], (self.nx1, self.nx2, self.nhs))
-        self.coord_costs = tuple(
-            np.ascontiguousarray(d.reshape(self.nx, -1)) for d in (d1x, d2x, dsx)
-        )
-        self.absolute_floors = tuple(self.absolute_floor(c) for c in _COORDS)
-        self.zero_rate_floors = tuple(self.zero_rate_floor(c) for c in _COORDS)
+        # the zero-rate floors: each table applied to p(y, letter of its source)
+        # and its best reproduction taken per y
+        Pw3 = self.Pw.reshape(-1, self.nx1, self.nx2)
+        p1, p2 = Pw3.sum(axis=2), Pw3.sum(axis=1)
+        self.zero_rate_floors = tuple(float((p @ d.values).min(axis=1).sum()) for p, d in (
+            (p1, problem.d1), (p2, problem.d2), (p1, problem.ds_mod)))
 
         g1, u1 = _row_groups(problem.d1.values)
         g2, u2 = _row_groups(problem.d2.values)
@@ -551,9 +553,11 @@ class _Workspace:
         self.members[np.arange(self.nh), self.letter_group] = 1.0
         # the kernel's exponents per multiplier: each group's costs less its
         # row's least, those of group 0 (which holds the least of each table's
-        # row), flat over (x, k); the least costs weighted by p(x)
+        # row), flat over (x, k); the least costs weighted by p(x), which are
+        # the full-information floors
         self.drops = (self.group_costs[:, :, :1] - self.group_costs).reshape(3, -1)
         self.least = (self.group_costs[:, :, 0] @ self.p_x).tolist()
+        self.absolute_floors = tuple(self.least)
         # the group costs over (y, x, k), the same weighted by p(y, x), and as
         # one (k, i) table per source row; the weights of the dual's sums as columns
         shape = (3, len(self.p_y), self.nx, self.K)
@@ -590,20 +594,9 @@ class _Workspace:
         nats = (float(np.vdot(self.Pw, kl_rows))
                 - float(np.dot(self.p_y, np.add.reduce(Q_out * log_c, axis=1))))
         value = nats / math.log(2.0)
-        if value < -1e-12:
-            raise SolverError(f"rate evaluated to {value:.3e} < -1e-12")
+        if not value >= -1e-12:  # NaN included
+            raise SolverError(f"rate evaluated to {value:.3e}")
         return max(value, 0.0)
-
-    # ---- floors ---------------------------------------------------------
-
-    def absolute_floor(self, coord: int) -> float:
-        """Distortion floor with full observation knowledge (max-rate limit)."""
-        return float((self.p_x * self.coord_costs[coord].min(axis=1)).sum())
-
-    def zero_rate_floor(self, coord: int) -> float:
-        """Best distortion with reproductions depending on y alone."""
-        ed = np.einsum("yx,xk->yk", self.Pw, self.coord_costs[coord])
-        return float(ed.min(axis=1).sum())
 
 
 # Constants of the constrained BA loop (see the module docstring). The dual is
@@ -1076,8 +1069,9 @@ class _ConstrainedBA:
         return out
 
     def _stalled(self, d: _Dual, b: int) -> bool:
-        """Whether cell b's multiplier solve ended above the KKT gate of
-        :meth:`_Batch._point`: its targets are not met."""
+        """Whether cell b's multiplier solve ended above the KKT gate of a
+        converged point, a residual of 5 CONSTRAINT_TOL: its targets are not
+        met. The one definition of that gate."""
         return self._targeted and _kkt_residual(d.lam[b], d.grad[b]) > 5.0 * CONSTRAINT_TOL
 
     def _active_set(self, s: _Step, kept: list[int]) -> None:
@@ -1206,10 +1200,13 @@ class _Batch:
     targets are slack at the slot's last answer, a converged point (their
     multipliers 0 there, the targets at least what it achieves): that
     answer stands, with no step (see the module docstring). Each run starts
-    where its chain's previous one ended: a run that converges at a positive
-    rate leaves its final step's multipliers and BA marginal, mixed with
-    _WARM_MIX of the uniform marginal (see the module docstring), which an
-    answer without a run keeps; every other outcome leaves a cold start.
+    where its chain's previous one ended. A slot keeps one record,
+    ``last[slot]``: the targets and point of its last answer, a converged
+    one, and the warm start it leaves, the final step's BA marginal mixed
+    with _WARM_MIX of the uniform marginal (see the module docstring), the
+    multipliers being the point's. Every converged run sets it, at any
+    rate, and an answer without a run keeps its marginal; every other
+    outcome clears it, and the next run starts cold.
 
     :meth:`result` hands out one chain's answers in order, advancing the
     batch only until the next one is ready; answers of the other chains wait
@@ -1222,7 +1219,6 @@ class _Batch:
         self.cba = _ConstrainedBA(self.ws, opts)
         self.queries = [iter(chain) for chain in chains]
         self.ready: list[collections.deque] = [collections.deque() for _ in chains]
-        self.starts: list[tuple] = [() for _ in chains]
         self.last: list[tuple | None] = [None for _ in chains]
         for slot in range(len(chains)):
             self._take(slot)
@@ -1233,6 +1229,7 @@ class _Batch:
         ws = self.ws
         for query in self.queries[slot]:
             targets, last = query.as_tuple(), self.last[slot]
+            self.last[slot] = None
             for coord, floor in enumerate(ws.absolute_floors):
                 if targets[coord] < floor - 1e-12:
                     answer = InfeasibleDistortionError(
@@ -1250,22 +1247,19 @@ class _Batch:
                                               last[1].achieved)):
                     # every changed target is slack at the last answer, which
                     # stands; the chain keeps its warm start
-                    p = last[1]
-                    self.last[slot] = (targets, RDPoint(p.rate, p.achieved, p.multipliers, 0,
-                                                        True, p.cs_residual))
-                    self.ready[slot].append(self.last[slot])
-                    continue
+                    answer = replace(last[1], iterations=0)
+                    self.last[slot] = (targets, answer, last[2])
                 else:
-                    start, self.starts[slot], self.last[slot] = self.starts[slot], (), None
+                    start = () if last is None else (last[1].multipliers, last[2])
                     self.cba.add(slot, targets, *start)
                     return
-            self.starts[slot], self.last[slot] = (), None
             self.ready[slot].append((targets, answer))
 
     def _point(self, done: _Cell) -> RDPoint | SemrdError:
-        """The point of a stopped cell, or its error; a converged point at a
-        positive rate becomes the warm start of its chain's next run and its
-        chain's last answer."""
+        """The point of a stopped cell, or its error; a converged point
+        becomes its chain's last answer, whose multipliers and final BA
+        marginal, mixed with _WARM_MIX of the uniform one, start the chain's
+        next run."""
         if done.error is not None:
             return done.error
         s, b, targets = done.step, done.row, done.targets
@@ -1279,15 +1273,15 @@ class _Batch:
             return exc
         ok = (
             done.cert < CERT_TOL
-            and _kkt_residual(lam, grad) <= 5.0 * CONSTRAINT_TOL
+            and not self.cba._stalled(s.dual, b)
             and cs <= RATE_TOL
             and all(a <= t + 10.0 * CONSTRAINT_TOL for a, t in zip(achieved, targets))
         )
         point = RDPoint(rate, achieved, lam, done.iterations, ok, cs)
         if ok:
             Q = s.Q_next[b]
-            self.starts[done.slot] = (lam, (1.0 - _WARM_MIX) * Q + _WARM_MIX / Q.shape[1])
-            self.last[done.slot] = (targets, point)
+            self.last[done.slot] = (targets, point,
+                                    (1.0 - _WARM_MIX) * Q + _WARM_MIX / Q.shape[1])
         return point
 
     def result(self, problem: RDProblem, query: RDQuery, slot: int) -> RDPoint:

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is referenced in that module,
 every module-level private function, class or constant is referenced
 somewhere, every solver option is read by the package, only two entries
-take solver options and only ``prob`` takes a unit, every field of a result
+take solver options and no entry takes a unit, every field of a result
 or config class is read by the package, the benchmark or (for the checks'
 results) the tests, no module imports another module's private name, and no
 module reads the environment.
@@ -140,36 +140,48 @@ def test_solver_options_read():
     assert unread == []
 
 
+def parameters(node: ast.FunctionDef) -> set[str]:
+    a = node.args
+    return {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+
+
 def settable_names(paths) -> dict[str, set[str]]:
     """``module.name``: the parameters of each public module-level function,
     and the annotated fields (a dataclass's constructor parameters) of each
-    public module-level class."""
+    public module-level class; ``module.Class.method``: the parameters of
+    each public method (``__init__`` included) of such a class."""
     out = {}
     for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
-                a = node.args
-                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                names = parameters(node)
             elif isinstance(node, ast.ClassDef):
                 names = {n.target.id for n in node.body if isinstance(n, ast.AnnAssign)}
             else:
                 continue
-            if not node.name.startswith("_"):
-                out[f"{path.stem}.{node.name}"] = names
+            if node.name.startswith("_"):
+                continue
+            out[f"{path.stem}.{node.name}"] = names
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and (
+                            not m.name.startswith("_") or m.name == "__init__"):
+                        out[f"{path.stem}.{node.name}.{m.name}"] = parameters(m)
     return out
 
 
 def test_unit_and_solver_options_only_where_passed():
-    # rates follow the package's unit rule, so only prob's information
-    # measures take a unit; solver options go only to the two entries that
-    # callers set them on
+    # rates and information measures follow the package's unit rule, so no
+    # function or method takes a unit; solver options go only to the two
+    # entries that callers set them on
     settable = settable_names(sorted(SRC.glob("*.py")))
 
     def taking(*names):
         return sorted(k for k, v in settable.items() if v & set(names))
 
     assert taking("opts") == ["solver.ba_fixed_multipliers", "solver.solve_rd_point"]
-    assert taking("base", "log_base") == ["prob.binary_entropy"]
+    assert "prob.JointPMF.conditional_mutual_information" in settable
+    assert taking("base", "log_base") == []
 
 
 # each result or config class, with the package module that defines it and

@@ -24,7 +24,7 @@ from semrd.models import (
     custom_model,
     route,
 )
-from semrd.prob import BinarySourceSpec
+from semrd.prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF
 from semrd.semantic import ds0
 from semrd.solver import RDQuery
 
@@ -217,3 +217,26 @@ def test_fig7_grid_auto_matches_ba():
     for auto, ba in zip(route(model, queries), route(model, queries, "ba")):
         assert auto.method == "closed_form" and ba.converged
         assert abs(auto.rate - ba.rate) < 1e-9
+
+
+def test_nan_rate_is_a_flagged_row():
+    # a random integer-cost problem (3x2x2 source, rounded to 6 decimals)
+    # whose d1 target sits on its floor: the run stops early with the kernel's
+    # normaliser underflowed to 0 (numpy warns of the divide by zero), and its
+    # rate evaluates to NaN. The row is flagged with the solver's error and
+    # carries no rate, not a NaN one
+    probs = np.array([[[0.041712, 0.044517], [0.057486, 0.038272]],
+                      [[0.338439, 0.179501], [0.104068, 0.08526]],
+                      [[0.007254, 0.005928], [0.018928, 0.078635]]])
+    x1, x2, y = Alphabet("x1", 3), Alphabet("x2", 2), Alphabet("y", 2)
+    h1, h2, hs = Alphabet("x1h", 2), Alphabet("x2h", 3), Alphabet("sh", 2)
+    problem = sources.custom_problem(
+        JointPMF((x1, x2, y), probs / probs.sum()),
+        DistortionMatrix(x1, h1, [[2, 2], [2, 2], [1, 1]]),
+        DistortionMatrix(x2, h2, [[1, 1, 0], [1, 1, 0]]),
+        DistortionMatrix(x1, hs, [[2, 0], [0, 2], [2, 0]]),
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (row,) = route(custom_model(problem), [RDQuery(1.889255, 0.0, 0.5714)], "ba")
+    assert row.error == "SolverError: rate evaluated to nan"
+    assert row.rate is None and row.cs_residual is None and not row.converged

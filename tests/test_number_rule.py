@@ -56,7 +56,6 @@ REALS = {
     "ba_fixed_multipliers": (lambda v: ba_fixed_multipliers(PROBLEM, v, 0.0, 0.0).multipliers[0],
                              0.25, 0, True),
     "binary_entropy": (lambda v: binary_entropy(v), 0.25, 0, True),
-    "log_base": (lambda v: binary_entropy(0.25, v), 4.0, 2, True),
     "star": (lambda v: star(v, 0.1), 0.25, 0, True),
     "make_dsbs": (lambda v: make_dsbs(v).total_mass(), 0.25, 0, True),
     # through a constructor that needs the field: None marks an unused one

@@ -35,17 +35,10 @@ class TestBinaryEntropy:
     def test_quarter(self):
         assert binary_entropy(0.25) == pytest.approx(HB_025, abs=1e-12)
 
-    def test_nats(self):
-        assert binary_entropy(0.25, math.e) == pytest.approx(HB_025 * math.log(2), abs=1e-12)
-
     @pytest.mark.parametrize("q", [-0.01, 1.01, float("nan"), float("inf")])
     def test_domain(self, q):
         with pytest.raises(ProbabilityError):
             binary_entropy(q)
-
-    def test_bad_base(self):
-        with pytest.raises(ProbabilityError):
-            binary_entropy(0.3, 1.0)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_range_and_symmetry(self, q):

@@ -10,6 +10,7 @@ closed forms do not cover.
 import itertools
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,9 +121,23 @@ def between_floors(problem, fractions):
     full-information floor to its zero-rate distortion."""
     ws = solver_mod._Workspace(problem)
     return RDQuery(*(
-        ws.absolute_floor(c) + f * (ws.zero_rate_floor(c) - ws.absolute_floor(c))
-        for c, f in enumerate(fractions)
+        lo + f * (hi - lo)
+        for lo, hi, f in zip(ws.absolute_floors, ws.zero_rate_floors, fractions)
     ))
+
+
+def reference_floors(problem):
+    """Each coordinate's (full-information floor, zero-rate floor) from the
+    problem's own law and tables: sum_x p(x) min_h c_i(x, h) and
+    sum_y min_h sum_x p(y, x) c_i(x, h), over the table's source letter x."""
+    probs = problem.source.probs  # (x1, x2, y)
+    out = []
+    for p_xy, d in ((probs.sum(axis=1), problem.d1), (probs.sum(axis=0), problem.d2),
+                    (probs.sum(axis=1), problem.ds_mod)):
+        full = float(p_xy.sum(axis=1) @ d.values.min(axis=1))
+        zero = float((p_xy.T @ d.values).min(axis=1).sum())
+        out.append((full, zero))
+    return out
 
 
 def _solved(build, fractions=None, query=None, slack=False):
@@ -541,9 +556,11 @@ def reference_dual_step(problem, targets, Q, lam):
 
 
 def identity_groups(values):
-    """Every letter its own cost group: the grouped solve then runs on the
-    dense arrays."""
-    return np.broadcast_to(np.arange(values.shape[1]), values.shape).copy(), values.copy()
+    """Every letter its own cost group, numbered by increasing value as
+    ``_row_groups`` numbers its groups (group 0 holds the row's least): the
+    grouped solve then runs on the dense arrays."""
+    order = np.argsort(values, axis=1, kind="stable")
+    return np.argsort(order, axis=1), np.take_along_axis(values, order, axis=1)
 
 
 GROUPED_WORKSPACES = [
@@ -786,10 +803,14 @@ def joint_of(problem, T):
     return JointPMF(problem.source.axes + problem.repro_alphabets, shaped / total)
 
 
-def y_only_channel(ws):
+def y_only_channel(problem):
     """The zero-rate channel T[y, x, h]: each reproduction coordinate takes,
     for each y, the letter of least expected cost given y."""
-    letters = [(ws.Pw @ costs).argmin(axis=1) for costs in ws.coord_costs]  # per y
+    ws = problem._workspace
+    # per coordinate and y, the first composite letter of least expected cost,
+    # and that letter's own coordinate
+    best = (ws.Pw @ dense_costs(problem)).argmin(axis=2)
+    letters = [np.unravel_index(best[i], (ws.nh1, ws.nh2, ws.nhs))[i] for i in range(3)]
     h = (letters[0] * ws.nh2 + letters[1]) * ws.nhs + letters[2]
     T = np.zeros((len(ws.p_y), ws.nx, ws.nh))
     T[np.arange(len(ws.p_y)), :, h] = 1.0
@@ -841,7 +862,7 @@ class TestSolveRdPoint:
                     s, d, b = cell.step, cell.step.dual, cell.row
                     return (s.Q[b][:, None, :] * cba._letters(d)[b][None, :, :]
                             / d.Z[b][:, :, None])
-            return y_only_channel(part._workspace)
+            return y_only_channel(part)
 
         monkeypatch.setattr(solver_mod._ConstrainedBA, "advance", capturing)
         problem, pt, slack_targets = case()
@@ -1070,8 +1091,9 @@ class TestWorkspaceReuse:
         assert len(builds) == 2
         assert builds[0] is obs and builds[1] is bg
         ws = obs._workspace
-        assert ws.zero_rate_floors == tuple(ws.zero_rate_floor(c) for c in range(3))
-        assert ws.absolute_floors == tuple(ws.absolute_floor(c) for c in range(3))
+        full, zero = zip(*reference_floors(obs))
+        assert ws.absolute_floors == pytest.approx(full, rel=0, abs=1e-15)
+        assert ws.zero_rate_floors == pytest.approx(zero, rel=0, abs=1e-15)
 
     def test_equal_problems_keep_their_own_laws(self, prob_ind, prob_cor):
         # the arrays do not take part in equality, so reuse is keyed on identity
@@ -1081,6 +1103,48 @@ class TestWorkspaceReuse:
         ind, cor = solve_rd_point(prob_ind, q), solve_rd_point(prob_cor, q)
         assert abs(ind.rate - cor.rate) > 0.05
         assert solve_rd_point(prob_ind, q).rate == ind.rate
+
+
+def random_custom_problem(seed):
+    """A seeded random custom problem: 2-3 letters on every source and
+    reproduction axis, a Dirichlet(0.7) law, and costs in {0, 1, 2} on even
+    seeds or uniform in [0, 2) on odd ones."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 4, 6).tolist()
+    x1, x2, y, h1, h2, hs = (Alphabet(name, n) for name, n in zip(
+        ("x1", "x2", "y", "x1_hat", "x2_hat", "s_hat"), sizes))
+    law = rng.dirichlet(np.full(math.prod(sizes[:3]), 0.7)).reshape(sizes[:3])
+
+    def table(a, b):
+        shape = (a.size, b.size)
+        values = rng.integers(0, 3, shape) if seed % 2 == 0 else rng.uniform(0.0, 2.0, shape)
+        return DistortionMatrix(a, b, values)
+
+    return sources.custom_problem(JointPMF((x1, x2, y), law), table(x1, h1), table(x2, h2),
+                                  table(x1, hs))
+
+
+FLOOR_CASES = {
+    "independent": lambda: [sources.conditionally_independent_problem(SPEC_IND)],
+    "correlated": lambda: [sources.correlated_problem(SPEC_COR)],
+    "classification64": lambda: [sources.classification_problem(0.25, 0.25, 64)],
+    "random": lambda: [random_custom_problem(seed) for seed in range(50)],
+}
+
+
+@pytest.mark.parametrize("case", FLOOR_CASES)
+def test_floors_match_the_tables(case):
+    # each workspace floor against the sums over the problem's own law and
+    # tables (reference_floors), on the problem and on both parts of a split
+    problems = FLOOR_CASES[case]()
+    problems += [part for p in problems if p.split is not None for part in p.split]
+    if case == "independent" or case == "classification64":
+        assert len(problems) == 3
+    for problem in problems:
+        ws = problem._workspace
+        full, zero = zip(*reference_floors(problem))
+        assert ws.absolute_floors == pytest.approx(full, rel=0, abs=1e-15)
+        assert ws.zero_rate_floors == pytest.approx(zero, rel=0, abs=1e-15)
 
 
 class TestSolverOptions:
@@ -1487,8 +1551,9 @@ class TestChains:
         def saturating(self, done):
             answer = point(self, done)
             if done.targets == (0.4, 0.0, 0.25):
-                (l1, l2, _), Q = self.starts[done.slot]
-                self.starts[done.slot] = ((l1, l2, 200.0), Q)
+                targets, last, Q = self.last[done.slot]
+                l1, l2, _ = last.multipliers
+                self.last[done.slot] = (targets, replace(last, multipliers=(l1, l2, 200.0)), Q)
             return answer
 
         monkeypatch.setattr(solver_mod._ConstrainedBA, "_newton", spying)
