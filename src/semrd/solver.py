@@ -196,21 +196,28 @@ Two numerical details matter:
   and one step advances every live cell: the marginals as a (cells, y, h)
   array, the multiplier solves, the Anderson histories and the stopping
   rules each cell's own. A slot whose cell stops takes its chain's next
-  query; a lone solve is a batch of one. Every sum over one cell's arrays is
-  a stack of per-cell products, so a cell's numbers do not depend on the
-  cells beside it: a batch returns bit for bit the points of its chains run
-  one after another.
+  query; a lone solve is a batch of one. A batch runs once, until every
+  chain is answered, and returns each chain's answers in order. Every sum
+  over one cell's arrays is a stack of per-cell products, so a cell's
+  numbers do not depend on the cells beside it: a batch returns bit for bit
+  the points of its chains run one after another.
 
-  The cut into pieces trades two costs. A batch step costs little more for
-  more cells, so a batch takes about as many steps as its longest chain
-  takes one after another; every extra piece adds a cold head, whose run
-  takes more cell steps than a warm one. Pieces of about sqrt(q) queries
-  balance the two: a side of q queries runs about sqrt(q) pieces side by
-  side. A square grid's chains are that long already and stay whole; a side
-  whose queries form one chain, as on a curve or on the background side of
-  a split sweep (its distinct d2 values), runs side by side too, not one
-  query at a time. One-query pieces, all cold, cost more cell steps than
-  they save batch steps on large alphabets.
+  The cut into pieces trades two costs. A batch takes about as many steps
+  as its longest chain takes one after another, and a batch step costs a
+  fixed part and a part per live cell that grows with the alphabet. With n
+  identical cells, a step took about 230-350 us plus 50-90 us per extra
+  cell on the binary observation side of the independent example (4
+  letters), and about 320-390 us plus 170-200 us per extra cell on the
+  N = 64 classification observation side (128 letters): wall time, medians
+  of 30 batches on a shared 2-core Xeon, context only. Side-by-side pieces
+  share the fixed part of each step; every extra piece adds a cold head,
+  whose run takes more cell steps than a warm one. Pieces of about sqrt(q)
+  queries balance the two: a side of q queries runs about sqrt(q) pieces
+  side by side. A square grid's chains are that long already and stay
+  whole; a side whose queries form one chain, as on a curve or on the
+  background side of a split sweep (its distinct d2 values), runs side by
+  side too, not one query at a time. One-query pieces, all cold, cost more
+  cell steps than they save batch steps on large alphabets.
 
 * A source whose observation and background are independent given the side
   information (the chain X1 - Y - X2, p(x1, x2, y) = p(x1|y) p(x2|y) p(y)) is
@@ -247,7 +254,6 @@ holds the one option, ``max_iters``.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -1023,10 +1029,11 @@ class _ConstrainedBA:
         kept = []
         for b, cell in enumerate(cells):
             v = d.value[b]
-            if v > cell.value + 1e-11 * (1.0 + abs(v)) or (
+            if not v < math.inf or v > cell.value + 1e-11 * (1.0 + abs(v)) or (
                     cell.drop is not None and self._stalled(d, b)):
-                # a rise beyond rounding, or a drop that leaves the targets
-                # unmet, refuses a proposal; a plain step fails
+                # a rise beyond rounding (+inf and NaN included: a normaliser
+                # underflowed), or a drop that leaves the targets unmet,
+                # refuses a proposal; a plain step fails
                 if not proposed[b]:
                     cell.error = SolverError(f"constrained objective increased from {cell.value!r}"
                                              f" to {v!r} at step {cell.iterations}")
@@ -1208,17 +1215,15 @@ class _Batch:
     rate, and an answer without a run keeps its marginal; every other
     outcome clears it, and the next run starts cold.
 
-    :meth:`result` hands out one chain's answers in order, advancing the
-    batch only until the next one is ready; answers of the other chains wait
-    in the batch, with their targets, until they are asked for."""
+    :meth:`run` advances the batch once, until every chain is answered, and
+    returns each chain's answers in order."""
 
     def __init__(self, problem: RDProblem, chains: Sequence[Sequence[RDQuery]],
                  opts: SolverOptions):
-        self.problem = problem
         self.ws = problem._workspace
         self.cba = _ConstrainedBA(self.ws, opts)
         self.queries = [iter(chain) for chain in chains]
-        self.ready: list[collections.deque] = [collections.deque() for _ in chains]
+        self.answers: list[list[RDPoint | SemrdError]] = [[] for _ in chains]
         self.last: list[tuple | None] = [None for _ in chains]
         for slot in range(len(chains)):
             self._take(slot)
@@ -1253,7 +1258,7 @@ class _Batch:
                     start = () if last is None else (last[1].multipliers, last[2])
                     self.cba.add(slot, targets, *start)
                     return
-            self.ready[slot].append((targets, answer))
+            self.answers[slot].append(answer)
 
     def _point(self, done: _Cell) -> RDPoint | SemrdError:
         """The point of a stopped cell, or its error; a converged point
@@ -1284,26 +1289,14 @@ class _Batch:
                                     (1.0 - _WARM_MIX) * Q + _WARM_MIX / Q.shape[1])
         return point
 
-    def result(self, problem: RDProblem, query: RDQuery, slot: int) -> RDPoint:
-        """The answer to ``query``, the next query of chain ``slot``: its
-        point, or its error raised. A query that is not that chain's next
-        one, or a problem that is not the batch's, raises
-        :class:`SolverError`: answers go to the queries they belong to."""
-        ready = self.ready[slot]
-        while not ready:
-            if not self.cba.cells:
-                raise SolverError(f"chain {slot} has no query left")
+    def run(self) -> list[list[RDPoint | SemrdError]]:
+        """Advance the batch until every chain is answered; each chain's
+        answers, in order, as points or errors."""
+        while self.cba.cells:
             for done in self.cba.advance():
-                self.ready[done.slot].append((done.targets, self._point(done)))
+                self.answers[done.slot].append(self._point(done))
                 self._take(done.slot)
-        targets, answer = ready[0]
-        if problem is not self.problem or targets != query.as_tuple():
-            raise SolverError(f"query {query.as_tuple()} is not the next query {targets} "
-                              f"of chain {slot} of this batch")
-        ready.popleft()
-        if isinstance(answer, SemrdError):
-            raise answer
-        return answer
+        return self.answers
 
 
 def solve_rd_point(
@@ -1311,7 +1304,7 @@ def solve_rd_point(
     query: RDQuery,
     opts: SolverOptions = DEFAULT_OPTIONS,
     *,
-    _batch: tuple[_Batch, int] | None = None,
+    _answer: RDPoint | SemrdError | None = None,
 ) -> RDPoint:
     """Minimum rate meeting the query's three expected-distortion targets.
 
@@ -1323,18 +1316,16 @@ def solve_rd_point(
     A split problem (:attr:`RDProblem.split`) is solved through its two
     parts (:func:`_points`); every other problem by one joint solve, as
     :func:`solve_joint_point` does. ``opts`` caps the steps of each run
-    (:class:`SolverOptions`). ``_batch`` is private to :func:`_solve_chains`:
-    the shared batch and the chain whose next answer this call returns.
+    (:class:`SolverOptions`). ``_answer`` is private to :func:`_solve_chains`:
+    an answer its batch has already found, returned here, or raised if it is
+    an error, with nothing solved.
     """
-    if _batch is not None:
-        batch, slot = _batch
-        return batch.result(problem, query, slot)
-    if problem.split is None:
-        return _Batch(problem, [[query]], opts).result(problem, query, 0)
-    (point,) = _points(problem, [query], opts)
-    if isinstance(point, SemrdError):
-        raise point
-    return point
+    if _answer is None:
+        if problem.split is None:
+            _answer = _Batch(problem, [[query]], opts).run()[0][0]
+        else:
+            (_answer,) = _points(problem, [query], opts)
+    return _raised(_answer)
 
 
 def solve_joint_point(problem: RDProblem, query: RDQuery) -> RDPoint:
@@ -1342,7 +1333,14 @@ def solve_joint_point(problem: RDProblem, query: RDQuery) -> RDPoint:
     whether or not the source splits: what :func:`solve_rd_point` does on a
     problem that does not split, and the reference for those that do. It is
     a batch of one chain of one query."""
-    return _Batch(problem, [[query]], DEFAULT_OPTIONS).result(problem, query, 0)
+    return _raised(_Batch(problem, [[query]], DEFAULT_OPTIONS).run()[0][0])
+
+
+def _raised(answer: RDPoint | SemrdError) -> RDPoint:
+    """The point, or the error raised."""
+    if isinstance(answer, SemrdError):
+        raise answer
+    return answer
 
 
 def semantic_rd(joint_sx1: JointPMF, ds: DistortionMatrix, Ds: float) -> RDPoint:
@@ -1400,17 +1398,16 @@ def _pieces(chains: Sequence[Sequence[RDQuery]]) -> list[Sequence[RDQuery]]:
 
 def _solve_chains(problem: RDProblem, chains: Sequence[Sequence[RDQuery]],
                   opts: SolverOptions) -> list[RDPoint | SemrdError]:
-    """One point or error per query of each chain, in order, the chains in one
-    :class:`_Batch`. Each is one :func:`solve_rd_point` call, through the
-    module attribute so that a caller may wrap it, that returns the next
-    answer of its chain."""
-    batch, answers = _Batch(problem, chains, opts), []
-    for slot, chain in enumerate(chains):
-        for q in chain:
-            try:
-                answers.append(solve_rd_point(problem, q, opts, _batch=(batch, slot)))
-            except SemrdError as exc:
-                answers.append(exc)
+    """One point or error per query of each chain, in order. The chains are
+    one :class:`_Batch`, run once; each answer is then handed out through
+    one :func:`solve_rd_point` call, which solves nothing. The call goes
+    through the module attribute so that a caller may wrap it."""
+    answers, found = [], _Batch(problem, chains, opts).run()
+    for q, answer in zip(itertools.chain(*chains), itertools.chain(*found)):
+        try:
+            answers.append(solve_rd_point(problem, q, opts, _answer=answer))
+        except SemrdError as exc:
+            answers.append(exc)
     return answers
 
 
@@ -1469,11 +1466,11 @@ def solve_cells(problem: RDProblem, queries: Sequence[RDQuery]) -> Iterator[Surf
     :func:`solve_rd_point` call, a batch of one that starts cold. A query
     whose changed targets are slack at its predecessor's converged answer
     (multipliers 0, targets at least the achieved distortions) takes that
-    answer with no run and ``iterations`` 0. Each answer
-    is one :func:`solve_rd_point` call through the module attribute, once per
-    query or, on a split problem, once per distinct part query; a call
-    advances the shared batch until its own query is done, and its point's
-    ``iterations`` are that query's own steps.
+    answer with no run and ``iterations`` 0. Each side's batch runs once, to
+    its end; each answer is then handed out through one
+    :func:`solve_rd_point` call through the module attribute, once per query
+    or, on a split problem, once per distinct part query, which solves
+    nothing. A point's ``iterations`` are its query's own steps.
     """
     points = _points(problem, queries, DEFAULT_OPTIONS)
     return (

@@ -221,9 +221,9 @@ def test_fig7_grid_auto_matches_ba():
 
 def test_nan_rate_is_a_flagged_row():
     # a random integer-cost problem (3x2x2 source, rounded to 6 decimals)
-    # whose d1 target sits on its floor: the run stops early with the kernel's
-    # normaliser underflowed to 0 (numpy warns of the divide by zero), and its
-    # rate evaluates to NaN. The row is flagged with the solver's error and
+    # whose d1 target sits on its floor: the kernel's normaliser underflows
+    # to 0 (numpy warns of the divide by zero) and F reads +inf, a rise that
+    # fails the plain step. The row is flagged with the solver's error and
     # carries no rate, not a NaN one
     probs = np.array([[[0.041712, 0.044517], [0.057486, 0.038272]],
                       [[0.338439, 0.179501], [0.104068, 0.08526]],
@@ -238,5 +238,6 @@ def test_nan_rate_is_a_flagged_row():
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         (row,) = route(custom_model(problem), [RDQuery(1.889255, 0.0, 0.5714)], "ba")
-    assert row.error == "SolverError: rate evaluated to nan"
+    assert row.error == ("SolverError: constrained objective increased from "
+                         "0.003587511659173398 to inf at step 32")
     assert row.rate is None and row.cs_residual is None and not row.converged

@@ -459,6 +459,35 @@ class TestAnderson:
         for (_, prev), (_, F) in zip(kept, kept[1:]):
             assert F <= prev + 1e-11 * (1.0 + abs(F))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("step", [2, 5], ids=["plain", "proposal"])
+    def test_non_finite_F_is_a_rise(self, bad, step, monkeypatch, prob_cor):
+        # F reads +inf or NaN at one step of a lone solve, as it does where
+        # the kernel's normaliser underflows. The second step, before the
+        # history holds a difference, is plain: it fails. The fifth starts
+        # from an Anderson proposal: it is refused, the cell keeps its last
+        # finite F and still converges to its unpatched rate
+        query = RDQuery(0.05, 0.1, 0.3)
+        lone = solve_rd_point(prob_cor, query)
+        solve_dual, before = solver_mod._ConstrainedBA._solve_dual, {}
+
+        def poisoned(self, *args):
+            (cell,) = self.cells
+            before[cell.iterations] = cell.value
+            d = solve_dual(self, *args)
+            if cell.iterations == step:
+                d.value[0] = bad
+            return d
+
+        monkeypatch.setattr(solver_mod._ConstrainedBA, "_solve_dual", poisoned)
+        if step == 2:
+            with pytest.raises(SolverError, match=f"increased from .* to {bad} at step 2$"):
+                solve_rd_point(prob_cor, query)
+            return
+        pt = solve_rd_point(prob_cor, query)
+        assert math.isfinite(before[step]) and before[step + 1] == before[step]
+        assert pt.converged and abs(pt.rate - lone.rate) <= 1e-9
+
 
 # the hard_correlated benchmark's six seed-0 points (bench/workloads.py): the
 # support-threshold point, the four points outside the noise construction and
@@ -1646,29 +1675,6 @@ class TestChains:
             assert cell.point.converged == lone.converged, q
             cell_steps += cell.point.iterations
         assert batch_steps < cell_steps
-
-    def test_answers_go_to_their_queries(self, prob_cor, monkeypatch):
-        # a wrapper of solve_rd_point that answers one query without the
-        # batch leaves that query's answer waiting there: the next call, for
-        # a later query of the chain, is refused rather than handed it. Three
-        # chains of three queries are three pieces, each a whole chain
-        queries = [RDQuery(d1, 0.1, ds) for d1 in (0.05, 0.1, 0.2) for ds in (0.3, 0.4, 0.5)]
-        assert solver_mod._pieces(solver_mod._chains(queries)) == solver_mod._chains(queries)
-        original = solver_mod.solve_rd_point
-
-        def skipping(problem, query, *args, **kwargs):
-            if query == queries[1]:
-                return original(problem, query)
-            return original(problem, query, *args, **kwargs)
-
-        monkeypatch.setattr(solver_mod, "solve_rd_point", skipping)
-        cells = list(solver_mod.solve_cells(prob_cor, queries))
-        assert [c.error is None for c in cells] == [True, True, False] + [True] * 6
-        assert cells[2].error.startswith("SolverError: query (0.05, 0.1, 0.5) is not the next")
-        batch = solver_mod._Batch(prob_cor, [queries[:3]], solver_mod.DEFAULT_OPTIONS)
-        with pytest.raises(SolverError, match="is not the next query"):
-            batch.result(sources.correlated_problem(SPEC_COR), queries[0], 0)
-        assert batch.result(prob_cor, queries[0], 0).converged
 
 
 @pytest.mark.parametrize("grid", ["independent", "classification64"])
