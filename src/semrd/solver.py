@@ -95,13 +95,13 @@ Two numerical details matter:
   After each kept step, a letter whose bound is below ``_TAU`` in its row is
   dropped: the next start puts it at 0 and renormalises the row. A drop is a
   proposal, refused as an Anderson proposal is when F rises beyond rounding,
-  or when the target solve then ends above the KKT gate of a converged point;
-  the cell continues from its undropped image, and those letters are pinned:
-  never dropped again in that run. A drop is not proposed if a source row
-  would lose its whole normaliser, if g at the current multipliers already
-  exceeds the last kept F, or if the cost covariance turns singular on the
-  free multipliers: a support whose costs are collinear makes the dual linear
-  along a direction, where the Newton solve stalls. The bound holds at the
+  or when the target solve then ends above the KKT gate of a converged point,
+  leaving the targets unmet; the cell continues from its undropped image, and
+  those letters are pinned: never dropped again in that run. That refusal is
+  what catches a support whose costs are collinear, which makes the dual
+  linear along a direction, where the Newton solve stalls. A drop is not
+  proposed if a source row would lose its whole normaliser, or if g at the
+  current multipliers already exceeds the last kept F. The bound holds at the
   step's multipliers, which still move, so a dropped letter may be needed
   after all. It is revived, at the mass it had when dropped, once its c
   exceeds 1 + CERT_TOL; every dropped letter is revived when a cell whose
@@ -198,9 +198,11 @@ Two numerical details matter:
   rules each cell's own. A slot whose cell stops takes its chain's next
   query; a lone solve is a batch of one. A batch runs once, until every
   chain is answered, and returns each chain's answers in order. Every sum
-  over one cell's arrays is a stack of per-cell products, so a cell's
-  numbers do not depend on the cells beside it: a batch returns bit for bit
-  the points of its chains run one after another.
+  over one cell's arrays is a stack of per-cell products, and the one
+  product over all cells' rows together, the group masses, takes a lone row
+  twice, as numpy sums a one-row product in another order than a product of
+  several; so a cell's numbers do not depend on the cells beside it: a batch
+  returns bit for bit the points of its chains run one after another.
 
   The cut into pieces trades two costs. A batch takes about as many steps
   as its longest chain takes one after another, and a batch step costs a
@@ -575,7 +577,12 @@ class _Workspace:
     def group_masses(self, Q: np.ndarray) -> np.ndarray:
         """M[..., y, x, k]: the mass Q[..., y, h] puts on group k of source
         row x, one product with the membership matrix for every cell and y."""
-        return (Q.reshape(-1, self.nh) @ self.members).reshape(Q.shape[:-1] + (self.nx, self.K))
+        rows = Q.reshape(-1, self.nh)
+        # numpy sums a one-row product in another order (matrix-vector, not
+        # matrix-matrix), so a lone row goes in twice: each row's sums then do
+        # not depend on how many rows the product covers
+        M = (np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows) @ self.members
+        return M[:len(rows)].reshape(Q.shape[:-1] + (self.nx, self.K))
 
     # ---- alternating minimization -------------------------------------
 
@@ -641,14 +648,12 @@ def _kkt_residual(lam: Sequence[float], grad: Sequence[float]) -> float:
                abs(g2) if l2 > 0.0 else max(g2, 0.0))
 
 
-def _newton_direction(
-    cov: np.ndarray, grad: Sequence[float], free: Sequence[bool], least_norm: bool = True
-) -> list[float] | None:
+def _newton_direction(cov: np.ndarray, grad: Sequence[float], free: Sequence[bool]) -> list[float]:
     """The step s with cov[F, F] s[F] = grad[F] on the free coordinates F and
     s = 0 elsewhere, by one closed-form 3x3 solve in which each fixed
     coordinate's row and column of cov are the identity's and its gradient is
     0. A free block (symmetric PSD) that is singular to working precision gets
-    the least-norm solution instead, or None without ``least_norm``."""
+    the least-norm solution instead."""
     (a, b, e), (_, f, h), (_, _, k) = cov.tolist()
     f0, f1, f2 = free
     a, f, k = (a if f0 else 1.0), (f if f1 else 1.0), (k if f2 else 1.0)
@@ -665,8 +670,6 @@ def _newton_direction(
             (c01 * g0 + c11 * g1 + c12 * g2) * inv,
             (c02 * g0 + c12 * g1 + c22 * g2) * inv,
         ]
-    if not least_norm:
-        return None
     mask = np.array(free)
     sol = np.linalg.lstsq(cov * (mask[:, None] & mask), np.array(grad) * mask, rcond=None)[0]
     return (sol * mask).tolist()
@@ -1086,8 +1089,8 @@ class _ConstrainedBA:
         ``kept`` of step s), for their next start.
 
         In each row y a letter whose bound (c_max - 1) / (c_max - c) on its
-        optimal mass is below _TAU is dropped, unless it is pinned or
-        :meth:`_admits` refuses its drop; a dropped letter whose c exceeds
+        optimal mass is below _TAU is dropped, unless it is pinned or the
+        start without it fails :meth:`_trial`; a dropped letter whose c exceeds
         1 + CERT_TOL is revived at its saved mass, and every dropped letter
         is revived when a cell that would stop has not met its targets. The
         tests run on the whole step's arrays; only the cells they flag are
@@ -1113,7 +1116,7 @@ class _ConstrainedBA:
                     # halved while g at the current multipliers exceeds F
                     masses = np.where(back, cell.saved, 0.0)
                     for _ in range(_HALVINGS):
-                        if self._trial(cell, Q[b] + masses, s.dual, b) is not None:
+                        if self._trial(cell, Q[b] + masses, s.dual, b):
                             break
                         masses *= 0.5
                     cell.revive = masses
@@ -1123,35 +1126,21 @@ class _ConstrainedBA:
             mask = drop[b] if cell.pinned is None else drop[b] & ~cell.pinned
             if not mask.any():
                 continue
-            if self._admits(cell, np.where(mask, 0.0, Q[b]), s.dual, b):
+            if self._trial(cell, np.where(mask, 0.0, Q[b]), s.dual, b):
                 cell.drop = mask
             else:
                 cell.pinned = mask if cell.pinned is None else cell.pinned | mask
 
-    def _trial(self, cell: _Cell, Q: np.ndarray, d: _Dual, b: int) -> _Dual | None:
-        """g at the multipliers of cell b of the dual d from the cell's start
-        Q, renormalised here; None where a source row loses its whole
-        normaliser, or where g already exceeds the cell's last kept F, so
-        that F(Q) >= g does too and the step would be refused."""
+    def _trial(self, cell: _Cell, Q: np.ndarray, d: _Dual, b: int) -> bool:
+        """Whether the cell may start from Q, renormalised here: at the
+        multipliers of cell b of the dual d no source row loses its whole
+        normaliser, and g does not already exceed the cell's last kept F
+        (where it does, F(Q) >= g does too, and the step would be refused)."""
         M = self.ws.group_masses((Q / np.add.reduce(Q, axis=1, keepdims=True))[None])
         if not np.all(np.add.reduce(M * d.w[b], axis=3) > 0.0):
-            return None
-        trial = self._evaluate(M, [d.lam[b]], [cell.targets])
-        v = trial.value[0]
-        return None if v > cell.value + 1e-11 * (1.0 + abs(v)) else trial
-
-    def _admits(self, cell: _Cell, Q: np.ndarray, d: _Dual, b: int) -> bool:
-        """Whether the cell's next start may drop to Q: it passes
-        :meth:`_trial`, and a target solve's covariance stays regular on its
-        free coordinates. Where the support left makes two costs collinear,
-        the dual is linear along a direction and the multiplier solve would
-        stall."""
-        trial = self._trial(cell, Q, d, b)
-        if trial is None or not self._targeted:
-            return trial is not None
-        free = [l > 0.0 or g > 0.0 for l, g in zip(cell.lam, trial.grad[0])]
-        return _newton_direction(self._covariance(trial)[0], trial.grad[0], free,
-                                 least_norm=False) is not None
+            return False
+        v = self._evaluate(M, [d.lam[b]], [cell.targets]).value[0]
+        return not v > cell.value + 1e-11 * (1.0 + abs(v))
 
     def run(self) -> _Cell:
         """Advance a batch of one cell until it stops."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -219,25 +220,48 @@ def test_fig7_grid_auto_matches_ba():
         assert abs(auto.rate - ba.rate) < 1e-9
 
 
-def test_nan_rate_is_a_flagged_row():
-    # a random integer-cost problem (3x2x2 source, rounded to 6 decimals)
-    # whose d1 target sits on its floor: the kernel's normaliser underflows
-    # to 0 (numpy warns of the divide by zero) and F reads +inf, a rise that
-    # fails the plain step. The row is flagged with the solver's error and
-    # carries no rate, not a NaN one
+def coinciding_floors_problem():
+    """A random integer-cost problem (3x2x2 source, rounded to 6 decimals)
+    whose two d1 floors coincide at 1.889255."""
     probs = np.array([[[0.041712, 0.044517], [0.057486, 0.038272]],
                       [[0.338439, 0.179501], [0.104068, 0.08526]],
                       [[0.007254, 0.005928], [0.018928, 0.078635]]])
     x1, x2, y = Alphabet("x1", 3), Alphabet("x2", 2), Alphabet("y", 2)
     h1, h2, hs = Alphabet("x1h", 2), Alphabet("x2h", 3), Alphabet("sh", 2)
-    problem = sources.custom_problem(
+    return sources.custom_problem(
         JointPMF((x1, x2, y), probs / probs.sum()),
         DistortionMatrix(x1, h1, [[2, 2], [2, 2], [1, 1]]),
         DistortionMatrix(x2, h2, [[1, 1, 0], [1, 1, 0]]),
         DistortionMatrix(x1, hs, [[2, 0], [0, 2], [2, 0]]),
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        (row,) = route(custom_model(problem), [RDQuery(1.889255, 0.0, 0.5714)], "ba")
-    assert row.error == ("SolverError: constrained objective increased from "
-                         "0.003587511659173398 to inf at step 32")
+
+
+def test_target_on_both_d1_floors_solves():
+    # the d1 target sits where both d1 floors coincide; this solve once
+    # failed its plain step 32 with F at +inf (an underflowing normaliser).
+    # The rate is the one the solve reached with d1 off its floor by 1e-9
+    (row,) = route(custom_model(coinciding_floors_problem()),
+                   [RDQuery(1.889255, 0.0, 0.5714)], "ba")
+    assert row.error is None and row.converged
+    assert abs(row.rate - 0.005003552294045067) <= 1e-12
+
+
+def test_nan_rate_is_a_flagged_row(monkeypatch):
+    # F reads +inf at the second step, a plain one, as it does where the
+    # kernel's normaliser underflows: a rise that fails the step. The row is
+    # flagged with the solver's error and carries no rate, not a NaN one
+    problem, query = coinciding_floors_problem(), RDQuery(1.889255, 0.0, 0.5714)
+    solve_dual = solver_mod._ConstrainedBA._solve_dual
+
+    def poisoned(self, *args):
+        d = solve_dual(self, *args)
+        if self.cells[0].iterations == 2:
+            d.value[0] = math.inf
+        return d
+
+    monkeypatch.setattr(solver_mod._ConstrainedBA, "_solve_dual", poisoned)
+    with pytest.raises(SolverError, match="to inf at step 2$") as raised:
+        solver_mod.solve_rd_point(problem, query)
+    (row,) = route(custom_model(problem), [query], "ba")
+    assert row.error == f"SolverError: {raised.value}"
     assert row.rate is None and row.cs_residual is None and not row.converged

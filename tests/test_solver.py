@@ -1153,6 +1153,79 @@ def random_custom_problem(seed):
                                   table(x1, hs))
 
 
+def sampled_problems(seed, real=False, snapped=False):
+    """The random-problem sampler of the ROADMAP's Baseline: an endless
+    stream of (problem, 8 queries) from one generator. Each problem draws its
+    six alphabet sizes one at a time (2-3 letters on every axis but y, which
+    has 1-2), a Dirichlet(0.7) law, and its d1, d2 and d's tables in
+    {0, 1, 2}, or uniform in [0, 2) when ``real``. Each target lies a uniform
+    share of the way from its coordinate's full-information floor to its
+    zero-rate floor; a second uniform draw, made in every mode, puts it on the
+    full-information floor where it is below 1/4 when ``snapped``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        sizes = [int(rng.integers(low, low + 2)) for low in (2, 2, 1, 2, 2, 2)]
+        x1, x2, y, h1, h2, hs = (Alphabet(name, n) for name, n in zip(
+            ("x1", "x2", "y", "x1_hat", "x2_hat", "s_hat"), sizes))
+        law = rng.dirichlet(np.full(math.prod(sizes[:3]), 0.7)).reshape(sizes[:3])
+
+        def table(a, b):
+            shape = (a.size, b.size)
+            values = rng.uniform(0.0, 2.0, shape) if real else rng.integers(0, 3, shape)
+            return DistortionMatrix(a, b, values)
+
+        problem = sources.custom_problem(JointPMF((x1, x2, y), law), table(x1, h1),
+                                         table(x2, h2), table(x1, hs))
+        full = np.array(problem._workspace.absolute_floors)
+        zero = np.array(problem._workspace.zero_rate_floors)
+        queries = []
+        for _ in range(8):
+            share, snap = rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 1.0, 3)
+            targets = full + share * (zero - full)
+            if snapped:
+                targets = np.where(snap < 0.25, full, targets)
+            queries.append(RDQuery(*targets.tolist()))
+        yield problem, queries
+
+
+def sampled_problem(seed, index):
+    """Problem ``index`` of the integer sampler at ``seed``, and its queries."""
+    return next(itertools.islice(sampled_problems(seed), index, None))
+
+
+class TestSampledProblems:
+    """Points of the Baseline's sampler that once failed, and a slice of it
+    on which batch and lone solves agree."""
+
+    def test_target_on_both_d2_floors_converges(self):
+        # both d2 floors are 0, and so is the target; this solve once raised
+        # at step 30 (F rose by a relative 3e-7). The rate is the one the
+        # solve reached with d2 off its floor by 1e-12
+        problem, queries = sampled_problem(3, 15)
+        assert queries[0].d2 == 0.0
+        pt = solve_rd_point(problem, queries[0])
+        assert pt.converged
+        assert abs(pt.rate - 0.12121880020742253) <= 1e-12
+
+    def test_starved_run_converges_alone(self):
+        # this lone solve once ran to 50,000 steps with its certificate stuck
+        # (still unconverged after 2,000, in 0.15 s); the rate is the one the
+        # batch path reached in 181 steps
+        problem, queries = sampled_problem(2, 20)
+        pt = solve_rd_point(problem, queries[0], SolverOptions(max_iters=500))
+        assert pt.converged
+        assert abs(pt.rate - 0.3961592968620038) <= 1e-9
+
+    def test_batch_and_lone_solves_agree(self):
+        # integer seed 1, problems 0-19: every point converges in its
+        # problem's batch and alone, at rates within RATE_TOL
+        for problem, queries in itertools.islice(sampled_problems(1), 20):
+            for cell, query in zip(solver_mod.solve_cells(problem, queries), queries):
+                lone = solve_rd_point(problem, query)
+                assert cell.error is None and cell.point.converged and lone.converged
+                assert abs(cell.point.rate - lone.rate) <= solver_mod.RATE_TOL
+
+
 FLOOR_CASES = {
     "independent": lambda: [sources.conditionally_independent_problem(SPEC_IND)],
     "correlated": lambda: [sources.correlated_problem(SPEC_COR)],
@@ -1299,6 +1372,12 @@ class TestSweepSurface:
                     + solver_mod._solve_chains(part, pieces[cut:], opts))
             assert all(p.converged for p in whole)
             assert whole == runs
+        # a problem with one y letter, whose group masses of a lone cell are
+        # a one-row product: alone and beside a neighbour, the same point
+        problem, queries = sampled_problem(2, 20)
+        alone = solver_mod._solve_chains(problem, [queries[:1]], opts)
+        paired = solver_mod._solve_chains(problem, [queries[:1], queries[1:2]], opts)
+        assert alone[0].converged and alone[0] == paired[0]
 
 
 class TestClassicalForms:
