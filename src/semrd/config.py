@@ -185,7 +185,7 @@ def _parse_custom(params: Mapping, path: str) -> RDProblem:
     d2 = _parse_table(_get(params, path, "d2"), f"{path}.d2", alphabets)
     ds_mod = _parse_table(_get(params, path, "ds_mod"), f"{path}.ds_mod", alphabets)
     try:
-        return sources.custom_problem(source, d1, d2, ds_mod)
+        return RDProblem(source, d1, d2, ds_mod)
     except ProbabilityError as exc:
         _fail(path, str(exc))
 

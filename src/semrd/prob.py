@@ -114,9 +114,9 @@ class Alphabet:
         return cls(name, 2, ("0", "1"))
 
     @classmethod
-    def integers(cls, name: str, n: int, start: int = 1) -> "Alphabet":
-        """Alphabet of the integers start..start+n-1 (labels are the integers)."""
-        return cls(name, n, tuple(str(start + i) for i in range(n)))
+    def integers(cls, name: str, n: int) -> "Alphabet":
+        """Alphabet of the integers 1..n (labels are the integers)."""
+        return cls(name, n, tuple(str(i) for i in range(1, n + 1)))
 
     def index_of(self, label: str) -> int:
         try:
@@ -203,10 +203,6 @@ class JointPMF:
             raise ProbabilityError("cannot marginalize away every axis; at least one must be kept")
         drop = tuple(i for i, a in enumerate(self.axes) if a.name not in keep)
         return JointPMF(kept, self.probs.sum(axis=drop) if drop else self.probs)
-
-    def total_mass(self) -> float:
-        """Sum of all entries (1.0 up to float dust; exposed for tests)."""
-        return float(self.probs.sum())
 
     def condition_on(self, axis_name: str, symbol: str) -> "JointPMF":
         """Condition on one axis taking a particular symbol; drops that axis."""

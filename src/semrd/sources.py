@@ -111,12 +111,10 @@ def binary_problem(source: JointPMF, p: float) -> RDProblem:
     distortions, the latent seen by the observation through a crossover-p
     channel."""
     x1, x2, _y = source.axes
-    h1, h2 = Alphabet.binary(X1_HAT), Alphabet.binary(X2_HAT)
     return RDProblem(
         source=source,
-        repro_alphabets=(h1, h2, Alphabet.binary(S_HAT)),
-        d1=DistortionMatrix.hamming(x1, h1),
-        d2=DistortionMatrix.hamming(x2, h2),
+        d1=DistortionMatrix.hamming(x1, Alphabet.binary(X1_HAT)),
+        d2=DistortionMatrix.hamming(x2, Alphabet.binary(X2_HAT)),
         ds_mod=_semantic_table(semantic_observation_joint(p)),
     )
 
@@ -124,25 +122,9 @@ def binary_problem(source: JointPMF, p: float) -> RDProblem:
 def classification_problem(p: float, p2: float, n: int) -> RDProblem:
     source = classification_source(p2, n)
     x1, x2, _y = source.axes
-    h1 = Alphabet.integers(X1_HAT, n)
-    h2 = Alphabet.binary(X2_HAT)
     return RDProblem(
         source=source,
-        repro_alphabets=(h1, h2, Alphabet.binary(S_HAT)),
-        d1=DistortionMatrix.hamming(x1, h1),
-        d2=DistortionMatrix.hamming(x2, h2),
+        d1=DistortionMatrix.hamming(x1, Alphabet.integers(X1_HAT, n)),
+        d2=DistortionMatrix.hamming(x2, Alphabet.binary(X2_HAT)),
         ds_mod=_semantic_table(parity_semantic_joint(p, n)),
-    )
-
-
-def custom_problem(
-    source: JointPMF, d1: DistortionMatrix, d2: DistortionMatrix, ds_mod: DistortionMatrix
-) -> RDProblem:
-    """Assemble a solver instance from explicit tables (used by the sweep CLI)."""
-    return RDProblem(
-        source=source,
-        repro_alphabets=(d1.repro_axis, d2.repro_axis, ds_mod.repro_axis),
-        d1=d1,
-        d2=d2,
-        ds_mod=ds_mod,
     )

@@ -26,7 +26,6 @@ from .sources import (
     X2_HAT,
     Y,
     check_parity_n,
-    classification_source,
     parity_bit,
 )
 from .closed_form import classification_region_bound, in_region_correlated
@@ -227,11 +226,6 @@ def build_classification_channel(
     )
 
 
-def classification_source_marginal(p2: float, n: int) -> JointPMF:
-    """Declared (x1, y) law of the integer model, for residual checks."""
-    return classification_source(p2, n).marginalize((X1, Y))
-
-
 @dataclass(frozen=True)
 class AchievabilityReport:
     marginal_residual: float
@@ -247,20 +241,20 @@ def verify_achievability(
     d1: DistortionMatrix | None = None,
     d2: DistortionMatrix | None = None,
     ds_mod: DistortionMatrix | None = None,
-    side_info_axis: str = Y,
 ) -> AchievabilityReport:
     """Audit a candidate achievability joint.
 
     Checks (a) the induced source marginal against the declared law, (b) the
     expected distortions for whichever tables are supplied, and (c) the
     conditional mutual information between the source axes and the
-    reproduction axes given side information, compared to ``expected_rate``.
+    reproduction axes given the side information ``y``, compared to
+    ``expected_rate``.
     """
     source_names = source.axis_names
     for name in source_names:
         joint.axis_index(name)  # raises on mismatch
-    if side_info_axis not in source_names:
-        raise ProbabilityError(f"side-info axis {side_info_axis!r} not among {source_names}")
+    if Y not in source_names:
+        raise ProbabilityError(f"side-info axis {Y!r} not among {source_names}")
     induced = joint.marginalize(source_names).probs
     residual = float(np.abs(induced - source.probs).max())
 
@@ -275,8 +269,8 @@ def verify_achievability(
         _exp(ds_mod, X1, S_HAT),
     )
     repro_names = tuple(n for n in joint.axis_names if n not in source_names)
-    src_group = tuple(n for n in source_names if n != side_info_axis)
-    rate = joint.conditional_mutual_information(src_group, repro_names, (side_info_axis,))
+    src_group = tuple(n for n in source_names if n != Y)
+    rate = joint.conditional_mutual_information(src_group, repro_names, (Y,))
     expected_rate = check_real(expected_rate, "expected_rate")
     return AchievabilityReport(
         marginal_residual=residual,

@@ -40,7 +40,6 @@ from .solver import RDQuery, semantic_rd, solve_joint_point, solve_rd_point
 from .test_channels import (
     build_classification_channel,
     build_correlated_binary_channel,
-    classification_source_marginal,
     correlated_construction_exists,
     correlated_noise_law,
     correlated_q_unclipped,
@@ -148,14 +147,14 @@ def correlated_grid_check(n_points: int = 8, tol: float = 2e-3) -> Check:
     return _grid_check("correlated_grid", correlated_model(spec), points, tol)
 
 
-def classification_points(
-    n_points: int, p: float = BINARY_P, p2: float = BINARY_P, n_alpha: int = 8
-) -> list[tuple[float, float, float]]:
-    """Points of the integer model's region, d1 from 0.02 to min{bound, 0.38},
-    each at two semantic targets: one where the observation target binds
-    (Ds0 = d1 + 0.06, capped below 0.5) and one where the semantic target
-    bounds the parity flips (Ds0 half of d1 N/(2(N-1)))."""
-    bound = classification_region_bound(p2, n_alpha)
+def classification_points(n_points: int) -> list[tuple[float, float, float]]:
+    """Points of the integer model's region at p = p2 = ``BINARY_P`` and
+    N = 8, d1 from 0.02 to min{bound, 0.38}, each at two semantic targets:
+    one where the observation target binds (Ds0 = d1 + 0.06, capped below
+    0.5) and one where the semantic target bounds the parity flips (Ds0 half
+    of d1 N/(2(N-1)))."""
+    p, n_alpha = BINARY_P, 8
+    bound = classification_region_bound(BINARY_P, n_alpha)
     pts = []
     for i, d1 in enumerate(np.linspace(0.02, min(bound, 0.38), n_points).tolist()):
         d2 = 0.1 if i % 2 == 0 else 0.35
@@ -245,7 +244,7 @@ def closed_vs_ba_suite() -> SuiteReport:
 # achievability channels
 
 
-def correlated_channel_checks(n_points: int = 20, seed: int = 11) -> list[Check]:
+def correlated_channel_checks(n_points: int = 20) -> list[Check]:
     spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
     source = sources.correlated_source(spec.p1, spec.p2)
     ds_table = modified_distortion(
@@ -261,7 +260,7 @@ def correlated_channel_checks(n_points: int = 20, seed: int = 11) -> list[Check]
         "semantic_slack": 0.0,
         "rate": 0.0,
     }
-    points = _correlated_region_points(n_points, seed=seed)
+    points = _correlated_region_points(n_points, seed=11)
     for d1, d2, ds in points:
         ch = build_correlated_binary_channel(spec.p, spec.p1, spec.p2, d1, d2, ds)
         expected = rate_correlated(spec, d1, d2, ds)
@@ -296,7 +295,7 @@ def classification_channel_checks(n_points: int = 20) -> list[Check]:
     nonzero one of them again with the semantic target bounding the parity
     flips (Ds0 half of d1 N/(2(N-1))), where the channel must also meet Ds."""
     p, p2, n_alpha = BINARY_P, BINARY_P, 8
-    declared = classification_source_marginal(p2, n_alpha)
+    declared = sources.classification_source(p2, n_alpha).marginalize((sources.X1, sources.Y))
     d1_tab = DistortionMatrix.hamming(
         Alphabet.integers(sources.X1, n_alpha), Alphabet.integers(sources.X1_HAT, n_alpha)
     )
@@ -327,12 +326,12 @@ def classification_channel_checks(n_points: int = 20) -> list[Check]:
     ]
 
 
-def noise_law_check(n_points: int = 20, seed: int = 13) -> Check:
+def noise_law_check() -> Check:
     """Induced XOR-noise marginal of the constructed channel equals the
-    product-form law, for random parameters where the construction exists."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
+    product-form law, for 20 random parameter sets where the construction
+    exists."""
+    rng = np.random.default_rng(13)
+    worst, done, n_points = 0.0, 0, 20
     while done < n_points:
         p1 = float(rng.uniform(0.1, 0.45))
         p2 = float(rng.uniform(0.1, 0.45))
@@ -357,14 +356,14 @@ def noise_law_check(n_points: int = 20, seed: int = 13) -> Check:
     return Check("xor_noise_law", worst < 1e-12, worst, 1e-12, details={"points": n_points})
 
 
-def q_nonnegativity_scan(grid_n: int = 25) -> Check:
-    """Asserted: on a (d1, d2) scan of the correlated region at ds = 0.5, the
-    router flags under ``closed_form`` exactly the points where the
-    reproduction-noise law has a negative entry, so that the closed form is
-    served only where its construction exists. The residual counts the
+def q_nonnegativity_scan() -> Check:
+    """Asserted: on a 25 x 25 (d1, d2) scan of the correlated region at
+    ds = 0.5, the router flags under ``closed_form`` exactly the points where
+    the reproduction-noise law has a negative entry, so that the closed form
+    is served only where its construction exists. The residual counts the
     points where the two disagree; the details record the scan."""
     spec = BinarySourceSpec.correlated(BINARY_P, BINARY_P, BINARY_P)
-    cap = spec.p1 * spec.p2
+    cap, grid_n = spec.p1 * spec.p2, 25
     points = list(itertools.product(
         np.linspace(1e-4, cap, grid_n).tolist(), np.linspace(1e-4, spec.p1 - 1e-4, grid_n).tolist()))
     laws = [correlated_q_unclipped(spec.p1, spec.p2, d1, d2) for d1, d2 in points]
@@ -423,9 +422,9 @@ def monotonicity_check(points_per_axis: int = 5, slack: float = 1e-6) -> Check:
     return Check("solver_monotonicity", worst <= slack, max(worst, 0.0), slack)
 
 
-def convexity_check(n_pairs: int = 6, slack: float = 2e-3, seed: int = 5) -> Check:
+def convexity_check(n_pairs: int = 6, slack: float = 2e-3) -> Check:
     """Midpoint convexity of the solved rate over random query pairs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     spec = BinarySourceSpec.conditionally_independent(BINARY_P, BINARY_P, BINARY_P)
     problem = sources.conditionally_independent_problem(spec)
     worst = -math.inf
@@ -452,11 +451,11 @@ def random_chain_problem(rng: np.random.Generator):
     return problem, p_sem
 
 
-def separability_check(n_sources: int = 5, tol: float = 2e-3, seed: int = 23) -> Check:
+def separability_check(n_sources: int = 5, tol: float = 2e-3) -> Check:
     """The joint solve's rate equals the split solve's (the sum of the two
     reduced-problem rates) whenever the observation and background are
     independent given side information."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(23)
     worst = 0.0
     for _ in range(n_sources):
         problem, p_sem = random_chain_problem(rng)
@@ -468,9 +467,9 @@ def separability_check(n_sources: int = 5, tol: float = 2e-3, seed: int = 23) ->
     return Check("separability", worst < tol, worst, tol, details={"sources": n_sources})
 
 
-def equivalence_check(n_joints: int = 100, tol: float = 1e-10, seed: int = 3) -> Check:
+def equivalence_check(n_joints: int = 100, tol: float = 1e-10) -> Check:
     """|E ds(S, Sh) - E d's(X1, Sh)| on random latent-chain joints."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     s = Alphabet.binary("s")
     worst = 0.0
     for _ in range(n_joints):
@@ -490,9 +489,9 @@ def equivalence_check(n_joints: int = 100, tol: float = 1e-10, seed: int = 3) ->
     return Check("distortion_equivalence", worst < tol, worst, tol, details={"joints": n_joints})
 
 
-def information_identity_check(n_pmfs: int = 50, tol: float = 1e-10, seed: int = 17) -> Check:
+def information_identity_check(n_pmfs: int = 50, tol: float = 1e-10) -> Check:
     """Chain rule and symmetry of the information measures on random pmfs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(n_pmfs):
         sizes = rng.integers(2, 4, size=3)

@@ -16,6 +16,7 @@ from semrd.sources import (
     X2,
     X2_HAT,
     Y,
+    classification_source,
     correlated_source,
     parity_bit,
     semantic_observation_joint,
@@ -23,7 +24,6 @@ from semrd.sources import (
 from semrd.test_channels import (
     build_classification_channel,
     build_correlated_binary_channel,
-    classification_source_marginal,
     correlated_noise_law,
     correlated_q_vector,
     verify_achievability,
@@ -190,7 +190,7 @@ class TestClassificationChannel:
     def test_rate_matches_first_bracket(self):
         d1 = 0.05
         ch = build_classification_channel(0.25, 8, d1)
-        declared = classification_source_marginal(0.25, 8)
+        declared = classification_source(0.25, 8).marginalize((X1, Y))
         expected = (
             binary_entropy(0.25) + 2.0 - binary_entropy(d1) - d1 * math.log2(7)
         )
@@ -235,7 +235,8 @@ class TestClassificationChannel:
         d1_tab = DistortionMatrix.hamming(Alphabet.integers(X1, n), Alphabet.integers(X1_HAT, n))
         expected = rate_classification(p, 0.25, n, d1, 0.5, ds)
         rep = verify_achievability(
-            ch.joint, classification_source_marginal(0.25, n), expected, d1=d1_tab, ds_mod=ds_mod
+            ch.joint, classification_source(0.25, n).marginalize((X1, Y)), expected, d1=d1_tab,
+            ds_mod=ds_mod,
         )
         assert rep.marginal_residual < 1e-12
         assert rep.achieved[0] == pytest.approx(d1, abs=1e-12)
@@ -266,6 +267,6 @@ class TestVerifyAchievability:
 
     def test_non_finite_expected_rate(self):
         ch = build_classification_channel(0.25, 8, 0.05)
-        declared = classification_source_marginal(0.25, 8)
+        declared = classification_source(0.25, 8).marginalize((X1, Y))
         with pytest.raises(ProbabilityError):
             verify_achievability(ch.joint, declared, math.inf)

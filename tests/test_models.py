@@ -27,7 +27,7 @@ from semrd.models import (
 )
 from semrd.prob import Alphabet, BinarySourceSpec, DistortionMatrix, JointPMF
 from semrd.semantic import ds0
-from semrd.solver import RDQuery
+from semrd.solver import RDProblem, RDQuery
 
 SPEC = BinarySourceSpec.correlated(0.25, 0.25, 0.25)
 # d1 and d2 on both sides of the region's caps p1 p2 = 0.0625 and p1 = 0.25
@@ -228,7 +228,7 @@ def coinciding_floors_problem():
                       [[0.007254, 0.005928], [0.018928, 0.078635]]])
     x1, x2, y = Alphabet("x1", 3), Alphabet("x2", 2), Alphabet("y", 2)
     h1, h2, hs = Alphabet("x1h", 2), Alphabet("x2h", 3), Alphabet("sh", 2)
-    return sources.custom_problem(
+    return RDProblem(
         JointPMF((x1, x2, y), probs / probs.sum()),
         DistortionMatrix(x1, h1, [[2, 2], [2, 2], [1, 1]]),
         DistortionMatrix(x2, h2, [[1, 1, 0], [1, 1, 0]]),

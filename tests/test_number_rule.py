@@ -57,7 +57,7 @@ REALS = {
                              0.25, 0, True),
     "binary_entropy": (lambda v: binary_entropy(v), 0.25, 0, True),
     "star": (lambda v: star(v, 0.1), 0.25, 0, True),
-    "make_dsbs": (lambda v: make_dsbs(v).total_mass(), 0.25, 0, True),
+    "make_dsbs": (lambda v: float(make_dsbs(v).probs.sum()), 0.25, 0, True),
     # through a constructor that needs the field: None marks an unused one
     "BinarySourceSpec": (lambda v: BinarySourceSpec.conditionally_independent(0.25, v, 0.25).p2,
                          0.25, 0, True),

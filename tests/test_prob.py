@@ -146,7 +146,7 @@ class TestMarginalize:
 
     def test_total_probability(self):
         j = make_dsbs(0.3)
-        assert j.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert float(j.probs.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_axis(self):
         with pytest.raises(ProbabilityError, match="unknown axis"):
@@ -245,7 +245,7 @@ class TestInformationIdentities:
     @settings(max_examples=60, deadline=None)
     def test_marginal_is_normalized(self, j):
         m = j.marginalize(("a", "c"))
-        assert m.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert float(m.probs.sum()) == pytest.approx(1.0, abs=1e-12)
         assert float(m.probs.min()) >= 0.0
 
 

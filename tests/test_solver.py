@@ -69,7 +69,6 @@ def single_source_problem():
     source = JointPMF((x1, bg, si), np.array([0.5, 0.5]).reshape(2, 1, 1))
     return RDProblem(
         source=source,
-        repro_alphabets=(h1, h2, hs),
         d1=DistortionMatrix.hamming(x1, h1),
         d2=DistortionMatrix.zero(bg, h2),
         ds_mod=DistortionMatrix.zero(x1, hs),
@@ -91,7 +90,7 @@ def random_table_problem(seed):
     def table(a, b):
         return DistortionMatrix(a, b, rng.uniform(0.0, 1.0, (a.size, b.size)))
 
-    return RDProblem(source, (h1, h2, hs), table(x1, h1), table(x2, h2), table(x1, hs))
+    return RDProblem(source, table(x1, h1), table(x2, h2), table(x1, hs))
 
 
 def uneven_table_problem():
@@ -109,7 +108,6 @@ def uneven_table_problem():
     d1 = np.array([[0.5, 0.5, 0.5], [0.0, 0.3, 0.7], [0.2, 0.9, 0.2]])
     return RDProblem(
         source,
-        (h1, h2, hs),
         DistortionMatrix(x1, h1, d1),
         DistortionMatrix(x2, h2, rng.uniform(0.0, 1.0, (2, 2))),
         DistortionMatrix(x1, hs, rng.uniform(0.0, 1.0, (3, 2))),
@@ -664,7 +662,8 @@ class TestGroupedDual:
     def test_shift_is_the_least_group_cost(self, build):
         # the costs are stored less their row's least, group 0's: the drops
         # are at most 0 and 0 on group 0, the kernel is exp(lam.drops), and
-        # p.shift, shift being the row's least of lam.c(x, k), is lam.least,
+        # p.shift, shift being the row's least of lam.c(x, k), is
+        # lam.absolute_floors,
         # at multipliers over seven decades, zeros included, and batch sizes 1-20
         ws = solver_mod._Workspace(build())
         assert np.array_equal(ws.group_costs[:, :, 0], ws.group_costs.min(axis=2))
@@ -682,9 +681,9 @@ class TestGroupedDual:
             assert np.all(d.log_w[:, :, 0] == 0.0)
             costs = (lam[:, None, :] @ ws.group_costs.reshape(3, -1)).reshape(n, ws.nx, ws.K)
             p_shift = np.minimum.reduce(costs, axis=2) @ ws.p_x
-            lam_least = lam @ ws.least
+            lam_least = lam @ ws.absolute_floors
             assert np.all(np.abs(lam_least - p_shift) <= 1e-14 * p_shift)
-            # with zero targets, g = lam.least - sum p log Z
+            # with zero targets, g = lam.absolute_floors - sum p log Z
             log_z = np.log(d.Z).reshape(n, -1) @ ws.Pw.ravel()
             assert np.all(np.abs(d.value - (lam_least - log_z)) <= 1e-14 * (1.0 + lam_least))
 
@@ -1149,8 +1148,7 @@ def random_custom_problem(seed):
         values = rng.integers(0, 3, shape) if seed % 2 == 0 else rng.uniform(0.0, 2.0, shape)
         return DistortionMatrix(a, b, values)
 
-    return sources.custom_problem(JointPMF((x1, x2, y), law), table(x1, h1), table(x2, h2),
-                                  table(x1, hs))
+    return RDProblem(JointPMF((x1, x2, y), law), table(x1, h1), table(x2, h2), table(x1, hs))
 
 
 def sampled_problems(seed, real=False, snapped=False):
@@ -1174,8 +1172,8 @@ def sampled_problems(seed, real=False, snapped=False):
             values = rng.uniform(0.0, 2.0, shape) if real else rng.integers(0, 3, shape)
             return DistortionMatrix(a, b, values)
 
-        problem = sources.custom_problem(JointPMF((x1, x2, y), law), table(x1, h1),
-                                         table(x2, h2), table(x1, hs))
+        problem = RDProblem(JointPMF((x1, x2, y), law), table(x1, h1), table(x2, h2),
+                            table(x1, hs))
         full = np.array(problem._workspace.absolute_floors)
         zero = np.array(problem._workspace.zero_rate_floors)
         queries = []
@@ -1411,7 +1409,7 @@ def chain_table_problem(seed, perturbation=0.0):
     )
     probs[0, 0, 0] *= 1.0 + perturbation
     source = JointPMF(base.source.axes, probs / probs.sum())
-    return sources.custom_problem(source, base.d1, base.d2, base.ds_mod)
+    return RDProblem(source, base.d1, base.d2, base.ds_mod)
 
 
 def separable_grids():
@@ -1468,6 +1466,26 @@ class TestSeparability:
             assert len(runs) == parts
             assert pt.converged
             assert abs(pt.rate - solver_mod.solve_joint_point(problem, q).rate) <= 1e-9
+
+    def test_background_error_is_the_cell_error(self):
+        # every d2 entry is at least 0.5, so a d2 target of 0.4 is below the
+        # background side's full-information floor while the observation
+        # side solves: the composed cell carries the background's error
+        src = sources.conditionally_independent_source(0.2, 0.3)
+        x1, x2, _y = src.axes
+        problem = RDProblem(
+            src, DistortionMatrix.hamming(x1, Alphabet.binary("x1_hat")),
+            DistortionMatrix(x2, Alphabet.binary("x2_hat"), [[0.5, 1.0], [1.0, 0.5]]),
+            DistortionMatrix.hamming(x1, Alphabet.binary("s_hat")))
+        assert problem.split is not None
+        assert solve_rd_point(problem.split[0], RDQuery(0.1, 0.0, 0.3)).converged
+        q = RDQuery(0.1, 0.4, 0.3)
+        (cell,) = solver_mod.solve_cells(problem, [q])
+        assert cell.point is None
+        assert cell.error == ("InfeasibleDistortionError: constraint 1: target 0.4 is below "
+                              "the full-information floor 0.5")
+        with pytest.raises(InfeasibleDistortionError, match="constraint 1"):
+            solve_rd_point(problem, q)
 
     def test_degenerate_axes_do_not_split(self, prob_ind):
         # a part of a split problem has a one-letter axis and is solved jointly
@@ -1640,6 +1658,33 @@ class TestChains:
         assert Q.shape == prob_cor._workspace.initial_marginal().shape
         assert all(p.converged for p in chained)
 
+    def test_failed_rate_restarts_the_chain_cold(self, prob_cor, monkeypatch):
+        # two chains of two queries, both whole in one batch. The first rate
+        # evaluation, that of the second chain's head (it stops first), is
+        # patched to raise: the cell carries the error, and the chain's next
+        # run starts cold, as a lone solve does, where unpatched it starts
+        # warm and takes fewer steps
+        queries = [RDQuery(*q) for q in (
+            (0.03, 0.2, 0.45), (0.04, 0.2, 0.45), (0.05, 0.3, 0.4), (0.06, 0.3, 0.4))]
+        assert solver_mod._pieces(solver_mod._chains(queries)) == [queries[:2], queries[2:]]
+        warm = list(solver_mod.solve_cells(prob_cor, queries))
+        calls, rate = [], solver_mod._Workspace.rate
+
+        def failing(self, s, b):
+            calls.append(b)
+            if len(calls) == 1:
+                raise SolverError("rate evaluated to nan")
+            return rate(self, s, b)
+
+        monkeypatch.setattr(solver_mod._Workspace, "rate", failing)
+        cells = list(solver_mod.solve_cells(prob_cor, queries))
+        monkeypatch.undo()
+        assert [c.error for c in cells] == [None, None, "SolverError: rate evaluated to nan", None]
+        lone = solve_rd_point(prob_cor, queries[3])
+        assert cells[3].point == lone
+        assert warm[3].point.iterations < lone.iterations
+        assert [c.point for c in cells[:2]] == [c.point for c in warm[:2]]
+
     def test_stalled_warm_multipliers_solve_again_from_zero(self, monkeypatch):
         # a chain hands its multipliers on: the run for (d1, ds) = (0.4, 0.3)
         # starts from those of (0.4, 0.25), whose semantic multiplier (about
@@ -1791,7 +1836,7 @@ class TestProblemValidation:
         h1, h2, hs = Alphabet.binary("x1_hat"), Alphabet.binary("x2_hat"), Alphabet.binary("s_hat")
         wrong = DistortionMatrix.hamming(Alphabet.binary("other"), h1)
         with pytest.raises(ProbabilityError, match="d1"):
-            RDProblem(src, (h1, h2, hs), wrong, DistortionMatrix.hamming(src.axes[1], h2),
+            RDProblem(src, wrong, DistortionMatrix.hamming(src.axes[1], h2),
                       DistortionMatrix.hamming(x1, hs))
 
     def test_name_collision_rejected(self):
@@ -1802,7 +1847,7 @@ class TestProblemValidation:
         h1 = Alphabet.binary("x1")  # collides with the source axis
         h2, hs = Alphabet.binary("x2_hat"), Alphabet.binary("s_hat")
         with pytest.raises(ProbabilityError, match="distinct"):
-            RDProblem(src, (h1, h2, hs), DistortionMatrix.hamming(x1, h1),
+            RDProblem(src, DistortionMatrix.hamming(x1, h1),
                       DistortionMatrix.hamming(src.axes[1], h2),
                       DistortionMatrix.hamming(x1, hs))
 
